@@ -41,6 +41,35 @@ def _parse_vector(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"bad vector {text!r}: {exc}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
+    return k
+
+
+def _sized(flag: str, vec: np.ndarray, dim: int,
+           nonzero: bool = False) -> np.ndarray:
+    """vec, after checking it has `dim` components (and is nonzero)."""
+    if vec.shape[0] != dim:
+        raise argparse.ArgumentTypeError(
+            f"{flag} needs {dim} components, got {vec.shape[0]}")
+    if nonzero and not np.any(vec):
+        raise argparse.ArgumentTypeError(f"{flag} must be nonzero")
+    return vec
+
+
+def _submanifold(bundle, name: str):
+    if name not in bundle.submanifolds:
+        raise LorentzkitError(
+            f"no submanifold {name!r} in {bundle.name}; "
+            f"available: {sorted(bundle.submanifolds)}")
+    return bundle.submanifolds[name]
+
+
 def _parse_params(items) -> dict:
     out = {}
     for item in items or []:
@@ -105,7 +134,7 @@ def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="seed for all sampling (default 0)")
     parser.add_argument("--jobs", type=int,
                         default=d if suppress else 1,
-                        help="parallel workers for sampling (output identical)")
+                        help="accepted for compatibility; sampling is serial")
     parser.add_argument("--param", action="append", metavar="NAME=VALUE",
                         default=d if suppress else None,
                         help="override a spacetime parameter (repeatable)")
@@ -145,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", required=True, choices=_CHECK_NAMES)
     p.add_argument("--region", default="default")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--points", type=int, default=40)
+    p.add_argument("--points", type=_positive_int, default=40)
     p.add_argument("--dirs", type=int, default=16)
 
     p = sub.add_parser("gs", help="curvature trace along a normal geodesic",
@@ -168,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parameter point (3.3) or chart point (4.2)")
     p.add_argument("--witness", nargs="*", default=[],
                    metavar="v=..|w=..", help="witness vectors for 4.2")
-    p.add_argument("--nmax", type=int, default=8)
+    p.add_argument("--nmax", type=_positive_int, default=8)
 
     p = sub.add_parser("geodesic", help="integrate a geodesic",
                        parents=[common])
@@ -200,7 +229,7 @@ def _base_report(args, bundle, overrides) -> dict:
 
 
 def _cmd_analyze(args, bundle, overrides, out) -> int:
-    p = args.at
+    p = _sized("--at", args.at, bundle.field.dim)
     data = curvature_data(bundle.field, p)
     rep = _base_report(args, bundle, overrides)
     rep.update({
@@ -217,11 +246,7 @@ def _cmd_analyze(args, bundle, overrides, out) -> int:
 
 
 def _cmd_classify(args, bundle, overrides, out) -> int:
-    if args.submanifold not in bundle.submanifolds:
-        raise LorentzkitError(
-            f"no submanifold {args.submanifold!r} in {bundle.name}; "
-            f"available: {sorted(bundle.submanifolds)}")
-    emb = bundle.submanifolds[args.submanifold]
+    emb = _submanifold(bundle, args.submanifold)
     hint = bundle.hints.get(args.submanifold)
     verdict = classify_trapped(bundle.field, bundle.orientation, emb, hint)
     rep = _base_report(args, bundle, overrides)
@@ -277,9 +302,11 @@ def _cmd_check(args, bundle, overrides, out) -> int:
 
 
 def _cmd_gs(args, bundle, overrides, out) -> int:
-    emb = bundle.submanifolds[args.submanifold]
+    emb = _submanifold(bundle, args.submanifold)
+    u0 = _sized("--at", args.at, emb.m)
+    direction = _sized("--dir", args.dir, bundle.field.dim, nonzero=True)
     rep = _base_report(args, bundle, overrides)
-    rep["result"] = gs_trace(bundle.field, emb, args.at, args.dir, args.length)
+    rep["result"] = gs_trace(bundle.field, emb, u0, direction, args.length)
     rep["satisfied"] = rep["result"]["min_trace"] >= -Tolerances().tau_cond
     _emit(rep, out)
     return 0 if rep["satisfied"] else 1
@@ -289,9 +316,10 @@ def _cmd_perturb(args, bundle, overrides, out) -> int:
     if args.theorem == "3.3":
         if not args.submanifold:
             raise LorentzkitError("--theorem 3.3 needs --submanifold")
-        emb = bundle.submanifolds[args.submanifold]
+        emb = _submanifold(bundle, args.submanifold)
         fam = trapped_exit_family(bundle.field, bundle.orientation, emb,
-                                  args.at, n_max=args.nmax)
+                                  _sized("--at", args.at, emb.m),
+                                  n_max=args.nmax)
     else:
         witness = {}
         for item in args.witness:
@@ -302,8 +330,11 @@ def _cmd_perturb(args, bundle, overrides, out) -> int:
             witness[k.strip()] = _parse_vector(v)
         if "v" not in witness or "w" not in witness:
             raise LorentzkitError("--theorem 4.2 needs --witness v=.. w=..")
-        fam = positivity_exit_family(bundle.field, args.at, witness["v"],
-                                     witness["w"], n_max=args.nmax)
+        dim = bundle.field.dim
+        fam = positivity_exit_family(
+            bundle.field, _sized("--at", args.at, dim),
+            _sized("--witness v", witness["v"], dim),
+            _sized("--witness w", witness["w"], dim), n_max=args.nmax)
     summary = fam.summary()
     all_signed = all(c.sign_ok for c in fam.certificates)
     if args.format == "csv":
@@ -317,7 +348,12 @@ def _cmd_perturb(args, bundle, overrides, out) -> int:
 
 
 def _cmd_geodesic(args, bundle, overrides, out) -> int:
-    sol = geodesic(bundle.field, args.start, args.dir, args.length)
+    dim = bundle.field.dim
+    start = _sized("--from", args.start, dim)
+    direction = _sized("--dir", args.dir, dim, nonzero=True)
+    vecs = [_sized("--transport", _parse_vector(v), dim)
+            for v in args.transport.split(";")] if args.transport else []
+    sol = geodesic(bundle.field, start, direction, args.length)
     samples = [{"s": s, "point": x.tolist(),
                 "canonical_point": bundle.field.canonicalize(x).tolist(),
                 "velocity": xd.tolist()}
@@ -330,9 +366,8 @@ def _cmd_geodesic(args, bundle, overrides, out) -> int:
         "norm_drift": sol.norm_drift,
         "samples": samples,
     }
-    if args.transport:
-        vecs = np.array([_parse_vector(v) for v in args.transport.split(";")]).T
-        tr = parallel_transport(bundle.field, sol, vecs)
+    if vecs:
+        tr = parallel_transport(bundle.field, sol, np.array(vecs).T)
         rep["result"]["transport"] = {
             "product_drift": tr.product_drift,
             "final": tr.evaluate(sol.t_reached).tolist(),

@@ -18,21 +18,24 @@ Margins per condition, for an h-unit causal v:
 
 Verdicts: holds-strictly (min > tau), holds-weakly (|min| <= tau or min in
 the weak band), violated (min < -tau), with a witness for violations.
+
+Points are scanned serially. The `jobs` arguments are accepted so existing
+callers keep working, but start no workers: a thread pool was GIL-bound and
+slower than the serial loop.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import NotApplicable, OrientationError, ParamError
+from .errors import NotApplicable, ParamError
 from .fields import ScalarField, VectorField
 from .geodesics import geodesic, parallel_transport
 from .geometry import (DEFAULT_TOLS, CurvatureData, Tolerances,
                        curvature_data, g_orthonormalize_spacelike,
-                       h_orthonormal_complement)
+                       h_orthonormal_complement, lorentz_frame)
 from .metric import MetricField
 from .submanifold import Embedding
 from .tensors import MetricValue, invert_metric
@@ -102,13 +105,6 @@ class ConditionReport:
 # --- causal shell machinery ------------------------------------------------------
 
 
-def _lorentz_frame_of(data: CurvatureData) -> np.ndarray:
-    lam, q = np.linalg.eigh(data.g)
-    if int(np.sum(lam < 0)) != 1:
-        raise OrientationError(f"metric index is {np.sum(lam < 0)}, need 1")
-    return q / np.sqrt(np.abs(lam))
-
-
 def _shell_vector(frame: np.ndarray, alpha: float, omega: np.ndarray,
                   sign: float) -> np.ndarray:
     v = frame[:, 0] + alpha * (frame[:, 1:] @ omega)
@@ -171,7 +167,7 @@ def _margin_tidal(data: CurvatureData, v: np.ndarray,
 def _scan_point(data: CurvatureData, margin_fn, rng, n_dirs: int,
                 refine_iters: int, restarts: int, timelike_only: bool):
     """Dense shell sampling plus projected descent from the best candidates."""
-    frame = _lorentz_frame_of(data)
+    frame = lorentz_frame(data.g)
     n = data.dim
     cands = []
     for alpha, omega, sign in _direction_params(rng, n, n_dirs, timelike_only):
@@ -225,21 +221,14 @@ def _verdict(margin: float, tau: float) -> str:
 
 def _run_condition(field_: MetricField, region: Region, margin_fn,
                    name: str, tols: Tolerances, timelike_only: bool = False,
-                   jobs: int = 1, extra: dict | None = None) -> ConditionReport:
+                   extra: dict | None = None) -> ConditionReport:
     pts = region.sample_points()
     seeds = np.random.SeedSequence(region.seed).spawn(len(pts))
 
-    def work(i):
-        data = curvature_data(field_, pts[i])
-        rng = np.random.default_rng(seeds[i])
-        return _scan_point(data, margin_fn, rng, region.n_dirs,
+    results = [_scan_point(curvature_data(field_, p), margin_fn,
+                           np.random.default_rng(seed), region.n_dirs,
                            region.refine_iters, region.restarts, timelike_only)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(work, range(len(pts))))
-    else:
-        results = [work(i) for i in range(len(pts))]
+               for p, seed in zip(pts, seeds)]
 
     best_i = min(range(len(pts)), key=lambda i: results[i][0])
     val, _a, _o, _s, v, w = results[best_i]
@@ -261,7 +250,7 @@ def ricci_condition(field_: MetricField, region: Region, strict: bool = False,
     """Minimum of Ric(v, v) over the sampled causal shell (sets SE / E)."""
     return _run_condition(field_, region, _margin_ricci,
                           "ricci-causal" + ("-strict" if strict else ""),
-                          tols, jobs=jobs)
+                          tols)
 
 
 def riem_condition(field_: MetricField, region: Region, strict: bool = False,
@@ -276,7 +265,7 @@ def riem_condition(field_: MetricField, region: Region, strict: bool = False,
     name = "riemann-causal" + ("-timelike-only" if timelike_only else "") \
         + ("-strict" if strict else "")
     return _run_condition(field_, region, fn, name, tols,
-                          timelike_only=timelike_only, jobs=jobs,
+                          timelike_only=timelike_only,
                           extra={"timelike_only": timelike_only})
 
 
@@ -285,7 +274,7 @@ def tidal_condition(field_: MetricField, region: Region,
     """Minimum tidal-operator eigenvalue over the sampled shell (set O)."""
     def fn(data, v):
         return _margin_tidal(data, v, tols)
-    return _run_condition(field_, region, fn, "tidal-psd", tols, jobs=jobs)
+    return _run_condition(field_, region, fn, "tidal-psd", tols)
 
 
 # --- inclusion audit --------------------------------------------------------------
@@ -314,11 +303,10 @@ def inclusion_audit(field_: MetricField, region: Region,
     violations = []
     total = 0
 
-    def work(i):
-        data = curvature_data(field_, pts[i])
+    for i, p in enumerate(pts):
+        data = curvature_data(field_, p)
         rng = np.random.default_rng(seeds[i])
-        frame = _lorentz_frame_of(data)
-        rows = []
+        frame = lorentz_frame(data.g)
         for alpha, omega, sign in _direction_params(rng, data.dim,
                                                     region.n_dirs, False):
             v = _shell_vector(frame, alpha, omega, sign)
@@ -326,17 +314,6 @@ def inclusion_audit(field_: MetricField, region: Region,
             p_m = _margin_riem(data, v)[0]
             se_m = _margin_ricci(data, v)[0]
             o_m = _margin_tidal(data, v, tols)[0]
-            rows.append((v, timelike, p_m, se_m, o_m))
-        return rows
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            all_rows = list(ex.map(work, range(len(pts))))
-    else:
-        all_rows = [work(i) for i in range(len(pts))]
-
-    for i, rows in enumerate(all_rows):
-        for v, timelike, p_m, se_m, o_m in rows:
             total += 1
             fp_m, e_m = p_m, se_m
             checks = [

@@ -1,4 +1,4 @@
-"""Scalar expression parser and second-order jet evaluator.
+"""Scalar expression parser and evaluator.
 
 Expressions are written over a chart's symbol table (coordinate names plus
 named parameters). Grammar is ordinary infix:
@@ -11,8 +11,11 @@ named parameters). Grammar is ordinary infix:
 
 with functions exp, log, sin, cos, tan, sinh, cosh, tanh, sqrt. `abs` is
 deliberately not provided (not twice differentiable at 0). The parsed tree is
-immutable; evaluation propagates Jet2 values, so gradients and Hessians are
-analytic.
+immutable and has one evaluator, `Expr.eval(xs, params)`: the coordinate
+values `xs` are plain floats (values only) or Jet2 seeds (values with
+analytic gradients and Hessians). Numbers and parameters always evaluate to
+floats, so constant subtrees never allocate jets; Jet2's mixed float
+operators carry them into the coordinate-dependent parts.
 """
 
 from __future__ import annotations
@@ -35,13 +38,13 @@ FUNCTIONS = ("exp", "log", "sin", "cos", "tan", "sinh", "cosh", "tanh", "sqrt")
 class Expr:
     """Base node. Subclasses are frozen dataclasses; trees are immutable."""
 
-    def eval2(self, point_jets: Sequence[Jet2],
-              param_values: Mapping[str, float], n: int) -> Jet2:
-        raise NotImplementedError
+    def eval(self, xs: Sequence, params: Mapping[str, float]):
+        """Value at coordinates `xs` (floats or Jet2 seeds, chart order).
 
-    def evalf(self, point: Sequence[float],
-              param_values: Mapping[str, float]) -> float:
-        """Value-only evaluation (no derivatives); cheap path for hot loops."""
+        Returns a float when the result does not depend on a Jet2 seed.
+        Raises DomainError outside an operation's domain, on division by
+        zero and on floating-point overflow.
+        """
         raise NotImplementedError
 
     @property
@@ -56,10 +59,7 @@ class Expr:
 class Num(Expr):
     value: float
 
-    def eval2(self, point_jets, param_values, n):
-        return Jet2.constant(self.value, n)
-
-    def evalf(self, point, param_values):
+    def eval(self, xs, params):
         return self.value
 
     @property
@@ -75,15 +75,10 @@ class Sym(Expr):
     name: str
     coord_index: int | None   # None for parameters
 
-    def eval2(self, point_jets, param_values, n):
+    def eval(self, xs, params):
         if self.coord_index is not None:
-            return point_jets[self.coord_index]
-        return Jet2.constant(param_values[self.name], n)
-
-    def evalf(self, point, param_values):
-        if self.coord_index is not None:
-            return float(point[self.coord_index])
-        return float(param_values[self.name])
+            return xs[self.coord_index]
+        return float(params[self.name])
 
     @property
     def is_constant(self):
@@ -100,25 +95,40 @@ _MATH_FUNCS = {
 }
 
 
+def _apply(op: str, a):
+    """The function `op` of a float (math) or of a Jet2 (its method)."""
+    if isinstance(a, Jet2):
+        return getattr(a, op)()
+    try:
+        return _MATH_FUNCS[op](a)
+    except ValueError as exc:
+        raise DomainError(f"{op}({a}): {exc}") from exc
+
+
+def _power(a, b):
+    if isinstance(b, Jet2):
+        # the exponent depends on the coordinates
+        return (_apply("log", a) * b).exp()
+    if float(b).is_integer():
+        return a ** int(b)          # exact: repeated multiplication for jets
+    if not isinstance(a, Jet2) and a <= 0.0:
+        raise DomainError(f"real exponent requires positive base, got {a}")
+    return a ** b
+
+
 @dataclass(frozen=True)
 class Unary(Expr):
     op: str             # 'neg' or a function name
     arg: Expr
 
-    def eval2(self, point_jets, param_values, n):
-        a = self.arg.eval2(point_jets, param_values, n)
-        if self.op == "neg":
-            return -a
-        return getattr(a, self.op)()
-
-    def evalf(self, point, param_values):
-        a = self.arg.evalf(point, param_values)
+    def eval(self, xs, params):
+        a = self.arg.eval(xs, params)
         if self.op == "neg":
             return -a
         try:
-            return _MATH_FUNCS[self.op](a)
-        except ValueError as exc:
-            raise DomainError(f"{self.op}({a}): {exc}") from exc
+            return _apply(self.op, a)
+        except ArithmeticError as exc:
+            raise DomainError(f"{self.op}: {exc}") from exc
 
     @property
     def is_constant(self):
@@ -134,45 +144,21 @@ class Binary(Expr):
     left: Expr
     right: Expr
 
-    def eval2(self, point_jets, param_values, n):
-        a = self.left.eval2(point_jets, param_values, n)
-        if self.op == "^":
-            # keep integer exponents exact (repeated multiplication)
-            if isinstance(self.right, Num) and float(self.right.value).is_integer():
-                return a ** int(self.right.value)
-            b = self.right.eval2(point_jets, param_values, n)
-            if b.grad.any() or b.hess.any():
-                return (a.log() * b).exp()
-            if float(b.value).is_integer():
-                return a ** int(b.value)
-            return a ** float(b.value)
-        b = self.right.eval2(point_jets, param_values, n)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return a / b
-
-    def evalf(self, point, param_values):
-        a = self.left.evalf(point, param_values)
-        b = self.right.evalf(point, param_values)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero")
-            return a / b
-        if float(b).is_integer():
-            return a ** int(b)
-        if a <= 0.0:
-            raise DomainError(f"real exponent requires positive base, got {a}")
-        return a ** b
+    def eval(self, xs, params):
+        a = self.left.eval(xs, params)
+        b = self.right.eval(xs, params)
+        try:
+            if self.op == "+":
+                return a + b
+            if self.op == "-":
+                return a - b
+            if self.op == "*":
+                return a * b
+            if self.op == "/":
+                return a / b
+            return _power(a, b)
+        except ArithmeticError as exc:
+            raise DomainError(f"{self.op!r}: {exc}") from exc
 
     @property
     def is_constant(self):
@@ -180,8 +166,6 @@ class Binary(Expr):
 
     def symbols(self):
         return self.left.symbols() | self.right.symbols()
-
-
 # --- tokenizer ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"""
@@ -353,6 +337,8 @@ def eval2(e: Expr, point: Sequence[float],
     n = point.shape[0]
     if table is not None and table.dim != n:
         raise ValueError(f"point dimension {n} != chart dimension {table.dim}")
-    seeds = [Jet2.variable(point[i], i, n) for i in range(n)]
-    jet = e.eval2(seeds, params or {}, n)
+    seeds = [Jet2.variable(x, i, n) for i, x in enumerate(point.tolist())]
+    jet = e.eval(seeds, params or {})
+    if not isinstance(jet, Jet2):
+        return Jet2.constant(jet, n)
     return jet.symmetrized()

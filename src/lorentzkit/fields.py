@@ -75,5 +75,5 @@ class VectorField:
         return VectorField([repr(float(v)) for v in vec], table)
 
     def value(self, p: Sequence[float]) -> np.ndarray:
-        point = np.asarray(p, dtype=float)
-        return np.array([c.evalf(point, self.params) for c in self.components])
+        xs = np.asarray(p, dtype=float).tolist()
+        return np.array([c.eval(xs, self.params) for c in self.components])

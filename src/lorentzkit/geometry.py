@@ -216,13 +216,15 @@ def causal_class(field_: MetricField, v: TangentVector,
 # --- frames ---------------------------------------------------------------------
 
 
-def lorentz_frame(mv: MetricValue) -> np.ndarray:
-    """Columns f_0 (timelike), f_1..f_{n-1} (spacelike) with g(f_i,f_j) = eta_ij."""
-    if mv.index != 1:
-        raise OrientationError(f"metric index is {mv.index}, need 1")
-    lam, q = np.linalg.eigh(mv.g)
-    order = np.argsort(lam)           # the single negative eigenvalue first
-    lam, q = lam[order], q[:, order]
+def lorentz_frame(g: np.ndarray) -> np.ndarray:
+    """Columns f_0 (timelike), f_1..f_{n-1} (spacelike) with g(f_i,f_j) = eta_ij.
+
+    eigh returns ascending eigenvalues, so the single negative one is first.
+    """
+    lam, q = np.linalg.eigh(g)
+    index = int(np.sum(lam < 0))
+    if index != 1:
+        raise OrientationError(f"metric index is {index}, need 1")
     return q / np.sqrt(np.abs(lam))
 
 

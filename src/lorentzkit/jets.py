@@ -6,7 +6,10 @@ conformal factors, embedding maps) is evaluated as a Jet2, so Christoffel
 symbols and curvature come out of analytic derivatives, never finite
 differences.
 
-Jets are immutable; all arithmetic returns fresh instances.
+Arithmetic accepts plain floats on either side (`2.0 * j`, `1.0 / j`,
+`c - j`), which is how the expression evaluator keeps constant subtrees as
+floats instead of constant jets. Jets are immutable; all arithmetic returns
+fresh instances.
 """
 
 from __future__ import annotations
@@ -106,9 +109,10 @@ class Jet2:
     def _int_pow(self, k: int) -> "Jet2":
         if k < 0:
             return self._reciprocal()._int_pow(-k)
-        n = self.dim
-        out = Jet2.constant(1.0, n)
-        for _ in range(k):          # exponents are small in practice
+        if k == 0:
+            return Jet2.constant(1.0, self.dim)
+        out = self
+        for _ in range(k - 1):      # exponents are small in practice
             out = out * self
         return out
 

@@ -127,39 +127,34 @@ class ExprMetricField(MetricField):
                 a = lo if np.isfinite(lo) else hi - 2.0
                 b = hi if np.isfinite(hi) else lo + 2.0
                 pts[:, i] = a + (b - a) * (0.25 + 0.5 * rng.random(samples))
+        exprs = list(self.entries.values())
         for axis, per in enumerate(self.periods):
             if per is None:
                 continue
             for p in pts:
                 q = p.copy()
                 q[axis] += per
-                a = self._values_at(p)
-                b = self._values_at(q)
+                a = [e.eval(p.tolist(), self.params) for e in exprs]
+                b = [e.eval(q.tolist(), self.params) for e in exprs]
                 if not np.allclose(a, b, atol=tol, rtol=0.0):
                     raise ParamError(
                         f"components not invariant under period {per} "
                         f"along coordinate {self.table.coordinates[axis]}")
 
-    def _values_at(self, p) -> np.ndarray:
-        n = self.dim
-        g = np.zeros((n, n))
-        for (i, j), e in self.entries.items():
-            v = e.evalf(p, self.params)
-            g[i, j] = v
-            g[j, i] = v
-        return g
-
     def component_jets(self, p, order: int = 2):
-        q = self.canonicalize(p)
+        q = self.canonicalize(p).tolist()
         n = self.dim
-        if order == 0:
-            return self._values_at(q), None, None
-        seeds = [Jet2.variable(q[i], i, n) for i in range(n)]
+        # order 0 evaluates on floats; constant components stay floats
+        xs = q if order == 0 else [Jet2.variable(x, i, n)
+                                   for i, x in enumerate(q)]
         g = np.zeros((n, n))
-        dg = np.zeros((n, n, n))
+        dg = np.zeros((n, n, n)) if order >= 1 else None
         d2g = np.zeros((n, n, n, n)) if order >= 2 else None
         for (i, j), e in self.entries.items():
-            jet = e.eval2(seeds, self.params, n)
+            jet = e.eval(xs, self.params)
+            if not isinstance(jet, Jet2):
+                g[i, j] = g[j, i] = jet
+                continue
             g[i, j] = g[j, i] = jet.value
             dg[:, i, j] = dg[:, j, i] = jet.grad
             if order >= 2:

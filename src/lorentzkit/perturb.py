@@ -30,7 +30,8 @@ from .errors import NotApplicable, NotCausal, RadiusError, SupportNotContained
 from .expr import SymbolTable, parse
 from .fields import ScalarField
 from .geometry import (DEFAULT_TOLS, TangentVector, Tolerances, causal_class,
-                       curvature_data, h_orthonormal_complement)
+                       curvature_data, h_orthonormal_complement,
+                       lorentz_frame)
 from .jets import Jet2
 from .metric import ConformalScaledMetric, MetricField
 from .normal import NormalChart, orthonormal_frame_from
@@ -143,7 +144,7 @@ class NormalCoordBump(ScalarField):
         if r2 >= self.rho ** 2:
             return Jet2.constant(0.0, n)
         seeds = self.chart.coord_jets(q)
-        core = self.core.eval2(seeds, {}, n)
+        core = self.core.eval(seeds, {})   # a float if core is constant
         u = seeds[0] * seeds[0]
         for k in range(1, n):
             u = u + seeds[k] * seeds[k]
@@ -260,7 +261,7 @@ class PerturbationFamily:
         """Log-log slope of |certificate| against n."""
         ns = np.array([c.n for c in self.certificates], dtype=float)
         vals = np.array([abs(c.value_direct) for c in self.certificates])
-        if np.any(vals <= 0):
+        if len(ns) < 2 or np.any(vals <= 0):
             return float("nan")
         return float(np.polyfit(np.log(ns), np.log(vals), 1)[0])
 
@@ -419,9 +420,7 @@ def find_degenerate_witness(field_: MetricField, p, tols: Tolerances = DEFAULT_T
                             seed: int = 0, samples: int = 512):
     """Search a causal (v, w) pair with Riem(w, v, v, w) = 0 at p."""
     data = curvature_data(field_, p)
-    mv = MetricValue.from_matrix(data.g)
-    lam, q = np.linalg.eigh(mv.g)
-    frame = q / np.sqrt(np.abs(lam))
+    frame = lorentz_frame(data.g)
     rng = np.random.default_rng(seed)
     n = field_.dim
     best = None
@@ -480,8 +479,7 @@ def positivity_exit_family(field_: MetricField, p, v, w,
         printed_form = "-exp(2/n)/n"
     else:
         # split v = e0 + e1 against a unit timelike leg; ell = e0 - e1
-        lam, qe = np.linalg.eigh(mv.g)
-        t0 = qe[:, 0] / np.sqrt(-lam[0])
+        t0 = lorentz_frame(mv.g)[:, 0]
         gvt = mv.inner(v, t0)
         if gvt > 0:
             t0 = -t0

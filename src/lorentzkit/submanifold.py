@@ -82,12 +82,14 @@ class Embedding:
 
     def jets(self, u) -> list[Jet2]:
         u = np.asarray(u, dtype=float)
-        seeds = [Jet2.variable(u[a], a, self.m) for a in range(self.m)]
-        return [e.eval2(seeds, self.params, self.m) for e in self.exprs]
+        seeds = [Jet2.variable(x, a, self.m) for a, x in enumerate(u.tolist())]
+        jets = [e.eval(seeds, self.params) for e in self.exprs]
+        return [j if isinstance(j, Jet2) else Jet2.constant(j, self.m)
+                for j in jets]
 
     def point(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return np.array([e.evalf(u, self.params) for e in self.exprs])
+        us = np.asarray(u, dtype=float).tolist()
+        return np.array([e.eval(us, self.params) for e in self.exprs])
 
     def jacobian(self, u) -> np.ndarray:
         """J[i, a] = dx^i/du^a, checked to have full rank m."""

@@ -95,6 +95,41 @@ class TestExitCodes:
         assert code == 1
         assert "kerr" in json.loads(text)["error"]
 
+    def test_overflow_is_domain_error(self):
+        # exp(2 H t) overflows a float at H = 1000, t = 1
+        code, rep = run_json(["analyze", "builtin:desitter", "--param",
+                              "H=1000", "--at", "1,0,0,0"])
+        assert code == 1
+        assert rep["error_type"] == "DomainError"
+
+    @pytest.mark.parametrize("argv", [
+        "analyze builtin:schwarzschild_ef --at 0,0",
+        "analyze builtin:minkowski --at 0,0,0,0,0",
+        "geodesic builtin:minkowski --from 0,0,0,0 --dir 0,0,0,0",
+        "geodesic builtin:minkowski --from 0,0 --dir 1,0,0,0",
+        "geodesic builtin:minkowski --from 0,0,0,0 --dir 1,0,0",
+        "geodesic builtin:minkowski --from 0,0,0,0 --dir 1,0,0,0 "
+        "--transport 0,1",
+        "check builtin:minkowski --condition E --points 0",
+        "perturb builtin:minkowski --theorem 4.2 --at 0,0,0,0 "
+        "--witness v=1,0,0,0 w=0,0,1,0 --nmax 0",
+        "perturb builtin:minkowski --theorem 4.2 --at 0,0 "
+        "--witness v=1,0,0,0 w=0,0,1,0",
+        "perturb builtin:minkowski --theorem 4.2 --at 0,0,0,0 "
+        "--witness v=1,0 w=0,0,1,0",
+        "perturb builtin:torus_quotient --theorem 3.3 --submanifold S --at 0",
+        "perturb builtin:torus_quotient --theorem 3.3 --submanifold nope "
+        "--at 0,0",
+        "gs builtin:minkowski --submanifold nope --at 0,0 --dir 1,0,0,0",
+        "gs builtin:minkowski --submanifold sphere --at 0 --dir 1,0,0,0",
+        "gs builtin:minkowski --submanifold sphere --at 1.5,0 --dir 0,0,0,0",
+        "gs builtin:minkowski --submanifold sphere --at 1.5,0 --dir 1,0",
+    ])
+    def test_bad_input_exits_without_traceback(self, argv, capsys):
+        code, _ = run_cli(argv.split())
+        assert code in (1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestCommands:
     def test_classify_report(self):

@@ -136,11 +136,18 @@ class TestTrappedExitFamily:
         assert all(values[i] > values[i + 1] for i in range(len(values) - 1))
         # the measured decay of the transformation law's quadratic term
         assert fam.scaling_exponent() == pytest.approx(-2.0, abs=1e-6)
+        m, v = fam.detail["sigma_dim"], np.array(fam.detail["v"])
+        g_vv = float(v @ b.field.value(fam.point) @ v)
+        assert m == 2 and g_vv == pytest.approx(1.0, abs=1e-12)
         for c in fam.certificates:
             assert c.agreement < 1e-6
-            # measured m^2/n^2 vs printed m^2/n: positive either way,
-            # deviation logged, sign agreement enforced
+            # measured m^2 g(v,v)/n^2 (4, 1, 0.444, ...) by both the direct
+            # recomputation and the closed form, vs printed m^2/n: positive
+            # either way, deviation logged, sign agreement enforced
             assert c.sign_ok
+            expected = m * m * g_vv / c.n ** 2
+            assert c.value_direct == pytest.approx(expected, abs=1e-6)
+            assert c.value_closed_form == pytest.approx(expected, abs=1e-6)
             assert c.value_direct == pytest.approx(4.0 / c.n ** 2, rel=1e-9)
             assert c.printed_value == pytest.approx(4.0 / c.n, rel=1e-12)
         slope = fam.seminorm_slope(2)
