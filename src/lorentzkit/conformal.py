@@ -25,7 +25,7 @@ import numpy as np
 from .fields import ScalarField
 from .geometry import DEFAULT_TOLS, Tolerances, curvature_data
 from .metric import ConformalScaledMetric, MetricField
-from .submanifold import Embedding, mean_curvature
+from .submanifold import Embedding, mean_curvature, normal_part
 from .tensors import LOWER, TensorValue, invert_metric
 
 
@@ -54,14 +54,6 @@ def connection_delta(field_: MetricField, factor: ScalarField, p,
             - float(x_vec @ g @ y_vec) * grad_f)
 
 
-def _normal_projection(field_: MetricField, emb: Embedding, u, vec):
-    x, jac, _ = emb.first_second(u)
-    g = field_.value(x)
-    first = jac.T @ g @ jac
-    coeff = np.linalg.solve(0.5 * (first + first.T), jac.T @ g @ vec)
-    return vec - jac @ coeff
-
-
 def conformal_mean_curvature(field_: MetricField, X, emb: Embedding,
                              factor: ScalarField, u, scale: float = 1.0,
                              tols: Tolerances = DEFAULT_TOLS
@@ -72,12 +64,11 @@ def conformal_mean_curvature(field_: MetricField, X, emb: Embedding,
     mean_curvature on rescale(field, factor) to exercise the oracle.
     """
     mc = mean_curvature(field_, X, emb, u, tols)
-    p = mc.point
-    g = field_.value(p)
+    g = mc.g
     g_inv, _ = invert_metric(g)
-    fj = _factor_jet(field_, factor, p, scale)
+    fj = _factor_jet(field_, factor, mc.point, scale)
     grad_f = g_inv @ fj.grad
-    grad_perp = _normal_projection(field_, emb, u, grad_f)
+    grad_perp = normal_part(g, mc.jac, grad_f)
     m = emb.m
     e2f = np.exp(2.0 * fj.value)
     h_hat = (mc.h_vec - m * grad_perp) / e2f

@@ -197,11 +197,6 @@ class ConformalScaledMetric(MetricField):
         self.domain = base.domain
         self.constant_components = False
 
-    def factor_jet(self, p) -> Jet2:
-        """Jet of s*f at the (canonicalized) point."""
-        q = self.base.canonicalize(p)
-        return self.factor.jet2(q) * self.scale
-
     def component_jets(self, p, order: int = 2):
         q = self.base.canonicalize(p)
         g, dg, d2g = self.base.component_jets(q, order=order)

@@ -39,10 +39,9 @@ class NormalChart:
         n = field_.dim
         if self.frame.shape != (n, n):
             raise FrameNotOrthonormal(f"frame must be {n}x{n}")
-        g = field_.value(self.p)
-        index = int(np.sum(np.linalg.eigvalsh(g) < 0.0))
-        eta = np.diag([-1.0] * index + [1.0] * (n - index))
-        gram = self.frame.T @ g @ self.frame
+        mv = field_.metric_value(self.p)
+        eta = np.diag([-1.0] * mv.index + [1.0] * (n - mv.index))
+        gram = self.frame.T @ mv.g @ self.frame
         err = float(np.max(np.abs(gram - eta)))
         if err > _FRAME_TOL:
             raise FrameNotOrthonormal(

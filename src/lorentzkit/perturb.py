@@ -29,14 +29,15 @@ import numpy as np
 from .errors import NotApplicable, NotCausal, RadiusError, SupportNotContained
 from .expr import SymbolTable, parse
 from .fields import ScalarField
-from .geometry import (DEFAULT_TOLS, TangentVector, Tolerances, causal_class,
-                       curvature_data, h_orthonormal_complement,
+from .geometry import (DEFAULT_TOLS, TangentVector, Tolerances,
+                       _orientation_field_value, causal_class, curvature_data,
                        lorentz_frame)
 from .jets import Jet2
 from .metric import ConformalScaledMetric, MetricField
 from .normal import NormalChart, orthonormal_frame_from
 from .conformal import conformal_mean_curvature, conformal_riemann, rescale
-from .submanifold import Embedding, mean_curvature
+from .submanifold import (Embedding, MeanCurvature, mean_curvature,
+                          normal_frame)
 from .tensors import MetricValue
 
 
@@ -240,6 +241,11 @@ class Certificate:
         }
 
 
+def _finite_or_none(x: float) -> float | None:
+    """x, or None (JSON null) when it is NaN or infinite."""
+    return x if np.isfinite(x) else None
+
+
 @dataclass
 class PerturbationFamily:
     """g_n = e^{2 phi / n} g with per-n certificates and seminorms."""
@@ -281,8 +287,8 @@ class PerturbationFamily:
             "n_max": self.n_max,
             "certificates": [c.as_dict() for c in self.certificates],
             "seminorms": self.seminorms,
-            "certificate_scaling_exponent": self.scaling_exponent(),
-            "seminorm_slope_c2": self.seminorm_slope(2),
+            "certificate_scaling_exponent": _finite_or_none(self.scaling_exponent()),
+            "seminorm_slope_c2": _finite_or_none(self.seminorm_slope(2)),
             "detail": self.detail,
         }
 
@@ -300,35 +306,24 @@ def _seminorm_rows(base: MetricField, phi: ScalarField, n_max: int,
     return rows
 
 
-def _spacelike_unit_normal(field_: MetricField, emb: Embedding, u0,
-                           mv: MetricValue) -> np.ndarray:
-    _, jac, _ = emb.first_second(u0)
-    normal = h_orthonormal_complement((mv.g @ jac).T)
-    b = normal.T @ mv.g @ normal
-    lam, q = np.linalg.eigh(0.5 * (b + b.T))
+def _spacelike_unit_normal(mc: MeanCurvature) -> np.ndarray:
+    lam, frame = normal_frame(mc.g, mc.jac)
     if lam[-1] <= 0:
         raise NotApplicable("normal space has no spacelike direction")
-    v = normal @ q[:, -1]
+    v = frame[:, -1]
     return v / np.linalg.norm(v)
 
 
-def _past_null_normals(field_: MetricField, X, emb: Embedding, u0,
-                       mv: MetricValue) -> list[np.ndarray]:
-    _, jac, _ = emb.first_second(u0)
-    normal = h_orthonormal_complement((mv.g @ jac).T)
-    b = normal.T @ mv.g @ normal
-    lam, q = np.linalg.eigh(0.5 * (b + b.T))
+def _past_null_normals(mc: MeanCurvature, X) -> list[np.ndarray]:
+    lam, frame = normal_frame(mc.g, mc.jac)
     if not lam[0] < 0 < lam[-1]:
         raise NotApplicable("normal space is not Lorentzian")
-    tdir = normal @ (q[:, 0] / np.sqrt(-lam[0]))
+    xv = _orientation_field_value(X, mc.point)
     out = []
-    x0 = emb.point(u0)
-    xv = X.value(x0) if hasattr(X, "value") else np.asarray(X, dtype=float)
-    for k in range(1, normal.shape[1]):
-        sdir = normal @ (q[:, k] / np.sqrt(lam[k]))
+    for k in range(1, frame.shape[1]):
         for s in (+1.0, -1.0):
-            ray = tdir + s * sdir
-            if mv.inner(ray, xv) < 0:      # future; flip to past
+            ray = frame[:, 0] + s * frame[:, k]
+            if ray @ mc.g @ xv < 0:        # future; flip to past
                 ray = -ray
             out.append(ray / np.linalg.norm(ray))
     return out
@@ -347,8 +342,7 @@ def trapped_exit_family(field_: MetricField, X, emb: Embedding, u0,
     """
     u0 = np.asarray(u0, dtype=float)
     mc = mean_curvature(field_, X, emb, u0, tols)
-    p = mc.point
-    mv = MetricValue.from_matrix(field_.value(p))
+    p, g = mc.point, mc.g
     m = emb.m
     hn = float(np.linalg.norm(mc.h_vec))
     tau = tols.tau_trap
@@ -360,14 +354,14 @@ def trapped_exit_family(field_: MetricField, X, emb: Embedding, u0,
 
     if hn <= tau:
         case = "zero-H"
-        v = _spacelike_unit_normal(field_, emb, u0, mv)
+        v = _spacelike_unit_normal(mc)
         printed_form = "m^2/n * exp(-2 phi_n(p)) * g(v,v)"
     else:
         case = "null-H"
         if emb.codim < 2:
             raise NotApplicable("null case needs codimension >= 2")
         hdir = mc.h_vec / hn
-        candidates = _past_null_normals(field_, X, emb, u0, mv)
+        candidates = _past_null_normals(mc, X)
         v = None
         for cand in candidates:
             # reject the ray collinear with H
@@ -378,9 +372,9 @@ def trapped_exit_family(field_: MetricField, X, emb: Embedding, u0,
             raise NotApplicable("no past null normal independent of H found")
         printed_form = "-2m/n * exp(2 phi_n(p)) * g(H,v)"
 
-    phi = bump(field_, p, 0.0, mv.g @ v, rho)
-    g_hv = mv.inner(mc.h_vec, v)
-    g_vv = mv.inner(v, v)
+    phi = bump(field_, p, 0.0, g @ v, rho)
+    g_hv = float(mc.h_vec @ g @ v)
+    g_vv = float(v @ g @ v)
 
     certificates = []
     for n in range(1, n_max + 1):

@@ -1,11 +1,15 @@
 """Geometry of embedded spacelike submanifolds.
 
 An Embedding is a parametric map u -> x(u) from an m-dimensional parameter
-box into the chart, with exact first/second parameter derivatives via jets.
-On top of it: induced metric, shape tensor (normal-projected second
-derivatives plus the ambient connection term), mean curvature, null normal
-frames with expansion scalars (codimension 2), and the trapped-class
-verdict over a sampling grid.
+box into the chart; `first_second(u)` is its one evaluation (point, tangent
+frame J, second derivatives H, rank check). `mean_curvature` is the one pass
+per submanifold point: one `first_second`, one `curvature_data`, the shape
+tensor (normal part of H + Gamma(J, J)) and its trace. Its MeanCurvature
+keeps the metric g and frame J, so expansions, trapped verdicts, conformal
+closed forms and perturbation families reuse them. The normal-bundle algebra
+is `normal_part(g, J, vecs)` (one Gram solve, any codimension) and
+`normal_frame(g, J)` (eigenvalues of g on the normal space and g-unit
+eigenvectors).
 
 Pointwise conditions over a closed submanifold are certified on the grid
 with explicit margins; verdicts never claim more than that.
@@ -22,11 +26,11 @@ from .errors import (DegenerateEmbedding, NotSpacelike, OrientationHintDegenerat
                      WrongCodimension)
 from .expr import Expr, SymbolTable, parse
 from .fields import VectorField
-from .geometry import (DEFAULT_TOLS, CausalClass, TangentVector, Tolerances,
-                       causal_class, curvature_data, h_orthonormal_complement)
+from .geometry import (DEFAULT_TOLS, CausalClass, CurvatureData, TangentVector,
+                       Tolerances, _orientation_field_value, causal_class,
+                       curvature_data, h_orthonormal_complement)
 from .jets import Jet2
 from .metric import MetricField
-from .tensors import MetricValue
 
 
 class Embedding:
@@ -91,18 +95,9 @@ class Embedding:
         us = np.asarray(u, dtype=float).tolist()
         return np.array([e.eval(us, self.params) for e in self.exprs])
 
-    def jacobian(self, u) -> np.ndarray:
-        """J[i, a] = dx^i/du^a, checked to have full rank m."""
-        jets = self.jets(u)
-        jac = np.vstack([j.grad for j in jets])
-        sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[-1] <= 1e-10 * max(sv[0], 1.0):
-            raise DegenerateEmbedding(
-                f"Jacobian rank < {self.m} at u = {np.asarray(u).tolist()}")
-        return jac
-
     def first_second(self, u):
-        """(point, J (n,m), H (n,m,m)) with H[i,a,b] = d2 x^i / du^a du^b."""
+        """(point, J (n,m), H (n,m,m)) with H[i,a,b] = d2 x^i / du^a du^b;
+        J is checked to have rank m."""
         jets = self.jets(u)
         x = np.array([j.value for j in jets])
         jac = np.vstack([j.grad for j in jets])
@@ -114,41 +109,55 @@ class Embedding:
         return x, jac, hess
 
 
+def normal_part(g: np.ndarray, jac: np.ndarray, vecs) -> np.ndarray:
+    """g-normal part of a vector (n,) or rows (k, n) against the columns of
+    jac: one m x m Gram solve for all of them, no normal frame needed."""
+    vecs = np.asarray(vecs, dtype=float)
+    first = jac.T @ g @ jac
+    coeff = np.linalg.solve(0.5 * (first + first.T), jac.T @ g @ vecs.T)
+    return vecs - (jac @ coeff).T
+
+
+def normal_frame(g: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, frame): ascending eigenvalues of g on the normal space of jac's
+    columns and eigenvectors scaled so that g(frame_k, frame_k) = sign lam_k."""
+    normal = h_orthonormal_complement((g @ jac).T)     # columns span T^perp
+    b = normal.T @ g @ normal
+    lam, q = np.linalg.eigh(0.5 * (b + b.T))
+    return lam, normal @ (q / np.sqrt(np.abs(lam)))
+
+
 def induced_metric(field_: MetricField, emb: Embedding, u,
                    tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, bool]:
     """First fundamental form J^T g J and whether it is positive definite."""
-    jac = emb.jacobian(u)
-    g = field_.value(emb.point(u))
-    first = jac.T @ g @ jac
+    x, jac, _ = emb.first_second(u)
+    first = jac.T @ field_.value(x) @ jac
     first = 0.5 * (first + first.T)
     spacelike = bool(np.linalg.eigvalsh(first)[0] > tols.tau_c)
     return first, spacelike
 
 
-def shape_tensor(field_: MetricField, emb: Embedding, u,
-                 tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """II[a, b, :] = normal part of (d2x/du^a du^b + Gamma(dx/du^a, dx/du^b)).
-
-    Normal projection solves the m x m Gram system; no normal frame is ever
-    constructed, so any codimension works uniformly.
-    """
-    x, jac, hess = emb.first_second(u)
-    data = curvature_data(field_, x)
+def _shape(jac: np.ndarray, hess: np.ndarray, data: CurvatureData, u,
+           tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """(first fundamental form, II) from one jet pass and one curvature pass."""
     first = jac.T @ data.g @ jac
+    first = 0.5 * (first + first.T)
     if np.linalg.eigvalsh(first)[0] <= tols.tau_c:
         raise NotSpacelike(f"induced metric not positive definite at u = "
                            f"{np.asarray(u).tolist()}")
+    n, m = jac.shape
     # ambient acceleration of the coordinate grid curves
     acc = np.einsum("iab->abi", hess) \
         + np.einsum("kij,ia,jb->abk", data.gamma, jac, jac)
-    # normal projection by solving the Gram system (no normal frame needed)
-    ii = np.zeros((emb.m, emb.m, emb.n))
-    for a in range(emb.m):
-        for b in range(emb.m):
-            v = acc[a, b]
-            coeff = np.linalg.solve(first, jac.T @ data.g @ v)
-            ii[a, b] = v - jac @ coeff
-    return 0.5 * (ii + np.transpose(ii, (1, 0, 2)))
+    ii = normal_part(data.g, jac, acc.reshape(m * m, n)).reshape(m, m, n)
+    return first, 0.5 * (ii + np.transpose(ii, (1, 0, 2)))
+
+
+def shape_tensor(field_: MetricField, emb: Embedding, u,
+                 tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """II[a, b, :] = normal part of (d2x/du^a du^b + Gamma(dx/du^a, dx/du^b))."""
+    x, jac, hess = emb.first_second(u)
+    return _shape(jac, hess, curvature_data(field_, x), u, tols)[1]
 
 
 @dataclass(frozen=True)
@@ -162,19 +171,20 @@ class MeanCurvature:
     g_hh: float
     g_hx: float
     tangency_defect: float         # max |g(H, tangent)| over unit tangents
+    g: np.ndarray                  # ambient metric at point
+    jac: np.ndarray                # tangent frame J[i, a] = dx^i/du^a
 
 
 def mean_curvature(field_: MetricField, X: VectorField | np.ndarray,
                    emb: Embedding, u,
                    tols: Tolerances = DEFAULT_TOLS) -> MeanCurvature:
     """Trace of the shape tensor with the inverse induced metric."""
-    x, jac, _ = emb.first_second(u)
-    ii = shape_tensor(field_, emb, u, tols)
-    g = field_.value(x)
-    first = jac.T @ g @ jac
-    inv_first = np.linalg.inv(0.5 * (first + first.T))
-    h_vec = np.einsum("ab,abi->i", inv_first, ii)
-    xv = X.value(x) if isinstance(X, VectorField) else np.asarray(X, dtype=float)
+    x, jac, hess = emb.first_second(u)
+    data = curvature_data(field_, x)
+    first, ii = _shape(jac, hess, data, u, tols)
+    g = data.g
+    h_vec = np.einsum("ab,abi->i", np.linalg.inv(first), ii)
+    xv = _orientation_field_value(X, x)
     g_hh = float(h_vec @ g @ h_vec)
     g_hx = float(h_vec @ g @ xv)
     # orthogonality diagnostic, h-normalized
@@ -185,7 +195,7 @@ def mean_curvature(field_: MetricField, X: VectorField | np.ndarray,
         if hn > tols.tau_zero else CausalClass("zero", "none", 0.0)
     return MeanCurvature(u=np.asarray(u, dtype=float), point=x, h_vec=h_vec,
                          causal=cls, g_hh=g_hh, g_hx=g_hx,
-                         tangency_defect=defect)
+                         tangency_defect=defect, g=g, jac=jac)
 
 
 @dataclass(frozen=True)
@@ -195,6 +205,41 @@ class NullFrame:
 
     k_plus: np.ndarray
     k_minus: np.ndarray
+
+
+def _null_expansions(mc: MeanCurvature, X, hint: VectorField | np.ndarray,
+                     tols: Tolerances) -> tuple[NullFrame, float, float]:
+    """Null normal frame at mc.point and theta_pm = -g(H, K_pm)."""
+    g, x = mc.g, mc.point
+    lam, frame = normal_frame(g, mc.jac)
+    if frame.shape[1] != 2:
+        raise WrongCodimension("normal space is not two-dimensional")
+    if not (lam[0] < 0.0 < lam[1]):
+        raise NotSpacelike("normal plane is not Lorentzian")
+    xv = _orientation_field_value(X, x)
+    scaled = []
+    for ray in (frame[:, 0] + frame[:, 1], frame[:, 0] - frame[:, 1]):
+        gx = float(ray @ g @ xv)
+        if gx > 0:
+            ray, gx = -ray, -gx
+        scaled.append(ray / (-gx))          # now g(K, X) = -1: future-directed
+    hv = _orientation_field_value(hint, x)
+    dots = [float(k @ hv) for k in scaled]
+    sep = abs(dots[0] - dots[1])
+    norms = max(np.linalg.norm(hv) * max(np.linalg.norm(k) for k in scaled), 1e-300)
+    if sep <= tols.tau_c * norms:
+        raise OrientationHintDegenerate(
+            "hint cannot distinguish the null normal directions")
+    k_plus, k_minus = (scaled[0], scaled[1]) if dots[0] > dots[1] \
+        else (scaled[1], scaled[0])
+    mu = -float(k_plus @ g @ k_minus)
+    if mu <= 0:
+        raise OrientationHintDegenerate("null rays collapsed; frame invalid")
+    k_plus = k_plus / np.sqrt(mu)
+    k_minus = k_minus / np.sqrt(mu)
+    theta_plus = -float(mc.h_vec @ g @ k_plus)
+    theta_minus = -float(mc.h_vec @ g @ k_minus)
+    return NullFrame(k_plus=k_plus, k_minus=k_minus), theta_plus, theta_minus
 
 
 def null_frame_and_expansions(field_: MetricField, X, emb: Embedding, u,
@@ -211,46 +256,8 @@ def null_frame_and_expansions(field_: MetricField, X, emb: Embedding, u,
     """
     if emb.codim != 2:
         raise WrongCodimension(f"null frame needs codimension 2, got {emb.codim}")
-    x, jac, _ = emb.first_second(u)
-    mv = MetricValue.from_matrix(field_.value(x))
-    first = jac.T @ mv.g @ jac
-    if np.linalg.eigvalsh(first)[0] <= tols.tau_c:
-        raise NotSpacelike(f"not spacelike at u = {np.asarray(u).tolist()}")
-    normal = h_orthonormal_complement((mv.g @ jac).T)     # columns span T^perp
-    if normal.shape[1] != 2:
-        raise WrongCodimension("normal space is not two-dimensional")
-    b = normal.T @ mv.g @ normal
-    lam, q = np.linalg.eigh(0.5 * (b + b.T))
-    if not (lam[0] < 0.0 < lam[1]):
-        raise NotSpacelike("normal plane is not Lorentzian")
-    tdir = normal @ (q[:, 0] / np.sqrt(-lam[0]))
-    sdir = normal @ (q[:, 1] / np.sqrt(lam[1]))
-    rays = [tdir + sdir, tdir - sdir]
-    xv = X.value(x) if isinstance(X, VectorField) else np.asarray(X, dtype=float)
-    scaled = []
-    for ray in rays:
-        gx = mv.inner(ray, xv)
-        if gx > 0:
-            ray, gx = -ray, -gx
-        scaled.append(ray / (-gx))          # now g(K, X) = -1: future-directed
-    hv = hint.value(x) if isinstance(hint, VectorField) else np.asarray(hint, dtype=float)
-    dots = [float(k @ hv) for k in scaled]
-    sep = abs(dots[0] - dots[1])
-    norms = max(np.linalg.norm(hv) * max(np.linalg.norm(k) for k in scaled), 1e-300)
-    if sep <= tols.tau_c * norms:
-        raise OrientationHintDegenerate(
-            "hint cannot distinguish the null normal directions")
-    k_plus, k_minus = (scaled[0], scaled[1]) if dots[0] > dots[1] \
-        else (scaled[1], scaled[0])
-    mu = -mv.inner(k_plus, k_minus)
-    if mu <= 0:
-        raise OrientationHintDegenerate("null rays collapsed; frame invalid")
-    k_plus = k_plus / np.sqrt(mu)
-    k_minus = k_minus / np.sqrt(mu)
-    mc = mean_curvature(field_, X, emb, u, tols)
-    theta_plus = -mv.inner(mc.h_vec, k_plus)
-    theta_minus = -mv.inner(mc.h_vec, k_minus)
-    return NullFrame(k_plus=k_plus, k_minus=k_minus), theta_plus, theta_minus
+    return _null_expansions(mean_curvature(field_, X, emb, u, tols), X, hint,
+                            tols)
 
 
 @dataclass
@@ -320,21 +327,16 @@ def classify_trapped(field_: MetricField, X, emb: Embedding,
             spacelike = False
             witness = idx
             break
-        x = mc.point
-        g = field_.value(x)
-        xv = X.value(x) if isinstance(X, VectorField) else np.asarray(X, dtype=float)
+        xv = _orientation_field_value(X, mc.point)
         xh = xv / np.linalg.norm(xv)
         nh = np.linalg.norm(mc.h_vec)
         hnorm[idx] = nh
         if nh > tols.tau_zero:
             hn = mc.h_vec / nh
-            hh[idx] = float(hn @ g @ hn)
-            hx[idx] = float(hn @ g @ xh)
+            hh[idx] = float(hn @ mc.g @ hn)
+            hx[idx] = float(hn @ mc.g @ xh)
         if tp is not None:
-            _, tplus, tminus = null_frame_and_expansions(
-                field_, X, emb, u, hint, tols)
-            tp[idx] = tplus
-            tm[idx] = tminus
+            _, tp[idx], tm[idx] = _null_expansions(mc, X, hint, tols)
     if not spacelike:
         raise NotSpacelike(
             f"submanifold not spacelike at grid index {witness}, "

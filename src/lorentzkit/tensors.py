@@ -32,11 +32,6 @@ def invert_metric(g: np.ndarray) -> tuple[np.ndarray, float]:
     return np.linalg.inv(g), rcond
 
 
-def metric_index(g: np.ndarray) -> int:
-    """Number of negative eigenvalues (the index of the bilinear form)."""
-    return int(np.sum(np.linalg.eigvalsh(g) < 0.0))
-
-
 @dataclass(frozen=True)
 class MetricValue:
     """A metric evaluated at one point, with its inverse and index."""
@@ -49,11 +44,18 @@ class MetricValue:
     @staticmethod
     def from_matrix(g: np.ndarray) -> "MetricValue":
         g = np.asarray(g, dtype=float)
-        if not np.allclose(g, g.T, atol=1e-12):
+        # np.allclose(g, g.T, atol=1e-12) without its overhead; NaN fails
+        if not np.all(np.abs(g - g.T) <= 1e-12 + 1e-5 * np.abs(g.T)):
             raise SingularMetric("metric value not symmetric")
         g = 0.5 * (g + g.T)
-        g_inv, rcond = invert_metric(g)
-        return MetricValue(g, g_inv, metric_index(g), rcond)
+        # one eigh gives the index, the condition number and the inverse
+        lam, q = np.linalg.eigh(g)
+        mag = np.abs(lam)
+        rcond = float(mag.min() / mag.max()) if mag.max() > 0 else 0.0
+        if rcond < RCOND_FLOOR:
+            raise SingularMetric(
+                f"metric value nearly degenerate (rcond={rcond:.3e})")
+        return MetricValue(g, (q / lam) @ q.T, int(np.sum(lam < 0.0)), rcond)
 
     @property
     def dim(self) -> int:

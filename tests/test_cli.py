@@ -194,6 +194,20 @@ class TestCommands:
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(-math.exp(2.0) / 1.0)
 
+    def test_single_member_family_is_strict_json(self):
+        """Slopes of a one-member family are undefined: null, never NaN."""
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        code, text = run_cli(["perturb", "builtin:minkowski", "--theorem",
+                              "4.2", "--at", "0,0,0,0", "--witness",
+                              "v=1,0,0,0", "w=0,0,1,0", "--nmax", "1"])
+        assert code == 0
+        rep = json.loads(text, parse_constant=reject)
+        jsonschema.validate(rep, SCHEMA)
+        assert rep["family"]["certificate_scaling_exponent"] is None
+        assert rep["family"]["seminorm_slope_c2"] is None
+
     def test_perturb_42_requires_witness(self):
         code, text = run_cli(["perturb", "builtin:minkowski", "--theorem",
                               "4.2", "--at", "0,0,0,0"])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import lorentzkit.submanifold as submanifold
 from lorentzkit.errors import NotSpacelike, WrongCodimension
 from lorentzkit.expr import SymbolTable
 from lorentzkit.submanifold import (Embedding, classify_trapped, induced_metric,
@@ -163,6 +164,14 @@ class TestMeanCurvature:
         assert np.allclose(mc1.point, mc2.point, atol=1e-12)
         assert np.allclose(mc1.h_vec, mc2.h_vec, atol=1e-8)
 
+    def test_carries_metric_and_frame_of_its_point(self, bundles):
+        b, emb, _ = _ef_sphere(bundles, "outer_sphere")
+        u = [0.9, 1.4]
+        mc = mean_curvature(b.field, b.orientation, emb, u)
+        assert np.allclose(mc.g, b.field.value(mc.point), rtol=0, atol=1e-12)
+        _, jac, _ = emb.first_second(u)
+        assert np.array_equal(mc.jac, jac)
+
     def test_continuity_under_uniform_rescaling(self, bundles):
         """|H(g_eps) - H(g)| = O(eps) for g_eps = (1 + eps) g."""
         from lorentzkit.fields import ExprScalarField
@@ -307,3 +316,35 @@ class TestClassify:
                         domain=[(-1, 1), (-1, 1)], grid_shape=(4, 4))
         with pytest.raises(NotSpacelike):
             classify_trapped(b.field, b.orientation, emb, None)
+
+    def test_one_pass_per_grid_point(self, bundles, monkeypatch):
+        """One mean curvature, one embedding jet pass and one curvature
+        evaluation per grid point, expansions included."""
+        b, emb, hint = _ef_sphere(bundles, "horizon_sphere")
+        calls = {"mean_curvature": 0, "first_second": 0, "curvature_data": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("mean_curvature", "curvature_data"):
+            monkeypatch.setattr(submanifold, name,
+                                counting(name, getattr(submanifold, name)))
+        monkeypatch.setattr(Embedding, "first_second",
+                            counting("first_second", Embedding.first_second))
+        v = classify_trapped(b.field, b.orientation, emb, hint)
+        assert v.subtype == "MOTS"
+        points = math.prod(emb.grid_shape)
+        assert calls == {"mean_curvature": points, "first_second": points,
+                         "curvature_data": points}
+
+    def test_expansions_match_null_frame(self, bundles):
+        b, emb, hint = _ef_sphere(bundles, "inner_sphere")
+        v = classify_trapped(b.field, b.orientation, emb, hint)
+        for idx in np.ndindex(*emb.grid_shape):
+            _, tp, tm = null_frame_and_expansions(
+                b.field, b.orientation, emb, emb.grid_point(idx), hint)
+            assert v.theta_plus[idx] == pytest.approx(tp, rel=1e-12, abs=1e-12)
+            assert v.theta_minus[idx] == pytest.approx(tm, rel=1e-12, abs=1e-12)

@@ -29,10 +29,24 @@ class TestMetricValue:
         with pytest.raises(SingularMetric):
             MetricValue.from_matrix(g)
 
+    def test_matches_independent_inverse_index_and_rcond(self):
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        g = q @ np.diag([-2.0, 0.5, 1.0, 3.0]) @ q.T
+        mv = MetricValue.from_matrix(g)
+        assert mv.index == 1
+        assert np.allclose(mv.g_inv, np.linalg.inv(mv.g), rtol=0, atol=1e-12)
+        sv = np.linalg.svd(mv.g, compute_uv=False)
+        assert mv.rcond == pytest.approx(sv[-1] / sv[0], rel=1e-12)
+
     def test_asymmetric_rejected(self):
         g = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(SingularMetric):
             MetricValue.from_matrix(g)
+
+    def test_nan_rejected(self):
+        with pytest.raises(SingularMetric):
+            MetricValue.from_matrix(np.diag([-1.0, 1.0, np.nan]))
 
 
 class TestMoveIndex:
