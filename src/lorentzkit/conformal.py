@@ -25,7 +25,8 @@ import numpy as np
 from .fields import ScalarField
 from .geometry import DEFAULT_TOLS, Tolerances, curvature_data
 from .metric import ConformalScaledMetric, MetricField
-from .submanifold import Embedding, mean_curvature, normal_part
+from .submanifold import (Embedding, MeanCurvature, mean_curvature,
+                          normal_part)
 from .tensors import LOWER, TensorValue, invert_metric
 
 
@@ -56,14 +57,16 @@ def connection_delta(field_: MetricField, factor: ScalarField, p,
 
 def conformal_mean_curvature(field_: MetricField, X, emb: Embedding,
                              factor: ScalarField, u, scale: float = 1.0,
-                             tols: Tolerances = DEFAULT_TOLS
+                             tols: Tolerances = DEFAULT_TOLS,
+                             base: MeanCurvature | None = None
                              ) -> tuple[np.ndarray, float]:
     """Closed-form (Hhat, ghat(Hhat, Hhat)) at a submanifold point.
 
     Both returned values come from the transformation law only; compare with
-    mean_curvature on rescale(field, factor) to exercise the oracle.
+    mean_curvature on rescale(field, factor) to exercise the oracle. `base`
+    is mean_curvature(field_, X, emb, u) when the caller already has it.
     """
-    mc = mean_curvature(field_, X, emb, u, tols)
+    mc = base if base is not None else mean_curvature(field_, X, emb, u, tols)
     g = mc.g
     g_inv, _ = invert_metric(g)
     fj = _factor_jet(field_, factor, mc.point, scale)

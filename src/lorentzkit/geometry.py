@@ -131,7 +131,8 @@ def christoffel_from_jets(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 def curvature_data(field_: MetricField, p) -> CurvatureData:
     p = np.asarray(p, dtype=float)
     g, dg, d2g = field_.component_jets(p, order=2)
-    g_inv, _ = invert_metric(g)
+    mv = MetricValue.from_matrix(g)
+    g_inv = mv.g_inv
     gamma = christoffel_from_jets(g_inv, dg)
 
     # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}
@@ -151,9 +152,8 @@ def curvature_data(field_: MetricField, p) -> CurvatureData:
     riem = -np.einsum("im,mjkl->ijkl", g, rup)
     ric = np.einsum("il,ijkl->jk", g_inv, riem)
     ric = 0.5 * (ric + ric.T)
-    index = int(np.sum(np.linalg.eigvalsh(g) < 0.0))
     return CurvatureData(point=p, g=g, g_inv=g_inv, gamma=gamma,
-                         riem=riem, ric=ric, index=index)
+                         riem=riem, ric=ric, index=mv.index)
 
 
 def signature(field_: MetricField, p) -> int:
@@ -189,11 +189,17 @@ def causal_class(field_: MetricField, v: TangentVector,
                  X: VectorField | np.ndarray | None = None,
                  tols: Tolerances = DEFAULT_TOLS) -> CausalClass:
     """Classify v at its base point; orient causal vectors against X."""
-    mv = field_.metric_value(v.point)
+    return causal_class_in(field_.metric_value(v.point).g, v, X, tols)
+
+
+def causal_class_in(g: np.ndarray, v: TangentVector,
+                    X: VectorField | np.ndarray | None = None,
+                    tols: Tolerances = DEFAULT_TOLS) -> CausalClass:
+    """causal_class for a caller that already holds g, the metric at v.point."""
     h2 = float(v.components @ v.components)
     if np.sqrt(h2) < tols.tau_zero:
         return CausalClass("zero", "none", 0.0)
-    q = mv.inner(v.components, v.components)
+    q = float(v.components @ g @ v.components)
     band = tols.tau_c * h2
     if q < -band:
         kind = "timelike"
@@ -204,12 +210,12 @@ def causal_class(field_: MetricField, v: TangentVector,
     orientation = "none"
     if kind in ("timelike", "null") and X is not None:
         xv = _orientation_field_value(X, v.point)
-        gxx = mv.inner(xv, xv)
+        gxx = float(xv @ g @ xv)
         if gxx >= -tols.tau_c * float(xv @ xv):
             raise OrientationError(
                 f"orientation field not timelike at {v.point.tolist()} "
                 f"(g(X,X) = {gxx:.3e})")
-        orientation = "future" if mv.inner(v.components, xv) < 0.0 else "past"
+        orientation = "future" if float(v.components @ g @ xv) < 0.0 else "past"
     return CausalClass(kind, orientation, q)
 
 
@@ -274,7 +280,7 @@ def tidal(field_: MetricField, v: TangentVector,
     """
     data = curvature_data(field_, v.point)
     mv = MetricValue.from_matrix(data.g)
-    cls = causal_class(field_, v, None, tols)
+    cls = causal_class_in(mv.g, v, None, tols)
     if cls.kind in ("spacelike", "zero"):
         raise NotCausal(f"tidal operator needs a causal vector, got {cls.kind}")
     vc = v.components

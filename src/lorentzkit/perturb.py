@@ -30,7 +30,7 @@ from .errors import NotApplicable, NotCausal, RadiusError, SupportNotContained
 from .expr import SymbolTable, parse
 from .fields import ScalarField
 from .geometry import (DEFAULT_TOLS, TangentVector, Tolerances,
-                       _orientation_field_value, causal_class, curvature_data,
+                       _orientation_field_value, causal_class_in, curvature_data,
                        lorentz_frame)
 from .jets import Jet2
 from .metric import ConformalScaledMetric, MetricField
@@ -380,7 +380,7 @@ def trapped_exit_family(field_: MetricField, X, emb: Embedding, u0,
     for n in range(1, n_max + 1):
         scale = 1.0 / n
         _, closed = conformal_mean_curvature(field_, X, emb, phi, u0,
-                                             scale=scale, tols=tols)
+                                             scale=scale, tols=tols, base=mc)
         direct = mean_curvature(rescale(field_, phi, scale), X, emb, u0,
                                 tols).g_hh
         # phi(p) = 0 by construction, so the exp factors in the printed
@@ -450,7 +450,7 @@ def positivity_exit_family(field_: MetricField, p, v, w,
     w = np.asarray(w, dtype=float)
     data = curvature_data(field_, p)
     mv = MetricValue.from_matrix(data.g)
-    cls = causal_class(field_, TangentVector(p, v), None, tols)
+    cls = causal_class_in(mv.g, TangentVector(p, v), None, tols)
     if cls.kind not in ("timelike", "null"):
         raise NotCausal(f"witness v must be causal, got {cls.kind}")
     q0 = data.riem_quad(w / np.linalg.norm(w), v / np.linalg.norm(v))

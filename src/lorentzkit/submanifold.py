@@ -27,7 +27,7 @@ from .errors import (DegenerateEmbedding, NotSpacelike, OrientationHintDegenerat
 from .expr import Expr, SymbolTable, parse
 from .fields import VectorField
 from .geometry import (DEFAULT_TOLS, CausalClass, CurvatureData, TangentVector,
-                       Tolerances, _orientation_field_value, causal_class,
+                       Tolerances, _orientation_field_value, causal_class_in,
                        curvature_data, h_orthonormal_complement)
 from .jets import Jet2
 from .metric import MetricField
@@ -191,8 +191,7 @@ def mean_curvature(field_: MetricField, X: VectorField | np.ndarray,
     tang = jac / np.linalg.norm(jac, axis=0, keepdims=True)
     hn = np.linalg.norm(h_vec)
     defect = float(np.max(np.abs(tang.T @ g @ h_vec))) / (hn if hn > tols.tau_zero else 1.0)
-    cls = causal_class(field_, TangentVector(x, h_vec), X, tols) \
-        if hn > tols.tau_zero else CausalClass("zero", "none", 0.0)
+    cls = causal_class_in(g, TangentVector(x, h_vec), X, tols)
     return MeanCurvature(u=np.asarray(u, dtype=float), point=x, h_vec=h_vec,
                          causal=cls, g_hh=g_hh, g_hx=g_hx,
                          tangency_defect=defect, g=g, jac=jac)

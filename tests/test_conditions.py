@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import lorentzkit.conditions as conditions
 from lorentzkit.conditions import (Region, gs_trace, inclusion_audit,
                                    ricci_condition, riem_condition,
                                    temporal_certificate, tidal_condition)
 from lorentzkit.errors import NotApplicable, ParamError
 from lorentzkit.fields import ExprScalarField
+from lorentzkit.geometry import curvature_data, lorentz_frame
+
+from conftest import region_points
 
 
 def small_region(bundle, seed=0, n_points=10, n_dirs=12):
@@ -33,6 +37,110 @@ class TestRegion:
     def test_point_list(self):
         r = Region(points=((0.0, 0.0, 0.0, 0.0), (1.0, 0, 0, 0)))
         assert r.sample_points().shape == (2, 4)
+
+
+MARGINS = {"ricci": conditions._margin_ricci, "riem": conditions._margin_riem,
+           "riem_gperp": conditions._margin_riem_gperp,
+           "tidal": conditions._margin_tidal}
+
+
+def fd_directional(margin, data, v, d, h=1e-6):
+    """Central difference of a margin along d: the oracle for its gradient."""
+    return (margin(data, v + h * d)[0] - margin(data, v - h * d)[0]) / (2 * h)
+
+
+def fd_shell(margin, data, frame, alpha, omega, sign, h=1e-6):
+    """Central differences of a margin in the shell parameters: d/d alpha
+    (None on the null shell, alpha = 1) and d/d omega through the
+    normalisation of omega, i.e. the gradient tangent to the sphere."""
+    def f(a, o):
+        o = o / np.linalg.norm(o)
+        return margin(data, conditions._shell_vector(frame, a, o, sign))[0]
+    ga = None if alpha == 1.0 else \
+        (f(alpha + h, omega) - f(alpha - h, omega)) / (2 * h)
+    gw = np.array([(f(alpha, omega + h * e) - f(alpha, omega - h * e)) / (2 * h)
+                   for e in np.eye(len(omega))])
+    return ga, gw
+
+
+def _shell_cases():
+    for name in ("schwarzschild_ef", "flrw_dust", "desitter"):
+        for margin in sorted(MARGINS):
+            for alpha in (0.6, 1.0):
+                if margin == "riem_gperp" and alpha == 1.0:
+                    continue              # the timelike-only margin
+                yield name, margin, alpha
+
+
+class TestExactGradients:
+    @pytest.mark.parametrize("name,margin,alpha", list(_shell_cases()))
+    def test_gradient_matches_central_difference(self, bundles, name, margin,
+                                                 alpha):
+        """The gradient each margin returns, against central differences
+        along random directions, at timelike (alpha < 1) and null shell
+        points."""
+        fn = MARGINS[margin]
+        b = bundles[name]
+        rng = np.random.default_rng(11)
+        for p in region_points(b, 3, seed=4):
+            data = curvature_data(b.field, p)
+            omega = rng.normal(size=data.dim - 1)
+            omega /= np.linalg.norm(omega)
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            v = conditions._shell_vector(lorentz_frame(data.g), alpha, omega,
+                                         sign)
+            grad = fn(data, v)[2]()
+            for d in rng.normal(size=(3, data.dim)):
+                if margin == "tidal" and alpha == 1.0:
+                    # stay on the null branch: g(v, v +- h d) = h^2 g(d, d) >= 0
+                    gv = data.g @ v
+                    d = d - (gv @ d) / (gv @ gv) * gv
+                assert grad @ d == pytest.approx(
+                    fd_directional(fn, data, v, d), rel=1e-5, abs=1e-8)
+
+    @pytest.mark.parametrize("margin", sorted(MARGINS))
+    def test_shell_chain_rule(self, bundles, margin):
+        """_shell_grad chains a margin's gradient through the shell
+        parametrisation (on schwarzschild_ef, where it is not zero)."""
+        fn = MARGINS[margin]
+        b = bundles["schwarzschild_ef"]
+        rng = np.random.default_rng(5)
+        for p in region_points(b, 2, seed=6):
+            data = curvature_data(b.field, p)
+            frame = lorentz_frame(data.g)
+            for alpha in (0.4, 1.0):
+                if margin == "riem_gperp" and alpha == 1.0:
+                    continue
+                omega = rng.normal(size=data.dim - 1)
+                omega /= np.linalg.norm(omega)
+                v = conditions._shell_vector(frame, alpha, omega, -1.0)
+                ga, gw = conditions._shell_grad(frame, alpha, omega, -1.0,
+                                                fn(data, v)[2]())
+                fa, fw = fd_shell(fn, data, frame, alpha, omega, -1.0)
+                if fa is not None:
+                    assert ga == pytest.approx(fa, rel=1e-5, abs=1e-8)
+                assert gw == pytest.approx(fw, rel=1e-5, abs=1e-8)
+
+    @pytest.mark.parametrize("check,margin", [
+        (ricci_condition, "_margin_ricci"), (riem_condition, "_margin_riem"),
+        (tidal_condition, "_margin_tidal")])
+    def test_margin_evaluations_per_point(self, bundles, monkeypatch, check,
+                                          margin):
+        """Dense pass, one evaluation per descent step, one re-evaluation
+        of each improved witness, and nothing else."""
+        calls = [0]
+        original = getattr(conditions, margin)
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(conditions, margin, counting)
+        b = bundles["schwarzschild_ef"]
+        region = small_region(b, n_points=3)
+        check(b.field, region)
+        per_point = region.n_dirs + region.restarts * (region.refine_iters + 1)
+        assert 0 < calls[0] <= region.n_points * per_point
 
 
 class TestRicciCondition:

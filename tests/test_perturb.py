@@ -153,6 +153,28 @@ class TestTrappedExitFamily:
         slope = fam.seminorm_slope(2)
         assert -1.1 <= slope <= -0.9
 
+    def test_base_mean_curvature_computed_once(self, bundles, monkeypatch):
+        """One base pass at u0 shared by every closed-form certificate,
+        plus one direct pass per member on its rescaled metric."""
+        import lorentzkit.conformal as conformal
+        import lorentzkit.perturb as perturb
+        calls = {"perturb": 0, "conformal": 0}
+
+        def counting(module):
+            original = module.mean_curvature
+
+            def wrapper(*args, **kwargs):
+                calls[module.__name__.rsplit(".", 1)[1]] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for module in (perturb, conformal):
+            monkeypatch.setattr(module, "mean_curvature", counting(module))
+        b = bundles["torus_quotient"]
+        trapped_exit_family(b.field, b.orientation, b.submanifolds["S"],
+                            [0.0, 0.0], n_max=3)
+        assert calls == {"perturb": 1 + 3, "conformal": 0}
+
     def test_null_case_on_sheet(self, bundles):
         b = bundles["null_H_demo"]
         fam = trapped_exit_family(b.field, b.orientation,

@@ -340,6 +340,23 @@ class TestClassify:
         assert calls == {"mean_curvature": points, "first_second": points,
                          "curvature_data": points}
 
+    def test_causal_class_reuses_the_curvature_metric(self, bundles,
+                                                      monkeypatch):
+        """The causal class of H comes from the metric of the curvature
+        pass: no order-0 metric evaluation per grid point."""
+        b, emb, hint = _ef_sphere(bundles, "horizon_sphere")
+        orders = []
+        original = type(b.field).component_jets
+
+        def counting(self, p, order=2):
+            orders.append(order)
+            return original(self, p, order=order)
+
+        monkeypatch.setattr(type(b.field), "component_jets", counting)
+        classify_trapped(b.field, b.orientation, emb, hint)
+        assert orders.count(0) == 0
+        assert orders.count(2) == math.prod(emb.grid_shape)
+
     def test_expansions_match_null_frame(self, bundles):
         b, emb, hint = _ef_sphere(bundles, "inner_sphere")
         v = classify_trapped(b.field, b.orientation, emb, hint)
