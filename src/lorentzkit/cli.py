@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 import time
 
@@ -25,7 +26,7 @@ from .conditions import (Region, gs_trace, inclusion_audit, ricci_condition,
                          riem_condition, temporal_certificate, tidal_condition)
 from .errors import LorentzkitError
 from .geodesics import geodesic, parallel_transport
-from .geometry import Tolerances, curvature_data, signature
+from .geometry import Tolerances, curvature_data
 from .perturb import positivity_exit_family, trapped_exit_family
 from .specfile import load_spec, spec_digest
 from .submanifold import classify_trapped
@@ -34,11 +35,18 @@ _CHECK_NAMES = ("E", "SE", "P", "FP", "O", "inclusions", "orientation",
                 "temporal")
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _finite_float(text: str) -> float:
     try:
-        return np.array([float(t) for t in text.split(",")], dtype=float)
+        x = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad vector {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
+
+
+def _parse_vector(text: str) -> np.ndarray:
+    return np.array([_finite_float(t) for t in text.split(",")])
 
 
 def _positive_int(text: str) -> int:
@@ -76,7 +84,7 @@ def _parse_params(items) -> dict:
         if "=" not in item:
             raise argparse.ArgumentTypeError(f"--param needs name=value, got {item!r}")
         k, v = item.split("=", 1)
-        out[k.strip()] = float(v)
+        out[k.strip()] = _finite_float(v)
     return out
 
 
@@ -89,7 +97,7 @@ def _parse_box(text: str, bundle) -> tuple | None:
             raise argparse.ArgumentTypeError(
                 f"region interval {part!r} must be lo:hi")
         lo, hi = part.split(":", 1)
-        intervals.append((float(lo), float(hi)))
+        intervals.append((_finite_float(lo), _finite_float(hi)))
     if len(intervals) != bundle.field.dim:
         raise argparse.ArgumentTypeError(
             f"region needs {bundle.field.dim} intervals")
@@ -185,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parameter point on the submanifold")
     p.add_argument("--dir", required=True, type=_parse_vector,
                    help="future causal normal velocity (chart components)")
-    p.add_argument("--length", type=float, default=1.0)
+    p.add_argument("--length", type=_finite_float, default=1.0)
 
     p = sub.add_parser("perturb", help="conformal exit-family certificates",
                        parents=[common])
@@ -204,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--from", dest="start", required=True, type=_parse_vector)
     p.add_argument("--dir", required=True, type=_parse_vector)
-    p.add_argument("--length", type=float, default=1.0)
+    p.add_argument("--length", type=_finite_float, default=1.0)
     p.add_argument("--transport", type=str, default=None,
                    help="semicolon-separated vectors to transport")
     return ap
@@ -234,7 +242,7 @@ def _cmd_analyze(args, bundle, overrides, out) -> int:
     rep = _base_report(args, bundle, overrides)
     rep.update({
         "point": p.tolist(),
-        "signature_index": signature(bundle.field, p),
+        "signature_index": data.index,
         "christoffel": data.gamma.tolist(),
         "riemann": data.riem.tolist(),
         "ricci": data.ric.tolist(),

@@ -14,13 +14,18 @@ Margins per condition, for an h-unit causal v:
           (collinear parts of w contribute nothing by the symmetries);
           timelike-only mode restricts v to the timelike shell and w to the
           g-orthogonal complement of v
-  tidal   min eigenvalue of the screen-space operator of v
+  tidal   min eigenvalue of the screen-space operator of v, on the screen
+          of `geometry.tidal_screen` (the one `geometry.tidal` uses)
 
-Every margin function returns (margin, w, grad), where grad() is the exact
-gradient of the margin in v, computed only when the descent asks for it:
-2 Ric v for ricci, and for the eigenvalue margins the envelope theorem at
-the minimising w (Magnus, Econometric Theory 1(2), 1985). The shell descent
-chains it through the shell parametrisation and spends one margin
+The three eigenvalue margins are short wrappers of one kernel, `_eig_margin`:
+project Riem(., v, v, .) onto a basis, take the least eigenpair, and keep
+the gradient lazy. Every margin function returns (margin, w, grad), where
+grad() is the exact gradient of the margin in v, computed only when the
+descent asks for it: 2 Ric v for ricci, and for the eigenvalue margins the
+envelope theorem at the minimising w (Magnus, Econometric Theory 1(2),
+1985). The dense pass of the shell scan and the inclusion audit take their
+shell vectors from one generator, `_dense_shell`; the shell descent chains
+the gradient through the shell parametrisation and spends one margin
 evaluation per step, with no finite differences.
 
 Verdicts: holds-strictly (min > tau), holds-weakly (|min| <= tau or min in
@@ -42,11 +47,11 @@ from .errors import NotApplicable, ParamError
 from .fields import ScalarField, VectorField
 from .geodesics import geodesic, parallel_transport
 from .geometry import (DEFAULT_TOLS, CurvatureData, Tolerances,
-                       curvature_data, g_orthonormalize_spacelike,
-                       h_orthonormal_complement, lorentz_frame)
+                       curvature_data, h_orthonormal_complement, lorentz_frame,
+                       tidal_screen)
 from .metric import MetricField
 from .submanifold import Embedding
-from .tensors import MetricValue, invert_metric
+from .tensors import invert_metric
 
 
 @dataclass(frozen=True)
@@ -120,9 +125,9 @@ def _shell_vector(frame: np.ndarray, alpha: float, omega: np.ndarray,
     return v / np.linalg.norm(v)
 
 
-def _direction_params(rng, n: int, n_dirs: int, timelike_only: bool):
-    """Deterministic pattern of (alpha, omega, sign) shell parameters."""
-    out = []
+def _dense_shell(frame: np.ndarray, rng, n_dirs: int, timelike_only: bool):
+    """The dense pass over the shell: (alpha, omega, sign, v) for a
+    deterministic pattern of n_dirs shell parameters."""
     for k in range(n_dirs):
         if timelike_only:
             alpha = 0.0 if k == 0 else float(rng.random()) * 0.95
@@ -132,11 +137,10 @@ def _direction_params(rng, n: int, n_dirs: int, timelike_only: bool):
             alpha = 1.0                      # null shell
         else:
             alpha = float(np.sqrt(rng.random()))
-        omega = rng.normal(size=n - 1)
+        omega = rng.normal(size=frame.shape[0] - 1)
         omega = omega / np.linalg.norm(omega)
         sign = 1.0 if (k % 4) < 2 else -1.0
-        out.append((alpha, omega, sign))
-    return out
+        yield alpha, omega, sign, _shell_vector(frame, alpha, omega, sign)
 
 
 def _shell_grad(frame: np.ndarray, alpha: float, omega: np.ndarray,
@@ -154,26 +158,37 @@ def _shell_grad(frame: np.ndarray, alpha: float, omega: np.ndarray,
     return float(f1w @ grad_u), gw - omega * float(omega @ gw)
 
 
-def _eig_grad(data: CurvatureData, v: np.ndarray, w: np.ndarray,
-              rows: np.ndarray | None = None,
-              row_grads: np.ndarray | None = None,
-              resid: np.ndarray | None = None) -> np.ndarray:
-    """Gradient in v of lam(v) = min w^T M(v) w over {rows(v) w = 0,
-    w^T N w = 1}, M(v)[i, l] = Riem(e_i, v, v, e_l), at the minimiser w.
+def _eig_margin(data: CurvatureData, v: np.ndarray, basis: np.ndarray,
+               rows=None, gram: np.ndarray | None = None):
+    """(lam, w, grad) for lam(v) = min w^T M(v) w over w in the span of the
+    basis columns with w^T N w = 1, M(v)[i, l] = Riem(e_i, v, v, e_l).
 
-    Envelope theorem: d(w^T M(v) w)/dv - sum_k mu_k d(rows_k(v) . w)/dv,
-    with row_grads[k] = d(rows_k(v) . w)/dv and the multipliers mu the
-    least-squares solution of rows^T mu = resid = 2 (M w - lam N w), from
-    its normal equations (the rows are one or two independent vectors).
-    Rows whose multiplier vanishes identically are left out by the callers.
+    The basis is the complement of constraint rows c_k(v) . w = 0 and is
+    orthonormal for N (N = gram, or the identity). grad() is the envelope
+    theorem at the minimiser: d(w^T M(v) w)/dv - sum_k mu_k d(c_k(v) . w)/dv.
+    `rows(x)` stacks the rows c_k(x), each linear in x with a symmetric
+    matrix, so d(c_k(v) . w)/dv = c_k(w); the multipliers mu are the
+    least-squares solution of rows^T mu = 2 (M w - lam N w), from its normal
+    equations. Callers leave rows out when every multiplier vanishes
+    identically.
     """
-    n = data.dim
-    a = (w @ data.riem.reshape(n, -1)).reshape(n, n, n) @ w  # Riem(w, ., ., w)
-    grad = (a + a.T) @ v
-    if rows is None:
-        return grad
-    mu = np.linalg.solve(rows @ rows.T, rows @ resid)
-    return grad - mu @ row_grads
+    rv = data.riem_bilinear(v)
+    m = basis.T @ rv @ basis
+    lam, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    w = basis @ vecs[:, 0]
+    lam0 = float(lam[0])
+
+    def grad():
+        n = data.dim
+        a = (w @ data.riem.reshape(n, -1)).reshape(n, n, n) @ w  # Riem(w, ., ., w)
+        out = (a + a.T) @ v
+        if rows is None:
+            return out
+        c = rows(v)
+        resid = 2.0 * (rv @ w - lam0 * (w if gram is None else gram @ w))
+        mu = np.linalg.solve(c @ c.T, c @ resid)
+        return out - mu @ rows(w)
+    return lam0, w, grad
 
 
 def _margin_ricci(data: CurvatureData, v: np.ndarray):
@@ -181,52 +196,25 @@ def _margin_ricci(data: CurvatureData, v: np.ndarray):
 
 
 def _margin_riem(data: CurvatureData, v: np.ndarray):
-    basis = h_orthonormal_complement(v[None, :])
-    m = basis.T @ data.riem_bilinear(v) @ basis
-    lam, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    w = basis @ vecs[:, 0]
     # the multiplier of v . w = 0 is proportional to Riem(v, v, v, w) = 0
-    return float(lam[0]), w, lambda: _eig_grad(data, v, w)
+    return _eig_margin(data, v, h_orthonormal_complement(v[None, :]))
 
 
 def _margin_riem_gperp(data: CurvatureData, v: np.ndarray):
-    gv = data.g @ v
-    basis = h_orthonormal_complement(gv[None, :])
-    rv = data.riem_bilinear(v)
-    m = basis.T @ rv @ basis
-    lam, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    w = basis @ vecs[:, 0]
-    lam0 = float(lam[0])
-    return lam0, w, lambda: _eig_grad(data, v, w, gv[None, :],
-                                      (data.g @ w)[None, :],
-                                      2.0 * (rv @ w - lam0 * w))
+    def rows(x):
+        return (data.g @ x)[None, :]
+    return _eig_margin(data, v, h_orthonormal_complement(rows(v)), rows)
 
 
 def _margin_tidal(data: CurvatureData, v: np.ndarray,
                   tols: Tolerances = DEFAULT_TOLS):
-    mv = MetricValue(data.g, data.g_inv, 1, 1.0)
-    q = data.inner(v, v)
-    timelike = q < -tols.tau_c
-    if timelike:
-        rows = (data.g @ v)[None, :]
-    else:
-        rows = np.vstack([data.g @ v, v])
-    comp = h_orthonormal_complement(rows)
-    screen = g_orthonormalize_spacelike(mv, comp)
-    rv = data.riem_bilinear(v)
-    m = screen.T @ rv @ screen
-    lam, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    w = screen @ vecs[:, 0]
-    lam0 = float(lam[0])
-    if timelike:
+    null = data.inner(v, v) >= -tols.tau_c
+    basis = tidal_screen(data.g, v, null)
+    if not null:
         # the multiplier of g(v, w) = 0 is proportional to Riem(v, v, v, w) = 0
-        return lam0, w, lambda: _eig_grad(data, v, w)
-
-    def grad():
-        gw = data.g @ w
-        return _eig_grad(data, v, w, rows, np.vstack([gw, w]),
-                         2.0 * (rv @ w - lam0 * gw))
-    return lam0, w, grad
+        return _eig_margin(data, v, basis)
+    return _eig_margin(data, v, basis,
+                       lambda x: np.vstack([data.g @ x, x]), data.g)
 
 
 def _scan_point(data: CurvatureData, margin_fn, rng, n_dirs: int,
@@ -238,10 +226,9 @@ def _scan_point(data: CurvatureData, margin_fn, rng, n_dirs: int,
     n_dirs + restarts * (refine_iters + 1) margin evaluations.
     """
     frame = lorentz_frame(data.g)
-    n = data.dim
     cands = []
-    for alpha, omega, sign in _direction_params(rng, n, n_dirs, timelike_only):
-        v = _shell_vector(frame, alpha, omega, sign)
+    for alpha, omega, sign, v in _dense_shell(frame, rng, n_dirs,
+                                              timelike_only):
         val, w, grad = margin_fn(data, v)
         cands.append((val, alpha, omega, sign, v, w, grad))
     cands.sort(key=lambda c: c[0])
@@ -364,10 +351,8 @@ def inclusion_audit(field_: MetricField, region: Region,
     for i, p in enumerate(pts):
         data = curvature_data(field_, p)
         rng = np.random.default_rng(seeds[i])
-        frame = lorentz_frame(data.g)
-        for alpha, omega, sign in _direction_params(rng, data.dim,
-                                                    region.n_dirs, False):
-            v = _shell_vector(frame, alpha, omega, sign)
+        for _a, _o, _s, v in _dense_shell(lorentz_frame(data.g), rng,
+                                          region.n_dirs, False):
             timelike = data.inner(v, v) < -tols.tau_c
             p_m = _margin_riem(data, v)[0]
             se_m = _margin_ricci(data, v)[0]

@@ -17,6 +17,11 @@ causal v is future-directed iff g(v, X) < 0 for the future timelike X.
 
 The auxiliary Riemannian metric h used for all normalizations is the
 Euclidean metric of the chart coordinates.
+
+`screen(g, rows)` is the one screen helper: the h-orthogonal complement of
+some constraint rows, with g diagonalised on it. `tidal_screen` (rows g v,
+plus v when v is null) is the screen of `tidal` and of the O margin in
+`conditions`; `submanifold.normal_frame` is the screen of the tangent rows.
 """
 
 from __future__ import annotations
@@ -237,19 +242,27 @@ def lorentz_frame(g: np.ndarray) -> np.ndarray:
 def h_orthonormal_complement(vectors: np.ndarray) -> np.ndarray:
     """Euclidean-orthonormal basis of the orthogonal complement of given rows."""
     a = np.atleast_2d(np.asarray(vectors, dtype=float))
-    n = a.shape[1]
     _, s, vt = np.linalg.svd(a)
     rank = int(np.sum(s > 1e-13 * (s[0] if s.size else 1.0)))
     return vt[rank:].T                # columns span the complement
 
 
-def g_orthonormalize_spacelike(mv: MetricValue, basis: np.ndarray) -> np.ndarray:
-    """g-orthonormalize columns spanning a subspace on which g is PD."""
-    gram = basis.T @ mv.g @ basis
-    lam, q = np.linalg.eigh(gram)
+def screen(g: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, basis): ascending eigenvalues of g on the h-orthogonal complement
+    of the rows, and its eigenvectors scaled so that g(b_k, b_k) = sign lam_k."""
+    comp = h_orthonormal_complement(rows)
+    lam, q = np.linalg.eigh(comp.T @ g @ comp)
+    return lam, comp @ (q / np.sqrt(np.abs(lam)))
+
+
+def tidal_screen(g: np.ndarray, v: np.ndarray, null: bool) -> np.ndarray:
+    """g-orthonormal screen of a causal v: the h-complement of g v, and of v
+    too when v is null (realising the quotient v^perp / <v>)."""
+    rows = np.vstack([g @ v, v]) if null else (g @ v)[None, :]
+    lam, basis = screen(g, rows)
     if lam[0] <= 0:
-        raise NotCausal("subspace is not g-positive definite")
-    return basis @ (q / np.sqrt(lam))
+        raise NotCausal("screen is not g-positive definite")
+    return basis
 
 
 # --- tidal operators -------------------------------------------------------------
@@ -279,38 +292,17 @@ def tidal(field_: MetricField, v: TangentVector,
     v^perp / <v> as the subspace of v^perp that is also h-orthogonal to v.
     """
     data = curvature_data(field_, v.point)
-    mv = MetricValue.from_matrix(data.g)
-    cls = causal_class_in(mv.g, v, None, tols)
+    cls = causal_class_in(data.g, v, None, tols)
     if cls.kind in ("spacelike", "zero"):
         raise NotCausal(f"tidal operator needs a causal vector, got {cls.kind}")
     vc = v.components
     if cls.kind == "timelike":
-        vhat = vc / np.sqrt(-mv.inner(vc, vc))
-        comp = h_orthonormal_complement((mv.g @ vhat)[None, :])
-        screen = g_orthonormalize_spacelike(mv, comp)
-        vuse = vhat
-    else:
-        rows = np.vstack([mv.g @ vc, vc])      # g-orthogonal and h-orthogonal
-        comp = h_orthonormal_complement(rows)
-        screen = g_orthonormalize_spacelike(mv, comp)
-        vuse = vc
-    m = screen.T @ data.riem_bilinear(vuse) @ screen
+        vc = vc / np.sqrt(-data.inner(vc, vc))
+    basis = tidal_screen(data.g, vc, cls.kind == "null")
+    m = basis.T @ data.riem_bilinear(vc) @ basis
     m = 0.5 * (m + m.T)
-    return TidalOperator(vector=v, kind=cls.kind, screen=screen, matrix=m,
+    return TidalOperator(vector=v, kind=cls.kind, screen=basis, matrix=m,
                          eigenvalues=np.linalg.eigvalsh(m))
-
-
-def null_partner(mv: MetricValue, v: np.ndarray, screen: np.ndarray) -> np.ndarray:
-    """The unique null ell with g(ell, v) = -1, ell g-orthogonal to the screen."""
-    n = mv.dim
-    rows = np.vstack([(mv.g @ v)[None, :], (mv.g @ screen).T])
-    rhs = np.zeros(rows.shape[0])
-    rhs[0] = -1.0
-    w0, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    # w0 satisfies the linear constraints; remove its null defect along v
-    c = mv.inner(w0, w0) / 2.0
-    ell = w0 + c * v
-    return ell
 
 
 # --- generic condition ------------------------------------------------------------

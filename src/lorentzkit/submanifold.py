@@ -8,8 +8,8 @@ tensor (normal part of H + Gamma(J, J)) and its trace. Its MeanCurvature
 keeps the metric g and frame J, so expansions, trapped verdicts, conformal
 closed forms and perturbation families reuse them. The normal-bundle algebra
 is `normal_part(g, J, vecs)` (one Gram solve, any codimension) and
-`normal_frame(g, J)` (eigenvalues of g on the normal space and g-unit
-eigenvectors).
+`normal_frame(g, J)` (`geometry.screen` of the rows g J: eigenvalues of g
+on the normal space and g-unit eigenvectors).
 
 Pointwise conditions over a closed submanifold are certified on the grid
 with explicit margins; verdicts never claim more than that.
@@ -28,7 +28,7 @@ from .expr import Expr, SymbolTable, parse
 from .fields import VectorField
 from .geometry import (DEFAULT_TOLS, CausalClass, CurvatureData, TangentVector,
                        Tolerances, _orientation_field_value, causal_class_in,
-                       curvature_data, h_orthonormal_complement)
+                       curvature_data, screen)
 from .jets import Jet2
 from .metric import MetricField
 
@@ -121,10 +121,7 @@ def normal_part(g: np.ndarray, jac: np.ndarray, vecs) -> np.ndarray:
 def normal_frame(g: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lam, frame): ascending eigenvalues of g on the normal space of jac's
     columns and eigenvectors scaled so that g(frame_k, frame_k) = sign lam_k."""
-    normal = h_orthonormal_complement((g @ jac).T)     # columns span T^perp
-    b = normal.T @ g @ normal
-    lam, q = np.linalg.eigh(0.5 * (b + b.T))
-    return lam, normal @ (q / np.sqrt(np.abs(lam)))
+    return screen(g, (g @ jac).T)
 
 
 def induced_metric(field_: MetricField, emb: Embedding, u,

@@ -54,6 +54,25 @@ class TestCatalogAndAnalyze:
         assert rep["kretschmann"] == pytest.approx(48 * 4.0 / 8.0 ** 6, rel=1e-6)
 
 
+# non-finite numbers: unchecked, the --length cases never return, --dir nan
+# ends in a traceback and the others exit 0 with NaN or Infinity in the report
+NON_FINITE_ARGV = [
+    "geodesic builtin:minkowski --from 0,0,0,0 --dir 1,0,0,0 --length nan",
+    "geodesic builtin:minkowski --from 0,0,0,0 --dir 1,0,0,0 --length inf",
+    "gs builtin:minkowski --submanifold sphere --at 1,1 --dir 1,0,0,0 "
+    "--length nan",
+    "geodesic builtin:minkowski --from 0,0,0,0 --dir nan,0,0,0",
+    "analyze builtin:minkowski --at nan,0,0,0",
+    "check builtin:minkowski --condition E --points 1 "
+    "--region 0:1,0:1,0:1,0:inf",
+    "perturb builtin:minkowski --theorem 4.2 --at 0,0,0,0 "
+    "--witness v=1,nan,0,0 w=0,0,1,0",
+    "geodesic builtin:minkowski --from 0,0,0,0 --dir 1,0,0,0 "
+    "--transport 0,inf,0,0",
+    "analyze builtin:desitter --param H=nan --at 0,0,0,0",
+]
+
+
 class TestExitCodes:
     def test_check_holds_exit_zero(self):
         code, rep = run_json(["check", "builtin:torus_quotient", "--condition",
@@ -124,11 +143,18 @@ class TestExitCodes:
         "gs builtin:minkowski --submanifold sphere --at 0 --dir 1,0,0,0",
         "gs builtin:minkowski --submanifold sphere --at 1.5,0 --dir 0,0,0,0",
         "gs builtin:minkowski --submanifold sphere --at 1.5,0 --dir 1,0",
-    ])
+        "analyze builtin:desitter --param H=abc --at 0,0,0,0",
+    ] + NON_FINITE_ARGV)
     def test_bad_input_exits_without_traceback(self, argv, capsys):
         code, _ = run_cli(argv.split())
         assert code in (1, 2)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", NON_FINITE_ARGV)
+    def test_non_finite_number_is_usage_error(self, argv, capsys):
+        code, text = run_cli(argv.split())
+        assert code == 2 and text == ""
+        assert "finite" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import lorentzkit.conditions as conditions
 from lorentzkit.conditions import (Region, gs_trace, inclusion_audit,
@@ -11,9 +12,10 @@ from lorentzkit.conditions import (Region, gs_trace, inclusion_audit,
                                    temporal_certificate, tidal_condition)
 from lorentzkit.errors import NotApplicable, ParamError
 from lorentzkit.fields import ExprScalarField
-from lorentzkit.geometry import curvature_data, lorentz_frame
+from lorentzkit.geometry import (TangentVector, curvature_data, lorentz_frame,
+                                 tidal)
 
-from conftest import region_points
+from conftest import CATALOG_NAMES, region_points
 
 
 def small_region(bundle, seed=0, n_points=10, n_dirs=12):
@@ -141,6 +143,83 @@ class TestExactGradients:
         check(b.field, region)
         per_point = region.n_dirs + region.restarts * (region.refine_iters + 1)
         assert 0 < calls[0] <= region.n_points * per_point
+
+
+def oracle_margin(data, v, rows, metric):
+    """Least eigenvalue of w -> Riem(w, v, v, .) on the complement of the
+    rows, with w normalised by g (metric) or by h: scipy's null_space for
+    the complement and the generalised eigh for the constrained minimum.
+    Returns it with max |Riem(., v, v, .)|, the scale of the tolerance."""
+    basis = scipy.linalg.null_space(np.atleast_2d(rows))
+    m = np.einsum("ijkl,j,k->il", data.riem, v, v)
+    a = basis.T @ m @ basis
+    b = basis.T @ (data.g if metric else np.eye(data.dim)) @ basis
+    return scipy.linalg.eigh(0.5 * (a + a.T), 0.5 * (b + b.T),
+                             eigvals_only=True)[0], np.abs(m).max()
+
+
+class TestMarginOracle:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_margins_match_oracle(self, bundles, name, alpha):
+        """Margin values of the three eigenvalue margins on timelike
+        (alpha < 1) and null shell vectors against the oracle."""
+        b = bundles[name]
+        rng = np.random.default_rng(21)
+        for p in region_points(b, 2, seed=22):
+            data = curvature_data(b.field, p)
+            frame = lorentz_frame(data.g)
+            for sign in (1.0, -1.0):
+                omega = rng.normal(size=data.dim - 1)
+                v = conditions._shell_vector(frame, alpha,
+                                             omega / np.linalg.norm(omega),
+                                             sign)
+                gv = data.g @ v
+                null = alpha == 1.0
+                cases = [
+                    (conditions._margin_riem, v, False),
+                    (conditions._margin_riem_gperp, gv, False),
+                    (conditions._margin_tidal,
+                     np.vstack([gv, v]) if null else gv, True),
+                ]
+                for margin, rows, metric in cases:
+                    lam, w, _ = margin(data, v)
+                    expected, scale = oracle_margin(data, v, rows, metric)
+                    tol = dict(rel=1e-10, abs=1e-13 * max(scale, 1.0))
+                    assert lam == pytest.approx(expected, **tol)
+                    # w is a constrained minimiser: in the complement of the
+                    # rows, normalised, and attaining the margin
+                    assert np.abs(np.atleast_2d(rows) @ w).max() < 1e-12
+                    norm = data.inner(w, w) if metric else float(w @ w)
+                    assert norm == pytest.approx(1.0, rel=1e-12)
+                    assert data.riem_quad(w, v) == pytest.approx(lam, **tol)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_tidal_margin_matches_tidal_operator(self, bundles, name):
+        """The O margin of an h-unit v is the least eigenvalue of
+        geometry.tidal, rescaled by -g(v, v) for timelike v (tidal
+        normalises timelike v to g-unit length)."""
+        b = bundles[name]
+        rng = np.random.default_rng(23)
+        for p in region_points(b, 2, seed=24):
+            data = curvature_data(b.field, p)
+            frame = lorentz_frame(data.g)
+            for alpha in (0.3, 0.8, 1.0):
+                omega = rng.normal(size=data.dim - 1)
+                v = conditions._shell_vector(frame, alpha,
+                                             omega / np.linalg.norm(omega),
+                                             1.0)
+                op = tidal(b.field, TangentVector(p, v))
+                lam = conditions._margin_tidal(data, v)[0]
+                scale = max(np.abs(data.riem).max(), 1.0)
+                if alpha == 1.0:
+                    assert op.kind == "null"
+                    expected = op.min_eigenvalue
+                else:
+                    assert op.kind == "timelike"
+                    expected = -data.inner(v, v) * op.min_eigenvalue
+                assert lam == pytest.approx(expected, rel=1e-10,
+                                            abs=1e-13 * scale)
 
 
 class TestRicciCondition:

@@ -1,14 +1,19 @@
 """The benchmark's traced run wraps lorentzkit functions by name.
 
 `perfbench/spans.py` rebinds `conditions._margin_*`, `_scan_point` and the
-other layer functions at run time. A renamed function would silently drop
-out of `--trace 1`; this test makes the rename fail here instead.
+other layer functions at run time. A renamed function, or a margin that
+calls the shared eigenvalue kernel directly instead of through its wrapped
+name, would silently drop out of `--trace 1`; these tests make that fail
+here instead.
 """
 
 import importlib.util
 from pathlib import Path
 
-from lorentzkit.conditions import Region, riem_condition
+import pytest
+
+import lorentzkit.conditions as conditions
+from lorentzkit.conditions import Region
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -20,18 +25,36 @@ def _load_spans():
     return module
 
 
-def test_traced_run_counts_margins(bundles):
-    b = bundles["schwarzschild_ef"]
-    region = Region(box=b.default_box, n_points=2, n_dirs=8, seed=0)
+def _traced(name, *args):
+    """Run conditions.<name> under the tracer, looked up after install so
+    that the wrapped function runs."""
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
-        riem_condition(b.field, region)
-        metrics = tracer.layer_metrics()
+        getattr(conditions, name)(*args)
+        return tracer.layer_metrics()
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("check", ["riem_condition", "tidal_condition"])
+def test_traced_run_counts_margins(bundles, check):
+    b = bundles["schwarzschild_ef"]
+    region = Region(box=b.default_box, n_points=2, n_dirs=8, seed=0)
+    metrics = _traced(check, b.field, region)
     assert metrics["conditions.points"] == region.n_points
-    assert metrics["conditions.margin_calls"] > 0
     assert metrics["geometry.curvature_calls"] == region.n_points
     per_point = region.n_dirs + region.restarts * (region.refine_iters + 1)
+    # the dense pass alone makes n_dirs margin calls per point
+    assert metrics["conditions.margins_per_point"] >= region.n_dirs
     assert metrics["conditions.margins_per_point"] <= per_point
+
+
+def test_traced_inclusion_audit_counts_margins(bundles):
+    """Three margins (P, SE, O) per sampled point and direction."""
+    b = bundles["schwarzschild_ef"]
+    region = Region(box=b.default_box, n_points=2, n_dirs=8, seed=0)
+    metrics = _traced("inclusion_audit", b.field, region)
+    assert metrics["conditions.points"] == region.n_points
+    assert metrics["conditions.margin_calls"] == \
+        3 * region.n_points * region.n_dirs
