@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, catalog
 from .conditions import (Region, gs_trace, inclusion_audit, ricci_condition,
                          riem_condition, temporal_certificate, tidal_condition)
-from .errors import LorentzkitError
+from .errors import DomainError, LorentzkitError
 from .geodesics import geodesic, parallel_transport
 from .geometry import Tolerances, curvature_data
 from .perturb import positivity_exit_family, trapped_exit_family
@@ -68,6 +68,19 @@ def _sized(flag: str, vec: np.ndarray, dim: int,
     if nonzero and not np.any(vec):
         raise argparse.ArgumentTypeError(f"{flag} must be nonzero")
     return vec
+
+
+def _in_domain(flag: str, field_, p: np.ndarray) -> np.ndarray:
+    """p, after checking it lies in the chart's declared domain.
+
+    Periodic axes are exempt. Only points given on the command line are
+    checked: integrator stages near a chart edge query the field directly.
+    """
+    if not field_.contains(p):
+        bounds = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in field_.domain)
+        raise DomainError(f"{flag} point {p.tolist()} lies outside the chart "
+                          f"domain {bounds}")
+    return p
 
 
 def _submanifold(bundle, name: str):
@@ -237,7 +250,8 @@ def _base_report(args, bundle, overrides) -> dict:
 
 
 def _cmd_analyze(args, bundle, overrides, out) -> int:
-    p = _sized("--at", args.at, bundle.field.dim)
+    p = _in_domain("--at", bundle.field,
+                   _sized("--at", args.at, bundle.field.dim))
     data = curvature_data(bundle.field, p)
     rep = _base_report(args, bundle, overrides)
     rep.update({
@@ -340,7 +354,8 @@ def _cmd_perturb(args, bundle, overrides, out) -> int:
             raise LorentzkitError("--theorem 4.2 needs --witness v=.. w=..")
         dim = bundle.field.dim
         fam = positivity_exit_family(
-            bundle.field, _sized("--at", args.at, dim),
+            bundle.field,
+            _in_domain("--at", bundle.field, _sized("--at", args.at, dim)),
             _sized("--witness v", witness["v"], dim),
             _sized("--witness w", witness["w"], dim), n_max=args.nmax)
     summary = fam.summary()
@@ -357,7 +372,8 @@ def _cmd_perturb(args, bundle, overrides, out) -> int:
 
 def _cmd_geodesic(args, bundle, overrides, out) -> int:
     dim = bundle.field.dim
-    start = _sized("--from", args.start, dim)
+    start = _in_domain("--from", bundle.field,
+                       _sized("--from", args.start, dim))
     direction = _sized("--dir", args.dir, dim, nonzero=True)
     vecs = [_sized("--transport", _parse_vector(v), dim)
             for v in args.transport.split(";")] if args.transport else []
@@ -372,12 +388,14 @@ def _cmd_geodesic(args, bundle, overrides, out) -> int:
         "length_reached": sol.t_reached,
         "chart_exit": sol.chart_exit,
         "norm_drift": sol.norm_drift,
+        "n_rhs_evals": sol.n_rhs_evals,
         "samples": samples,
     }
     if vecs:
         tr = parallel_transport(bundle.field, sol, np.array(vecs).T)
         rep["result"]["transport"] = {
             "product_drift": tr.product_drift,
+            "n_rhs_evals": tr.n_rhs_evals,
             "final": tr.evaluate(sol.t_reached).tolist(),
         }
     _emit(rep, out)

@@ -13,9 +13,10 @@ with functions exp, log, sin, cos, tan, sinh, cosh, tanh, sqrt. `abs` is
 deliberately not provided (not twice differentiable at 0). The parsed tree is
 immutable and has one evaluator, `Expr.eval(xs, params)`: the coordinate
 values `xs` are plain floats (values only) or Jet2 seeds (values with
-analytic gradients and Hessians). Numbers and parameters always evaluate to
-floats, so constant subtrees never allocate jets; Jet2's mixed float
-operators carry them into the coordinate-dependent parts.
+analytic gradients, and Hessians unless seeded at order 1). Numbers and
+parameters always evaluate to floats, so constant subtrees never allocate
+jets; Jet2's mixed float operators carry them into the coordinate-dependent
+parts.
 """
 
 from __future__ import annotations

@@ -13,9 +13,24 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import StepFailure, ToleranceExceeded
-from .geometry import DEFAULT_TOLS, TangentVector, Tolerances, christoffel_from_jets
+from .geometry import DEFAULT_TOLS, TangentVector, Tolerances
 from .metric import MetricField
 from .tensors import invert_metric
+
+
+def _minus_gamma(field_: MetricField, x, xdot, w) -> np.ndarray:
+    """-Gamma^k_ij x'^i w^j at x, for w of shape (n,) or (n, m).
+
+    Contracts before inverting, so no Christoffel array is built:
+    Gamma^k_ij x'^i w^j = g^kl c_l with
+    c_l = 1/2 (d_i g_jl x'^i w^j + d_j g_il x'^i w^j - d_l g_ij x'^i w^j).
+    """
+    n = field_.dim
+    g, dg, _ = field_.component_jets(x, order=1)
+    g_inv, _ = invert_metric(g)
+    a = (xdot @ dg.reshape(n, n * n)).reshape(n, n)   # a[j, l] = x'^i d_i g_jl
+    u = dg @ xdot                                     # u[k, l] = d_k g_li x'^i
+    return -0.5 * (g_inv @ ((a + u.T - u) @ w))
 
 
 def _geodesic_rhs(field_: MetricField):
@@ -23,11 +38,17 @@ def _geodesic_rhs(field_: MetricField):
 
     def rhs(_s, y):
         x, xdot = y[:n], y[n:]
-        g, dg, _ = field_.component_jets(x, order=1)
-        g_inv, _ = invert_metric(g)
-        gamma = christoffel_from_jets(g_inv, dg)
-        acc = -np.einsum("kij,i,j->k", gamma, xdot, xdot)
-        return np.concatenate([xdot, acc])
+        return np.concatenate([xdot, _minus_gamma(field_, x, xdot, xdot)])
+
+    return rhs
+
+
+def _transport_rhs(field_: MetricField, solution, m: int):
+    n = field_.dim
+
+    def rhs(s, wflat):
+        x, xdot = solution.evaluate(s)
+        return _minus_gamma(field_, x, xdot, wflat.reshape(n, m)).reshape(-1)
 
     return rhs
 
@@ -138,6 +159,7 @@ class TransportSolution:
     geodesic: GeodesicSolution
     w0: np.ndarray                # (n,) or (n, m)
     product_drift: float          # max drift of any pairwise g-inner product
+    n_rhs_evals: int
     _dense: object
 
     def evaluate(self, s: float) -> np.ndarray:
@@ -165,16 +187,8 @@ def parallel_transport(field_: MetricField, solution: GeodesicSolution, w0,
     m = cols.shape[1]
     rtol = _rtol if _rtol is not None else max(1e-12, min(1e-9, tols.eps_geo * 0.1))
 
-    def rhs(s, wflat):
-        x, xdot = solution.evaluate(s)
-        g, dg, _ = field_.component_jets(x, order=1)
-        g_inv, _ = invert_metric(g)
-        gamma = christoffel_from_jets(g_inv, dg)
-        w = wflat.reshape(n, m)
-        dw = -np.einsum("kij,i,jm->km", gamma, xdot, w)
-        return dw.reshape(-1)
-
-    sol = solve_ivp(rhs, (0.0, solution.t_reached), cols.reshape(-1),
+    sol = solve_ivp(_transport_rhs(field_, solution, m),
+                    (0.0, solution.t_reached), cols.reshape(-1),
                     method="RK45", rtol=rtol, atol=rtol * 1e-2,
                     dense_output=True)
     if sol.status != 0:
@@ -198,6 +212,5 @@ def parallel_transport(field_: MetricField, solution: GeodesicSolution, w0,
                                       _rtol=rtol * 1e-3)
         raise ToleranceExceeded(
             f"transport product drift {drift:.3e} over budget")
-    dense = sol.sol
-    return TransportSolution(geodesic=solution, w0=w0,
-                             product_drift=drift, _dense=dense)
+    return TransportSolution(geodesic=solution, w0=w0, product_drift=drift,
+                             n_rhs_evals=int(sol.nfev), _dense=sol.sol)

@@ -6,10 +6,17 @@ conformal factors, embedding maps) is evaluated as a Jet2, so Christoffel
 symbols and curvature come out of analytic derivatives, never finite
 differences.
 
+A jet seeded at order 1 carries no Hessian (`hess` is None) and everything
+derived from it is order 1 too: value and gradient follow exactly the same
+arithmetic as at order 2, and the Hessian terms are never formed. Mixing an
+order-1 with an order-2 jet gives an order-1 jet.
+
 Arithmetic accepts plain floats on either side (`2.0 * j`, `1.0 / j`,
 `c - j`), which is how the expression evaluator keeps constant subtrees as
-floats instead of constant jets. Jets are immutable; all arithmetic returns
-fresh instances.
+floats instead of constant jets. Jets are never changed after construction;
+all arithmetic returns fresh instances. The class is not a frozen dataclass
+because a frozen `__init__` costs about 0.7 us more per jet, and an order-1
+metric query builds a dozen or more jets on the geodesic hot path.
 """
 
 from __future__ import annotations
@@ -22,45 +29,53 @@ import numpy as np
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Jet2:
     """Value, gradient and (symmetric) Hessian of a scalar at a point."""
 
     value: float
-    grad: np.ndarray    # shape (n,)
-    hess: np.ndarray    # shape (n, n), symmetric
+    grad: np.ndarray            # shape (n,)
+    hess: np.ndarray | None     # shape (n, n), symmetric; None at order 1
 
     @staticmethod
-    def constant(c: float, n: int) -> "Jet2":
-        return Jet2(float(c), np.zeros(n), np.zeros((n, n)))
+    def constant(c: float, n: int, order: int = 2) -> "Jet2":
+        return Jet2(float(c), np.zeros(n),
+                    np.zeros((n, n)) if order >= 2 else None)
 
     @staticmethod
-    def variable(x: float, index: int, n: int) -> "Jet2":
+    def variable(x: float, index: int, n: int, order: int = 2) -> "Jet2":
         g = np.zeros(n)
         g[index] = 1.0
-        return Jet2(float(x), g, np.zeros((n, n)))
+        return Jet2(float(x), g, np.zeros((n, n)) if order >= 2 else None)
 
     @property
     def dim(self) -> int:
         return self.grad.shape[0]
 
+    @property
+    def order(self) -> int:
+        return 1 if self.hess is None else 2
+
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(self.value + other.value, self.grad + other.grad,
-                        self.hess + other.hess)
+            hess = None if self.hess is None or other.hess is None \
+                else self.hess + other.hess
+            return Jet2(self.value + other.value, self.grad + other.grad, hess)
         return Jet2(self.value + other, self.grad, self.hess)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess)
+        return Jet2(-self.value, -self.grad,
+                    None if self.hess is None else -self.hess)
 
     def __sub__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(self.value - other.value, self.grad - other.grad,
-                        self.hess - other.hess)
+            hess = None if self.hess is None or other.hess is None \
+                else self.hess - other.hess
+            return Jet2(self.value - other.value, self.grad - other.grad, hess)
         return Jet2(self.value - other, self.grad, self.hess)
 
     def __rsub__(self, other):
@@ -68,14 +83,17 @@ class Jet2:
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
+            grad = self.value * other.grad + other.value * self.grad
+            if self.hess is None or other.hess is None:
+                return Jet2(self.value * other.value, grad, None)
             cross = np.outer(self.grad, other.grad)
             return Jet2(
-                self.value * other.value,
-                self.value * other.grad + other.value * self.grad,
+                self.value * other.value, grad,
                 self.value * other.hess + other.value * self.hess
                 + cross + cross.T,
             )
-        return Jet2(self.value * other, self.grad * other, self.hess * other)
+        return Jet2(self.value * other, self.grad * other,
+                    None if self.hess is None else self.hess * other)
 
     __rmul__ = __mul__
 
@@ -110,7 +128,7 @@ class Jet2:
         if k < 0:
             return self._reciprocal()._int_pow(-k)
         if k == 0:
-            return Jet2.constant(1.0, self.dim)
+            return Jet2.constant(1.0, self.dim, self.order)
         out = self
         for _ in range(k - 1):      # exponents are small in practice
             out = out * self
@@ -120,6 +138,8 @@ class Jet2:
 
     def _compose(self, f: float, fp: float, fpp: float) -> "Jet2":
         """Jet of f(u) from f, f', f'' at u = self.value."""
+        if self.hess is None:
+            return Jet2(f, fp * self.grad, None)
         return Jet2(f,
                     fp * self.grad,
                     fp * self.hess + fpp * np.outer(self.grad, self.grad))
@@ -170,4 +190,6 @@ class Jet2:
         return self._compose(t, sech2, -2.0 * t * sech2)
 
     def symmetrized(self) -> "Jet2":
+        if self.hess is None:
+            return self
         return Jet2(self.value, self.grad, 0.5 * (self.hess + self.hess.T))

@@ -144,8 +144,9 @@ class ExprMetricField(MetricField):
     def component_jets(self, p, order: int = 2):
         q = self.canonicalize(p).tolist()
         n = self.dim
-        # order 0 evaluates on floats; constant components stay floats
-        xs = q if order == 0 else [Jet2.variable(x, i, n)
+        # order 0 evaluates on floats, order 1 on Hessian-free jets;
+        # constant components stay floats
+        xs = q if order == 0 else [Jet2.variable(x, i, n, order)
                                    for i, x in enumerate(q)]
         g = np.zeros((n, n))
         dg = np.zeros((n, n, n)) if order >= 1 else None

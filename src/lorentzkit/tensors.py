@@ -18,18 +18,32 @@ LOWER = "lower"
 RCOND_FLOOR = 1e-12
 
 
+def _factor(g: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """(inverse, rcond, eigenvalues) of a symmetric matrix from one eigh.
+
+    The singular values of a symmetric matrix are the moduli of its
+    eigenvalues, so rcond is the usual reciprocal condition number. Raises
+    SingularMetric when it drops below RCOND_FLOOR (a NaN entry gives 0):
+    degenerate metrics must fail loudly rather than poison downstream
+    curvature.
+    """
+    lam, q = np.linalg.eigh(g)
+    mag = np.abs(lam)
+    big = mag.max()
+    rcond = float(mag.min() / big) if big > 0 else 0.0
+    if rcond < RCOND_FLOOR:
+        raise SingularMetric(
+            f"metric value nearly degenerate (rcond={rcond:.3e})")
+    return (q / lam) @ q.T, rcond, lam
+
+
 def invert_metric(g: np.ndarray) -> tuple[np.ndarray, float]:
     """Invert a symmetric matrix, refusing near-degenerate input.
 
-    Returns (inverse, rcond). Raises SingularMetric when the reciprocal
-    condition number drops below RCOND_FLOOR: degenerate metrics must fail
-    loudly rather than poison downstream curvature.
+    Returns (inverse, rcond); raises SingularMetric as `_factor` does.
     """
-    sv = np.linalg.svd(g, compute_uv=False)
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    if rcond < RCOND_FLOOR:
-        raise SingularMetric(f"metric value nearly degenerate (rcond={rcond:.3e})")
-    return np.linalg.inv(g), rcond
+    g_inv, rcond, _ = _factor(g)
+    return g_inv, rcond
 
 
 @dataclass(frozen=True)
@@ -48,14 +62,8 @@ class MetricValue:
         if not np.all(np.abs(g - g.T) <= 1e-12 + 1e-5 * np.abs(g.T)):
             raise SingularMetric("metric value not symmetric")
         g = 0.5 * (g + g.T)
-        # one eigh gives the index, the condition number and the inverse
-        lam, q = np.linalg.eigh(g)
-        mag = np.abs(lam)
-        rcond = float(mag.min() / mag.max()) if mag.max() > 0 else 0.0
-        if rcond < RCOND_FLOOR:
-            raise SingularMetric(
-                f"metric value nearly degenerate (rcond={rcond:.3e})")
-        return MetricValue(g, (q / lam) @ q.T, int(np.sum(lam < 0.0)), rcond)
+        g_inv, rcond, lam = _factor(g)
+        return MetricValue(g, g_inv, int(np.sum(lam < 0.0)), rcond)
 
     @property
     def dim(self) -> int:

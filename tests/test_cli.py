@@ -150,6 +150,27 @@ class TestExitCodes:
         assert code in (1, 2)
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        "analyze builtin:schwarzschild_ef --at=0,-3,1,0",
+        "analyze builtin:schwarzschild_ef --at=0,3,4,0",
+        "geodesic builtin:schwarzschild_ef --from=0,0.0005,1,0 --dir=1,0,0,0",
+        "perturb builtin:schwarzschild_ef --theorem 4.2 --at=0,-3,1,0 "
+        "--witness v=1,0,0,0 w=0,0,1,0",
+    ])
+    def test_point_outside_domain_is_domain_error(self, argv, capsys):
+        code, rep = run_json(argv.split())
+        assert code == 1
+        assert rep["error_type"] == "DomainError"
+        assert "outside the chart domain" in rep["error"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_periodic_axis_is_exempt_from_domain(self):
+        # phi is periodic in schwarzschild_ef: any value is a chart point
+        code, rep = run_json(["analyze", "builtin:schwarzschild_ef",
+                              "--at=0,3,1,40"])
+        assert code == 0
+        assert rep["point"][3] == 40.0
+
     @pytest.mark.parametrize("argv", NON_FINITE_ARGV)
     def test_non_finite_number_is_usage_error(self, argv, capsys):
         code, text = run_cli(argv.split())
@@ -198,6 +219,21 @@ class TestCommands:
         assert code == 0
         assert rep["result"]["samples"][-1]["point"][0] == pytest.approx(2.0)
         assert rep["result"]["transport"]["product_drift"] < 1e-8
+
+    def test_geodesic_reports_rhs_evaluations(self):
+        argv = ["geodesic", "builtin:schwarzschild_ef", "--from",
+                "0,3,1.5,0.3", "--dir", "1,-1,0,0.1", "--length", "0.5",
+                "--transport", "0,1,0,0", "--seed", "3"]
+        counts = []
+        for _ in range(2):
+            code, rep = run_json(argv)
+            assert code == 0
+            res = rep["result"]
+            counts.append((res["n_rhs_evals"],
+                           res["transport"]["n_rhs_evals"]))
+        assert counts[0] == counts[1]
+        for k in counts[0]:
+            assert isinstance(k, int) and k > 0
 
     def test_perturb_33_json(self):
         code, rep = run_json(["perturb", "builtin:torus_quotient", "--theorem",

@@ -1,12 +1,25 @@
+import importlib.util
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lorentzkit.geodesics import geodesic, parallel_transport
+from lorentzkit.errors import SingularMetric
+from lorentzkit.expr import SymbolTable
+from lorentzkit.geodesics import (_geodesic_rhs, _transport_rhs, geodesic,
+                                  parallel_transport)
 from lorentzkit.geometry import Tolerances
+from lorentzkit.metric import ExprMetricField
+from lorentzkit.specfile import load_spec
+from lorentzkit.tensors import invert_metric
 
 from conftest import CATALOG_NAMES, region_points
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ORACLE = PERFBENCH / "oracle.py"
+SPEC_FILE = PERFBENCH / "spacetimes" / "contracting_desitter.st"
 
 
 class TestGeodesic:
@@ -143,3 +156,62 @@ class TestParallelTransport:
             math.sqrt(float(w @ g @ w)) * math.sqrt(float(v0 @ g @ v0)))
         angle = math.acos(np.clip(cosang, -1.0, 1.0))
         assert abs(angle - math.pi / 2) < 1e-5
+
+
+class TestRightHandSides:
+    """The contracted right-hand sides against sympy's Christoffel symbols.
+
+    perfbench/oracle.py derives Gamma symbolically from metrics written out
+    by hand, independently of the expression parser and the jets.
+    """
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        pytest.importorskip("sympy")
+        spec = importlib.util.spec_from_file_location("perfbench_oracle",
+                                                      ORACLE)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @staticmethod
+    def _bundle(bundles, name):
+        return load_spec(str(SPEC_FILE)) if name == "contracting_desitter" \
+            else bundles[name]
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("contracting_desitter",))
+    def test_rhs_match_oracle_christoffel(self, bundles, oracle, name):
+        b = self._bundle(bundles, name)
+        n = b.field.dim
+        geo = oracle.geometry(name)
+        rng = np.random.default_rng(41)
+        for p in region_points(b, 3, seed=43):
+            xdot = rng.normal(size=n)
+            w = rng.normal(size=(n, 2))
+            gam = geo.christoffel(p)
+            acc = -np.einsum("kij,i,j->k", gam, xdot, xdot)
+            dw = -np.einsum("kij,i,jm->km", gam, xdot, w)
+
+            y = _geodesic_rhs(b.field)(0.0, np.concatenate([p, xdot]))
+            assert np.array_equal(y[:n], xdot)
+            assert np.abs(y[n:] - acc).max() <= 1e-10 * np.abs(acc).max()
+
+            curve = SimpleNamespace(
+                evaluate=lambda s, p=p, xdot=xdot: (p, xdot))
+            got = _transport_rhs(b.field, curve, 2)(0.0, w.reshape(-1))
+            assert np.abs(got.reshape(n, 2) - dw).max() <= \
+                1e-10 * np.abs(dw).max()
+
+    def test_near_degenerate_metric_raises(self):
+        """rcond 1e-13 < RCOND_FLOOR: both right-hand sides refuse it."""
+        table = SymbolTable(["t", "x"])
+        field = ExprMetricField(table, {(0, 0): "-1", (1, 0): "0",
+                                        (1, 1): "1e-13 * exp(t)"})
+        p, xdot = np.array([0.0, 0.3]), np.array([1.0, 0.5])
+        with pytest.raises(SingularMetric):
+            invert_metric(field.value(p))
+        with pytest.raises(SingularMetric):
+            _geodesic_rhs(field)(0.0, np.concatenate([p, xdot]))
+        curve = SimpleNamespace(evaluate=lambda s: (p, xdot))
+        with pytest.raises(SingularMetric):
+            _transport_rhs(field, curve, 1)(0.0, xdot)

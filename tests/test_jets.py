@@ -1,12 +1,20 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorentzkit.conformal import rescale
 from lorentzkit.errors import DomainError
+from lorentzkit.expr import SymbolTable
+from lorentzkit.fields import ExprScalarField
 from lorentzkit.jets import Jet2
+from lorentzkit.metric import ExprMetricField
+from lorentzkit.specfile import load_spec
+
+from conftest import CATALOG_NAMES, region_points
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -87,3 +95,70 @@ class TestFunctions:
         c = Jet2.variable(1.3, 2, 3)
         j = ((a * b).exp() + c.sin() * a).symmetrized()
         assert np.allclose(j.hess, j.hess.T)
+
+
+# --- order-1 jets: value and gradient only ---------------------------------
+
+SPEC_FILE = (Path(__file__).resolve().parents[1] / "perfbench" / "spacetimes"
+             / "contracting_desitter.st")
+
+
+def _order1_fields(bundles):
+    """The seven builtins, the benchmark's spec file and one conformal
+    rescaling, each with a deterministic sample point."""
+    fields = [(name, b.field, region_points(b, 1, seed=5)[0])
+              for name, b in bundles.items()]
+    spec = load_spec(str(SPEC_FILE))
+    fields.append(("contracting_desitter", spec.field,
+                   region_points(spec, 1, seed=5)[0]))
+    b = bundles["schwarzschild_ef"]
+    factor = ExprScalarField("0.1*sin(r)*cos(theta) + 0.05*v", b.field.table)
+    fields.append(("conformal schwarzschild_ef", rescale(b.field, factor),
+                   region_points(b, 1, seed=5)[0]))
+    return fields
+
+
+def test_order1_jets_equal_order2_value_and_gradient(bundles):
+    for name, field, p in _order1_fields(bundles):
+        g1, dg1, d2g1 = field.component_jets(p, order=1)
+        g2, dg2, _ = field.component_jets(p, order=2)
+        assert d2g1 is None, name
+        assert np.array_equal(g1, g2), name
+        assert np.array_equal(dg1, dg2), name
+
+
+def test_order1_jets_build_no_hessian(bundles, monkeypatch):
+    calls = []
+    outer = np.outer
+
+    def counting_outer(*args, **kwargs):
+        calls.append(1)
+        return outer(*args, **kwargs)
+
+    monkeypatch.setattr(np, "outer", counting_outer)
+    for name in CATALOG_NAMES:
+        b = bundles[name]
+        b.field.component_jets(region_points(b, 1, seed=5)[0], order=1)
+    assert not calls
+    # the counter does see the order-2 path
+    b = bundles["schwarzschild_ef"]
+    b.field.component_jets(region_points(b, 1, seed=5)[0], order=2)
+    assert calls
+
+
+def test_order1_jets_stay_order1():
+    x = Jet2.variable(0.7, 0, 2, order=1)
+    y = Jet2.variable(-0.4, 1, 2)                   # order 2
+    for j in (x * y, x + y, y - x, x / y, 2.0 / x, x ** 3, x ** 0, x ** -2,
+              (x * y).exp().sin(), x.sqrt().log(), x ** 1.5):
+        assert j.hess is None and j.order == 1
+    assert (x ** 0).value == 1.0 and np.array_equal((x ** 0).grad, [0.0, 0.0])
+    assert (y * y).order == 2
+
+
+def test_zero_power_factor_at_order_one():
+    table = SymbolTable(["t", "x"])
+    field = ExprMetricField(table, {(0, 0): "-1", (1, 0): "0",
+                                    (1, 1): "x^0 * (1 + x^2)"})
+    g, dg, d2g = field.component_jets([0.0, 0.5], order=1)
+    assert g[1, 1] == 1.25 and dg[1, 1, 1] == 1.0 and d2g is None

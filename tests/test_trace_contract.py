@@ -1,18 +1,20 @@
 """The benchmark's traced run wraps lorentzkit functions by name.
 
-`perfbench/spans.py` rebinds `conditions._margin_*`, `_scan_point` and the
-other layer functions at run time. A renamed function, or a margin that
-calls the shared eigenvalue kernel directly instead of through its wrapped
-name, would silently drop out of `--trace 1`; these tests make that fail
-here instead.
+`perfbench/spans.py` rebinds `conditions._margin_*`, `_scan_point`,
+`geodesics.solve_ivp` and the other layer functions at run time. A renamed
+function, or a margin that calls the shared eigenvalue kernel directly
+instead of through its wrapped name, would silently drop out of
+`--trace 1`; these tests make that fail here instead.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lorentzkit.conditions as conditions
+import lorentzkit.geodesics as geodesics
 from lorentzkit.conditions import Region
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -58,3 +60,24 @@ def test_traced_inclusion_audit_counts_margins(bundles):
     assert metrics["conditions.points"] == region.n_points
     assert metrics["conditions.margin_calls"] == \
         3 * region.n_points * region.n_dirs
+
+
+def test_traced_integrators_count_right_hand_sides(bundles):
+    """A geodesic plus a transport must show up in the integrator metrics:
+    both integrators through `geodesics.solve_ivp`, and their right-hand
+    sides through order-1 `component_jets`."""
+    b = bundles["schwarzschild_ef"]
+    p = np.array([0.0, 3.0, 1.5, 0.3])
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        sol = geodesics.geodesic(b.field, p, np.array([1.0, -0.5, 0.0, 0.1]),
+                                 0.3)
+        geodesics.parallel_transport(b.field, sol,
+                                     np.array([0.0, 1.0, 0.0, 0.0]))
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["geodesics.rhs_evals"] > 0
+    assert metrics["geodesics.transport_rhs_evals"] > 0
+    assert metrics["metric.jets1_calls"] > 0
