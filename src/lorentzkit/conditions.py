@@ -463,7 +463,7 @@ def temporal_certificate(field_: MetricField, subject: VectorField | ScalarField
             q = float(x @ g @ x) / float(x @ x)
         elif mode == "temporal":
             g_inv, _ = invert_metric(g)
-            dt = subject.jet2(field_.canonicalize(p)).grad
+            dt = subject.jet2(field_.canonicalize(p), 1).grad
             nrm = float(dt @ dt)
             if nrm < tols.tau_zero:
                 q = 0.0

@@ -36,9 +36,10 @@ def rescale(field_: MetricField, factor: ScalarField,
     return ConformalScaledMetric(field_, factor, scale)
 
 
-def _factor_jet(field_: MetricField, factor: ScalarField, p, scale: float):
+def _factor_jet(field_: MetricField, factor: ScalarField, p, scale: float,
+                order: int = 2):
     q = field_.canonicalize(p)
-    return factor.jet2(q) * scale
+    return factor.jet2(q, order) * scale
 
 
 def connection_delta(field_: MetricField, factor: ScalarField, p,
@@ -49,7 +50,7 @@ def connection_delta(field_: MetricField, factor: ScalarField, p,
     y_vec = np.asarray(y_vec, dtype=float)
     g = field_.value(p)
     g_inv, _ = invert_metric(g)
-    df = _factor_jet(field_, factor, p, scale).grad
+    df = _factor_jet(field_, factor, p, scale, order=1).grad
     grad_f = g_inv @ df
     return (float(df @ x_vec) * y_vec + float(df @ y_vec) * x_vec
             - float(x_vec @ g @ y_vec) * grad_f)
@@ -69,7 +70,7 @@ def conformal_mean_curvature(field_: MetricField, X, emb: Embedding,
     mc = base if base is not None else mean_curvature(field_, X, emb, u, tols)
     g = mc.g
     g_inv, _ = invert_metric(g)
-    fj = _factor_jet(field_, factor, mc.point, scale)
+    fj = _factor_jet(field_, factor, mc.point, scale, order=1)
     grad_f = g_inv @ fj.grad
     grad_perp = normal_part(g, mc.jac, grad_f)
     m = emb.m

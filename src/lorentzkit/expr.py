@@ -13,10 +13,12 @@ with functions exp, log, sin, cos, tan, sinh, cosh, tanh, sqrt. `abs` is
 deliberately not provided (not twice differentiable at 0). The parsed tree is
 immutable and has one evaluator, `Expr.eval(xs, params)`: the coordinate
 values `xs` are plain floats (values only) or Jet2 seeds (values with
-analytic gradients, and Hessians unless seeded at order 1). Numbers and
+analytic gradients, and Hessians unless seeded at order 1), at one point or,
+as (B,) arrays and batched seeds, at B points at once. Numbers and
 parameters always evaluate to floats, so constant subtrees never allocate
 jets; Jet2's mixed float operators carry them into the coordinate-dependent
-parts.
+parts. `evaluate` seeds and evaluates a list of expressions at a point or a
+batch of points.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownSymbol
-from .jets import Jet2
+from .jets import Jet2, any_true, first_bad
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "tan", "sinh", "cosh", "tanh", "sqrt")
 
@@ -97,9 +99,12 @@ _MATH_FUNCS = {
 
 
 def _apply(op: str, a):
-    """The function `op` of a float (math) or of a Jet2 (its method)."""
+    """The function `op` of a float (math), of a batch of values (numpy) or
+    of a Jet2 (its method)."""
     if isinstance(a, Jet2):
         return getattr(a, op)()
+    if isinstance(a, np.ndarray):
+        return getattr(np, op)(a)
     try:
         return _MATH_FUNCS[op](a)
     except ValueError as exc:
@@ -110,10 +115,18 @@ def _power(a, b):
     if isinstance(b, Jet2):
         # the exponent depends on the coordinates
         return (_apply("log", a) * b).exp()
-    if float(b).is_integer():
+    if isinstance(b, np.ndarray):
+        # values at a batch of points, the exponent depending on them
+        bad = (a <= 0.0) & (b != np.floor(b))
+    elif float(b).is_integer():
         return a ** int(b)          # exact: repeated multiplication for jets
-    if not isinstance(a, Jet2) and a <= 0.0:
-        raise DomainError(f"real exponent requires positive base, got {a}")
+    elif isinstance(a, Jet2):
+        return a ** b               # the jet checks its base
+    else:
+        bad = a <= 0.0
+    if any_true(bad):
+        raise DomainError(f"real exponent requires positive base, got "
+                          f"{first_bad(a, bad)}")
     return a ** b
 
 
@@ -326,10 +339,45 @@ def parse(text: str, table: SymbolTable) -> Expr:
     return _Parser(tokens, table).parse()
 
 
+def evaluate(exprs, points: np.ndarray, params: Mapping[str, float],
+             order: int = 0) -> tuple[list, tuple]:
+    """Expressions over one symbol table at a point (n,) or at points (B, n).
+
+    Returns the results and their batch shape. Order 0 gives values, orders
+    1 and 2 Jet2s seeded on the coordinates; an expression that does not
+    depend on them stays a float. A point, and a batch of one, is evaluated
+    on floats (math, with its errors): batch shape (). A batch of B > 1
+    points is evaluated on (B,) arrays, batch shape (B,), where numpy raises
+    on overflow, division by zero and invalid values as math does; the
+    evaluator turns either into DomainError.
+    """
+    n = points.shape[-1]
+    many = points.ndim > 1 and points.shape[0] > 1
+    if many:
+        xs = list(np.ascontiguousarray(points.T))
+    else:
+        xs = (points if points.ndim == 1 else points[0]).tolist()
+    if order:
+        xs = [Jet2.variable(x, i, n, order) for i, x in enumerate(xs)]
+    if not many:
+        return [e.eval(xs, params) for e in exprs], ()
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        return [e.eval(xs, params) for e in exprs], points.shape[:1]
+
+
+def batch_first(a: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """An array filled from `evaluate` at points (B, n), batch axis last,
+    with its batch axis first; at a point (n,), `a` as it is."""
+    if points.ndim == 1:
+        return a
+    return a[None] if points.shape[0] == 1 else np.moveaxis(a, -1, 0)
+
+
 def eval2(e: Expr, point: Sequence[float],
           params: Mapping[str, float] | None = None,
-          table: SymbolTable | None = None) -> Jet2:
-    """Evaluate an expression as a second-order jet at a chart point.
+          table: SymbolTable | None = None, order: int = 2) -> Jet2:
+    """Evaluate an expression as a jet (second order unless `order` is 1) at
+    a chart point.
 
     The gradient/Hessian are with respect to the chart coordinates, in the
     order declared by the symbol table used at parse time.
@@ -338,8 +386,8 @@ def eval2(e: Expr, point: Sequence[float],
     n = point.shape[0]
     if table is not None and table.dim != n:
         raise ValueError(f"point dimension {n} != chart dimension {table.dim}")
-    seeds = [Jet2.variable(x, i, n) for i, x in enumerate(point.tolist())]
+    seeds = [Jet2.variable(x, i, n, order) for i, x in enumerate(point.tolist())]
     jet = e.eval(seeds, params or {})
     if not isinstance(jet, Jet2):
-        return Jet2.constant(jet, n)
+        return Jet2.constant(jet, n, order)
     return jet.symmetrized()

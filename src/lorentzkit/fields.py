@@ -1,4 +1,9 @@
-"""Scalar and vector fields over a chart, with jet-level queries."""
+"""Scalar and vector fields over a chart, with jet-level queries.
+
+A scalar field answers `jet2(p, order)`: a Jet2 at order 2, or a
+Hessian-free one at order 1. A vector field's `value` takes a point (n,) or
+points (B, n).
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import Expr, SymbolTable, eval2, parse
+from .expr import Expr, SymbolTable, eval2, evaluate, parse
 from .jets import Jet2
 
 
@@ -15,11 +20,12 @@ class ScalarField:
 
     dim: int
 
-    def jet2(self, p: Sequence[float]) -> Jet2:
+    def jet2(self, p: Sequence[float], order: int = 2) -> Jet2:
+        """The jet at p; order 1 carries no Hessian."""
         raise NotImplementedError
 
     def value(self, p: Sequence[float]) -> float:
-        return self.jet2(p).value
+        return self.jet2(p, 1).value
 
     def scaled(self, factor: float) -> "ScaledScalarField":
         return ScaledScalarField(self, factor)
@@ -33,16 +39,16 @@ class ExprScalarField(ScalarField):
         self.params = dict(params or {})
         self.dim = table.dim
 
-    def jet2(self, p):
-        return eval2(self.expr, p, self.params, self.table)
+    def jet2(self, p, order: int = 2):
+        return eval2(self.expr, p, self.params, self.table, order)
 
 
 class ZeroScalarField(ScalarField):
     def __init__(self, dim: int):
         self.dim = dim
 
-    def jet2(self, p):
-        return Jet2.constant(0.0, self.dim)
+    def jet2(self, p, order: int = 2):
+        return Jet2.constant(0.0, self.dim, order)
 
 
 class ScaledScalarField(ScalarField):
@@ -53,8 +59,8 @@ class ScaledScalarField(ScalarField):
         self.factor = float(factor)
         self.dim = base.dim
 
-    def jet2(self, p):
-        return self.base.jet2(p) * self.factor
+    def jet2(self, p, order: int = 2):
+        return self.base.jet2(p, order) * self.factor
 
 
 class VectorField:
@@ -75,5 +81,10 @@ class VectorField:
         return VectorField([repr(float(v)) for v in vec], table)
 
     def value(self, p: Sequence[float]) -> np.ndarray:
-        xs = np.asarray(p, dtype=float).tolist()
-        return np.array([c.eval(xs, self.params) for c in self.components])
+        """Components at a point (n,), or stacked (B, n) at points (B, n)."""
+        q = np.asarray(p, dtype=float)
+        values, _ = evaluate(self.components, q, self.params)
+        if q.ndim == 1:
+            return np.array(values)
+        return np.stack([np.broadcast_to(v, q.shape[:-1]) for v in values],
+                        axis=-1)

@@ -129,8 +129,11 @@ class CurvatureData:
 
 
 def christoffel_from_jets(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    d = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-    return 0.5 * np.einsum("kl,ijl->kij", g_inv, d)
+    """Gamma[k, i, j] from g^-1 and dg[l, i, j] = d_l g_ij; stacks of both
+    (leading batch axis) give stacked symbols."""
+    # d[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    d = dg + dg.swapaxes(-3, -2) - dg.swapaxes(-3, -2).swapaxes(-2, -1)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", g_inv, d)
 
 
 def curvature_data(field_: MetricField, p) -> CurvatureData:
@@ -240,19 +243,26 @@ def lorentz_frame(g: np.ndarray) -> np.ndarray:
 
 
 def h_orthonormal_complement(vectors: np.ndarray) -> np.ndarray:
-    """Euclidean-orthonormal basis of the orthogonal complement of given rows."""
+    """Euclidean-orthonormal basis of the orthogonal complement of given rows;
+    a stack (B, k, n) of row sets of one common rank gives stacked bases."""
     a = np.atleast_2d(np.asarray(vectors, dtype=float))
     _, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > 1e-13 * (s[0] if s.size else 1.0)))
-    return vt[rank:].T                # columns span the complement
+    if a.ndim == 2:
+        rank = int(np.sum(s > 1e-13 * (s[0] if s.size else 1.0)))
+        return vt[rank:].T            # columns span the complement
+    ranks = np.sum(s > 1e-13 * s[:, :1], axis=-1)
+    if np.any(ranks != ranks[0]):
+        raise np.linalg.LinAlgError("row sets of different rank")
+    return vt[:, ranks[0]:].swapaxes(-1, -2)
 
 
 def screen(g: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lam, basis): ascending eigenvalues of g on the h-orthogonal complement
-    of the rows, and its eigenvectors scaled so that g(b_k, b_k) = sign lam_k."""
+    of the rows, and its eigenvectors scaled so that g(b_k, b_k) = sign lam_k.
+    Stacks g (B, n, n) and rows (B, k, n) give stacked results."""
     comp = h_orthonormal_complement(rows)
-    lam, q = np.linalg.eigh(comp.T @ g @ comp)
-    return lam, comp @ (q / np.sqrt(np.abs(lam)))
+    lam, q = np.linalg.eigh(comp.swapaxes(-1, -2) @ g @ comp)
+    return lam, comp @ (q / np.sqrt(np.abs(lam))[..., None, :])
 
 
 def tidal_screen(g: np.ndarray, v: np.ndarray, null: bool) -> np.ndarray:

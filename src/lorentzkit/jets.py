@@ -11,6 +11,14 @@ derived from it is order 1 too: value and gradient follow exactly the same
 arithmetic as at order 2, and the Hessian terms are never formed. Mixing an
 order-1 with an order-2 jet gives an order-1 jet.
 
+A jet is either at one point (a float value, gradient (n,), Hessian (n, n))
+or at a batch of B points, with the batch axis last: value (B,), gradient
+(n, B), Hessian (n, n, B). Both share the arithmetic: products take outer
+products with `np.outer` at a point and by broadcasting over a batch,
+univariate functions call `math` on a float and numpy on a batch, and every
+domain check tests each element. One point keeps the float arithmetic of a
+scalar jet bit for bit. Batched and single-point jets do not mix.
+
 Arithmetic accepts plain floats on either side (`2.0 * j`, `1.0 / j`,
 `c - j`), which is how the expression evaluator keeps constant subtrees as
 floats instead of constant jets. Jets are never changed after construction;
@@ -29,21 +37,44 @@ import numpy as np
 from .errors import DomainError
 
 
+def any_true(mask) -> bool:
+    """Whether a domain check fails: a bool, or any element of a batch."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+def first_bad(v, mask):
+    """The value that fails the check `mask`: v itself, or the first batch
+    element where the mask holds."""
+    if isinstance(mask, np.ndarray):
+        return np.broadcast_to(v, mask.shape)[mask][0]
+    return v
+
+
 @dataclass(slots=True)
 class Jet2:
-    """Value, gradient and (symmetric) Hessian of a scalar at a point."""
+    """Value, gradient and (symmetric) Hessian of a scalar at a point, or at
+    a batch of points (batch axis last)."""
 
-    value: float
-    grad: np.ndarray            # shape (n,)
-    hess: np.ndarray | None     # shape (n, n), symmetric; None at order 1
+    value: float | np.ndarray   # float, or shape (B,)
+    grad: np.ndarray            # shape (n,) or (n, B)
+    hess: np.ndarray | None     # (n, n) or (n, n, B), symmetric; None at order 1
 
     @staticmethod
-    def constant(c: float, n: int, order: int = 2) -> "Jet2":
+    def constant(c, n: int, order: int = 2) -> "Jet2":
+        """The constant c: a float, or a (B,) array for a batch."""
+        if isinstance(c, np.ndarray):
+            return Jet2(c, np.zeros((n,) + c.shape),
+                        np.zeros((n, n) + c.shape) if order >= 2 else None)
         return Jet2(float(c), np.zeros(n),
                     np.zeros((n, n)) if order >= 2 else None)
 
     @staticmethod
-    def variable(x: float, index: int, n: int, order: int = 2) -> "Jet2":
+    def variable(x, index: int, n: int, order: int = 2) -> "Jet2":
+        """Coordinate `index` seeded at x: a float, or a (B,) array."""
+        if isinstance(x, np.ndarray):
+            jet = Jet2.constant(x, n, order)
+            jet.grad[index] = 1.0
+            return jet
         g = np.zeros(n)
         g[index] = 1.0
         return Jet2(float(x), g, np.zeros((n, n)) if order >= 2 else None)
@@ -86,11 +117,16 @@ class Jet2:
             grad = self.value * other.grad + other.value * self.grad
             if self.hess is None or other.hess is None:
                 return Jet2(self.value * other.value, grad, None)
-            cross = np.outer(self.grad, other.grad)
+            if self.grad.ndim == 1:
+                cross = np.outer(self.grad, other.grad)
+                cross_t = cross.T
+            else:                       # batch axis last
+                cross = self.grad[:, None] * other.grad[None, :]
+                cross_t = cross.swapaxes(0, 1)
             return Jet2(
                 self.value * other.value, grad,
                 self.value * other.hess + other.value * self.hess
-                + cross + cross.T,
+                + cross + cross_t,
             )
         return Jet2(self.value * other, self.grad * other,
                     None if self.hess is None else self.hess * other)
@@ -108,27 +144,30 @@ class Jet2:
         return self._reciprocal() * other
 
     def _reciprocal(self) -> "Jet2":
-        if self.value == 0.0:
+        v = self.value
+        zero = v == 0.0
+        if zero.any() if isinstance(zero, np.ndarray) else zero:
             raise DomainError("division by zero")
-        return self._compose(1.0 / self.value,
-                             -1.0 / self.value ** 2,
-                             2.0 / self.value ** 3)
+        return self._compose(1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
 
     def __pow__(self, exponent):
         if isinstance(exponent, int) or (isinstance(exponent, float)
                                          and exponent.is_integer()):
             return self._int_pow(int(exponent))
         # real exponent: exp(b log a), requires a > 0 so the jet stays exact
-        if self.value <= 0.0:
-            raise DomainError(
-                f"real exponent requires positive base, got {self.value}")
+        bad = self.value <= 0.0
+        if bad.any() if isinstance(bad, np.ndarray) else bad:
+            raise DomainError(f"real exponent requires positive base, got "
+                              f"{first_bad(self.value, bad)}")
         return (self.log() * float(exponent)).exp()
 
     def _int_pow(self, k: int) -> "Jet2":
         if k < 0:
             return self._reciprocal()._int_pow(-k)
         if k == 0:
-            return Jet2.constant(1.0, self.dim, self.order)
+            one = np.ones_like(self.value) \
+                if isinstance(self.value, np.ndarray) else 1.0
+            return Jet2.constant(one, self.dim, self.order)
         out = self
         for _ in range(k - 1):      # exponents are small in practice
             out = out * self
@@ -136,60 +175,74 @@ class Jet2:
 
     # -- univariate chain rule -------------------------------------------
 
-    def _compose(self, f: float, fp: float, fpp: float) -> "Jet2":
+    def _compose(self, f, fp, fpp) -> "Jet2":
         """Jet of f(u) from f, f', f'' at u = self.value."""
+        g = self.grad
         if self.hess is None:
-            return Jet2(f, fp * self.grad, None)
-        return Jet2(f,
-                    fp * self.grad,
-                    fp * self.hess + fpp * np.outer(self.grad, self.grad))
+            return Jet2(f, fp * g, None)
+        outer = np.outer(g, g) if g.ndim == 1 else g[:, None] * g[None, :]
+        return Jet2(f, fp * g, fp * self.hess + fpp * outer)
 
     def exp(self):
-        e = math.exp(self.value)
+        v = self.value
+        e = np.exp(v) if isinstance(v, np.ndarray) else math.exp(v)
         return self._compose(e, e, e)
 
     def log(self):
-        if self.value <= 0.0:
-            raise DomainError(f"log of nonpositive value {self.value}")
         v = self.value
-        return self._compose(math.log(v), 1.0 / v, -1.0 / v ** 2)
+        batch = isinstance(v, np.ndarray)
+        bad = v <= 0.0
+        if bad.any() if batch else bad:
+            raise DomainError(f"log of nonpositive value {first_bad(v, bad)}")
+        lv = np.log(v) if batch else math.log(v)
+        return self._compose(lv, 1.0 / v, -1.0 / v ** 2)
 
     def sqrt(self):
-        if self.value <= 0.0:
-            raise DomainError(f"sqrt of nonpositive value {self.value}")
-        s = math.sqrt(self.value)
-        return self._compose(s, 0.5 / s, -0.25 / (s * self.value))
+        v = self.value
+        batch = isinstance(v, np.ndarray)
+        bad = v <= 0.0
+        if bad.any() if batch else bad:
+            raise DomainError(f"sqrt of nonpositive value {first_bad(v, bad)}")
+        s = np.sqrt(v) if batch else math.sqrt(v)
+        return self._compose(s, 0.5 / s, -0.25 / (s * v))
 
     def sin(self):
-        s, c = math.sin(self.value), math.cos(self.value)
+        m = np if isinstance(self.value, np.ndarray) else math
+        s, c = m.sin(self.value), m.cos(self.value)
         return self._compose(s, c, -s)
 
     def cos(self):
-        s, c = math.sin(self.value), math.cos(self.value)
+        m = np if isinstance(self.value, np.ndarray) else math
+        s, c = m.sin(self.value), m.cos(self.value)
         return self._compose(c, -s, -c)
 
     def tan(self):
-        c = math.cos(self.value)
-        if abs(c) < 1e-300:
+        m = np if isinstance(self.value, np.ndarray) else math
+        c = m.cos(self.value)
+        if any_true(abs(c) < 1e-300):
             raise DomainError("tan at a pole")
-        t = math.tan(self.value)
+        t = m.tan(self.value)
         sec2 = 1.0 + t * t
         return self._compose(t, sec2, 2.0 * t * sec2)
 
     def sinh(self):
-        s, c = math.sinh(self.value), math.cosh(self.value)
+        m = np if isinstance(self.value, np.ndarray) else math
+        s, c = m.sinh(self.value), m.cosh(self.value)
         return self._compose(s, c, s)
 
     def cosh(self):
-        s, c = math.sinh(self.value), math.cosh(self.value)
+        m = np if isinstance(self.value, np.ndarray) else math
+        s, c = m.sinh(self.value), m.cosh(self.value)
         return self._compose(c, s, c)
 
     def tanh(self):
-        t = math.tanh(self.value)
+        v = self.value
+        t = np.tanh(v) if isinstance(v, np.ndarray) else math.tanh(v)
         sech2 = 1.0 - t * t
         return self._compose(t, sech2, -2.0 * t * sech2)
 
     def symmetrized(self) -> "Jet2":
         if self.hess is None:
             return self
-        return Jet2(self.value, self.grad, 0.5 * (self.hess + self.hess.T))
+        return Jet2(self.value, self.grad,
+                    0.5 * (self.hess + self.hess.swapaxes(0, 1)))

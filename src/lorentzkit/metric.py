@@ -7,7 +7,10 @@ p it returns (g, dg, d2g) with
     dg[k, i, j]    first partials  d_k g_ij,
     d2g[k, l, i, j] second partials d_k d_l g_ij,
 
-all analytic (propagated jets, no finite differences). Charts may declare
+all analytic (propagated jets, no finite differences). Every field also
+answers a batch of points p (B, n), with a leading batch axis on each
+result: expression metrics evaluate it in one batched jet pass, other fields
+one point at a time. Charts may declare
 periodic coordinates (quotient spacetimes); points are canonicalized modulo
 the periods before every field query, while curves are integrated in the
 covering chart and reported both raw and canonicalized.
@@ -15,12 +18,13 @@ covering chart and reported both raw and canonicalized.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParamError
-from .expr import Expr, SymbolTable, parse
+from .errors import LorentzkitError, ParamError
+from .expr import Expr, SymbolTable, batch_first, evaluate, parse
 from .fields import ScalarField
 from .jets import Jet2
 from .tensors import MetricValue
@@ -43,10 +47,12 @@ class MetricField:
     # -- chart bookkeeping -------------------------------------------------
 
     def canonicalize(self, p: Sequence[float]) -> np.ndarray:
+        """A point (n,) or points (B, n) modulo the periods."""
         q = np.array(p, dtype=float)
+        coords = q.T                    # coordinate i is coords[i]
         for i, per in enumerate(self.periods):
             if per is not None:
-                q[i] = q[i] % per
+                coords[i] %= per
         return q
 
     def contains(self, p: Sequence[float], margin: float = 0.0) -> bool:
@@ -74,8 +80,17 @@ class MetricField:
     # -- queries -------------------------------------------------------------
 
     def component_jets(self, p: Sequence[float], order: int = 2):
-        """(g, dg, d2g) at p; dg/d2g are None when order cuts them off."""
-        raise NotImplementedError
+        """(g, dg, d2g) at p; dg/d2g are None when order cuts them off.
+
+        Points p (B, n) give results with a leading batch axis. This base
+        answers them one point at a time, for fields without a batched pass.
+        """
+        points = np.asarray(p, dtype=float)
+        if points.ndim == 1:
+            raise NotImplementedError
+        jets = [self.component_jets(q, order) for q in points]
+        return tuple(None if part[0] is None else np.stack(part)
+                     for part in zip(*jets))
 
     def value(self, p: Sequence[float]) -> np.ndarray:
         return self.component_jets(p, order=0)[0]
@@ -114,6 +129,9 @@ class ExprMetricField(MetricField):
                 f"need all {lower_triangle_count(n)} lower-triangle components, "
                 f"got {len(entries)}")
         self.entries = entries
+        # the component arrays start at +0.0, so those entries are skipped
+        self._nonzero = {k: e for k, e in entries.items()
+                         if not _is_plus_zero(e, self.params)}
         self.constant_components = all(e.is_constant for e in entries.values())
         if any(per is not None for per in self.periods):
             self._check_periodicity()
@@ -142,26 +160,40 @@ class ExprMetricField(MetricField):
                         f"along coordinate {self.table.coordinates[axis]}")
 
     def component_jets(self, p, order: int = 2):
-        q = self.canonicalize(p).tolist()
+        q = self.canonicalize(p)
         n = self.dim
         # order 0 evaluates on floats, order 1 on Hessian-free jets;
-        # constant components stay floats
-        xs = q if order == 0 else [Jet2.variable(x, i, n, order)
-                                   for i, x in enumerate(q)]
-        g = np.zeros((n, n))
-        dg = np.zeros((n, n, n)) if order >= 1 else None
-        d2g = np.zeros((n, n, n, n)) if order >= 2 else None
-        for (i, j), e in self.entries.items():
-            jet = e.eval(xs, self.params)
+        # constant components stay floats. Filled batch axis last, as the
+        # jets carry it.
+        jets, batch = evaluate(self._nonzero.values(), q, self.params, order)
+        g = np.zeros((n, n) + batch)
+        dg = np.zeros((n, n, n) + batch) if order >= 1 else None
+        d2g = np.zeros((n, n, n, n) + batch) if order >= 2 else None
+        for (i, j), jet in zip(self._nonzero, jets):
             if not isinstance(jet, Jet2):
                 g[i, j] = g[j, i] = jet
                 continue
             g[i, j] = g[j, i] = jet.value
             dg[:, i, j] = dg[:, j, i] = jet.grad
             if order >= 2:
-                h = 0.5 * (jet.hess + jet.hess.T)
+                h = jet.hess
+                h = 0.5 * (h + (h.swapaxes(0, 1) if batch else h.T))
                 d2g[:, :, i, j] = d2g[:, :, j, i] = h
-        return g, dg, d2g
+        if q.ndim == 1:
+            return g, dg, d2g
+        return tuple(None if a is None else batch_first(a, q)
+                     for a in (g, dg, d2g))
+
+
+def _is_plus_zero(e: Expr, params: Mapping[str, float]) -> bool:
+    """Whether e is the constant +0.0 (an entry that raises is not)."""
+    if not e.is_constant:
+        return False
+    try:
+        v = e.eval((), params)
+    except LorentzkitError:
+        return False
+    return v == 0.0 and math.copysign(1.0, v) > 0.0
 
 
 def minkowski_field(n: int = 4,
@@ -199,9 +231,11 @@ class ConformalScaledMetric(MetricField):
         self.constant_components = False
 
     def component_jets(self, p, order: int = 2):
+        if isinstance(p, np.ndarray) and p.ndim > 1:
+            return super().component_jets(p, order)
         q = self.base.canonicalize(p)
         g, dg, d2g = self.base.component_jets(q, order=order)
-        f = self.factor.jet2(q) * self.scale
+        f = self.factor.jet2(q, max(order, 1)) * self.scale
         e = (2.0 * f).exp()
         if order == 0:
             return e.value * g, None, None

@@ -53,9 +53,9 @@ def _cutoff_jet(u: Jet2) -> Jet2:
     both ends, so all jets are exact and the field is C^2 everywhere.
     """
     if u.value <= 0.25:
-        return Jet2.constant(1.0, u.dim)
+        return Jet2.constant(1.0, u.dim, u.order)
     if u.value >= 1.0:
-        return Jet2.constant(0.0, u.dim)
+        return Jet2.constant(0.0, u.dim, u.order)
     z = (u.value - 0.25) / 0.75
     s = z ** 3 * (10.0 - 15.0 * z + 6.0 * z * z)
     ds = 30.0 * z ** 2 * (1.0 - z) ** 2
@@ -102,17 +102,18 @@ class BumpField(ScalarField):
                 d[i] = (d[i] + per / 2.0) % per - per / 2.0
         return d
 
-    def jet2(self, q) -> Jet2:
+    def jet2(self, q, order: int = 2) -> Jet2:
         n = self.dim
         d = self._delta(q)
         r2 = float(d @ d)
         if r2 >= self.rho ** 2:
-            return Jet2.constant(0.0, n)
+            return Jet2.constant(0.0, n, order)
+        second = order >= 2
         u = Jet2(r2 / self.rho ** 2, 2.0 * d / self.rho ** 2,
-                 2.0 * np.eye(n) / self.rho ** 2)
+                 2.0 * np.eye(n) / self.rho ** 2 if second else None)
         chi = _cutoff_jet(u)
         core = Jet2(self.v0 + float(self.dphi @ d), self.dphi.copy(),
-                    np.zeros((n, n)))
+                    np.zeros((n, n)) if second else None)
         return core * chi
 
     def support_box(self) -> list[tuple[float, float]]:
@@ -137,14 +138,16 @@ class NormalCoordBump(ScalarField):
             raise RadiusError("bump radius must be positive")
         self.rho = float(rho)
 
-    def jet2(self, q) -> Jet2:
+    def jet2(self, q, order: int = 2) -> Jet2:
         n = self.dim
         q = np.asarray(q, dtype=float)
         x = self.chart.inverse(q)
         r2 = float(x @ x)
         if r2 >= self.rho ** 2:
-            return Jet2.constant(0.0, n)
+            return Jet2.constant(0.0, n, order)
         seeds = self.chart.coord_jets(q)
+        if order < 2:
+            seeds = [Jet2(s.value, s.grad, None) for s in seeds]
         core = self.core.eval(seeds, {})   # a float if core is constant
         u = seeds[0] * seeds[0]
         for k in range(1, n):

@@ -2,14 +2,20 @@
 
 An Embedding is a parametric map u -> x(u) from an m-dimensional parameter
 box into the chart; `first_second(u)` is its one evaluation (point, tangent
-frame J, second derivatives H, rank check). `mean_curvature` is the one pass
-per submanifold point: one `first_second`, one `curvature_data`, the shape
-tensor (normal part of H + Gamma(J, J)) and its trace. Its MeanCurvature
-keeps the metric g and frame J, so expansions, trapped verdicts, conformal
-closed forms and perturbation families reuse them. The normal-bundle algebra
-is `normal_part(g, J, vecs)` (one Gram solve, any codimension) and
+frame J, second derivatives H, rank check), at one parameter point or
+stacked over a batch of them.
+
+The mean-curvature pass `_mean_curvatures` takes parameter points U (B, m)
+and evaluates them together: one `first_second`, one order-1 metric jet
+pass, one factorisation and Christoffel symbols (no curvature tensor), the
+stacked shape tensor (normal part of H + Gamma(J, J)) and its trace. Its
+MeanCurvature keeps the metric g and frame J, so expansions, trapped
+verdicts, conformal closed forms and perturbation families reuse them.
+`mean_curvature` is that pass at one point, and `classify_trapped` runs it
+once over its whole grid. The normal-bundle algebra is
+`normal_part(g, J, vecs)` (one Gram solve, any codimension) and
 `normal_frame(g, J)` (`geometry.screen` of the rows g J: eigenvalues of g
-on the normal space and g-unit eigenvectors).
+on the normal space and g-unit eigenvectors); both take stacks too.
 
 Pointwise conditions over a closed submanifold are certified on the grid
 with explicit margins; verdicts never claim more than that.
@@ -22,15 +28,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (DegenerateEmbedding, NotSpacelike, OrientationHintDegenerate,
-                     WrongCodimension)
-from .expr import Expr, SymbolTable, parse
+from .errors import (DegenerateEmbedding, LorentzkitError, NotSpacelike,
+                     OrientationHintDegenerate, WrongCodimension)
+from .expr import Expr, SymbolTable, batch_first, evaluate, parse
 from .fields import VectorField
-from .geometry import (DEFAULT_TOLS, CausalClass, CurvatureData, TangentVector,
-                       Tolerances, _orientation_field_value, causal_class_in,
-                       curvature_data, screen)
+from .geometry import (DEFAULT_TOLS, CausalClass, TangentVector, Tolerances,
+                       _orientation_field_value, causal_class_in,
+                       christoffel_from_jets, screen)
 from .jets import Jet2
 from .metric import MetricField
+from .tensors import MetricValue
 
 
 class Embedding:
@@ -73,23 +80,25 @@ class Embedding:
     def grid(self) -> list[tuple[int, ...]]:
         return list(np.ndindex(*self.grid_shape))
 
-    def grid_point(self, idx: tuple[int, ...]) -> np.ndarray:
-        u = np.zeros(self.m)
-        for a, (lo, hi) in enumerate(self.domain):
-            k = self.grid_shape[a]
-            if self.periodic[a] is not None:
-                u[a] = lo + (hi - lo) * idx[a] / k
-            else:
-                # cell centers; keeps clear of parametrization poles
-                u[a] = lo + (hi - lo) * (idx[a] + 0.5) / k
-        return u
+    def _grid_axis(self, a: int, i):
+        """Parameter a at grid index i (an int or an array of them)."""
+        lo, hi = self.domain[a]
+        k = self.grid_shape[a]
+        if self.periodic[a] is not None:
+            return lo + (hi - lo) * i / k
+        # cell centers; keeps clear of parametrization poles
+        return lo + (hi - lo) * (i + 0.5) / k
 
-    def jets(self, u) -> list[Jet2]:
-        u = np.asarray(u, dtype=float)
-        seeds = [Jet2.variable(x, a, self.m) for a, x in enumerate(u.tolist())]
-        jets = [e.eval(seeds, self.params) for e in self.exprs]
-        return [j if isinstance(j, Jet2) else Jet2.constant(j, self.m)
-                for j in jets]
+    def grid_point(self, idx: tuple[int, ...]) -> np.ndarray:
+        return np.array([self._grid_axis(a, i) for a, i in enumerate(idx)],
+                        dtype=float)
+
+    def grid_points(self) -> np.ndarray:
+        """Every grid point, (B, m) in np.ndindex order."""
+        axes = [self._grid_axis(a, np.arange(k))
+                for a, k in enumerate(self.grid_shape)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([c.reshape(-1) for c in mesh], axis=-1)
 
     def point(self, u) -> np.ndarray:
         us = np.asarray(u, dtype=float).tolist()
@@ -97,31 +106,49 @@ class Embedding:
 
     def first_second(self, u):
         """(point, J (n,m), H (n,m,m)) with H[i,a,b] = d2 x^i / du^a du^b;
-        J is checked to have rank m."""
-        jets = self.jets(u)
-        x = np.array([j.value for j in jets])
-        jac = np.vstack([j.grad for j in jets])
-        hess = np.stack([0.5 * (j.hess + j.hess.T) for j in jets])
+        J is checked to have rank m. Parameter points u (B, m) give every
+        result a leading batch axis, from one batched jet pass, and the
+        rank error names the first failing point."""
+        q = np.asarray(u, dtype=float)
+        n, m = self.n, self.m
+        jets, batch = evaluate(self.exprs, q, self.params, 2)
+        x = np.zeros((n,) + batch)
+        jac = np.zeros((n, m) + batch)
+        hess = np.zeros((n, m, m) + batch)
+        for i, jet in enumerate(jets):
+            if not isinstance(jet, Jet2):
+                x[i] = jet
+                continue
+            x[i], jac[i], hess[i] = jet.value, jet.grad, jet.symmetrized().hess
+        x, jac, hess = (batch_first(a, q) for a in (x, jac, hess))
         sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[-1] <= 1e-10 * max(sv[0], 1.0):
+        low = np.reshape(sv[..., -1] <= 1e-10 * np.maximum(sv[..., 0], 1.0), -1)
+        if low.any():
+            bad = np.reshape(np.asarray(u), (-1, m))[np.argmax(low)]
             raise DegenerateEmbedding(
-                f"Jacobian rank < {self.m} at u = {np.asarray(u).tolist()}")
+                f"Jacobian rank < {m} at u = {bad.tolist()}")
         return x, jac, hess
 
 
 def normal_part(g: np.ndarray, jac: np.ndarray, vecs) -> np.ndarray:
     """g-normal part of a vector (n,) or rows (k, n) against the columns of
-    jac: one m x m Gram solve for all of them, no normal frame needed."""
+    jac: one m x m Gram solve for all of them, no normal frame needed.
+    Stacks g (B, n, n), jac (B, n, m) and rows (B, k, n) solve per point."""
     vecs = np.asarray(vecs, dtype=float)
-    first = jac.T @ g @ jac
-    coeff = np.linalg.solve(0.5 * (first + first.T), jac.T @ g @ vecs.T)
-    return vecs - (jac @ coeff).T
+    rows = vecs if vecs.ndim == jac.ndim else vecs[..., None, :]
+    jtg = jac.swapaxes(-1, -2) @ g
+    first = jtg @ jac
+    coeff = np.linalg.solve(0.5 * (first + first.swapaxes(-1, -2)),
+                            jtg @ rows.swapaxes(-1, -2))
+    out = rows - (jac @ coeff).swapaxes(-1, -2)
+    return out if rows is vecs else out[..., 0, :]
 
 
 def normal_frame(g: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lam, frame): ascending eigenvalues of g on the normal space of jac's
-    columns and eigenvectors scaled so that g(frame_k, frame_k) = sign lam_k."""
-    return screen(g, (g @ jac).T)
+    columns and eigenvectors scaled so that g(frame_k, frame_k) = sign lam_k;
+    stacked for stacks of g and jac."""
+    return screen(g, (g @ jac).swapaxes(-1, -2))
 
 
 def induced_metric(field_: MetricField, emb: Embedding, u,
@@ -134,37 +161,51 @@ def induced_metric(field_: MetricField, emb: Embedding, u,
     return first, spacelike
 
 
-def _shape(jac: np.ndarray, hess: np.ndarray, data: CurvatureData, u,
-           tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """(first fundamental form, II) from one jet pass and one curvature pass."""
-    first = jac.T @ data.g @ jac
-    first = 0.5 * (first + first.T)
-    if np.linalg.eigvalsh(first)[0] <= tols.tau_c:
+def _fundamental_forms(field_: MetricField, emb: Embedding, u,
+                       tols: Tolerances):
+    """(x, J, g, first fundamental form, II) at parameter points u (B, m),
+    each with a leading batch axis: one embedding jet pass, one order-1
+    metric jet pass, one factorisation and Gamma for all of them.
+
+    II[b, a, c, :] is the normal part of d2x/du^a du^c + Gamma(dx/du^a,
+    dx/du^c). Raises NotSpacelike at the first point whose induced metric
+    is not positive definite.
+    """
+    x, jac, hess = emb.first_second(u)
+    g, dg, _ = field_.component_jets(x, order=1)
+    mv = MetricValue.from_matrix(g)
+    g = mv.g
+    gamma = christoffel_from_jets(mv.g_inv, dg)
+    first = jac.swapaxes(-1, -2) @ g @ jac
+    first = 0.5 * (first + first.swapaxes(-1, -2))
+    low = np.linalg.eigvalsh(first)[:, 0] <= tols.tau_c
+    if low.any():
         raise NotSpacelike(f"induced metric not positive definite at u = "
-                           f"{np.asarray(u).tolist()}")
-    n, m = jac.shape
-    # ambient acceleration of the coordinate grid curves
-    acc = np.einsum("iab->abi", hess) \
-        + np.einsum("kij,ia,jb->abk", data.gamma, jac, jac)
-    ii = normal_part(data.g, jac, acc.reshape(m * m, n)).reshape(m, m, n)
-    return first, 0.5 * (ii + np.transpose(ii, (1, 0, 2)))
+                           f"{np.asarray(u)[np.argmax(low)].tolist()}")
+    b, n, m = jac.shape
+    # ambient acceleration of the coordinate grid curves:
+    # H^k_ac + Gamma^k_ij J^i_a J^j_c, contracted as two matmuls
+    gamma_jj = jac.swapaxes(1, 2)[:, None] @ (gamma @ jac[:, None])
+    acc = np.einsum("ziac->zaci", hess) + gamma_jj.transpose(0, 2, 3, 1)
+    ii = normal_part(g, jac, acc.reshape(b, m * m, n)).reshape(b, m, m, n)
+    return x, jac, g, first, 0.5 * (ii + ii.swapaxes(1, 2))
 
 
 def shape_tensor(field_: MetricField, emb: Embedding, u,
                  tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """II[a, b, :] = normal part of (d2x/du^a du^b + Gamma(dx/du^a, dx/du^b))."""
-    x, jac, hess = emb.first_second(u)
-    return _shape(jac, hess, curvature_data(field_, x), u, tols)[1]
+    return _fundamental_forms(field_, emb, np.asarray(u)[None], tols)[4][0]
 
 
 @dataclass(frozen=True)
 class MeanCurvature:
-    """Mean curvature vector of the submanifold at one point."""
+    """Mean curvature vector of the submanifold at one point, or stacked over
+    points (every field with a leading batch axis, and `causal` None)."""
 
     u: np.ndarray
     point: np.ndarray
     h_vec: np.ndarray              # ambient components of H
-    causal: CausalClass
+    causal: CausalClass | None
     g_hh: float
     g_hx: float
     tangency_defect: float         # max |g(H, tangent)| over unit tangents
@@ -172,69 +213,102 @@ class MeanCurvature:
     jac: np.ndarray                # tangent frame J[i, a] = dx^i/du^a
 
 
+def _inner(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """g(a, b) at every point of a stack: a, b (B, n) or (B, k, n) against
+    g (B, n, n); two-operand einsums, much faster than one of three."""
+    return np.einsum("z...i,z...i->z...", a,
+                     np.einsum("zij,z...j->z...i", g, b))
+
+
+def _mean_curvatures(field_: MetricField, X, emb: Embedding, u,
+                     tols: Tolerances) -> MeanCurvature:
+    """The mean-curvature pass, stacked over parameter points u (B, m).
+
+    H is the trace of the shape tensor with the inverse induced metric.
+    Raises the errors `mean_curvature` raises, at the first point in batch
+    order that has one; that includes causal_class_in's OrientationError
+    where H is causal and X is not timelike.
+    """
+    x, jac, g, first, ii = _fundamental_forms(field_, emb, u, tols)
+    h = np.einsum("zab,zabi->zi", np.linalg.inv(first), ii)
+    xv = np.broadcast_to(_orientation_field_value(X, x), x.shape)
+    g_hh = _inner(h, g, h)
+    h2 = np.einsum("zi,zi->z", h, h)
+    # causal_class_in orients a causal H (nonzero, g(H,H) within the band)
+    # against X and raises where X is not timelike: run it at those points
+    causal = (np.sqrt(h2) >= tols.tau_zero) & (g_hh <= tols.tau_c * h2)
+    not_timelike = _inner(xv, g, xv) >= -tols.tau_c * np.einsum("zi,zi->z", xv, xv)
+    for k in np.flatnonzero(causal & not_timelike):
+        causal_class_in(g[k], TangentVector(x[k], h[k]), X, tols)
+    # orthogonality diagnostic, h-normalized
+    tang = jac / np.linalg.norm(jac, axis=1, keepdims=True)
+    hn = np.sqrt(h2)
+    gh = np.einsum("zij,zj->zi", g, h)
+    defect = np.abs(np.einsum("zia,zi->za", tang, gh)).max(axis=1) \
+        / np.where(hn > tols.tau_zero, hn, 1.0)
+    return MeanCurvature(u=np.asarray(u, dtype=float), point=x, h_vec=h,
+                         causal=None, g_hh=g_hh,
+                         g_hx=_inner(h, g, xv),
+                         tangency_defect=defect, g=g, jac=jac)
+
+
 def mean_curvature(field_: MetricField, X: VectorField | np.ndarray,
                    emb: Embedding, u,
                    tols: Tolerances = DEFAULT_TOLS) -> MeanCurvature:
-    """Trace of the shape tensor with the inverse induced metric."""
-    x, jac, hess = emb.first_second(u)
-    data = curvature_data(field_, x)
-    first, ii = _shape(jac, hess, data, u, tols)
-    g = data.g
-    h_vec = np.einsum("ab,abi->i", np.linalg.inv(first), ii)
-    xv = _orientation_field_value(X, x)
-    g_hh = float(h_vec @ g @ h_vec)
-    g_hx = float(h_vec @ g @ xv)
-    # orthogonality diagnostic, h-normalized
-    tang = jac / np.linalg.norm(jac, axis=0, keepdims=True)
-    hn = np.linalg.norm(h_vec)
-    defect = float(np.max(np.abs(tang.T @ g @ h_vec))) / (hn if hn > tols.tau_zero else 1.0)
-    cls = causal_class_in(g, TangentVector(x, h_vec), X, tols)
-    return MeanCurvature(u=np.asarray(u, dtype=float), point=x, h_vec=h_vec,
-                         causal=cls, g_hh=g_hh, g_hx=g_hx,
-                         tangency_defect=defect, g=g, jac=jac)
+    """Trace of the shape tensor with the inverse induced metric: the
+    mean-curvature pass at one point, with the causal class of H."""
+    mc = _mean_curvatures(field_, X, emb, np.asarray(u)[None], tols)
+    x, h, g = mc.point[0], mc.h_vec[0], mc.g[0]
+    return MeanCurvature(u=mc.u[0], point=x, h_vec=h,
+                         causal=causal_class_in(g, TangentVector(x, h), X, tols),
+                         g_hh=float(mc.g_hh[0]), g_hx=float(mc.g_hx[0]),
+                         tangency_defect=float(mc.tangency_defect[0]),
+                         g=g, jac=mc.jac[0])
 
 
 @dataclass(frozen=True)
 class NullFrame:
     """Future null normal pair spanning a codimension-2 normal bundle fiber,
-    normalized to g(K+, K-) = -1."""
+    normalized to g(K+, K-) = -1 (stacked over the points of a stacked
+    pass)."""
 
     k_plus: np.ndarray
     k_minus: np.ndarray
 
 
 def _null_expansions(mc: MeanCurvature, X, hint: VectorField | np.ndarray,
-                     tols: Tolerances) -> tuple[NullFrame, float, float]:
-    """Null normal frame at mc.point and theta_pm = -g(H, K_pm)."""
+                     tols: Tolerances) -> tuple[NullFrame, np.ndarray, np.ndarray]:
+    """Null normal frames and theta_pm = -g(H, K_pm) of a stacked pass."""
     g, x = mc.g, mc.point
     lam, frame = normal_frame(g, mc.jac)
-    if frame.shape[1] != 2:
+    if frame.shape[-1] != 2:
         raise WrongCodimension("normal space is not two-dimensional")
-    if not (lam[0] < 0.0 < lam[1]):
+    if not np.all((lam[:, 0] < 0.0) & (0.0 < lam[:, 1])):
         raise NotSpacelike("normal plane is not Lorentzian")
-    xv = _orientation_field_value(X, x)
-    scaled = []
-    for ray in (frame[:, 0] + frame[:, 1], frame[:, 0] - frame[:, 1]):
-        gx = float(ray @ g @ xv)
-        if gx > 0:
-            ray, gx = -ray, -gx
-        scaled.append(ray / (-gx))          # now g(K, X) = -1: future-directed
-    hv = _orientation_field_value(hint, x)
-    dots = [float(k @ hv) for k in scaled]
-    sep = abs(dots[0] - dots[1])
-    norms = max(np.linalg.norm(hv) * max(np.linalg.norm(k) for k in scaled), 1e-300)
-    if sep <= tols.tau_c * norms:
+    xv = np.broadcast_to(_orientation_field_value(X, x), x.shape)
+    rays = np.stack([frame[:, :, 0] + frame[:, :, 1],
+                     frame[:, :, 0] - frame[:, :, 1]], axis=1)
+    gx = _inner(rays, g, xv[:, None])
+    # g(K, X) = -1: future-directed
+    scaled = np.where(gx[..., None] > 0, -rays, rays) / np.abs(gx)[..., None]
+    hv = np.broadcast_to(_orientation_field_value(hint, x), x.shape)
+    dots = np.einsum("zri,zi->zr", scaled, hv)
+    sep = np.abs(dots[:, 0] - dots[:, 1])
+    norms = np.maximum(np.linalg.norm(hv, axis=-1)
+                       * np.linalg.norm(scaled, axis=-1).max(axis=1), 1e-300)
+    if np.any(sep <= tols.tau_c * norms):
         raise OrientationHintDegenerate(
             "hint cannot distinguish the null normal directions")
-    k_plus, k_minus = (scaled[0], scaled[1]) if dots[0] > dots[1] \
-        else (scaled[1], scaled[0])
-    mu = -float(k_plus @ g @ k_minus)
-    if mu <= 0:
+    ray0_plus = (dots[:, 0] > dots[:, 1])[:, None]
+    k_plus = np.where(ray0_plus, scaled[:, 0], scaled[:, 1])
+    k_minus = np.where(ray0_plus, scaled[:, 1], scaled[:, 0])
+    mu = -_inner(k_plus, g, k_minus)
+    if np.any(mu <= 0):
         raise OrientationHintDegenerate("null rays collapsed; frame invalid")
-    k_plus = k_plus / np.sqrt(mu)
-    k_minus = k_minus / np.sqrt(mu)
-    theta_plus = -float(mc.h_vec @ g @ k_plus)
-    theta_minus = -float(mc.h_vec @ g @ k_minus)
+    k_plus = k_plus / np.sqrt(mu)[:, None]
+    k_minus = k_minus / np.sqrt(mu)[:, None]
+    theta_plus = -_inner(mc.h_vec, g, k_plus)
+    theta_minus = -_inner(mc.h_vec, g, k_minus)
     return NullFrame(k_plus=k_plus, k_minus=k_minus), theta_plus, theta_minus
 
 
@@ -252,8 +326,44 @@ def null_frame_and_expansions(field_: MetricField, X, emb: Embedding, u,
     """
     if emb.codim != 2:
         raise WrongCodimension(f"null frame needs codimension 2, got {emb.codim}")
-    return _null_expansions(mean_curvature(field_, X, emb, u, tols), X, hint,
-                            tols)
+    mc = _mean_curvatures(field_, X, emb, np.asarray(u)[None], tols)
+    frame, tp, tm = _null_expansions(mc, X, hint, tols)
+    return (NullFrame(k_plus=frame.k_plus[0], k_minus=frame.k_minus[0]),
+            float(tp[0]), float(tm[0]))
+
+
+def _grid_margins(mc: MeanCurvature, X, hint, tols: Tolerances) -> tuple:
+    """(g(H,H), g(H,X) with h-normalized H and X, |H|_h, theta+, theta-) of
+    a stacked pass; the expansions are None without a hint."""
+    xv = np.broadcast_to(_orientation_field_value(X, mc.point), mc.point.shape)
+    xh = xv / np.linalg.norm(xv, axis=1, keepdims=True)
+    nh = np.linalg.norm(mc.h_vec, axis=1)
+    # H below tau_zero counts as zero: both margins read 0 there
+    hn = mc.h_vec / np.where(nh > tols.tau_zero, nh, np.inf)[:, None]
+    hh = _inner(hn, mc.g, hn)
+    hx = _inner(hn, mc.g, xh)
+    if hint is None:
+        return hh, hx, nh, None, None
+    _, tp, tm = _null_expansions(mc, X, hint, tols)
+    return hh, hx, nh, tp, tm
+
+
+def _grid_margins_point_by_point(field_: MetricField, X, emb: Embedding,
+                                 hint, tols: Tolerances) -> tuple:
+    """_grid_margins over the grid one point at a time, in np.ndindex order:
+    the error path of the batched pass, so that an error is the one the
+    first failing point raises."""
+    rows = []
+    for idx in np.ndindex(*emb.grid_shape):
+        u = emb.grid_point(idx)
+        try:
+            mc = _mean_curvatures(field_, X, emb, u[None], tols)
+        except NotSpacelike:
+            raise NotSpacelike(f"submanifold not spacelike at grid index "
+                               f"{idx}, u = {u.tolist()}") from None
+        rows.append(_grid_margins(mc, X, hint, tols))
+    return tuple(None if col[0] is None else np.concatenate(col)
+                 for col in zip(*rows))
 
 
 @dataclass
@@ -308,35 +418,18 @@ def classify_trapped(field_: MetricField, X, emb: Embedding,
     """
     tau = tols.tau_trap
     shape = emb.grid_shape
-    hh = np.zeros(shape)
-    hx = np.zeros(shape)
-    hnorm = np.zeros(shape)
-    tp = np.zeros(shape) if (emb.codim == 2 and hint is not None) else None
-    tm = np.zeros(shape) if tp is not None else None
-    spacelike = True
-    witness = None
-    for idx in np.ndindex(*shape):
-        u = emb.grid_point(idx)
-        try:
-            mc = mean_curvature(field_, X, emb, u, tols)
-        except NotSpacelike:
-            spacelike = False
-            witness = idx
-            break
-        xv = _orientation_field_value(X, mc.point)
-        xh = xv / np.linalg.norm(xv)
-        nh = np.linalg.norm(mc.h_vec)
-        hnorm[idx] = nh
-        if nh > tols.tau_zero:
-            hn = mc.h_vec / nh
-            hh[idx] = float(hn @ mc.g @ hn)
-            hx[idx] = float(hn @ mc.g @ xh)
-        if tp is not None:
-            _, tp[idx], tm[idx] = _null_expansions(mc, X, hint, tols)
-    if not spacelike:
-        raise NotSpacelike(
-            f"submanifold not spacelike at grid index {witness}, "
-            f"u = {emb.grid_point(witness).tolist()}")
+    if emb.codim != 2:
+        hint = None
+    # one pass over the whole grid; an error (or numpy's overflow in the
+    # batched jets) re-runs the grid point by point to name the first point
+    try:
+        margins = _grid_margins(
+            _mean_curvatures(field_, X, emb, emb.grid_points(), tols),
+            X, hint, tols)
+    except (LorentzkitError, ArithmeticError, ValueError):
+        margins = _grid_margins_point_by_point(field_, X, emb, hint, tols)
+    hh, hx, hnorm, tp, tm = (None if a is None else a.reshape(shape)
+                             for a in margins)
 
     is_a = bool(np.all(hh < -tau) and np.all(hx > tau))
     is_fa = bool(np.all(hh <= tau) and np.all(hx >= -tau))

@@ -19,22 +19,32 @@ RCOND_FLOOR = 1e-12
 
 
 def _factor(g: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """(inverse, rcond, eigenvalues) of a symmetric matrix from one eigh.
+    """(inverse, rcond, eigenvalues) of a symmetric matrix from one eigh, or
+    of a stack (B, n, n) of them, with the batch axis leading every result.
 
     The singular values of a symmetric matrix are the moduli of its
     eigenvalues, so rcond is the usual reciprocal condition number. Raises
-    SingularMetric when it drops below RCOND_FLOOR (a NaN entry gives 0):
-    degenerate metrics must fail loudly rather than poison downstream
-    curvature.
+    SingularMetric when it drops below RCOND_FLOOR (a NaN entry gives 0), at
+    the first such matrix of a stack: degenerate metrics must fail loudly
+    rather than poison downstream curvature.
     """
     lam, q = np.linalg.eigh(g)
     mag = np.abs(lam)
-    big = mag.max()
-    rcond = float(mag.min() / big) if big > 0 else 0.0
-    if rcond < RCOND_FLOOR:
+    if g.ndim == 2:
+        big = mag.max()
+        rcond = float(mag.min() / big) if big > 0 else 0.0
+        low = [rcond] if rcond < RCOND_FLOOR else []
+        columns = lam
+    else:
+        big = mag.max(axis=-1)
+        rcond = np.divide(mag.min(axis=-1), big, out=np.zeros_like(big),
+                          where=big > 0)
+        low = rcond[rcond < RCOND_FLOOR]
+        columns = lam[:, None, :]
+    if len(low):
         raise SingularMetric(
-            f"metric value nearly degenerate (rcond={rcond:.3e})")
-    return (q / lam) @ q.T, rcond, lam
+            f"metric value nearly degenerate (rcond={low[0]:.3e})")
+    return (q / columns) @ q.swapaxes(-1, -2), rcond, lam
 
 
 def invert_metric(g: np.ndarray) -> tuple[np.ndarray, float]:
@@ -48,7 +58,8 @@ def invert_metric(g: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class MetricValue:
-    """A metric evaluated at one point, with its inverse and index."""
+    """A metric evaluated at one point, with its inverse and index; from a
+    stack (B, n, n), every field carries the batch axis."""
 
     g: np.ndarray
     g_inv: np.ndarray
@@ -58,12 +69,15 @@ class MetricValue:
     @staticmethod
     def from_matrix(g: np.ndarray) -> "MetricValue":
         g = np.asarray(g, dtype=float)
+        gt = g.swapaxes(-1, -2)
         # np.allclose(g, g.T, atol=1e-12) without its overhead; NaN fails
-        if not np.all(np.abs(g - g.T) <= 1e-12 + 1e-5 * np.abs(g.T)):
+        if not np.all(np.abs(g - gt) <= 1e-12 + 1e-5 * np.abs(gt)):
             raise SingularMetric("metric value not symmetric")
-        g = 0.5 * (g + g.T)
+        g = 0.5 * (g + gt)
         g_inv, rcond, lam = _factor(g)
-        return MetricValue(g, g_inv, int(np.sum(lam < 0.0)), rcond)
+        index = np.sum(lam < 0.0, axis=-1)
+        return MetricValue(g, g_inv, int(index) if g.ndim == 2 else index,
+                           rcond)
 
     @property
     def dim(self) -> int:

@@ -162,3 +162,130 @@ def test_zero_power_factor_at_order_one():
                                     (1, 1): "x^0 * (1 + x^2)"})
     g, dg, d2g = field.component_jets([0.0, 0.5], order=1)
     assert g[1, 1] == 1.25 and dg[1, 1, 1] == 1.0 and d2g is None
+
+
+def test_rescaled_order1_query_builds_no_hessian(bundles, monkeypatch):
+    """An order-1 query on a rescaled metric asks its factor for an order-1
+    jet: no np.outer, for an expression factor and for a bump."""
+    from lorentzkit.perturb import bump
+    calls = []
+    outer = np.outer
+
+    def counting_outer(*args, **kwargs):
+        calls.append(1)
+        return outer(*args, **kwargs)
+
+    b = bundles["schwarzschild_ef"]
+    p = region_points(b, 1, seed=5)[0]
+    factors = [ExprScalarField("0.1*sin(r)*cos(theta) + 0.05*v", b.field.table),
+               bump(b.field, p, 0.0, [0.1, -0.2, 0.05, 0.0], 0.3)]
+    monkeypatch.setattr(np, "outer", counting_outer)
+    for factor in factors:
+        field = rescale(b.field, factor, 0.5)
+        g, dg, d2g = field.component_jets(p + 0.01, order=1)
+        assert d2g is None
+        assert not calls
+        # the counter does see the factor's order-2 path
+        field.component_jets(p + 0.01, order=2)
+        assert calls
+        calls.clear()
+
+
+# --- batched jets: a (B,) value, batch axis last ----------------------------
+
+def _close(batch, one, rel=1e-15):
+    """Elementwise relative agreement; exact where the per-point entry is 0."""
+    scale = np.where(one != 0.0, np.abs(one), 1.0)
+    return bool(np.all(np.abs(batch - one) <= rel * scale))
+
+
+def _batch_fields(bundles):
+    fields = [(name, b, region_points(b, 9, seed=11))
+              for name, b in bundles.items()]
+    spec = load_spec(str(SPEC_FILE))
+    fields.append(("contracting_desitter", spec, region_points(spec, 9, seed=11)))
+    return fields
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_batched_component_jets_match_points(bundles, order):
+    for name, b, pts in _batch_fields(bundles):
+        batch = b.field.component_jets(pts, order=order)
+        for k, p in enumerate(pts):
+            for part, one in zip(batch, b.field.component_jets(p, order=order)):
+                if one is None:
+                    assert part is None, name
+                    continue
+                assert part.shape == (len(pts),) + one.shape, name
+                assert _close(part[k], one), (name, order, k)
+
+
+def test_batched_embedding_jets_match_points(bundles):
+    spec = load_spec(str(SPEC_FILE))
+    embeddings = [(f"{name}/{sub}", emb) for name, b in bundles.items()
+                  for sub, emb in b.submanifolds.items()]
+    embeddings += [(f"spec/{sub}", emb) for sub, emb in spec.submanifolds.items()]
+    for name, emb in embeddings:
+        us = emb.grid_points()
+        batch = emb.first_second(us)
+        for k in range(0, len(us), 5):
+            for part, one in zip(batch, emb.first_second(us[k])):
+                assert _close(part[k], one), (name, k)
+
+
+def test_batched_conformal_and_vector_fields_match_points(bundles):
+    """Fields without a batched pass answer a batch one point at a time;
+    vector fields evaluate a batch in one pass."""
+    b = bundles["schwarzschild_ef"]
+    pts = region_points(b, 4, seed=2)
+    factor = ExprScalarField("0.1*sin(r)*cos(theta) + 0.05*v", b.field.table)
+    field = rescale(b.field, factor)
+    for order in (0, 1, 2):
+        batch = field.component_jets(pts, order=order)
+        for k, p in enumerate(pts):
+            for part, one in zip(batch, field.component_jets(p, order=order)):
+                assert one is None and part is None \
+                    or np.array_equal(part[k], one)
+    for vf in (b.orientation, b.hints["inner_sphere"]):
+        vals = vf.value(pts)
+        assert vals.shape == pts.shape
+        for k, p in enumerate(pts):
+            assert _close(vals[k], vf.value(p))
+
+
+def test_batched_jet_arithmetic_and_domain_checks():
+    xs = np.array([0.3, 1.7, 2.9])
+    batch = Jet2.variable(xs, 0, 2) * Jet2.variable(np.array([-0.5, 0.4, 1.1]), 1, 2)
+    batch = (batch.sin() + batch.exp() / (batch * batch + 1.0)) ** 3
+    for k, (x, y) in enumerate(zip(xs, [-0.5, 0.4, 1.1])):
+        one = Jet2.variable(x, 0, 2) * Jet2.variable(y, 1, 2)
+        one = (one.sin() + one.exp() / (one * one + 1.0)) ** 3
+        assert batch.grad.shape == (2, 3) and batch.hess.shape == (2, 2, 3)
+        assert _close(batch.value[k], one.value)
+        assert _close(batch.grad[:, k], one.grad)
+        assert _close(batch.hess[:, :, k], one.hess)
+    # every element is checked, and the message names the first bad one
+    with pytest.raises(DomainError, match="log of nonpositive value -0.5"):
+        Jet2.variable(np.array([1.0, -0.5, -2.0]), 0, 1).log()
+    with pytest.raises(DomainError, match="division by zero"):
+        1.0 / Jet2.variable(np.array([1.0, 0.0]), 0, 1)
+    with pytest.raises(DomainError, match="positive base, got 0.0"):
+        Jet2.variable(np.array([2.0, 0.0]), 0, 1) ** 0.5
+    zero = Jet2.variable(xs, 0, 1, order=1) ** 0
+    assert np.array_equal(zero.value, np.ones(3)) and zero.grad.shape == (1, 3)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_batched_evaluation_raises_where_a_point_does(order):
+    """A batch raises DomainError when one of its points does: overflow,
+    log of a negative and division by zero, at every order."""
+    table = SymbolTable(["t", "x"])
+    pts = np.array([[0.0, 0.5], [0.0, 1.0], [0.0, 2.0]])
+    for text, bad in (("exp(400*x)", 2.0), ("log(1.5 - x)", 2.0),
+                      ("1/(x - 1)", 1.0)):
+        field = ExprMetricField(table, {(0, 0): "-1", (1, 0): "0",
+                                        (1, 1): text})
+        good = pts[pts[:, 1] != bad]
+        field.component_jets(good, order=order)
+        with pytest.raises(DomainError):
+            field.component_jets(pts, order=order)

@@ -1,6 +1,7 @@
 """Induced geometry, shape tensor, mean curvature, null frames, verdicts."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 import lorentzkit.submanifold as submanifold
 from lorentzkit.errors import NotSpacelike, WrongCodimension
 from lorentzkit.expr import SymbolTable
+from lorentzkit.fields import VectorField
 from lorentzkit.submanifold import (Embedding, classify_trapped, induced_metric,
                                     mean_curvature, null_frame_and_expansions,
                                     shape_tensor)
+from lorentzkit.specfile import load_spec
 
 from conftest import fd_scalar_jet
 
@@ -318,10 +321,13 @@ class TestClassify:
             classify_trapped(b.field, b.orientation, emb, None)
 
     def test_one_pass_per_grid_point(self, bundles, monkeypatch):
-        """One mean curvature, one embedding jet pass and one curvature
-        evaluation per grid point, expansions included."""
+        """One batched pass over the whole grid, expansions included: one
+        embedding jet pass, no mean_curvature call and no curvature
+        evaluation."""
+        import lorentzkit.geometry as geometry
         b, emb, hint = _ef_sphere(bundles, "horizon_sphere")
         calls = {"mean_curvature": 0, "first_second": 0, "curvature_data": 0}
+        shapes = []
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -329,33 +335,43 @@ class TestClassify:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("mean_curvature", "curvature_data"):
-            monkeypatch.setattr(submanifold, name,
-                                counting(name, getattr(submanifold, name)))
+        def first_second(self, u):
+            shapes.append(np.shape(u))
+            return original(self, u)
+
+        original = Embedding.first_second
+        monkeypatch.setattr(submanifold, "mean_curvature",
+                            counting("mean_curvature", submanifold.mean_curvature))
+        monkeypatch.setattr(geometry, "curvature_data",
+                            counting("curvature_data", geometry.curvature_data))
         monkeypatch.setattr(Embedding, "first_second",
-                            counting("first_second", Embedding.first_second))
+                            counting("first_second", first_second))
         v = classify_trapped(b.field, b.orientation, emb, hint)
         assert v.subtype == "MOTS"
-        points = math.prod(emb.grid_shape)
-        assert calls == {"mean_curvature": points, "first_second": points,
-                         "curvature_data": points}
+        assert calls == {"mean_curvature": 0, "first_second": 1,
+                         "curvature_data": 0}
+        assert shapes == [(math.prod(emb.grid_shape), emb.m)]
+        assert not hasattr(submanifold, "curvature_data")
 
     def test_causal_class_reuses_the_curvature_metric(self, bundles,
                                                       monkeypatch):
-        """The causal class of H comes from the metric of the curvature
-        pass: no order-0 metric evaluation per grid point."""
+        """The causal check on H and every margin come from one order-1
+        metric pass over all grid points: no order-0 or order-2 metric
+        evaluation."""
         b, emb, hint = _ef_sphere(bundles, "horizon_sphere")
         orders = []
+        shapes = []
         original = type(b.field).component_jets
 
         def counting(self, p, order=2):
             orders.append(order)
+            shapes.append(np.shape(p))
             return original(self, p, order=order)
 
         monkeypatch.setattr(type(b.field), "component_jets", counting)
         classify_trapped(b.field, b.orientation, emb, hint)
-        assert orders.count(0) == 0
-        assert orders.count(2) == math.prod(emb.grid_shape)
+        assert orders == [1]
+        assert shapes == [(math.prod(emb.grid_shape), 4)]
 
     def test_expansions_match_null_frame(self, bundles):
         b, emb, hint = _ef_sphere(bundles, "inner_sphere")
@@ -365,3 +381,123 @@ class TestClassify:
                 b.field, b.orientation, emb, emb.grid_point(idx), hint)
             assert v.theta_plus[idx] == pytest.approx(tp, rel=1e-12, abs=1e-12)
             assert v.theta_minus[idx] == pytest.approx(tm, rel=1e-12, abs=1e-12)
+
+
+# --- the batched grid pass against the per-point functions ------------------
+
+SPEC_FILE = (Path(__file__).resolve().parents[1] / "perfbench" / "spacetimes"
+             / "contracting_desitter.st")
+
+
+def _all_submanifolds(bundles):
+    subs = [(f"{name}/{sub}", b, emb, b.hints.get(sub))
+            for name, b in bundles.items() for sub, emb in b.submanifolds.items()]
+    spec = load_spec(str(SPEC_FILE))
+    subs += [(f"spec/{sub}", spec, emb, spec.hints.get(sub))
+             for sub, emb in spec.submanifolds.items()]
+    return subs
+
+
+def test_classify_matches_point_by_point(bundles):
+    """Margins and expansions of the one batched pass equal mean_curvature
+    and null_frame_and_expansions at every grid point (12 builtin
+    submanifolds and the spec file's horizon)."""
+    subs = _all_submanifolds(bundles)
+    assert len(subs) == 13
+    for name, b, emb, hint in subs:
+        v = classify_trapped(b.field, b.orientation, emb, hint)
+        for idx in np.ndindex(*emb.grid_shape):
+            u = emb.grid_point(idx)
+            mc = mean_curvature(b.field, b.orientation, emb, u)
+            xv = b.orientation.value(mc.point)
+            xh = xv / np.linalg.norm(xv)
+            nh = np.linalg.norm(mc.h_vec)
+            hn = mc.h_vec / nh if nh > 1e-12 else np.zeros_like(mc.h_vec)
+            assert v.margins_hh[idx] == pytest.approx(hn @ mc.g @ hn,
+                                                      rel=1e-12, abs=1e-12), name
+            assert v.margins_hx[idx] == pytest.approx(hn @ mc.g @ xh,
+                                                      rel=1e-12, abs=1e-12), name
+            if v.theta_plus is None:
+                assert hint is None or emb.codim != 2, name
+                continue
+            _, tp, tm = null_frame_and_expansions(b.field, b.orientation,
+                                                  emb, u, hint)
+            assert v.theta_plus[idx] == pytest.approx(tp, rel=1e-12, abs=1e-12), name
+            assert v.theta_minus[idx] == pytest.approx(tm, rel=1e-12, abs=1e-12), name
+
+
+def _first_point_error(field_, X, emb, hint):
+    """The error of the grid loop classify_trapped used to run: per point in
+    np.ndindex order, mean_curvature (a NotSpacelike names the grid index),
+    then the expansions."""
+    for idx in np.ndindex(*emb.grid_shape):
+        u = emb.grid_point(idx)
+        try:
+            mean_curvature(field_, X, emb, u)
+        except NotSpacelike:
+            return NotSpacelike, (f"submanifold not spacelike at grid index "
+                                  f"{idx}, u = {u.tolist()}")
+        except Exception as exc:
+            return type(exc), str(exc)
+        if hint is not None:
+            try:
+                null_frame_and_expansions(field_, X, emb, u, hint)
+            except Exception as exc:
+                return type(exc), str(exc)
+    return None
+
+
+def _error_cases(bundles):
+    """(name, metric, orientation, embedding, hint) whose grid fails past
+    its first point."""
+    b = bundles["minkowski"]
+    ptable = SymbolTable(["ua", "ub"])
+    ef = bundles["schwarzschild_ef"]
+    return [
+        # t = ua^2 stops being spacelike at ua = 1/2: grid index (2, 0)
+        ("not spacelike", b.field, b.orientation, Embedding(
+            ptable, ["ua^2", "ua", "ub", "0"], 4,
+            domain=[(0, 1), (0, 1)], grid_shape=(4, 3)), None),
+        # exp overflows in the last row only (math.exp's error, not numpy's)
+        ("overflow", b.field, b.orientation, Embedding(
+            ptable, ["0", "ua", "ub", "1e-300*exp(800*ua)"], 4,
+            domain=[(0, 1), (0, 1)], grid_shape=(8, 3)), None),
+        # sqrt of a negative from the third row on
+        ("sqrt", b.field, b.orientation, Embedding(
+            ptable, ["0", "ua", "ub", "sqrt(0.5 - ua)"], 4,
+            domain=[(0, 1), (0, 1)], grid_shape=(4, 3)), None),
+        # the hint (0, 0, 0, 1) cannot tell the null rays apart on the
+        # equator, the second row
+        ("hint", b.field, b.orientation, Embedding(
+            ptable, ["0", "sin(ua)*cos(ub)", "sin(ua)*sin(ub)", "cos(ua)"], 4,
+            domain=[(math.pi / 4, 3 * math.pi / 4), (0, 2 * math.pi)],
+            periodic=[None, 2 * math.pi], grid_shape=(3, 4)),
+         np.array([0.0, 0.0, 0.0, 1.0])),
+        # inside the horizon H is timelike, and X = d_v + (theta - 2.6) d_r
+        # stops being timelike where theta > 2.43 (the last rows)
+        ("orientation", ef.field,
+         VectorField(["1", "theta - 2.6", "0", "0"], ef.field.table),
+         ef.submanifolds["inner_sphere"], None),
+    ]
+
+
+@pytest.mark.parametrize("case", ["not spacelike", "overflow", "sqrt", "hint",
+                                  "orientation"])
+def test_error_path_names_the_first_failing_point(bundles, case):
+    [(_, field, X, emb, hint)] = [c for c in _error_cases(bundles)
+                                  if c[0] == case]
+    expected = _first_point_error(field, X, emb, hint)
+    assert expected is not None
+    with pytest.raises(expected[0]) as info:
+        classify_trapped(field, X, emb, hint)
+    assert type(info.value) is expected[0]
+    assert str(info.value) == expected[1]
+
+
+def test_error_cases_fail_past_the_first_point(bundles):
+    """The cases above fail at a later grid point, not the first one."""
+    for case, field, X, emb, hint in _error_cases(bundles):
+        u = emb.grid_point((0,) * emb.m)
+        mean_curvature(field, X, emb, u)
+        if hint is not None:
+            null_frame_and_expansions(field, X, emb, u, hint)
