@@ -389,6 +389,7 @@ def _cmd_geodesic(args, bundle, overrides, out) -> int:
         "chart_exit": sol.chart_exit,
         "norm_drift": sol.norm_drift,
         "n_rhs_evals": sol.n_rhs_evals,
+        "refinements": sol.refinements,
         "samples": samples,
     }
     if vecs:
@@ -396,6 +397,7 @@ def _cmd_geodesic(args, bundle, overrides, out) -> int:
         rep["result"]["transport"] = {
             "product_drift": tr.product_drift,
             "n_rhs_evals": tr.n_rhs_evals,
+            "refinements": tr.refinements,
             "final": tr.evaluate(sol.t_reached).tolist(),
         }
     _emit(rep, out)

@@ -1,8 +1,9 @@
 """Scalar and vector fields over a chart, with jet-level queries.
 
 A scalar field answers `jet2(p, order)`: a Jet2 at order 2, or a
-Hessian-free one at order 1. A vector field's `value` takes a point (n,) or
-points (B, n).
+Hessian-free one at order 1, at a point p (n,) or, as a batch Jet2 with the
+batch axis last, at points p (B, n). A vector field's `value` takes a point
+(n,) or points (B, n).
 """
 
 from __future__ import annotations
@@ -21,8 +22,20 @@ class ScalarField:
     dim: int
 
     def jet2(self, p: Sequence[float], order: int = 2) -> Jet2:
-        """The jet at p; order 1 carries no Hessian."""
-        raise NotImplementedError
+        """The jet at a point p (n,), or the batch jet at points p (B, n);
+        order 1 carries no Hessian.
+
+        This base answers points one at a time and stacks their jets, for
+        fields without a batched pass.
+        """
+        points = np.asarray(p, dtype=float)
+        if points.ndim == 1:
+            raise NotImplementedError
+        jets = [self.jet2(q, order) for q in points]
+        return Jet2(np.array([j.value for j in jets]),
+                    np.stack([j.grad for j in jets], axis=-1),
+                    np.stack([j.hess for j in jets], axis=-1)
+                    if order >= 2 else None)
 
     def value(self, p: Sequence[float]) -> float:
         return self.jet2(p, 1).value
@@ -40,6 +53,8 @@ class ExprScalarField(ScalarField):
         self.dim = table.dim
 
     def jet2(self, p, order: int = 2):
+        if np.ndim(p) > 1:
+            return super().jet2(p, order)
         return eval2(self.expr, p, self.params, self.table, order)
 
 
@@ -48,7 +63,8 @@ class ZeroScalarField(ScalarField):
         self.dim = dim
 
     def jet2(self, p, order: int = 2):
-        return Jet2.constant(0.0, self.dim, order)
+        zero = np.zeros(len(p)) if np.ndim(p) > 1 else 0.0
+        return Jet2.constant(zero, self.dim, order)
 
 
 class ScaledScalarField(ScalarField):

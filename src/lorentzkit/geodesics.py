@@ -83,8 +83,9 @@ class GeodesicSolution:
     t_reached: float              # may stop early on chart exit
     chart_exit: bool
     norm_drift: float             # max |g(x',x') - g(v0,v0)| over samples
-    n_rhs_evals: int
+    n_rhs_evals: int              # every attempt's, a discarded one included
     _dense: object
+    refinements: int = 0          # 1 when the first attempt was discarded
 
     def evaluate(self, s: float) -> tuple[np.ndarray, np.ndarray]:
         """Raw (unwrapped) point and velocity at affine parameter s."""
@@ -114,7 +115,8 @@ def geodesic(field_: MetricField, p, v, t_end: float,
     Stops early with chart_exit set if the curve leaves the chart domain.
     Raises StepFailure on integrator breakdown (a numerical signal only) and
     ToleranceExceeded if g(x',x') cannot be held to eps_geo even after one
-    refinement retry.
+    refinement retry at rtol * 1e-3. A retry sets `refinements` to 1, and
+    `n_rhs_evals` counts the discarded attempt's right-hand sides too.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -143,7 +145,10 @@ def geodesic(field_: MetricField, p, v, t_end: float,
     budget = tols.eps_geo * (1.0 + abs(q0))
     if drift > budget:
         if _rtol is None:
-            return geodesic(field_, p, v, t_end, tols, _rtol=rtol * 1e-3)
+            refined = geodesic(field_, p, v, t_end, tols, _rtol=rtol * 1e-3)
+            refined.n_rhs_evals += int(sol.nfev)
+            refined.refinements = 1
+            return refined
         raise ToleranceExceeded(
             f"norm drift {drift:.3e} exceeds budget {budget:.3e}")
     return GeodesicSolution(field=field_, p0=p, v0=v, t_end=float(t_end),
@@ -159,8 +164,9 @@ class TransportSolution:
     geodesic: GeodesicSolution
     w0: np.ndarray                # (n,) or (n, m)
     product_drift: float          # max drift of any pairwise g-inner product
-    n_rhs_evals: int
+    n_rhs_evals: int              # every attempt's, a discarded one included
     _dense: object
+    refinements: int = 0          # 1 when the first attempt was discarded
 
     def evaluate(self, s: float) -> np.ndarray:
         n = self.geodesic.field.dim
@@ -179,7 +185,7 @@ def parallel_transport(field_: MetricField, solution: GeodesicSolution, w0,
 
     w0 may be a single vector (n,) or a matrix of columns (n, m); columns are
     transported together. All pairwise g-inner products are checked to stay
-    constant within eps_geo.
+    constant within eps_geo, with one refinement retry as in `geodesic`.
     """
     n = field_.dim
     w0 = np.asarray(w0, dtype=float)
@@ -208,8 +214,11 @@ def parallel_transport(field_: MetricField, solution: GeodesicSolution, w0,
     scale = 1.0 + float(np.max(np.abs(prod0)))
     if drift > tols.eps_geo * scale:
         if _rtol is None:
-            return parallel_transport(field_, solution, w0, tols,
-                                      _rtol=rtol * 1e-3)
+            refined = parallel_transport(field_, solution, w0, tols,
+                                         _rtol=rtol * 1e-3)
+            refined.n_rhs_evals += int(sol.nfev)
+            refined.refinements = 1
+            return refined
         raise ToleranceExceeded(
             f"transport product drift {drift:.3e} over budget")
     return TransportSolution(geodesic=solution, w0=w0, product_drift=drift,

@@ -218,13 +218,20 @@ def causal_class_in(g: np.ndarray, v: TangentVector,
     orientation = "none"
     if kind in ("timelike", "null") and X is not None:
         xv = _orientation_field_value(X, v.point)
-        gxx = float(xv @ g @ xv)
-        if gxx >= -tols.tau_c * float(xv @ xv):
-            raise OrientationError(
-                f"orientation field not timelike at {v.point.tolist()} "
-                f"(g(X,X) = {gxx:.3e})")
+        _require_timelike(g, xv, v.point, tols)
         orientation = "future" if float(v.components @ g @ xv) < 0.0 else "past"
     return CausalClass(kind, orientation, q)
+
+
+def _require_timelike(g: np.ndarray, xv: np.ndarray, point: np.ndarray,
+                      tols: Tolerances = DEFAULT_TOLS) -> None:
+    """Raise OrientationError unless the orientation vector xv is timelike
+    in g, the metric at `point`."""
+    gxx = float(xv @ g @ xv)
+    if gxx >= -tols.tau_c * float(xv @ xv):
+        raise OrientationError(
+            f"orientation field not timelike at {point.tolist()} "
+            f"(g(X,X) = {gxx:.3e})")
 
 
 # --- frames ---------------------------------------------------------------------

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import NotApplicable, NotCausal, RadiusError, SupportNotContained
+from .errors import (LorentzkitError, NotApplicable, NotCausal, RadiusError,
+                     SupportNotContained)
 from .expr import SymbolTable, parse
 from .fields import ScalarField
 from .geometry import (DEFAULT_TOLS, TangentVector, Tolerances,
@@ -50,13 +51,19 @@ def _cutoff_jet(u: Jet2) -> Jet2:
     """chi(u): 1 on [0, 1/4], quintic C^2 ramp on [1/4, 1], 0 beyond.
 
     The ramp is the unique quintic with value/slope/curvature matching at
-    both ends, so all jets are exact and the field is C^2 everywhere.
+    both ends, so all jets are exact and the field is C^2 everywhere. A
+    batch clips z to [0, 1] elementwise, which is exact for the same
+    reason: at either end the ramp is exactly 1 or 0 with zero derivatives.
     """
-    if u.value <= 0.25:
+    v = u.value
+    if isinstance(v, np.ndarray):
+        z = np.clip((v - 0.25) / 0.75, 0.0, 1.0)
+    elif v <= 0.25:
         return Jet2.constant(1.0, u.dim, u.order)
-    if u.value >= 1.0:
+    elif v >= 1.0:
         return Jet2.constant(0.0, u.dim, u.order)
-    z = (u.value - 0.25) / 0.75
+    else:
+        z = (v - 0.25) / 0.75
     s = z ** 3 * (10.0 - 15.0 * z + 6.0 * z * z)
     ds = 30.0 * z ** 2 * (1.0 - z) ** 2
     d2s = 60.0 * z * (1.0 - 3.0 * z + 2.0 * z * z)
@@ -73,6 +80,7 @@ class BumpField(ScalarField):
     The cutoff is identically 1 within rho/2 of the center, so the prescribed
     value and gradient at p are exact. Periodic chart coordinates are wrapped
     to the nearest image, making the bump well defined on quotient charts.
+    Points (B, n) are answered in one batched pass (batch axis last).
     """
 
     def __init__(self, chart_field: MetricField, p, value: float,
@@ -99,22 +107,34 @@ class BumpField(ScalarField):
         d = np.asarray(q, dtype=float) - self.center
         for i, per in enumerate(self.periods):
             if per is not None:
-                d[i] = (d[i] + per / 2.0) % per - per / 2.0
+                d[..., i] = (d[..., i] + per / 2.0) % per - per / 2.0
         return d
 
     def jet2(self, q, order: int = 2) -> Jet2:
         n = self.dim
         d = self._delta(q)
-        r2 = float(d @ d)
-        if r2 >= self.rho ** 2:
-            return Jet2.constant(0.0, n, order)
         second = order >= 2
-        u = Jet2(r2 / self.rho ** 2, 2.0 * d / self.rho ** 2,
-                 2.0 * np.eye(n) / self.rho ** 2 if second else None)
-        chi = _cutoff_jet(u)
-        core = Jet2(self.v0 + float(self.dphi @ d), self.dphi.copy(),
-                    np.zeros((n, n)) if second else None)
-        return core * chi
+        if d.ndim == 1:
+            r2 = float(d @ d)
+            if r2 >= self.rho ** 2:
+                return Jet2.constant(0.0, n, order)
+            u = Jet2(r2 / self.rho ** 2, 2.0 * d / self.rho ** 2,
+                     2.0 * np.eye(n) / self.rho ** 2 if second else None)
+            core = Jet2(self.v0 + float(self.dphi @ d), self.dphi.copy(),
+                        np.zeros((n, n)) if second else None)
+        else:
+            # points (B, n), batch axis last; the cutoff is exactly 0
+            # outside the support, so no point takes a branch
+            d = d.T
+            ones = np.ones(d.shape[1])
+            u = Jet2(np.einsum("ib,ib->b", d, d) / self.rho ** 2,
+                     2.0 * d / self.rho ** 2,
+                     np.multiply.outer(2.0 * np.eye(n) / self.rho ** 2, ones)
+                     if second else None)
+            core = Jet2(self.v0 + self.dphi @ d,
+                        np.multiply.outer(self.dphi, ones),
+                        np.zeros((n, n) + ones.shape) if second else None)
+        return core * _cutoff_jet(u)
 
     def support_box(self) -> list[tuple[float, float]]:
         return [(float(c - self.rho), float(c + self.rho)) for c in self.center]
@@ -124,7 +144,9 @@ class NormalCoordBump(ScalarField):
     """core(x(q)) * chi(|x(q)|^2 / rho^2) for normal coordinates x = chart^-1.
 
     Exact jets on affine charts and at the chart center; finite-difference
-    jets of the Newton inverse elsewhere (slow, diagnostics only).
+    jets of the Newton inverse elsewhere (slow, diagnostics only). Points
+    (B, n) are answered in one batched pass on affine charts and one point
+    at a time on curved ones.
     """
 
     def __init__(self, chart: NormalChart, core_text: str, rho: float):
@@ -141,11 +163,21 @@ class NormalCoordBump(ScalarField):
     def jet2(self, q, order: int = 2) -> Jet2:
         n = self.dim
         q = np.asarray(q, dtype=float)
-        x = self.chart.inverse(q)
-        r2 = float(x @ x)
-        if r2 >= self.rho ** 2:
-            return Jet2.constant(0.0, n, order)
-        seeds = self.chart.coord_jets(q)
+        if q.ndim == 1:
+            x = self.chart.inverse(q)
+            if float(x @ x) >= self.rho ** 2:
+                return Jet2.constant(0.0, n, order)
+            seeds = self.chart.coord_jets(q)
+        elif self.chart.affine:
+            # x = A (q - p) at points (B, n), batch axis last; the cutoff is
+            # exactly 0 outside the support, so no point takes a branch
+            a = self.chart.frame_inv
+            x = a @ (q - self.chart.p).T
+            ones = np.ones(len(q))
+            seeds = [Jet2(x[k], np.multiply.outer(a[k], ones),
+                          np.zeros((n, n) + ones.shape)) for k in range(n)]
+        else:
+            return super().jet2(q, order)     # curved charts: point by point
         if order < 2:
             seeds = [Jet2(s.value, s.grad, None) for s in seeds]
         core = self.core.eval(seeds, {})   # a float if core is constant
@@ -172,16 +204,28 @@ def bump(chart_field: MetricField, p, value: float, dphi,
 
 
 # --- C^s seminorms -----------------------------------------------------------------
+#
+# Family tables take one batched pass per grid slab: base component jets and
+# phi jets at points (B, n), every n in closed form from e^{2 phi/n} - 1.
+# `_seminorm_orders` is the per-point difference of two metrics' jets, the
+# reference the tables are tested against and the error path.
+
+
+def _grid(box, grid_per_axis: int) -> np.ndarray:
+    """The points (G^n, n) of a box grid with G points per axis, the first
+    axis varying slowest: each run of G^(n-1) points is one slab, at one
+    value of the first coordinate."""
+    axes = [np.linspace(lo, hi, grid_per_axis) for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
 def _seminorm_orders(g1: MetricField, g2: MetricField,
                      box, grid_per_axis: int) -> tuple[float, float, float]:
-    n = g1.dim
-    axes = [np.linspace(lo, hi, grid_per_axis) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    """Max-abs differences of the component jets of two metrics, order by
+    order, over a box grid, one point at a time."""
     m0 = m1 = m2 = 0.0
-    for p in pts:
+    for p in _grid(box, grid_per_axis):
         a_g, a_d, a_h = g1.component_jets(p, order=2)
         b_g, b_d, b_h = g2.component_jets(p, order=2)
         m0 = max(m0, float(np.max(np.abs(a_g - b_g))))
@@ -298,15 +342,62 @@ class PerturbationFamily:
 
 def _seminorm_rows(base: MetricField, phi: ScalarField, n_max: int,
                    support_box, grid_per_axis: int = 7) -> list[dict]:
+    """C^0, C^1 and C^2 seminorms of g_n - g for n = 1..n_max, over a grid of
+    the support box padded by 5% of its width on each side.
+
+    g_n - g = (E - 1) g with E = e^{2 phi / n}, so one order-2 pass of base
+    and phi jets per slab of the grid (one index along the first axis)
+    gives every n in closed form:
+
+        order 0   (E - 1) g
+        order 1   dE (x) g + (E - 1) dg
+        order 2   d2E (x) g + dE (x) dg + (dE (x) dg)^T + (E - 1) d2g
+
+    Each order is reduced to its max-abs before the next is built. An error
+    (or a floating-point overflow) re-runs the rows point by point through
+    `_seminorm_orders` on the rescaled metrics, so it is the error the
+    first failing point raises.
+    """
     pad = [(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo))
            for lo, hi in support_box]
-    rows = []
-    for n in range(1, n_max + 1):
-        g_n = rescale(base, phi, 1.0 / n)
-        m0, m1, m2 = _seminorm_orders(base, g_n, pad, grid_per_axis)
-        rows.append({"n": n, "c0": m0, "c1": max(m0, m1),
-                     "c2": max(m0, m1, m2)})
-    return rows
+    maxima = np.zeros((n_max, 3))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            slabs = _grid(pad, grid_per_axis).reshape(grid_per_axis, -1,
+                                                     base.dim)
+            b, dim = slabs.shape[1:]
+            d1 = np.empty((b,) + (dim,) * 3)
+            d2, t = np.empty((b,) + (dim,) * 4), np.empty((b,) + (dim,) * 4)
+            for slab in slabs:
+                q = base.canonicalize(slab)
+                g, dg, d2g = base.component_jets(q, order=2)
+                f = phi.jet2(q, 2)
+                grad, hess = f.grad.T, f.hess.transpose(2, 0, 1)
+                for k, row in enumerate(maxima):
+                    s = 2.0 / (k + 1)
+                    em1 = np.expm1(s * f.value)                   # E - 1
+                    es = (em1 + 1.0) * s
+                    de = es[:, None] * grad
+                    dde = es[:, None, None] * (
+                        hess + s * grad[:, :, None] * grad[:, None, :])
+                    row[0] = max(row[0], np.abs(em1[:, None, None] * g).max())
+                    np.multiply(de[:, :, None, None], g[:, None], out=d1)
+                    d1 += em1[:, None, None, None] * dg
+                    row[1] = max(row[1], np.abs(d1, out=d1).max())
+                    np.multiply(dde[..., None, None], g[:, None, None], out=d2)
+                    np.multiply(de[:, :, None, None, None], dg[:, None], out=t)
+                    d2 += t
+                    d2 += t.swapaxes(1, 2)
+                    np.multiply(em1[:, None, None, None, None], d2g, out=t)
+                    d2 += t
+                    row[2] = max(row[2], np.abs(d2, out=d2).max())
+    except (LorentzkitError, ArithmeticError, ValueError):
+        maxima = [_seminorm_orders(base, rescale(base, phi, 1.0 / n), pad,
+                                   grid_per_axis)
+                  for n in range(1, n_max + 1)]
+    return [{"n": n, "c0": float(m0), "c1": float(max(m0, m1)),
+             "c2": float(max(m0, m1, m2))}
+            for n, (m0, m1, m2) in enumerate(maxima, start=1)]
 
 
 def _spacelike_unit_normal(mc: MeanCurvature) -> np.ndarray:

@@ -33,8 +33,8 @@ from .errors import (DegenerateEmbedding, LorentzkitError, NotSpacelike,
 from .expr import Expr, SymbolTable, batch_first, evaluate, parse
 from .fields import VectorField
 from .geometry import (DEFAULT_TOLS, CausalClass, TangentVector, Tolerances,
-                       _orientation_field_value, causal_class_in,
-                       christoffel_from_jets, screen)
+                       _orientation_field_value, _require_timelike,
+                       causal_class_in, christoffel_from_jets, screen)
 from .jets import Jet2
 from .metric import MetricField
 from .tensors import MetricValue
@@ -286,6 +286,11 @@ def _null_expansions(mc: MeanCurvature, X, hint: VectorField | np.ndarray,
     if not np.all((lam[:, 0] < 0.0) & (0.0 < lam[:, 1])):
         raise NotSpacelike("normal plane is not Lorentzian")
     xv = np.broadcast_to(_orientation_field_value(X, x), x.shape)
+    # the rays are scaled by 1/g(ray, X): X must be timelike at every point
+    not_timelike = _inner(xv, g, xv) >= \
+        -tols.tau_c * np.einsum("zi,zi->z", xv, xv)
+    for k in np.flatnonzero(not_timelike):
+        _require_timelike(g[k], xv[k], x[k], tols)
     rays = np.stack([frame[:, :, 0] + frame[:, :, 1],
                      frame[:, :, 0] - frame[:, :, 1]], axis=1)
     gx = _inner(rays, g, xv[:, None])

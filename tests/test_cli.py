@@ -1,18 +1,24 @@
 """CLI behavior: exit-code contract, report shapes, determinism, CSV."""
 
+import importlib.util
 import io
 import json
 import math
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+import lorentzkit.geodesics as geodesics
 from lorentzkit.cli import run
+
+from conftest import CATALOG_NAMES, region_points
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json")
     .read_text())
+ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
 
 
 def run_cli(argv):
@@ -235,6 +241,30 @@ class TestCommands:
         for k in counts[0]:
             assert isinstance(k, int) and k > 0
 
+    def test_radial_infall_counts_its_refinement(self, monkeypatch):
+        """The infall to the r = 1e-3 edge misses the drift budget at the
+        default rtol and is refined once: the report says so, and its
+        n_rhs_evals counts every right-hand side of both attempts (4126 on
+        the machine where this was written, 794 of them discarded)."""
+        calls = [0]
+        original = geodesics.solve_ivp
+
+        def solve_ivp(fun, *args, **kwargs):
+            def counted(*a):
+                calls[0] += 1
+                return fun(*a)
+            return original(counted, *args, **kwargs)
+
+        monkeypatch.setattr(geodesics, "solve_ivp", solve_ivp)
+        code, rep = run_json(["geodesic", "builtin:schwarzschild_ef",
+                              "--from", "0,3,1.5707,0", "--dir", "1,-1,0,0",
+                              "--length", "2"])
+        assert code == 0
+        res = rep["result"]
+        assert res["chart_exit"]
+        assert res["refinements"] == 1
+        assert res["n_rhs_evals"] == calls[0]
+
     def test_perturb_33_json(self):
         code, rep = run_json(["perturb", "builtin:torus_quotient", "--theorem",
                               "3.3", "--submanifold", "S", "--at", "0,0",
@@ -297,3 +327,36 @@ class TestDeterminism:
                               "--submanifold", "S", "--timing"])
         assert code == 0
         assert "wall_time_s" in rep
+
+
+class TestAnalyzeOracle:
+    """analyze against the sympy curvature of perfbench/oracle.py, which
+    writes every builtin's metric out again by hand."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        pytest.importorskip("sympy")
+        spec = importlib.util.spec_from_file_location("perfbench_oracle",
+                                                      ORACLE)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_analyze_matches_oracle(self, bundles, oracle, name):
+        geo = oracle.geometry(name)
+        for p in region_points(bundles[name], 2, seed=53):
+            code, rep = run_json(["analyze", f"builtin:{name}",
+                                  "--at=" + ",".join(repr(float(x))
+                                                     for x in p)])
+            assert code == 0
+            riem = geo.riemann(p)
+            # vacuum Ricci is rounding noise on both sides: Riemann's size
+            # is its scale
+            for key, want, scale in (
+                    ("christoffel", geo.christoffel(p), 0.0),
+                    ("riemann", riem, 0.0),
+                    ("ricci", geo.ricci(p), np.abs(riem).max())):
+                got = np.array(rep[key])
+                bound = 1e-10 * max(np.abs(want).max(), scale)
+                assert np.abs(got - want).max() <= bound, (name, key)

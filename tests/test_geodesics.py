@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import lorentzkit.geodesics as geodesics
 from lorentzkit.errors import SingularMetric
 from lorentzkit.expr import SymbolTable
 from lorentzkit.geodesics import (_geodesic_rhs, _transport_rhs, geodesic,
@@ -156,6 +157,53 @@ class TestParallelTransport:
             math.sqrt(float(w @ g @ w)) * math.sqrt(float(v0 @ g @ v0)))
         angle = math.acos(np.clip(cosang, -1.0, 1.0))
         assert abs(angle - math.pi / 2) < 1e-5
+
+
+class TestRefinementCounts:
+    """A discarded first attempt shows in the solution: `refinements` is 1
+    and `n_rhs_evals` counts the right-hand sides of both attempts."""
+
+    @staticmethod
+    def _counting_solver(monkeypatch, loose_first: bool):
+        """Wrap geodesics.solve_ivp to count right-hand-side calls per
+        attempt; with loose_first the first attempt runs at rtol 1e-4, so
+        it misses the drift budget and is retried."""
+        attempts = []
+        original = geodesics.solve_ivp
+
+        def solve_ivp(fun, *args, **kwargs):
+            attempts.append(0)
+            k = len(attempts) - 1
+            if loose_first and k == 0:
+                kwargs.update(rtol=1e-4, atol=1e-6)
+
+            def counted(*a):
+                attempts[k] += 1
+                return fun(*a)
+            return original(counted, *args, **kwargs)
+
+        monkeypatch.setattr(geodesics, "solve_ivp", solve_ivp)
+        return attempts
+
+    P, V = np.array([0.0, 3.0, 1.5, 0.3]), np.array([1.0, -0.5, 0.0, 0.1])
+
+    @pytest.mark.parametrize("loose_first", [False, True])
+    def test_geodesic(self, bundles, monkeypatch, loose_first):
+        attempts = self._counting_solver(monkeypatch, loose_first)
+        sol = geodesic(bundles["schwarzschild_ef"].field, self.P, self.V, 1.0)
+        assert len(attempts) == 1 + loose_first
+        assert sol.refinements == int(loose_first)
+        assert sol.n_rhs_evals == sum(attempts)
+
+    @pytest.mark.parametrize("loose_first", [False, True])
+    def test_transport(self, bundles, monkeypatch, loose_first):
+        f = bundles["schwarzschild_ef"].field
+        sol = geodesic(f, self.P, self.V, 1.0)
+        attempts = self._counting_solver(monkeypatch, loose_first)
+        tr = parallel_transport(f, sol, np.array([0.0, 1.0, 0.0, 0.0]))
+        assert len(attempts) == 1 + loose_first
+        assert tr.refinements == int(loose_first)
+        assert tr.n_rhs_evals == sum(attempts)
 
 
 class TestRightHandSides:

@@ -1,17 +1,28 @@
 """Bump fields, seminorms, and the two exit-family constructions."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lorentzkit.errors import (NotApplicable, RadiusError, SupportNotContained)
-from lorentzkit.perturb import (NormalCoordBump, bump, cs_seminorm,
+import lorentzkit.perturb as perturb
+from lorentzkit.errors import (DomainError, NotApplicable, RadiusError,
+                               SupportNotContained)
+from lorentzkit.expr import SymbolTable
+from lorentzkit.fields import ExprScalarField, ZeroScalarField
+from lorentzkit.metric import ConformalScaledMetric, ExprMetricField
+from lorentzkit.normal import NormalChart, orthonormal_frame_from
+from lorentzkit.perturb import (BumpField, NormalCoordBump, bump, cs_seminorm,
                                 find_degenerate_witness,
                                 positivity_exit_family, trapped_exit_family)
 from lorentzkit.conformal import rescale
+from lorentzkit.specfile import load_spec
 
 from conftest import fd_scalar_jet
+
+SPEC_FILE = (Path(__file__).resolve().parents[1] / "perfbench" / "spacetimes"
+             / "contracting_desitter.st")
 
 
 class TestBumpField:
@@ -292,3 +303,237 @@ class TestPositivityExitFamily:
         v, w = find_degenerate_witness(b.field, np.zeros(4))
         fam = positivity_exit_family(b.field, np.zeros(4), v, w, n_max=3)
         assert all(c.value_direct < 0 for c in fam.certificates)
+
+
+def _rel_close(got, want, rel):
+    """got within rel of want, relative to the largest entry of want
+    (exactly equal where want is all zeros)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def _assert_batch_matches_points(field_, points, order):
+    """The batch jet at points (B, n) against the per-point jets stacked
+    with the batch axis last, relative to their largest entry. (Near the
+    outer seam the value is a cancellation 1 - s(z) with s close to 1, so a
+    point's own relative error there is not small.)"""
+    batch = field_.jet2(points, order)
+    jets = [field_.jet2(q, order) for q in points]
+    assert _rel_close(batch.value, [j.value for j in jets], 1e-14)
+    assert _rel_close(batch.grad, np.stack([j.grad for j in jets], -1), 1e-14)
+    if order >= 2:
+        assert _rel_close(batch.hess, np.stack([j.hess for j in jets], -1),
+                          1e-14)
+    else:
+        assert batch.hess is None
+
+
+class TestBatchedScalarJets:
+    """Scalar fields answer points (B, n) with one batch jet."""
+
+    @staticmethod
+    def _shell_points(center, rho, rng, radii):
+        """Points at the given multiples of rho from the center."""
+        dirs = rng.normal(size=(len(radii), len(center)))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        return center + rho * np.asarray(radii)[:, None] * dirs
+
+    # plateau (u <= 1/4 is r <= rho/2), ramp, the outer seam, outside
+    RADII = (0.0, 0.2, 0.5, 0.6, 0.75, 0.9, 0.999, 1.0, 1.3, 3.0)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_bump_batch_matches_points(self, bundles, order):
+        f = bundles["minkowski"].field
+        rng = np.random.default_rng(5)
+        p = np.array([0.1, -0.2, 0.3, 0.05])
+        b = bump(f, p, 0.7, np.array([0.5, -1.0, 2.0, 0.3]), 0.4)
+        points = self._shell_points(p, b.rho, rng, self.RADII)
+        _assert_batch_matches_points(b, points, order)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_bump_batch_across_a_torus_period(self, bundles, order):
+        f = bundles["torus_quotient"].field
+        p = np.array([0.0, 0.05, 0.97, 0.5])
+        b = bump(f, p, 0.0, np.array([0.3, 1.0, -0.4, 0.2]), 0.25)
+        rng = np.random.default_rng(6)
+        points = self._shell_points(p, b.rho, rng, self.RADII)
+        # the same points seen from the next and the previous cell
+        shifted = points + np.array([0.0, 1.0, -1.0, 2.0])
+        _assert_batch_matches_points(b, np.vstack([points, shifted]), order)
+        same = b.jet2(shifted, order)
+        direct = b.jet2(points, order)
+        assert _rel_close(same.value, direct.value, 1e-14)
+        assert _rel_close(same.grad, direct.grad, 1e-14)
+
+    @pytest.mark.parametrize("core", ["exp(n0)", "n0^2", "(n0 + n1)^2"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_affine_normal_bump_batch_matches_points(self, bundles, core,
+                                                     order):
+        f = bundles["minkowski"].field
+        p = np.array([0.2, -0.1, 0.3, 0.0])
+        frame = orthonormal_frame_from(
+            f, p, first=np.array([1.0, 0.3, 0.1, 0.0]),
+            second=np.array([0.0, 1.0, 0.5, 0.0]))
+        chart = NormalChart(f, p, frame)
+        nb = NormalCoordBump(chart, core, 0.3)
+        rng = np.random.default_rng(7)
+        # distances in normal coordinates: the chart is not an isometry of
+        # the chart's Euclidean norm, so sample x and map it forward
+        x = self._shell_points(np.zeros(4), nb.rho, rng, self.RADII)
+        points = np.array([chart.forward(xk) for xk in x])
+        _assert_batch_matches_points(nb, points, order)
+
+    def test_fields_without_a_batched_pass_stack_points(self, bundles):
+        table = bundles["schwarzschild_ef"].field.table
+        points = np.array([[0.1, 3.0, 1.2, 0.3], [0.4, 2.5, 1.9, 5.0],
+                           [0.0, 4.0, 0.7, 1.0]])
+        expr = ExprScalarField("0.1*sin(r)*cos(theta) + 0.05*v", table)
+        for field_ in (expr, ZeroScalarField(4)):
+            for order in (1, 2):
+                batch = field_.jet2(points, order)
+                for k, q in enumerate(points):
+                    jet = field_.jet2(q, order)
+                    assert batch.value[k] == jet.value
+                    assert np.array_equal(batch.grad[:, k], jet.grad)
+                    if order == 2:
+                        assert np.array_equal(batch.hess[:, :, k], jet.hess)
+
+
+def _family_constructions(bundles):
+    """The seven family constructions of the benchmark's `families` part
+    (n_max 2, seminorm grid 5), at seeded points."""
+    rng = np.random.default_rng(401)
+    spec = load_spec(str(SPEC_FILE))
+    sphere_u = [float(rng.uniform(0.9, 2.2)), float(rng.uniform(0, 2 * np.pi))]
+    spec_u = [float(rng.uniform(0.9, 2.2)), float(rng.uniform(0, 2 * np.pi))]
+    trapped = [
+        (bundles["torus_quotient"], "S", rng.uniform(0, 1, 2)),
+        (bundles["null_H_demo"], "sheet", rng.uniform(-0.5, 0.5, 2)),
+        (bundles["schwarzschild_ef"], "horizon_sphere", sphere_u),
+        (spec, "horizon", spec_u),
+    ]
+    out = [lambda b=b, sub=sub, u0=u0, grid=5: trapped_exit_family(
+               b.field, b.orientation, b.submanifolds[sub], u0, n_max=2,
+               seminorm_grid=grid)
+           for b, sub, u0 in trapped]
+    mink = bundles["minkowski"].field
+    n1 = rng.normal(size=3)
+    n1 /= np.linalg.norm(n1)
+    other = rng.normal(size=3)
+    other /= np.linalg.norm(other)
+    witnesses = [
+        (np.r_[1.0, 0.5 * rng.uniform() * n1], np.r_[0.0, other]),
+        (np.r_[1.0, n1], np.r_[rng.uniform(-1, 1), other]),
+        (np.r_[1.0, n1], 1.5 * np.r_[1.0, -n1] + 0.5 * np.r_[1.0, n1]),
+    ]
+    for v, w in witnesses:
+        p = rng.uniform(-0.5, 0.5, 4)
+        out.append(lambda p=p, v=v, w=w, grid=5: positivity_exit_family(
+            mink, p, v, w, n_max=2, seminorm_grid=grid))
+    return out
+
+
+def _oracle_rows(base, phi, n_max, grid):
+    """The seminorm rows recomputed point by point on the rescaled metrics."""
+    box = phi.support_box()
+    pad = [(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)) for lo, hi in box]
+    rows = []
+    for n in range(1, n_max + 1):
+        m0, m1, m2 = perturb._seminorm_orders(
+            base, rescale(base, phi, 1.0 / n), pad, grid)
+        rows.append((m0, max(m0, m1), max(m0, m1, m2)))
+    return rows
+
+
+def _assert_rows_match(rows, want):
+    assert len(rows) == len(want)
+    for row, w in zip(rows, want):
+        for a, b in zip((row["c0"], row["c1"], row["c2"]), w):
+            assert b > 0 and abs(a - b) <= 1e-12 * b
+
+
+class TestBatchedSeminormRows:
+    """One batched pass per grid slab against the per-point oracle rows."""
+
+    EXPECTED_CASES = ["zero-H", "null-H", "null-H", "null-H", "timelike",
+                      "null-spacelike", "null-null"]
+
+    def test_rows_match_oracle_on_benchmark_families(self, bundles):
+        for build, case in zip(_family_constructions(bundles),
+                               self.EXPECTED_CASES):
+            fam = build()
+            assert fam.case == case
+            assert len(fam.seminorms) == 2
+            _assert_rows_match(fam.seminorms,
+                               _oracle_rows(fam.base, fam.phi, 2, 5))
+
+    def test_rows_match_oracle_on_the_cli_grid(self, bundles):
+        fam = _family_constructions(bundles)[0](grid=7)
+        _assert_rows_match(fam.seminorms,
+                           _oracle_rows(fam.base, fam.phi, 2, 7))
+
+    def test_rows_match_oracle_where_the_metric_varies(self, bundles):
+        """The benchmark's bases are flat or vary slowly across the bump, so
+        their maxima come from the d2E (x) g terms; a bump along r at r = 1.5
+        on schwarzschild_ef puts dE (x) dg and its transpose into them."""
+        f = bundles["schwarzschild_ef"].field
+        phi = bump(f, np.array([0.2, 1.5, 1.2, 0.5]), 0.0,
+                   np.array([0.0, 1.0, 0.0, 0.0]), 0.2)
+        rows = perturb._seminorm_rows(f, phi, 3, phi.support_box(), 5)
+        _assert_rows_match(rows, _oracle_rows(f, phi, 3, 5))
+
+    def test_one_base_and_one_phi_pass_per_slab(self, bundles, monkeypatch):
+        f = bundles["schwarzschild_ef"].field
+        p = np.array([0.2, 3.0, 1.4, 0.5])
+        phi = bump(f, p, 0.0, np.array([0.3, -0.2, 0.1, 0.05]), 0.2)
+        calls = {"base": [], "phi": [], "conformal": 0}
+
+        def counting(cls, attr, key):
+            original = getattr(cls, attr)
+
+            def wrapper(self, q, order=2):
+                calls[key].append((np.shape(q), order))
+                return original(self, q, order)
+            monkeypatch.setattr(cls, attr, wrapper)
+
+        counting(ExprMetricField, "component_jets", "base")
+        counting(BumpField, "jet2", "phi")
+        original = ConformalScaledMetric.component_jets
+
+        def conformal(self, *args, **kwargs):
+            calls["conformal"] += 1
+            return original(self, *args, **kwargs)
+        monkeypatch.setattr(ConformalScaledMetric, "component_jets",
+                            conformal)
+        for grid in (3, 5):
+            calls["base"].clear()
+            calls["phi"].clear()
+            rows = perturb._seminorm_rows(f, phi, 3, phi.support_box(), grid)
+            assert len(rows) == 3
+            slab = ((grid ** 3, 4), 2)
+            assert calls["base"] == [slab] * grid
+            assert calls["phi"] == [slab] * grid
+        assert calls["conformal"] == 0
+
+    # the per-point reference overflows numpy arrays on its way to the
+    # error, as it always has; the warnings are not what is tested here
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("g11", ["1 + sqrt(x - 0.1)", "1 + log(x + 0.25)",
+                                     "1 + 1e-300*exp(700 + 800*x)"])
+    def test_errors_are_the_first_failing_points(self, g11):
+        """A failing grid raises the per-point error: the batched overflow
+        of exp would name numpy's message, the point's is math's."""
+        table = SymbolTable(["t", "x", "y", "z"])
+        entries = {(i, j): "0" for i in range(4) for j in range(i)}
+        entries.update({(0, 0): "-1", (1, 1): g11, (2, 2): "1", (3, 3): "1"})
+        f = ExprMetricField(table, entries)
+        phi = bump(f, np.zeros(4), 0.0, np.array([1.0, 0.5, 0.0, 0.0]), 0.3)
+        pad = [(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo))
+               for lo, hi in phi.support_box()]
+        with pytest.raises(DomainError) as want:
+            for n in (1, 2):
+                perturb._seminorm_orders(f, rescale(f, phi, 1.0 / n), pad, 5)
+        with pytest.raises(DomainError) as got:
+            perturb._seminorm_rows(f, phi, 2, phi.support_box(), 5)
+        assert str(got.value) == str(want.value)

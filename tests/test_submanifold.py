@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import lorentzkit.submanifold as submanifold
-from lorentzkit.errors import NotSpacelike, WrongCodimension
+from lorentzkit.errors import NotSpacelike, OrientationError, WrongCodimension
 from lorentzkit.expr import SymbolTable
 from lorentzkit.fields import VectorField
+from lorentzkit.geometry import TangentVector, causal_class_in
 from lorentzkit.submanifold import (Embedding, classify_trapped, induced_metric,
                                     mean_curvature, null_frame_and_expansions,
                                     shape_tensor)
@@ -501,3 +502,39 @@ def test_error_cases_fail_past_the_first_point(bundles):
         mean_curvature(field, X, emb, u)
         if hint is not None:
             null_frame_and_expansions(field, X, emb, u, hint)
+
+
+def _orientation_message(field_, X, x):
+    """causal_class_in's OrientationError message for X at the point x,
+    raised by classifying d_r, which is null in Eddington-Finkelstein
+    coordinates."""
+    with pytest.raises(OrientationError) as info:
+        causal_class_in(field_.value(x), TangentVector(x, np.eye(4)[1]), X)
+    return str(info.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("X", ["null", "timelike in the first rows"])
+def test_expansions_need_a_timelike_orientation(bundles, X):
+    """Outside the horizon H is spacelike, so only the null expansions
+    meet X: where X is not timelike they raise causal_class_in's
+    OrientationError at the first such grid point in np.ndindex order,
+    instead of dividing by g(K, X) = 0 (NaN expansions)."""
+    b, emb, hint = _ef_sphere(bundles, "outer_sphere")
+    if X == "null":
+        X = np.array([0.0, 1.0, 0.0, 0.0])
+    else:
+        # g(X, X) = -(1 - 2/3) + 2 (theta - 2.55) at r = 3: timelike for
+        # theta < 2.72, so only the last row of the grid fails
+        X = VectorField(["1", "theta - 2.55", "0", "0"], b.field.table)
+    first = None
+    for idx in np.ndindex(*emb.grid_shape):
+        x = emb.point(emb.grid_point(idx))
+        xv = X.value(x) if isinstance(X, VectorField) else X
+        if xv @ b.field.value(x) @ xv >= -1e-9 * (xv @ xv):
+            first = x
+            break
+    assert first is not None
+    with pytest.raises(OrientationError) as info:
+        classify_trapped(b.field, X, emb, hint)
+    assert str(info.value) == _orientation_message(b.field, X, first)

@@ -1,10 +1,11 @@
 """The benchmark's traced run wraps lorentzkit functions by name.
 
 `perfbench/spans.py` rebinds `conditions._margin_*`, `_scan_point`,
-`geodesics.solve_ivp` and the other layer functions at run time. A renamed
-function, or a margin that calls the shared eigenvalue kernel directly
-instead of through its wrapped name, would silently drop out of
-`--trace 1`; these tests make that fail here instead.
+`geodesics.solve_ivp`, `perturb._seminorm_rows` and the other layer
+functions at run time, and reads some of their arguments by position. A
+renamed function, a reordered signature, or a margin that calls the shared
+eigenvalue kernel directly instead of through its wrapped name, would
+silently drop out of `--trace 1`; these tests make that fail here instead.
 """
 
 import importlib.util
@@ -15,6 +16,7 @@ import pytest
 
 import lorentzkit.conditions as conditions
 import lorentzkit.geodesics as geodesics
+import lorentzkit.perturb as perturb
 from lorentzkit.conditions import Region
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -81,3 +83,22 @@ def test_traced_integrators_count_right_hand_sides(bundles):
     assert metrics["geodesics.rhs_evals"] > 0
     assert metrics["geodesics.transport_rhs_evals"] > 0
     assert metrics["metric.jets1_calls"] > 0
+
+
+def test_traced_family_counts_its_seminorm_grid(bundles):
+    """A family's seminorm table shows up in the perturb metrics: 3^4 grid
+    points, a measured time, and its base jets taken per slab rather than
+    per point."""
+    b = bundles["torus_quotient"]
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        perturb.trapped_exit_family(b.field, b.orientation,
+                                    b.submanifolds["S"], [0.3, 0.6],
+                                    n_max=2, seminorm_grid=3)
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["perturb.seminorm_grid_points"] == 81
+    assert metrics["perturb.seminorm_s"] > 0
+    assert metrics["perturb.base_jets_per_grid_point"] < 1
