@@ -2,7 +2,10 @@
 
 A scalar field answers `jet2(p, order)`: a Jet2 at order 2, or a
 Hessian-free one at order 1, at a point p (n,) or, as a batch Jet2 with the
-batch axis last, at points p (B, n). A vector field's `value` takes a point
+batch axis last, at points p (B, n). `ZeroScalarField` and the bump fields
+of `perturb` answer both with one code path; the base class stacks
+per-point jets for fields without a batched pass (`ExprScalarField`,
+`NormalCoordBump` on a curved chart). A vector field's `value` takes a point
 (n,) or points (B, n).
 """
 
@@ -40,9 +43,6 @@ class ScalarField:
     def value(self, p: Sequence[float]) -> float:
         return self.jet2(p, 1).value
 
-    def scaled(self, factor: float) -> "ScaledScalarField":
-        return ScaledScalarField(self, factor)
-
 
 class ExprScalarField(ScalarField):
     def __init__(self, expr: Expr | str, table: SymbolTable,
@@ -65,18 +65,6 @@ class ZeroScalarField(ScalarField):
     def jet2(self, p, order: int = 2):
         zero = np.zeros(len(p)) if np.ndim(p) > 1 else 0.0
         return Jet2.constant(zero, self.dim, order)
-
-
-class ScaledScalarField(ScalarField):
-    """factor * base, used for the 1/n members of perturbation families."""
-
-    def __init__(self, base: ScalarField, factor: float):
-        self.base = base
-        self.factor = float(factor)
-        self.dim = base.dim
-
-    def jet2(self, p, order: int = 2):
-        return self.base.jet2(p, order) * self.factor
 
 
 class VectorField:

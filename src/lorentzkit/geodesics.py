@@ -17,6 +17,9 @@ from .geometry import DEFAULT_TOLS, TangentVector, Tolerances
 from .metric import MetricField
 from .tensors import invert_metric
 
+# solve_ivp warns below this rtol and raises it to the floor itself
+_RTOL_FLOOR = 100 * np.finfo(float).eps
+
 
 def _minus_gamma(field_: MetricField, x, xdot, w) -> np.ndarray:
     """-Gamma^k_ij x'^i w^j at x, for w of shape (n,) or (n, m).
@@ -115,8 +118,9 @@ def geodesic(field_: MetricField, p, v, t_end: float,
     Stops early with chart_exit set if the curve leaves the chart domain.
     Raises StepFailure on integrator breakdown (a numerical signal only) and
     ToleranceExceeded if g(x',x') cannot be held to eps_geo even after one
-    refinement retry at rtol * 1e-3. A retry sets `refinements` to 1, and
-    `n_rhs_evals` counts the discarded attempt's right-hand sides too.
+    refinement retry at rtol * 1e-3 (an rtol below scipy's floor runs at the
+    floor, with atol still rtol * 1e-2). A retry sets `refinements` to 1,
+    and `n_rhs_evals` counts the discarded attempt's right-hand sides too.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -125,7 +129,8 @@ def geodesic(field_: MetricField, p, v, t_end: float,
     rtol = _rtol if _rtol is not None else max(1e-12, min(1e-9, tols.eps_geo * 0.1))
     y0 = np.concatenate([p, v])
     sol = solve_ivp(_geodesic_rhs(field_), (0.0, float(t_end)), y0,
-                    method="RK45", rtol=rtol, atol=rtol * 1e-2,
+                    method="RK45", rtol=max(rtol, _RTOL_FLOOR),
+                    atol=rtol * 1e-2,
                     dense_output=True, events=_boundary_events(field_))
     if sol.status == -1:
         last = sol.y[:, -1] if sol.y.size else y0
@@ -186,6 +191,8 @@ def parallel_transport(field_: MetricField, solution: GeodesicSolution, w0,
     w0 may be a single vector (n,) or a matrix of columns (n, m); columns are
     transported together. All pairwise g-inner products are checked to stay
     constant within eps_geo, with one refinement retry as in `geodesic`.
+    The retry is skipped when g(gamma', gamma') alone drifts over budget:
+    that product comes from the stored geodesic, which no retry changes.
     """
     n = field_.dim
     w0 = np.asarray(w0, dtype=float)
@@ -195,7 +202,8 @@ def parallel_transport(field_: MetricField, solution: GeodesicSolution, w0,
 
     sol = solve_ivp(_transport_rhs(field_, solution, m),
                     (0.0, solution.t_reached), cols.reshape(-1),
-                    method="RK45", rtol=rtol, atol=rtol * 1e-2,
+                    method="RK45", rtol=max(rtol, _RTOL_FLOOR),
+                    atol=rtol * 1e-2,
                     dense_output=True)
     if sol.status != 0:
         raise StepFailure(sol.message)
@@ -204,16 +212,17 @@ def parallel_transport(field_: MetricField, solution: GeodesicSolution, w0,
     g0 = field_.value(solution.p0)
     base = np.hstack([cols, solution.v0[:, None]])
     prod0 = base.T @ g0 @ base
-    drift = 0.0
+    drift = curve_drift = 0.0
     for s in np.linspace(0.0, solution.t_reached, 17):
         x, xdot = solution.evaluate(s)
         w = sol.sol(s).reshape(n, m)
         stack = np.hstack([w, xdot[:, None]])
-        prod = stack.T @ field_.value(x) @ stack
-        drift = max(drift, float(np.max(np.abs(prod - prod0))))
-    scale = 1.0 + float(np.max(np.abs(prod0)))
-    if drift > tols.eps_geo * scale:
-        if _rtol is None:
+        diff = np.abs(stack.T @ field_.value(x) @ stack - prod0)
+        drift = max(drift, float(np.max(diff)))
+        curve_drift = max(curve_drift, float(diff[-1, -1]))
+    budget = tols.eps_geo * (1.0 + float(np.max(np.abs(prod0))))
+    if drift > budget:
+        if _rtol is None and curve_drift <= budget:
             refined = parallel_transport(field_, solution, w0, tols,
                                          _rtol=rtol * 1e-3)
             refined.n_rhs_evals += int(sol.nfev)

@@ -8,9 +8,9 @@ p it returns (g, dg, d2g) with
     d2g[k, l, i, j] second partials d_k d_l g_ij,
 
 all analytic (propagated jets, no finite differences). Every field also
-answers a batch of points p (B, n), with a leading batch axis on each
-result: expression metrics evaluate it in one batched jet pass, other fields
-one point at a time. Charts may declare
+answers a batch of points p (B, n) in one pass, with a leading batch axis on
+each result; `product_jets` is the product rule of a conformal rescaling,
+shared by point and batch queries. Charts may declare
 periodic coordinates (quotient spacetimes); points are canonicalized modulo
 the periods before every field query, while curves are integrated in the
 covering chart and reported both raw and canonicalized.
@@ -82,15 +82,9 @@ class MetricField:
     def component_jets(self, p: Sequence[float], order: int = 2):
         """(g, dg, d2g) at p; dg/d2g are None when order cuts them off.
 
-        Points p (B, n) give results with a leading batch axis. This base
-        answers them one point at a time, for fields without a batched pass.
+        Points p (B, n) give results with a leading batch axis.
         """
-        points = np.asarray(p, dtype=float)
-        if points.ndim == 1:
-            raise NotImplementedError
-        jets = [self.component_jets(q, order) for q in points]
-        return tuple(None if part[0] is None else np.stack(part)
-                     for part in zip(*jets))
+        raise NotImplementedError
 
     def value(self, p: Sequence[float]) -> np.ndarray:
         return self.component_jets(p, order=0)[0]
@@ -212,9 +206,10 @@ def minkowski_field(n: int = 4,
 class ConformalScaledMetric(MetricField):
     """e^{2 s f} g as a first-class metric field.
 
-    Component jets apply the product/chain rule exactly, so this wrapper is
-    the ground-truth oracle for every closed-form conformal transformation
-    law in the package.
+    Component jets apply the product/chain rule exactly (`product_jets`),
+    at a point or a batch of points alike, so this wrapper is the
+    ground-truth oracle for every closed-form conformal transformation law
+    in the package.
     """
 
     def __init__(self, base: MetricField, factor: ScalarField, scale: float = 1.0):
@@ -231,20 +226,34 @@ class ConformalScaledMetric(MetricField):
         self.constant_components = False
 
     def component_jets(self, p, order: int = 2):
-        if isinstance(p, np.ndarray) and p.ndim > 1:
-            return super().component_jets(p, order)
         q = self.base.canonicalize(p)
         g, dg, d2g = self.base.component_jets(q, order=order)
         f = self.factor.jet2(q, max(order, 1)) * self.scale
-        e = (2.0 * f).exp()
-        if order == 0:
-            return e.value * g, None, None
-        new_g = e.value * g
-        new_dg = np.einsum("k,ij->kij", e.grad, g) + e.value * dg
-        if order < 2:
-            return new_g, new_dg, None
-        new_d2g = (np.einsum("kl,ij->klij", e.hess, g)
-                   + np.einsum("k,lij->klij", e.grad, dg)
-                   + np.einsum("l,kij->klij", e.grad, dg)
-                   + e.value * d2g)
-        return new_g, new_dg, new_d2g
+        return product_jets((2.0 * f).exp(), g, dg, d2g)
+
+
+def product_jets(e: Jet2, g, dg=None, d2g=None):
+    """Component jets of e g from a scalar jet e and g's component jets.
+
+    At a point e is a float jet and g, dg, d2g are (n, n), (n, n, n) and
+    (n, n, n, n); at points (B, n) e carries its batch axis last and the
+    components theirs first, as the fields return them. The result has the
+    components' layout, up to the order dg and d2g reach:
+
+        order 0   e g
+        order 1   de (x) g + e dg
+        order 2   d2e (x) g + de (x) dg + (de (x) dg)^T + e d2g
+    """
+    # move e's batch axis first, to meet the components'
+    v = np.asarray(e.value)[..., None, None]
+    eg = v * g
+    if dg is None:
+        return eg, None, None
+    de = np.moveaxis(e.grad, 0, -1)[..., :, None, None]
+    deg = de * g[..., None, :, :] + v[..., None] * dg
+    if d2g is None:
+        return eg, deg, None
+    d2e = np.moveaxis(e.hess, (0, 1), (-2, -1))[..., None, None]
+    cross = de[..., None] * dg[..., None, :, :, :]      # d_k e d_l g_ij
+    return eg, deg, (d2e * g[..., None, None, :, :] + cross
+                     + cross.swapaxes(-4, -3) + v[..., None, None] * d2g)

@@ -34,7 +34,7 @@ from .geometry import (DEFAULT_TOLS, TangentVector, Tolerances,
                        _orientation_field_value, causal_class_in, curvature_data,
                        lorentz_frame)
 from .jets import Jet2
-from .metric import ConformalScaledMetric, MetricField
+from .metric import ConformalScaledMetric, MetricField, product_jets
 from .normal import NormalChart, orthonormal_frame_from
 from .conformal import conformal_mean_curvature, conformal_riemann, rescale
 from .submanifold import (Embedding, MeanCurvature, mean_curvature,
@@ -51,21 +51,16 @@ def _cutoff_jet(u: Jet2) -> Jet2:
     """chi(u): 1 on [0, 1/4], quintic C^2 ramp on [1/4, 1], 0 beyond.
 
     The ramp is the unique quintic with value/slope/curvature matching at
-    both ends, so all jets are exact and the field is C^2 everywhere. A
-    batch clips z to [0, 1] elementwise, which is exact for the same
-    reason: at either end the ramp is exactly 1 or 0 with zero derivatives.
+    both ends, so all jets are exact and the field is C^2 everywhere. z is
+    clipped to [0, 1], elementwise on a batch, which is exact for the same
+    reason: at either end the ramp is exactly 1 or 0 with zero derivatives,
+    so a point or a batch takes the same path and no point takes a branch.
     """
-    v = u.value
-    if isinstance(v, np.ndarray):
-        z = np.clip((v - 0.25) / 0.75, 0.0, 1.0)
-    elif v <= 0.25:
-        return Jet2.constant(1.0, u.dim, u.order)
-    elif v >= 1.0:
-        return Jet2.constant(0.0, u.dim, u.order)
-    else:
-        z = (v - 0.25) / 0.75
-    s = z ** 3 * (10.0 - 15.0 * z + 6.0 * z * z)
-    ds = 30.0 * z ** 2 * (1.0 - z) ** 2
+    z = np.clip((u.value - 0.25) / 0.75, 0.0, 1.0)
+    # products, not powers: numpy rounds z ** 3 on an array and on a
+    # scalar differently
+    s = z * z * z * (10.0 - 15.0 * z + 6.0 * z * z)
+    ds = 30.0 * z * z * ((1.0 - z) * (1.0 - z))
     d2s = 60.0 * z * (1.0 - 3.0 * z + 2.0 * z * z)
     # chain through z = (u - 1/4) / (3/4)
     c = 1.0 / 0.75
@@ -80,7 +75,8 @@ class BumpField(ScalarField):
     The cutoff is identically 1 within rho/2 of the center, so the prescribed
     value and gradient at p are exact. Periodic chart coordinates are wrapped
     to the nearest image, making the bump well defined on quotient charts.
-    Points (B, n) are answered in one batched pass (batch axis last).
+    A point (n,) and points (B, n) take the same code, the batch in one
+    pass (batch axis last), and agree bit for bit.
     """
 
     def __init__(self, chart_field: MetricField, p, value: float,
@@ -112,28 +108,18 @@ class BumpField(ScalarField):
 
     def jet2(self, q, order: int = 2) -> Jet2:
         n = self.dim
-        d = self._delta(q)
+        # (n,) or (n, B), batch axis last; sums run term by term so that a
+        # point and a batch round alike
+        d = self._delta(q).T
+        ones = np.ones(d.shape[1:])
+        r2 = self.rho ** 2
         second = order >= 2
-        if d.ndim == 1:
-            r2 = float(d @ d)
-            if r2 >= self.rho ** 2:
-                return Jet2.constant(0.0, n, order)
-            u = Jet2(r2 / self.rho ** 2, 2.0 * d / self.rho ** 2,
-                     2.0 * np.eye(n) / self.rho ** 2 if second else None)
-            core = Jet2(self.v0 + float(self.dphi @ d), self.dphi.copy(),
-                        np.zeros((n, n)) if second else None)
-        else:
-            # points (B, n), batch axis last; the cutoff is exactly 0
-            # outside the support, so no point takes a branch
-            d = d.T
-            ones = np.ones(d.shape[1])
-            u = Jet2(np.einsum("ib,ib->b", d, d) / self.rho ** 2,
-                     2.0 * d / self.rho ** 2,
-                     np.multiply.outer(2.0 * np.eye(n) / self.rho ** 2, ones)
-                     if second else None)
-            core = Jet2(self.v0 + self.dphi @ d,
-                        np.multiply.outer(self.dphi, ones),
-                        np.zeros((n, n) + ones.shape) if second else None)
+        u = Jet2(sum(c * c for c in d) / r2, 2.0 * d / r2,
+                 np.multiply.outer(2.0 * np.eye(n) / r2, ones)
+                 if second else None)
+        core = Jet2(self.v0 + sum(w * c for w, c in zip(self.dphi, d)),
+                    np.multiply.outer(self.dphi, ones),
+                    np.zeros((n, n) + ones.shape) if second else None)
         return core * _cutoff_jet(u)
 
     def support_box(self) -> list[tuple[float, float]]:
@@ -144,9 +130,9 @@ class NormalCoordBump(ScalarField):
     """core(x(q)) * chi(|x(q)|^2 / rho^2) for normal coordinates x = chart^-1.
 
     Exact jets on affine charts and at the chart center; finite-difference
-    jets of the Newton inverse elsewhere (slow, diagnostics only). Points
-    (B, n) are answered in one batched pass on affine charts and one point
-    at a time on curved ones.
+    jets of the Newton inverse elsewhere (slow, diagnostics only). On affine
+    charts a point (n,) and points (B, n) take the same code, the batch in
+    one pass; curved charts answer points one at a time.
     """
 
     def __init__(self, chart: NormalChart, core_text: str, rho: float):
@@ -163,28 +149,34 @@ class NormalCoordBump(ScalarField):
     def jet2(self, q, order: int = 2) -> Jet2:
         n = self.dim
         q = np.asarray(q, dtype=float)
-        if q.ndim == 1:
+        if self.chart.affine:
+            # x = A (q - p) at a point or points (B, n), batch axis last,
+            # summed term by term so that a point and a batch round alike
+            a = self.chart.frame_inv
+            dq = (q - self.chart.p).T
+            x = [sum(w * c for w, c in zip(row, dq)) for row in a]
+            ones = np.ones(dq.shape[1:])
+            seeds = [Jet2(x[k], np.multiply.outer(a[k], ones),
+                          np.zeros((n, n) + ones.shape) if order >= 2
+                          else None) for k in range(n)]
+        elif q.ndim > 1:
+            return super().jet2(q, order)     # curved charts: point by point
+        else:
             x = self.chart.inverse(q)
             if float(x @ x) >= self.rho ** 2:
                 return Jet2.constant(0.0, n, order)
             seeds = self.chart.coord_jets(q)
-        elif self.chart.affine:
-            # x = A (q - p) at points (B, n), batch axis last; the cutoff is
-            # exactly 0 outside the support, so no point takes a branch
-            a = self.chart.frame_inv
-            x = a @ (q - self.chart.p).T
-            ones = np.ones(len(q))
-            seeds = [Jet2(x[k], np.multiply.outer(a[k], ones),
-                          np.zeros((n, n) + ones.shape)) for k in range(n)]
-        else:
-            return super().jet2(q, order)     # curved charts: point by point
-        if order < 2:
-            seeds = [Jet2(s.value, s.grad, None) for s in seeds]
-        core = self.core.eval(seeds, {})   # a float if core is constant
+            if order < 2:
+                seeds = [Jet2(s.value, s.grad, None) for s in seeds]
         u = seeds[0] * seeds[0]
         for k in range(1, n):
             u = u + seeds[k] * seeds[k]
         chi = _cutoff_jet(u * (1.0 / self.rho ** 2))
+        # outside the support chi is exactly 0 with zero derivatives, so the
+        # core is taken at x = 0 there: a far point cannot overflow it
+        inside = u.value < self.rho ** 2
+        core = self.core.eval([Jet2(s.value * inside, s.grad, s.hess)
+                               for s in seeds], {})   # a float if constant
         return core * chi
 
     def support_box(self) -> list[tuple[float, float]]:
@@ -206,9 +198,11 @@ def bump(chart_field: MetricField, p, value: float, dphi,
 # --- C^s seminorms -----------------------------------------------------------------
 #
 # Family tables take one batched pass per grid slab: base component jets and
-# phi jets at points (B, n), every n in closed form from e^{2 phi/n} - 1.
-# `_seminorm_orders` is the per-point difference of two metrics' jets, the
-# reference the tables are tested against and the error path.
+# phi jets at points (B, n), every n from the conformal product rule
+# `metric.product_jets` with e = e^{2 phi/n} - 1, the rule the rescaled
+# metrics use. `_seminorm_orders` is the per-point difference of two
+# metrics' jets, the reference the tables are tested against and the error
+# path.
 
 
 def _grid(box, grid_per_axis: int) -> np.ndarray:
@@ -347,14 +341,9 @@ def _seminorm_rows(base: MetricField, phi: ScalarField, n_max: int,
 
     g_n - g = (E - 1) g with E = e^{2 phi / n}, so one order-2 pass of base
     and phi jets per slab of the grid (one index along the first axis)
-    gives every n in closed form:
-
-        order 0   (E - 1) g
-        order 1   dE (x) g + (E - 1) dg
-        order 2   d2E (x) g + dE (x) dg + (dE (x) dg)^T + (E - 1) d2g
-
-    Each order is reduced to its max-abs before the next is built. An error
-    (or a floating-point overflow) re-runs the rows point by point through
+    gives every n through `product_jets`, with e = E - 1: its value is
+    expm1(2 phi / n) and its derivatives are those of E. An error (or a
+    floating-point overflow) re-runs the rows point by point through
     `_seminorm_orders` on the rescaled metrics, so it is the error the
     first failing point raises.
     """
@@ -363,34 +352,17 @@ def _seminorm_rows(base: MetricField, phi: ScalarField, n_max: int,
     maxima = np.zeros((n_max, 3))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            slabs = _grid(pad, grid_per_axis).reshape(grid_per_axis, -1,
-                                                     base.dim)
-            b, dim = slabs.shape[1:]
-            d1 = np.empty((b,) + (dim,) * 3)
-            d2, t = np.empty((b,) + (dim,) * 4), np.empty((b,) + (dim,) * 4)
-            for slab in slabs:
+            for slab in _grid(pad, grid_per_axis).reshape(grid_per_axis, -1,
+                                                          base.dim):
                 q = base.canonicalize(slab)
                 g, dg, d2g = base.component_jets(q, order=2)
                 f = phi.jet2(q, 2)
-                grad, hess = f.grad.T, f.hess.transpose(2, 0, 1)
                 for k, row in enumerate(maxima):
-                    s = 2.0 / (k + 1)
-                    em1 = np.expm1(s * f.value)                   # E - 1
-                    es = (em1 + 1.0) * s
-                    de = es[:, None] * grad
-                    dde = es[:, None, None] * (
-                        hess + s * grad[:, :, None] * grad[:, None, :])
-                    row[0] = max(row[0], np.abs(em1[:, None, None] * g).max())
-                    np.multiply(de[:, :, None, None], g[:, None], out=d1)
-                    d1 += em1[:, None, None, None] * dg
-                    row[1] = max(row[1], np.abs(d1, out=d1).max())
-                    np.multiply(dde[..., None, None], g[:, None, None], out=d2)
-                    np.multiply(de[:, :, None, None, None], dg[:, None], out=t)
-                    d2 += t
-                    d2 += t.swapaxes(1, 2)
-                    np.multiply(em1[:, None, None, None, None], d2g, out=t)
-                    d2 += t
-                    row[2] = max(row[2], np.abs(d2, out=d2).max())
+                    t = 2.0 * (f * (1.0 / (k + 1)))        # 2 phi / n
+                    exp_t = t.exp()
+                    e = Jet2(np.expm1(t.value), exp_t.grad, exp_t.hess)
+                    for m, part in enumerate(product_jets(e, g, dg, d2g)):
+                        row[m] = max(row[m], np.abs(part).max())
     except (LorentzkitError, ArithmeticError, ValueError):
         maxima = [_seminorm_orders(base, rescale(base, phi, 1.0 / n), pad,
                                    grid_per_axis)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lorentzkit.geodesics as geodesics
-from lorentzkit.errors import SingularMetric
+from lorentzkit.errors import SingularMetric, ToleranceExceeded
 from lorentzkit.expr import SymbolTable
 from lorentzkit.geodesics import (_geodesic_rhs, _transport_rhs, geodesic,
                                   parallel_transport)
@@ -204,6 +204,27 @@ class TestRefinementCounts:
         assert len(attempts) == 1 + loose_first
         assert tr.refinements == int(loose_first)
         assert tr.n_rhs_evals == sum(attempts)
+
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    def test_retry_stays_at_scipys_rtol_floor(self, bundles):
+        """eps_geo 1e-12 asks for a retry at rtol 1e-15, below scipy's floor
+        of 100 eps: the retry runs at the floor without scipy's warning."""
+        sol = geodesic(bundles["schwarzschild_ef"].field, (0, 4, 1.5, 0.3),
+                       (1, -1, 0, 0.2), 2.0, Tolerances(eps_geo=1e-12))
+        assert sol.refinements == 1
+
+    def test_transport_skips_a_retry_the_geodesic_decides(self, bundles,
+                                                          monkeypatch):
+        """When g(x', x') of the stored geodesic alone drifts over the
+        transport budget, a transport retry cannot help and is not run."""
+        f = bundles["schwarzschild_ef"].field
+        sol = geodesic(f, (0, 3, 1.5707, 0), (1, -1, 0, 0), 1.8)
+        attempts = self._counting_solver(monkeypatch, loose_first=False)
+        with pytest.raises(ToleranceExceeded):
+            parallel_transport(f, sol, np.array([0.0, 1.0, 0.0, 0.0]),
+                               Tolerances(eps_geo=1e-9))
+        assert len(attempts) == 1
 
 
 class TestRightHandSides:

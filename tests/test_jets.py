@@ -11,7 +11,9 @@ from lorentzkit.errors import DomainError
 from lorentzkit.expr import SymbolTable
 from lorentzkit.fields import ExprScalarField
 from lorentzkit.jets import Jet2
-from lorentzkit.metric import ExprMetricField
+from lorentzkit.metric import ExprMetricField, minkowski_field
+from lorentzkit.normal import NormalChart
+from lorentzkit.perturb import BumpField, NormalCoordBump
 from lorentzkit.specfile import load_spec
 
 from conftest import CATALOG_NAMES, region_points
@@ -234,23 +236,53 @@ def test_batched_embedding_jets_match_points(bundles):
 
 
 def test_batched_conformal_and_vector_fields_match_points(bundles):
-    """Fields without a batched pass answer a batch one point at a time;
-    vector fields evaluate a batch in one pass."""
+    """A rescaled metric answers a batch in one pass, through the same
+    product rule as a point: equal to the point's jets bit for bit with a
+    stacking factor (ExprScalarField), and to 1e-15 with the batched bump
+    factors (BumpField; an affine NormalCoordBump), whose points lie on the
+    plateau, the ramp and outside the support. Vector fields evaluate a
+    batch in one pass."""
     b = bundles["schwarzschild_ef"]
     pts = region_points(b, 4, seed=2)
-    factor = ExprScalarField("0.1*sin(r)*cos(theta) + 0.05*v", b.field.table)
-    field = rescale(b.field, factor)
-    for order in (0, 1, 2):
-        batch = field.component_jets(pts, order=order)
-        for k, p in enumerate(pts):
-            for part, one in zip(batch, field.component_jets(p, order=order)):
-                assert one is None and part is None \
-                    or np.array_equal(part[k], one)
+    center = 0.3 * pts[1] + 0.7 * pts[2]
+    factors = [
+        (ExprScalarField("0.1*sin(r)*cos(theta) + 0.05*v", b.field.table),
+         np.array_equal),
+        (BumpField(b.field, center, 0.2, [0.3, -0.5, 0.1, 0.2], 0.8), _close),
+        (NormalCoordBump(NormalChart(minkowski_field(), center, np.eye(4)),
+                         "exp(n0) + n1*n2", 0.8), _close),
+    ]
+    for factor, agree in factors:
+        field = rescale(b.field, factor, 0.7)
+        for order in (0, 1, 2):
+            batch = field.component_jets(pts, order=order)
+            for k, p in enumerate(pts):
+                for part, one in zip(batch,
+                                     field.component_jets(p, order=order)):
+                    assert one is None and part is None \
+                        or agree(part[k], one), (factor, order, k)
     for vf in (b.orientation, b.hints["inner_sphere"]):
         vals = vf.value(pts)
         assert vals.shape == pts.shape
         for k, p in enumerate(pts):
             assert _close(vals[k], vf.value(p))
+
+
+def test_rescaled_metric_answers_a_batch_in_one_pass(bundles, monkeypatch):
+    """A batch query of a rescaled metric makes one batched base query."""
+    b = bundles["schwarzschild_ef"]
+    pts = region_points(b, 6, seed=3)
+    calls = []
+    base_jets = ExprMetricField.component_jets
+
+    def counted(self, q, order=2):
+        calls.append(np.shape(q))
+        return base_jets(self, q, order)
+
+    monkeypatch.setattr(ExprMetricField, "component_jets", counted)
+    factor = BumpField(b.field, pts[0], 0.1, [0.2, 0.1, 0.0, -0.3], 0.5)
+    rescale(b.field, factor).component_jets(pts, order=2)
+    assert calls == [pts.shape]
 
 
 def test_batched_jet_arithmetic_and_domain_checks():

@@ -112,6 +112,19 @@ class TestNormalCoordBump:
         assert jet.value == 0.0 and np.abs(jet.hess).max() == 0.0
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_far_outside(self, bundles):
+        """exp(n0) would overflow 800 units out; the cutoff is exactly 0
+        there, so a point and a batch give 0 without evaluating it."""
+        chart = NormalChart(bundles["minkowski"].field, np.zeros(4), np.eye(4))
+        nb = NormalCoordBump(chart, "exp(n0)", 0.3)
+        far = np.array([800.0, 0.0, 0.0, 0.0])
+        assert nb.jet2(far).value == 0.0
+        batch = nb.jet2(np.array([far, [0.1, 0.0, 0.0, 0.0]]))
+        assert batch.value[0] == 0.0 and not np.abs(batch.hess[..., 0]).any()
+        assert batch.value[1] == pytest.approx(math.exp(0.1))
+
+
 class TestSeminorm:
     def test_identical_fields_give_zero(self, bundles):
         f = bundles["minkowski"].field
@@ -365,6 +378,24 @@ class TestBatchedScalarJets:
         direct = b.jet2(points, order)
         assert _rel_close(same.value, direct.value, 1e-14)
         assert _rel_close(same.grad, direct.grad, 1e-14)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_bump_point_and_batch_agree_exactly(self, bundles, order):
+        """A point and a batch take the same code, so a point's jet equals
+        its column of the batch jet bit for bit, outside the support too."""
+        f = bundles["torus_quotient"].field
+        p = np.array([0.0, 0.05, 0.97, 0.5])
+        b = bump(f, p, 0.4, np.array([0.3, 1.0, -0.4, 0.2]), 0.25)
+        points = self._shell_points(p, b.rho, np.random.default_rng(8),
+                                    self.RADII)
+        points = np.vstack([points, points + np.array([0.0, 1.0, -1.0, 2.0])])
+        batch = b.jet2(points, order)
+        for k, q in enumerate(points):
+            one = b.jet2(q, order)
+            assert batch.value[k] == one.value
+            assert np.array_equal(batch.grad[..., k], one.grad)
+            assert order == 1 and one.hess is None \
+                or np.array_equal(batch.hess[..., k], one.hess)
 
     @pytest.mark.parametrize("core", ["exp(n0)", "n0^2", "(n0 + n1)^2"])
     @pytest.mark.parametrize("order", [1, 2])
