@@ -11,18 +11,22 @@ named parameters). Grammar is ordinary infix:
 
 with functions exp, log, sin, cos, tan, sinh, cosh, tanh, sqrt. `abs` is
 deliberately not provided (not twice differentiable at 0). The parsed tree is
-immutable and has one evaluator, `Expr.eval(xs, params)`: the coordinate
-values `xs` are plain floats (values only) or Jet2 seeds (values with
-analytic gradients, and Hessians unless seeded at order 1), at one point or,
-as (B,) arrays and batched seeds, at B points at once. Numbers and
-parameters always evaluate to floats, so constant subtrees never allocate
-jets; Jet2's mixed float operators carry them into the coordinate-dependent
-parts. `evaluate` seeds and evaluates a list of expressions at a point or a
-batch of points.
+immutable.
+
+Fields evaluate expressions through `compile`: one straight-line kernel
+per tuple of expressions and order (0, 1 or 2), with Jet2's arithmetic and
+domain checks term for term, cached module-wide (see the section below).
+The tree walker `Expr.eval(xs, params)` remains for constant folding, for
+jets composed from other jets (`xs` Jet2 seeds, as a bump's core on its
+chart's coordinate jets) and as the reference the kernels are tested
+against; numbers and parameters evaluate to floats there, so constant
+subtrees never allocate jets.
 """
 
 from __future__ import annotations
 
+import builtins
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -99,12 +103,9 @@ _MATH_FUNCS = {
 
 
 def _apply(op: str, a):
-    """The function `op` of a float (math), of a batch of values (numpy) or
-    of a Jet2 (its method)."""
+    """The function `op` of a float (math) or of a Jet2 (its method)."""
     if isinstance(a, Jet2):
         return getattr(a, op)()
-    if isinstance(a, np.ndarray):
-        return getattr(np, op)(a)
     try:
         return _MATH_FUNCS[op](a)
     except ValueError as exc:
@@ -115,18 +116,10 @@ def _power(a, b):
     if isinstance(b, Jet2):
         # the exponent depends on the coordinates
         return (_apply("log", a) * b).exp()
-    if isinstance(b, np.ndarray):
-        # values at a batch of points, the exponent depending on them
-        bad = (a <= 0.0) & (b != np.floor(b))
-    elif float(b).is_integer():
+    if float(b).is_integer():
         return a ** int(b)          # exact: repeated multiplication for jets
-    elif isinstance(a, Jet2):
-        return a ** b               # the jet checks its base
-    else:
-        bad = a <= 0.0
-    if any_true(bad):
-        raise DomainError(f"real exponent requires positive base, got "
-                          f"{first_bad(a, bad)}")
+    if not isinstance(a, Jet2) and a <= 0.0:    # a jet checks its base
+        raise DomainError(f"real exponent requires positive base, got {a}")
     return a ** b
 
 
@@ -339,45 +332,154 @@ def parse(text: str, table: SymbolTable) -> Expr:
     return _Parser(tokens, table).parse()
 
 
-def evaluate(exprs, points: np.ndarray, params: Mapping[str, float],
-             order: int = 0) -> tuple[list, tuple]:
-    """Expressions over one symbol table at a point (n,) or at points (B, n).
+# --- compiled jet kernels -----------------------------------------------------
+#
+# `compile` turns a tuple of expressions into one straight-line Python
+# function per order: forward-mode value, gradient and (at order 2) Hessian
+# terms, each one statement. Shared subtrees are emitted once (the frozen
+# nodes hash by structure), numbers, parameters and constant subtrees are
+# folded to literals, and a derivative that is structurally zero is never
+# formed. The arithmetic is Jet2's, term for term, with its domain checks;
+# one rule holds at every order, so order 0 is the value part of order 1.
+# The source runs on floats at a point (math) and on (B,) arrays at a
+# batch (numpy, overflow and invalid values raising): only the function
+# names and the check helpers bound to it differ.
 
-    Returns the results and their batch shape. Order 0 gives values, orders
-    1 and 2 Jet2s seeded on the coordinates; an expression that does not
-    depend on them stays a float. A point, and a batch of one, is evaluated
-    on floats (math, with its errors): batch shape (). A batch of B > 1
-    points is evaluated on (B,) arrays, batch shape (B,), where numpy raises
-    on overflow, division by zero and invalid values as math does; the
-    evaluator turns either into DomainError.
+
+class Kernel:
+    """Compiled jets of a tuple of expressions, placed in a fixed layout.
+
+    Expression k fills the positions `slots[k]` of an array of shape
+    `shape`. A call at a point (n,) returns (value, grad, hess) of shapes
+    shape, (n,) + shape and (n, n) + shape; at points (B, n) each carries
+    a last batch axis (B,). Parts above the kernel's order are None. Raises
+    DomainError where Jet2 arithmetic does, and when a result is not
+    finite. A floating-point error names the operation it arose in, as
+    `Expr.eval` does ("exp: math range error" at a point, "'*': overflow
+    encountered in multiply" in a batch): `labels[i]` is the operation of
+    source line i + 2.
     """
-    n = points.shape[-1]
-    many = points.ndim > 1 and points.shape[0] > 1
-    if many:
-        xs = list(np.ascontiguousarray(points.T))
-    else:
-        xs = (points if points.ndim == 1 else points[0]).tolist()
-    if order:
-        xs = [Jet2.variable(x, i, n, order) for i, x in enumerate(xs)]
-    if not many:
-        return [e.eval(xs, params) for e in exprs], ()
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        return [e.eval(xs, params) for e in exprs], points.shape[:1]
+
+    def __init__(self, source: str, constants: dict, labels: list, n: int,
+                 order: int, shape: tuple):
+        self.source, self.labels = source, labels
+        self.n, self.order, self.shape = n, order, shape
+        self._width = math.prod(shape)
+        self.size = self._width * (1, 1 + n, 1 + n + n * n)[order]
+        code = builtins.compile(source, _FILENAME, "exec")
+        self._point = _load(code, constants, _POINT_NAMES)
+        self._batch = _load(code, constants, _BATCH_NAMES)
+
+    def __call__(self, points: np.ndarray):
+        one = points.ndim == 1 or len(points) == 1
+        try:
+            if one:
+                out = np.zeros(self.size)
+                self._point(out, *points.reshape(-1).tolist())
+            else:
+                out = np.zeros((self.size, len(points)))
+                with np.errstate(divide="raise", over="raise",
+                                 invalid="raise"):
+                    self._batch(out, *np.ascontiguousarray(points.T))
+        except (ArithmeticError, ValueError) as exc:
+            raise DomainError(self._message(exc)) from exc
+        if points.ndim > 1 and one:
+            out = out[:, None]
+        batch = out.shape[1:]
+        n, w = self.n, self._width
+        value = out[:w].reshape(self.shape + batch)
+        grad = out[w:w * (1 + n)].reshape((n,) + self.shape + batch) \
+            if self.order >= 1 else None
+        hess = out[w * (1 + n):].reshape((n, n) + self.shape + batch) \
+            if self.order >= 2 else None
+        return value, grad, hess
+
+    def _message(self, exc: Exception) -> str:
+        tb, line = exc.__traceback__, None
+        while tb is not None:
+            if tb.tb_frame.f_code.co_filename == _FILENAME:
+                line = tb.tb_lineno
+            tb = tb.tb_next
+        label = self.labels[line - 2]
+        return label if label == _NOT_FINITE else f"{label}: {exc}"
 
 
-def batch_first(a: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """An array filled from `evaluate` at points (B, n), batch axis last,
-    with its batch axis first; at a point (n,), `a` as it is."""
-    if points.ndim == 1:
-        return a
-    return a[None] if points.shape[0] == 1 else np.moveaxis(a, -1, 0)
+_FILENAME = "<lorentzkit kernel>"
+_NOT_FINITE = "result is not finite"
+
+
+def _bad_point(message, value=None, mask=None):
+    raise DomainError(message if value is None else f"{message} {value}")
+
+
+def _bad_batch(message, value=None, mask=None):
+    raise DomainError(message if value is None
+                      else f"{message} {first_bad(value, mask)}")
+
+
+_POINT_NAMES = dict(_MATH_FUNCS, _any=bool, _bad=_bad_point)
+_BATCH_NAMES = dict({f: getattr(np, f) for f in FUNCTIONS},
+                    _any=any_true, _bad=_bad_batch)
+
+
+def _load(code, constants: dict, names: dict):
+    namespace = dict(names, **constants)
+    exec(code, namespace)
+    return namespace["kernel"]
+
+
+def compile(exprs: Sequence[Expr], n: int,
+            params: Mapping[str, float] | None = None, order: int = 2,
+            shape: Sequence[int] | None = None,
+            slots: Sequence[Sequence[int]] | None = None) -> Kernel:
+    """The jet kernel of `exprs` over n coordinates at `order` (0, 1, 2).
+
+    By default expression k fills position k of a (len(exprs),) layout.
+    Kernels are cached module-wide by expression structure, parameter
+    values, order and layout.
+    """
+    exprs = tuple(exprs)
+    if shape is None:
+        shape, slots = (len(exprs),), [(k,) for k in range(len(exprs))]
+    return _compiled(exprs, n, tuple(sorted((params or {}).items())), order,
+                     tuple(shape), tuple(tuple(s) for s in slots))
+
+
+@functools.lru_cache(maxsize=512)
+def _compiled(exprs, n, params, order, shape, slots) -> Kernel:
+    emitter = _Emitter(n, dict(params), order)
+    source = emitter.source(exprs, slots, math.prod(shape))
+    return Kernel(source, emitter.constants, emitter.labels, n, order, shape)
+
+
+class Kernels:
+    """The kernels of one tuple of expressions, compiled per order on first
+    use; a call evaluates them at a point or a batch (see Kernel)."""
+
+    def __init__(self, exprs: Sequence[Expr], n: int,
+                 params: Mapping[str, float] | None = None,
+                 shape: Sequence[int] | None = None,
+                 slots: Sequence[Sequence[int]] | None = None):
+        self._args = (tuple(exprs), n, params, shape, slots)
+        self._by_order: dict[int, Kernel] = {}
+
+    def kernel(self, order: int) -> Kernel:
+        kernel = self._by_order.get(order)
+        if kernel is None:
+            exprs, n, params, shape, slots = self._args
+            kernel = self._by_order[order] = compile(exprs, n, params, order,
+                                                     shape, slots)
+        return kernel
+
+    def __call__(self, points: np.ndarray, order: int):
+        return self.kernel(order)(points)
 
 
 def eval2(e: Expr, point: Sequence[float],
           params: Mapping[str, float] | None = None,
           table: SymbolTable | None = None, order: int = 2) -> Jet2:
-    """Evaluate an expression as a jet (second order unless `order` is 1) at
-    a chart point.
+    """The jet of an expression (second order unless `order` is 1) at a
+    chart point, from its compiled kernel.
 
     The gradient/Hessian are with respect to the chart coordinates, in the
     order declared by the symbol table used at parse time.
@@ -386,8 +488,322 @@ def eval2(e: Expr, point: Sequence[float],
     n = point.shape[0]
     if table is not None and table.dim != n:
         raise ValueError(f"point dimension {n} != chart dimension {table.dim}")
-    seeds = [Jet2.variable(x, i, n, order) for i, x in enumerate(point.tolist())]
-    jet = e.eval(seeds, params or {})
-    if not isinstance(jet, Jet2):
-        return Jet2.constant(jet, n, order)
-    return jet.symmetrized()
+    value, grad, hess = compile((e,), n, params, order, shape=(),
+                                slots=[(0,)])(point)
+    return Jet2(float(value), grad, hess)
+
+
+class _Emitter:
+    """Forward-mode source for expressions over coordinates x0 .. x{n-1}.
+
+    A jet is (value, grad, hess): grad a list of n terms, hess a dict of
+    terms keyed (k, l) with k <= l (filled at order 2 only). A term is a
+    local name (t<i>, or h<i> for a term only the Hessian needs), a float
+    folded at compile time, or None for a structural zero; a piece is a
+    term or an inline product `a * b`. Each line is labelled with the
+    operation it belongs to, as `Expr.eval` names it in its errors.
+    """
+
+    def __init__(self, n: int, params: dict, order: int):
+        self.n, self.params, self.order = n, params, order
+        self.kind = "t"
+        self.lines: list[str] = []
+        self.labels: list[str | None] = []
+        self.label: str | None = None
+        self.constants: dict[str, float] = {}
+        self.memo: dict[Expr, tuple] = {}
+        self.calls: dict[tuple[str, str], str] = {}     # sin(t) for cos(t)
+        self.pairs = [(k, l) for k in range(n) for l in range(k, n)]
+
+    # -- terms and pieces -----------------------------------------------
+
+    def lit(self, t) -> str:
+        """Source of a term or piece, parenthesized unless atomic."""
+        if isinstance(t, str):
+            return t if t.isidentifier() else f"({t})"
+        if math.isfinite(t):
+            text = repr(t)
+            return f"({text})" if text.startswith("-") else text
+        name = f"_k{len(self.constants)}"
+        self.constants[name] = t
+        return name
+
+    def line(self, code: str, label: str | None = None):
+        self.lines.append(code)
+        self.labels.append(label or self.label)
+
+    def let(self, code: str) -> str:
+        name = f"{self.kind}{len(self.lines)}"
+        self.line(f"{name} = {code}")
+        return name
+
+    def term(self, piece):
+        if piece is None or isinstance(piece, float) or piece.isidentifier():
+            return piece
+        return self.let(piece)
+
+    def product(self, a, b):
+        if a is None or b is None:
+            return None
+        if isinstance(a, float) and isinstance(b, float):
+            return a * b
+        if isinstance(a, float) and a == 1.0:
+            return b
+        if isinstance(b, float) and b == 1.0:
+            return a
+        return f"{self.lit(a)} * {self.lit(b)}"
+
+    def total(self, pieces):
+        """The sum of pieces left to right, structural zeros left out."""
+        pieces = [p for p in pieces if p is not None]
+        if not pieces:
+            return None
+        if all(isinstance(p, float) for p in pieces):
+            s = pieces[0]
+            for p in pieces[1:]:
+                s = s + p
+            return s
+        if len(pieces) == 1:
+            return self.term(pieces[0])
+        return self.let(" + ".join(
+            p if isinstance(p, str) else self.lit(p) for p in pieces))
+
+    def neg(self, t):
+        if t is None or isinstance(t, float):
+            return None if t is None else -t
+        return self.let(f"-{t}")
+
+    def diff(self, a, b):
+        if b is None:
+            return a
+        if a is None:
+            return self.neg(b)
+        if isinstance(a, float) and isinstance(b, float):
+            return a - b
+        return self.let(f"{self.lit(a)} - {self.lit(b)}")
+
+    def factor(self, order: int, code: str):
+        """A chain-rule factor needed from `order` on, else None."""
+        if self.order < order:
+            return None
+        self.kind = "h" if order == 2 else "t"
+        name = self.let(code)
+        self.kind = "t"
+        return name
+
+    def hessian(self, entry) -> dict:
+        """{(k, l): entry(k, l)} at order 2, structural zeros left out."""
+        if self.order < 2:
+            return {}
+        self.kind = "h"
+        hess = {kl: t for kl in self.pairs if (t := entry(*kl)) is not None}
+        self.kind = "t"
+        return hess
+
+    def check(self, cond: str, message: str, value=None):
+        args = f"{message!r}" if value is None \
+            else f"{message!r}, {value}, {cond}"
+        self.line(f"if _any({cond}): _bad({args})")
+
+    # -- jets ---------------------------------------------------------------
+
+    def constant(self, c: float):
+        return (c, [None] * self.n, {})
+
+    def entrywise(self, f, a, b):
+        (av, ag, ah), (bv, bg, bh) = a, b
+        return (f(av, bv), [f(x, y) for x, y in zip(ag, bg)],
+                self.hessian(lambda k, l: f(ah.get((k, l)), bh.get((k, l)))))
+
+    def scale(self, a, c: float):
+        """Jet2's jet * float."""
+        v, g, h = a
+        return (self.term(self.product(v, c)),
+                [self.term(self.product(t, c)) for t in g],
+                self.hessian(lambda k, l: self.term(self.product(h.get((k, l)),
+                                                                 c))))
+
+    def mul(self, a, b):
+        (av, ag, ah), (bv, bg, bh) = a, b
+        if isinstance(av, float):
+            return self.scale(b, av)
+        if isinstance(bv, float):
+            return self.scale(a, bv)
+        hess = self.hessian(lambda k, l: self.total([
+            self.product(av, bh.get((k, l))), self.product(bv, ah.get((k, l))),
+            self.product(ag[k], bg[l]), self.product(ag[l], bg[k])]))
+        return (self.term(self.product(av, bv)),
+                [self.total([self.product(av, y), self.product(bv, x)])
+                 for x, y in zip(ag, bg)], hess)
+
+    def compose(self, a, f, fp=None, fpp=None):
+        """Jet of f(u) from f, f' and f'' at u = a's value."""
+        _, ag, ah = a
+        hess = self.hessian(lambda k, l: self.total([
+            self.product(fp, ah.get((k, l))),
+            self.product(fpp, self.product(ag[k], ag[l]))]))
+        return (f, [self.term(self.product(fp, t)) for t in ag], hess)
+
+    def reciprocal(self, a):
+        v = self.lit(a[0])
+        self.check(f"{v} == 0.0", "division by zero")
+        return self.compose(
+            a, self.let(f"1.0 / {v}"), self.factor(1, f"-1.0 / ({v} * {v})"),
+            self.factor(2, f"2.0 / ({v} * {v} * {v})"))
+
+    def function(self, op: str, a):
+        v, order = self.lit(a[0]), self.order
+
+        def call(name):
+            if (name, v) not in self.calls:
+                self.calls[name, v] = self.let(f"{name}({v})")
+            return self.calls[name, v]
+
+        if op == "neg":
+            return (self.neg(a[0]), [self.neg(t) for t in a[1]],
+                    self.hessian(lambda k, l: self.neg(a[2].get((k, l)))))
+        if op == "exp":
+            e = call("exp")
+            return self.compose(a, e, e, e)
+        if op in ("log", "sqrt"):
+            self.check(f"{v} <= 0.0", f"{op} of nonpositive value", v)
+            if op == "log":
+                return self.compose(a, call("log"),
+                                    self.factor(1, f"1.0 / {v}"),
+                                    self.factor(2, f"-1.0 / ({v} * {v})"))
+            s = call("sqrt")
+            return self.compose(a, s, self.factor(1, f"0.5 / {s}"),
+                                self.factor(2, f"-0.25 / ({s} * {v})"))
+        if op in ("sin", "cos", "sinh", "cosh"):
+            pair = ("sin", "cos") if op in ("sin", "cos") else ("sinh", "cosh")
+            f = call(op)
+            other = call(pair[1] if op == pair[0] else pair[0]) \
+                if order >= 1 else None
+            if op == "sin":
+                return self.compose(a, f, other, self.factor(2, f"-{f}"))
+            if op == "cos":
+                return self.compose(a, f, self.factor(1, f"-{other}"),
+                                    self.factor(2, f"-{f}"))
+            return self.compose(a, f, other, f)
+        if op == "tan":
+            c = call("cos")
+            self.check(f"abs({c}) < 1e-300", "tan at a pole")
+            t = call("tan")
+            sec2 = self.factor(1, f"1.0 + {t} * {t}")
+            return self.compose(a, t, sec2,
+                                self.factor(2, f"2.0 * {t} * {sec2}"))
+        t = call("tanh")
+        sech2 = self.factor(1, f"1.0 - {t} * {t}")
+        return self.compose(a, t, sech2,
+                            self.factor(2, f"-2.0 * {t} * {sech2}"))
+
+    def power(self, e: "Binary"):
+        a, b = self.jet(e.left), self.jet(e.right)
+        if not e.right.is_constant:
+            # exp(b log a): the exponent depends on the coordinates; a
+            # constant base's log is folded
+            log_a = self.jet(Unary("log", e.left)) if e.left.is_constant \
+                else self.function("log", a)
+            return self.function("exp", self.mul(log_a, b))
+        c, v = b[0], self.lit(a[0])
+        if not float(c).is_integer():
+            self.check(f"{v} <= 0.0",
+                       "real exponent requires positive base, got", v)
+            return self.function("exp",
+                                 self.scale(self.function("log", a), c))
+        k = int(c)
+        if k < 0:
+            a, k = self.reciprocal(a), -k
+        if k == 0:
+            return self.constant(1.0)
+        out = a
+        for _ in range(k - 1):
+            out = self.mul(out, a)
+        return out
+
+    def jet(self, e: Expr):
+        hit = self.memo.get(e)
+        if hit is None:
+            outer = self.label
+            if isinstance(e, Unary):
+                self.label = e.op
+            elif isinstance(e, Binary):
+                self.label = repr(e.op)
+            hit = self.memo[e] = self._jet(e)
+            self.label = outer
+        return hit
+
+    def _jet(self, e: Expr):
+        if e.is_constant:
+            try:
+                jet = self.constant(float(e.eval((), self.params)))
+            except DomainError as exc:
+                self.line(f"_bad({str(exc)!r})")
+                jet = self.constant(math.nan)
+        elif isinstance(e, Sym):
+            if e.coord_index >= self.n:
+                raise ValueError(f"coordinate {e.name!r} outside {self.n} "
+                                 "kernel coordinates")
+            grad = [None] * self.n
+            if self.order >= 1:
+                grad[e.coord_index] = 1.0
+            jet = (f"x{e.coord_index}", grad, {})
+        elif isinstance(e, Unary):
+            jet = self.function(e.op, self.jet(e.arg))
+        elif e.op == "^":
+            jet = self.power(e)
+        else:
+            a, b = self.jet(e.left), self.jet(e.right)
+            if e.op == "+":
+                jet = self.entrywise(lambda x, y: self.total([x, y]), a, b)
+            elif e.op == "-":
+                jet = self.entrywise(self.diff, a, b)
+            elif e.op == "*":
+                jet = self.mul(a, b)
+            elif isinstance(b[0], float):
+                if b[0] == 0.0:
+                    self.line("_bad('division by zero')")
+                    jet = self.constant(math.nan)
+                else:
+                    jet = self.scale(a, 1.0 / b[0])
+            elif isinstance(a[0], float):
+                jet = self.scale(self.reciprocal(b), a[0])
+            else:
+                jet = self.mul(a, self.reciprocal(b))
+        return jet
+
+    # -- the kernel -----------------------------------------------------------
+
+    def source(self, exprs, slots, width: int) -> str:
+        n = self.n
+        writes: list[tuple[int, object]] = []
+        for e, where in zip(exprs, slots):
+            v, g, h = self.jet(e)
+            for s in where:
+                writes.append((s, v))
+                if self.order >= 1:
+                    writes += [(width * (1 + k) + s, t)
+                               for k, t in enumerate(g)]
+                for (k, l), t in h.items():
+                    writes.append((width * (1 + n + k * n + l) + s, t))
+                    if k != l:
+                        writes.append((width * (1 + n + l * n + k) + s, t))
+        writes = [(i, t) for i, t in writes
+                  if t is not None and not (isinstance(t, float) and t == 0.0
+                                            and math.copysign(1.0, t) > 0.0)]
+        # finiteness: 0 * t is 0 for a finite t and NaN otherwise
+        names = list(dict.fromkeys(t for _, t in writes if isinstance(t, str)))
+        if any(isinstance(t, float) and not math.isfinite(t)
+               for _, t in writes):
+            self.line(f"_bad({_NOT_FINITE!r})")
+        for start in range(0, len(names), 32):
+            terms = " + ".join(f"0.0 * {t}" for t in names[start:start + 32])
+            self.line(f"_z = {terms}" if start == 0 else f"_z = _z + {terms}",
+                      _NOT_FINITE)
+        if names:
+            self.check("_z != _z", _NOT_FINITE)
+        for i, t in writes:
+            self.line(f"_o[{i}] = {self.lit(t)}")
+        args = "".join(f", x{k}" for k in range(n))
+        return "\n    ".join([f"def kernel(_o{args}):"] + self.lines
+                             + ["return None"]) + "\n"

@@ -2,11 +2,11 @@
 
 A scalar field answers `jet2(p, order)`: a Jet2 at order 2, or a
 Hessian-free one at order 1, at a point p (n,) or, as a batch Jet2 with the
-batch axis last, at points p (B, n). `ZeroScalarField` and the bump fields
-of `perturb` answer both with one code path; the base class stacks
-per-point jets for fields without a batched pass (`ExprScalarField`,
-`NormalCoordBump` on a curved chart). A vector field's `value` takes a point
-(n,) or points (B, n).
+batch axis last, at points p (B, n). `ExprScalarField` (its compiled
+kernel), `ZeroScalarField` and the bump fields of `perturb` answer both with
+one code path; the base class stacks per-point jets for fields without a
+batched pass (`NormalCoordBump` on a curved chart). A vector field's `value`
+takes a point (n,) or points (B, n).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import Expr, SymbolTable, eval2, evaluate, parse
+from .expr import Expr, Kernels, SymbolTable, parse
 from .jets import Jet2
 
 
@@ -51,11 +51,13 @@ class ExprScalarField(ScalarField):
         self.expr = parse(expr, table) if isinstance(expr, str) else expr
         self.params = dict(params or {})
         self.dim = table.dim
+        self._kernels = Kernels((self.expr,), self.dim, self.params,
+                                shape=(), slots=[(0,)])
 
     def jet2(self, p, order: int = 2):
-        if np.ndim(p) > 1:
-            return super().jet2(p, order)
-        return eval2(self.expr, p, self.params, self.table, order)
+        q = np.asarray(p, dtype=float)
+        value, grad, hess = self._kernels(q, order)
+        return Jet2(float(value) if q.ndim == 1 else value, grad, hess)
 
 
 class ZeroScalarField(ScalarField):
@@ -79,6 +81,7 @@ class VectorField:
             parse(c, table) if isinstance(c, str) else c for c in components)
         self.params = dict(params or {})
         self.dim = table.dim
+        self._kernels = Kernels(self.components, self.dim, self.params)
 
     @staticmethod
     def constant(vec: Sequence[float], table: SymbolTable) -> "VectorField":
@@ -87,8 +90,5 @@ class VectorField:
     def value(self, p: Sequence[float]) -> np.ndarray:
         """Components at a point (n,), or stacked (B, n) at points (B, n)."""
         q = np.asarray(p, dtype=float)
-        values, _ = evaluate(self.components, q, self.params)
-        if q.ndim == 1:
-            return np.array(values)
-        return np.stack([np.broadcast_to(v, q.shape[:-1]) for v in values],
-                        axis=-1)
+        values = self._kernels(q, 0)[0]
+        return values if q.ndim == 1 else values.T

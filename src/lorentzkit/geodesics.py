@@ -10,15 +10,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import StepFailure, ToleranceExceeded
-from .geometry import DEFAULT_TOLS, TangentVector, Tolerances
+from .geometry import DEFAULT_TOLS, Tolerances
 from .metric import MetricField
 from .tensors import invert_metric
 
 # solve_ivp warns below this rtol and raises it to the floor itself
 _RTOL_FLOOR = 100 * np.finfo(float).eps
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first integration: scipy
+    is most of the package's import time, and most commands never
+    integrate."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _minus_gamma(field_: MetricField, x, xdot, w) -> np.ndarray:
@@ -104,10 +111,6 @@ class GeodesicSolution:
         for s in np.linspace(0.0, self.t_reached, num):
             x, xdot = self.evaluate(s)
             yield float(s), x, xdot
-
-    def end_state(self) -> TangentVector:
-        x, xdot = self.evaluate(self.t_reached)
-        return TangentVector(x, xdot)
 
 
 def geodesic(field_: MetricField, p, v, t_end: float,

@@ -1,10 +1,11 @@
 """Second-order jets: (value, gradient, Hessian) propagated together.
 
-A Jet2 is the universal currency of differentiation in this package: every
-scalar quantity that geometry needs derivatives of (metric components,
-conformal factors, embedding maps) is evaluated as a Jet2, so Christoffel
-symbols and curvature come out of analytic derivatives, never finite
-differences.
+Metric components, scalar and vector fields and embedding maps are
+evaluated by compiled kernels (`expr.compile`), which follow this class's
+arithmetic term for term. A Jet2 carries jets where fields meet: conformal
+factors and their exponential (`metric.product_jets`), bump cores composed
+on a chart's coordinate jets, cutoffs. `Expr.eval` on Jet2 seeds is the
+reference the kernels are tested against.
 
 A jet seeded at order 1 carries no Hessian (`hess` is None) and everything
 derived from it is order 1 too: value and gradient follow exactly the same
@@ -23,8 +24,9 @@ Arithmetic accepts plain floats on either side (`2.0 * j`, `1.0 / j`,
 `c - j`), which is how the expression evaluator keeps constant subtrees as
 floats instead of constant jets. Jets are never changed after construction;
 all arithmetic returns fresh instances. The class is not a frozen dataclass
-because a frozen `__init__` costs about 0.7 us more per jet, and an order-1
-metric query builds a dozen or more jets on the geodesic hot path.
+because a frozen `__init__` costs about 0.7 us more per jet, and a bump
+query builds a dozen or more of them. Derivative factors form powers as
+products (v * v, not v ** 2), which round alike on floats and arrays.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ class Jet2:
         zero = v == 0.0
         if zero.any() if isinstance(zero, np.ndarray) else zero:
             raise DomainError("division by zero")
-        return self._compose(1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
+        return self._compose(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
 
     def __pow__(self, exponent):
         if isinstance(exponent, int) or (isinstance(exponent, float)
@@ -195,7 +197,7 @@ class Jet2:
         if bad.any() if batch else bad:
             raise DomainError(f"log of nonpositive value {first_bad(v, bad)}")
         lv = np.log(v) if batch else math.log(v)
-        return self._compose(lv, 1.0 / v, -1.0 / v ** 2)
+        return self._compose(lv, 1.0 / v, -1.0 / (v * v))
 
     def sqrt(self):
         v = self.value

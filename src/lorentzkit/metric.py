@@ -7,7 +7,8 @@ p it returns (g, dg, d2g) with
     dg[k, i, j]    first partials  d_k g_ij,
     d2g[k, l, i, j] second partials d_k d_l g_ij,
 
-all analytic (propagated jets, no finite differences). Every field also
+all analytic (compiled forward-mode kernels for expression metrics, jets
+for conformal factors; no finite differences). Every field also
 answers a batch of points p (B, n) in one pass, with a leading batch axis on
 each result; `product_jets` is the product rule of a conformal rescaling,
 shared by point and batch queries. Charts may declare
@@ -18,13 +19,12 @@ covering chart and reported both raw and canonicalized.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import LorentzkitError, ParamError
-from .expr import Expr, SymbolTable, batch_first, evaluate, parse
+from .errors import ParamError
+from .expr import Expr, Kernels, SymbolTable, parse
 from .fields import ScalarField
 from .jets import Jet2
 from .tensors import MetricValue
@@ -123,10 +123,10 @@ class ExprMetricField(MetricField):
                 f"need all {lower_triangle_count(n)} lower-triangle components, "
                 f"got {len(entries)}")
         self.entries = entries
-        # the component arrays start at +0.0, so those entries are skipped
-        self._nonzero = {k: e for k, e in entries.items()
-                         if not _is_plus_zero(e, self.params)}
         self.constant_components = all(e.is_constant for e in entries.values())
+        # entry (i, j) fills g[i, j] and g[j, i]
+        self._kernels = Kernels(entries.values(), n, self.params, (n, n),
+                                [{i * n + j, j * n + i} for i, j in entries])
         if any(per is not None for per in self.periods):
             self._check_periodicity()
 
@@ -139,55 +139,26 @@ class ExprMetricField(MetricField):
                 a = lo if np.isfinite(lo) else hi - 2.0
                 b = hi if np.isfinite(hi) else lo + 2.0
                 pts[:, i] = a + (b - a) * (0.25 + 0.5 * rng.random(samples))
-        exprs = list(self.entries.values())
+        base = self._kernels(pts, 0)[0]
         for axis, per in enumerate(self.periods):
             if per is None:
                 continue
-            for p in pts:
-                q = p.copy()
-                q[axis] += per
-                a = [e.eval(p.tolist(), self.params) for e in exprs]
-                b = [e.eval(q.tolist(), self.params) for e in exprs]
-                if not np.allclose(a, b, atol=tol, rtol=0.0):
-                    raise ParamError(
-                        f"components not invariant under period {per} "
-                        f"along coordinate {self.table.coordinates[axis]}")
+            shifted = pts.copy()
+            shifted[:, axis] += per
+            if not np.allclose(base, self._kernels(shifted, 0)[0],
+                               atol=tol, rtol=0.0):
+                raise ParamError(
+                    f"components not invariant under period {per} "
+                    f"along coordinate {self.table.coordinates[axis]}")
 
     def component_jets(self, p, order: int = 2):
         q = self.canonicalize(p)
-        n = self.dim
-        # order 0 evaluates on floats, order 1 on Hessian-free jets;
-        # constant components stay floats. Filled batch axis last, as the
-        # jets carry it.
-        jets, batch = evaluate(self._nonzero.values(), q, self.params, order)
-        g = np.zeros((n, n) + batch)
-        dg = np.zeros((n, n, n) + batch) if order >= 1 else None
-        d2g = np.zeros((n, n, n, n) + batch) if order >= 2 else None
-        for (i, j), jet in zip(self._nonzero, jets):
-            if not isinstance(jet, Jet2):
-                g[i, j] = g[j, i] = jet
-                continue
-            g[i, j] = g[j, i] = jet.value
-            dg[:, i, j] = dg[:, j, i] = jet.grad
-            if order >= 2:
-                h = jet.hess
-                h = 0.5 * (h + (h.swapaxes(0, 1) if batch else h.T))
-                d2g[:, :, i, j] = d2g[:, :, j, i] = h
+        jets = self._kernels(q, order)
         if q.ndim == 1:
-            return g, dg, d2g
-        return tuple(None if a is None else batch_first(a, q)
-                     for a in (g, dg, d2g))
-
-
-def _is_plus_zero(e: Expr, params: Mapping[str, float]) -> bool:
-    """Whether e is the constant +0.0 (an entry that raises is not)."""
-    if not e.is_constant:
-        return False
-    try:
-        v = e.eval((), params)
-    except LorentzkitError:
-        return False
-    return v == 0.0 and math.copysign(1.0, v) > 0.0
+            return jets
+        # the kernel's batch axis is last
+        return tuple(None if a is None else np.moveaxis(a, -1, 0)
+                     for a in jets)
 
 
 def minkowski_field(n: int = 4,

@@ -30,12 +30,11 @@ import numpy as np
 
 from .errors import (DegenerateEmbedding, LorentzkitError, NotSpacelike,
                      OrientationHintDegenerate, WrongCodimension)
-from .expr import Expr, SymbolTable, batch_first, evaluate, parse
+from .expr import Expr, Kernels, SymbolTable, parse
 from .fields import VectorField
 from .geometry import (DEFAULT_TOLS, CausalClass, TangentVector, Tolerances,
                        _orientation_field_value, _require_timelike,
                        causal_class_in, christoffel_from_jets, screen)
-from .jets import Jet2
 from .metric import MetricField
 from .tensors import MetricValue
 
@@ -67,6 +66,7 @@ class Embedding:
             grid_shape = (32,) * self.m
         self.grid_shape = tuple(int(k) for k in grid_shape)
         self.name = name
+        self._kernels = Kernels(self.exprs, self.m, self.params)
 
     @property
     def codim(self) -> int:
@@ -101,26 +101,23 @@ class Embedding:
         return np.stack([c.reshape(-1) for c in mesh], axis=-1)
 
     def point(self, u) -> np.ndarray:
-        us = np.asarray(u, dtype=float).tolist()
-        return np.array([e.eval(us, self.params) for e in self.exprs])
+        return self._kernels(np.asarray(u, dtype=float), 0)[0]
 
     def first_second(self, u):
         """(point, J (n,m), H (n,m,m)) with H[i,a,b] = d2 x^i / du^a du^b;
         J is checked to have rank m. Parameter points u (B, m) give every
-        result a leading batch axis, from one batched jet pass, and the
+        result a leading batch axis, from one batched kernel pass, and the
         rank error names the first failing point."""
         q = np.asarray(u, dtype=float)
-        n, m = self.n, self.m
-        jets, batch = evaluate(self.exprs, q, self.params, 2)
-        x = np.zeros((n,) + batch)
-        jac = np.zeros((n, m) + batch)
-        hess = np.zeros((n, m, m) + batch)
-        for i, jet in enumerate(jets):
-            if not isinstance(jet, Jet2):
-                x[i] = jet
-                continue
-            x[i], jac[i], hess[i] = jet.value, jet.grad, jet.symmetrized().hess
-        x, jac, hess = (batch_first(a, q) for a in (x, jac, hess))
+        m = self.m
+        # the kernel lays out x (n,), d_a x (m, n), d_a d_b x (m, m, n),
+        # each with its batch axis last
+        x, jac, hess = self._kernels(q, 2)
+        if q.ndim == 1:
+            jac, hess = jac.T, hess.transpose(2, 0, 1)
+        else:
+            x, jac = x.T, jac.transpose(2, 1, 0)
+            hess = hess.transpose(3, 2, 0, 1)
         sv = np.linalg.svd(jac, compute_uv=False)
         low = np.reshape(sv[..., -1] <= 1e-10 * np.maximum(sv[..., 0], 1.0), -1)
         if low.any():

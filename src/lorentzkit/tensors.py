@@ -6,6 +6,7 @@ nothing to gain from symmetry-aware layouts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,17 @@ def _factor(g: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     rather than poison downstream curvature.
     """
     lam, q = np.linalg.eigh(g)
-    mag = np.abs(lam)
     if g.ndim == 2:
-        big = mag.max()
-        rcond = float(mag.min() / big) if big > 0 else 0.0
+        # one matrix, on the geodesic right-hand side: Python floats beat
+        # numpy reductions over n values
+        mag = [abs(v) for v in lam.tolist()]
+        big = max(mag)
+        rcond = min(mag) / big if big > 0 and not math.isnan(sum(mag)) \
+            else 0.0
         low = [rcond] if rcond < RCOND_FLOOR else []
         columns = lam
     else:
+        mag = np.abs(lam)
         big = mag.max(axis=-1)
         rcond = np.divide(mag.min(axis=-1), big, out=np.zeros_like(big),
                           where=big > 0)

@@ -4,6 +4,9 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -360,3 +363,16 @@ class TestAnalyzeOracle:
                 got = np.array(rep[key])
                 bound = 1e-10 * max(np.abs(want).max(), scale)
                 assert np.abs(got - want).max() <= bound, (name, key)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported by the first integration, not by the CLI."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lorentzkit.cli; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, check=True, timeout=60)
+    assert probe.stdout.strip() == "False"

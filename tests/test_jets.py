@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -142,10 +143,14 @@ def test_order1_jets_build_no_hessian(bundles, monkeypatch):
         b = bundles[name]
         b.field.component_jets(region_points(b, 1, seed=5)[0], order=1)
     assert not calls
-    # the counter does see the order-2 path
-    b = bundles["schwarzschild_ef"]
-    b.field.component_jets(region_points(b, 1, seed=5)[0], order=2)
-    assert calls
+    # the code the queries run: order 1 forms no Hessian term (named h<i>),
+    # order 2 does
+    hessian_term = re.compile(r"\bh\d+ = ")
+    for name in CATALOG_NAMES:
+        kernels = bundles[name].field._kernels
+        assert not hessian_term.search(kernels.kernel(1).source), name
+    kernels = bundles["schwarzschild_ef"].field._kernels
+    assert hessian_term.search(kernels.kernel(2).source)
 
 
 def test_order1_jets_stay_order1():
