@@ -23,6 +23,9 @@ from .metric import ExprMetricField, MetricField
 from .submanifold import Embedding
 
 TWO_PI = 2.0 * math.pi
+# the largest chart dimension a builtin family (minkowski n, torus m + 1)
+# accepts; the submanifold grids of a torus grow like 16^(m-1)
+MAX_DIMENSION = 6
 
 
 @dataclass
@@ -91,10 +94,20 @@ def _diag_entries(n: int, diag: list[str]) -> dict:
     return entries
 
 
+def _dimension(name: str, value, least: int, most: int) -> int:
+    """An integral dimension parameter in [least, most], checked before
+    anything is built from it."""
+    k = float(value)
+    if not k.is_integer():
+        raise ParamError(f"{name} must be an integer, got {value!r}")
+    if not least <= k <= most:
+        raise ParamError(f"{name} must be between {least} and {most}, "
+                         f"got {value!r}")
+    return int(k)
+
+
 def _load_minkowski(n: int = 4) -> SpacetimeBundle:
-    n = int(n)
-    if n < 2:
-        raise ParamError("minkowski needs dimension >= 2")
+    n = _dimension("minkowski dimension n", n, 2, MAX_DIMENSION)
     coords = ["t"] + [f"x{i}" for i in range(1, n)]
     table = SymbolTable(coords)
     field_ = ExprMetricField(table, _diag_entries(n, ["-1"] + ["1"] * (n - 1)))
@@ -126,9 +139,7 @@ def _load_minkowski(n: int = 4) -> SpacetimeBundle:
 
 
 def _load_torus_quotient(m: int = 3) -> SpacetimeBundle:
-    m = int(m)
-    if m < 2:
-        raise ParamError("torus_quotient needs m >= 2")
+    m = _dimension("torus_quotient m", m, 2, MAX_DIMENSION - 1)
     coords = ["t"] + [f"x{i}" for i in range(1, m + 1)]
     table = SymbolTable(coords)
     field_ = ExprMetricField(

@@ -45,6 +45,13 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _positive_float(text: str) -> float:
+    x = _finite_float(text)
+    if x <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return x
+
+
 def _parse_vector(text: str) -> np.ndarray:
     return np.array([_finite_float(t) for t in text.split(",")])
 
@@ -206,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parameter point on the submanifold")
     p.add_argument("--dir", required=True, type=_parse_vector,
                    help="future causal normal velocity (chart components)")
-    p.add_argument("--length", type=_finite_float, default=1.0)
+    p.add_argument("--length", type=_positive_float, default=1.0)
 
     p = sub.add_parser("perturb", help="conformal exit-family certificates",
                        parents=[common])
@@ -225,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--from", dest="start", required=True, type=_parse_vector)
     p.add_argument("--dir", required=True, type=_parse_vector)
-    p.add_argument("--length", type=_finite_float, default=1.0)
+    p.add_argument("--length", type=_positive_float, default=1.0)
     p.add_argument("--transport", type=str, default=None,
                    help="semicolon-separated vectors to transport")
     return ap

@@ -9,8 +9,9 @@ reference the kernels are tested against.
 
 A jet seeded at order 1 carries no Hessian (`hess` is None) and everything
 derived from it is order 1 too: value and gradient follow exactly the same
-arithmetic as at order 2, and the Hessian terms are never formed. Mixing an
-order-1 with an order-2 jet gives an order-1 jet.
+arithmetic as at order 2, and the Hessian terms are never formed, nor the
+second-derivative factors of 1/v, log and sqrt (so an order-1 jet cannot
+fail on one). Mixing an order-1 with an order-2 jet gives an order-1 jet.
 
 A jet is either at one point (a float value, gradient (n,), Hessian (n, n))
 or at a batch of B points, with the batch axis last: value (B,), gradient
@@ -150,7 +151,8 @@ class Jet2:
         zero = v == 0.0
         if zero.any() if isinstance(zero, np.ndarray) else zero:
             raise DomainError("division by zero")
-        return self._compose(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
+        return self._compose(1.0 / v, -1.0 / (v * v),
+                             None if self.hess is None else 2.0 / (v * v * v))
 
     def __pow__(self, exponent):
         if isinstance(exponent, int) or (isinstance(exponent, float)
@@ -178,7 +180,9 @@ class Jet2:
     # -- univariate chain rule -------------------------------------------
 
     def _compose(self, f, fp, fpp) -> "Jet2":
-        """Jet of f(u) from f, f', f'' at u = self.value."""
+        """Jet of f(u) from f, f', f'' at u = self.value. An order-1 jet
+        ignores fpp, so callers whose f'' can fail (a division by an
+        underflowed power) pass None for it there."""
         g = self.grad
         if self.hess is None:
             return Jet2(f, fp * g, None)
@@ -197,7 +201,8 @@ class Jet2:
         if bad.any() if batch else bad:
             raise DomainError(f"log of nonpositive value {first_bad(v, bad)}")
         lv = np.log(v) if batch else math.log(v)
-        return self._compose(lv, 1.0 / v, -1.0 / (v * v))
+        return self._compose(lv, 1.0 / v,
+                             None if self.hess is None else -1.0 / (v * v))
 
     def sqrt(self):
         v = self.value
@@ -206,7 +211,8 @@ class Jet2:
         if bad.any() if batch else bad:
             raise DomainError(f"sqrt of nonpositive value {first_bad(v, bad)}")
         s = np.sqrt(v) if batch else math.sqrt(v)
-        return self._compose(s, 0.5 / s, -0.25 / (s * v))
+        return self._compose(s, 0.5 / s,
+                             None if self.hess is None else -0.25 / (s * v))
 
     def sin(self):
         m = np if isinstance(self.value, np.ndarray) else math

@@ -14,7 +14,8 @@ each result; `product_jets` is the product rule of a conformal rescaling,
 shared by point and batch queries. Charts may declare
 periodic coordinates (quotient spacetimes); points are canonicalized modulo
 the periods before every field query, while curves are integrated in the
-covering chart and reported both raw and canonicalized.
+covering chart and reported both raw and canonicalized. `displacement` is
+the one offset rule on a quotient: q - p to the nearest image of p.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ class MetricField:
             if per is not None:
                 coords[i] %= per
         return q
+
+    def displacement(self, q: Sequence[float], p) -> np.ndarray:
+        """q - p for a point q (n,) or points (B, n), each periodic axis
+        wrapped to the nearest image of p."""
+        d = np.asarray(q, dtype=float) - p
+        for i, per in enumerate(self.periods):
+            if per is not None:
+                d[..., i] = (d[..., i] + per / 2.0) % per - per / 2.0
+        return d
 
     def contains(self, p: Sequence[float], margin: float = 0.0) -> bool:
         q = np.asarray(p, dtype=float)

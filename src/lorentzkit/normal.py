@@ -7,10 +7,11 @@ are straight lines, so both maps are exact affine maps; that fast path also
 makes composed scalar fields exactly differentiable, which the perturbation
 machinery relies on.
 
-At the center the 2-jet of the inverse map is available in closed form
-(dPhi = frame^{-1}, Hess Phi^k = A^k_c Gamma^c_ab(p)); away from the center
-on curved charts jets fall back to finite differences of Newton inversions,
-which is accurate but slow.
+Affine coordinate jets take q - p to the nearest image of the center, so
+they are smooth on quotient charts. At the center of a curved chart the
+2-jet of the inverse map is available in closed form (dPhi = frame^{-1},
+Hess Phi^k = A^k_c Gamma^c_ab(p)); elsewhere jets, the forward Jacobian and
+both pullbacks take one central-difference stencil: accurate but slow.
 """
 
 from __future__ import annotations
@@ -104,13 +105,7 @@ class NormalChart:
             f"Newton did not converge (|residual| = {np.linalg.norm(res):.3e})")
 
     def _forward_jacobian(self, x, h: float = 2e-4) -> np.ndarray:
-        n = self.field.dim
-        jac = np.zeros((n, n))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            jac[:, i] = (self.forward(x + e) - self.forward(x - e)) / (2 * h)
-        return jac
+        return _central_differences(self.forward, x, h)
 
     def _shrink_to_invertible(self, max_shrinks: int = 10):
         n = self.field.dim
@@ -138,59 +133,37 @@ class NormalChart:
         hess = np.einsum("kc,cab->kab", a, gamma_p)
         return [Jet2(0.0, a[k], hess[k]) for k in range(self.field.dim)]
 
-    def coord_jets(self, q, fd_step: float = 2e-3) -> list[Jet2]:
-        """2-jets of the normal coordinates at an arbitrary chart point q.
-
-        Exact on affine charts and at the center; finite differences of the
-        Newton inverse otherwise (slow: reserved for diagnostics).
-        """
+    def coord_jets(self, q, order: int = 2,
+                   fd_step: float = 2e-3) -> list[Jet2]:
+        """Jets of the normal coordinates at q (order 1: no Hessian). Affine
+        charts answer a point q (n,) or points (B, n), batch axis last;
+        curved charts one point, exactly at the center and by finite
+        differences of the Newton inverse elsewhere (slow)."""
         q = np.asarray(q, dtype=float)
         n = self.field.dim
         if self.affine:
-            x = self.frame_inv @ (q - self.p)
-            return [Jet2(float(x[k]), self.frame_inv[k], np.zeros((n, n)))
-                    for k in range(n)]
+            # x = A (q - p) summed term by term: a point and a batch
+            # round alike
+            dq = self.field.displacement(q, self.p).T
+            ones = np.ones(dq.shape[1:])
+            return [Jet2(sum(w * c for w, c in zip(row, dq)),
+                         np.multiply.outer(row, ones),
+                         np.zeros((n, n) + ones.shape) if order >= 2 else None)
+                    for row in self.frame_inv]
         if np.linalg.norm(q - self.p) < 1e-14:
-            return self.center_coord_jets()
-        h = fd_step
-        x0 = self.inverse(q)
-        grad = np.zeros((n, n))
-        hess = np.zeros((n, n, n))
-        plus = np.zeros((n, n))
-        minus = np.zeros((n, n))
-        for c in range(n):
-            e = np.zeros(n)
-            e[c] = h
-            plus[c] = self.inverse(q + e)
-            minus[c] = self.inverse(q - e)
-            grad[:, c] = (plus[c] - minus[c]) / (2 * h)
-            hess[:, c, c] = (plus[c] - 2 * x0 + minus[c]) / h ** 2
-        for c in range(n):
-            for d in range(c + 1, n):
-                ec, ed = np.zeros(n), np.zeros(n)
-                ec[c] = h
-                ed[d] = h
-                mixed = (self.inverse(q + ec + ed) - self.inverse(q + ec - ed)
-                         - self.inverse(q - ec + ed) + self.inverse(q - ec - ed)) \
-                    / (4 * h ** 2)
-                hess[:, c, d] = mixed
-                hess[:, d, c] = mixed
-        return [Jet2(float(x0[k]), grad[k], hess[k]) for k in range(n)]
+            jets = self.center_coord_jets()
+        else:
+            x0, grad, hess = _central_differences(self.inverse, q, fd_step, 2)
+            jets = [Jet2(float(x0[k]), grad[k], hess[k]) for k in range(n)]
+        return jets if order >= 2 else [Jet2(j.value, j.grad, None)
+                                        for j in jets]
 
     # -- pullback diagnostics -----------------------------------------------------
 
     def pullback_metric(self, x, fd_step: float = 2e-4) -> np.ndarray:
         """Components of the metric in normal coordinates at x (FD Jacobian)."""
         x = np.asarray(x, dtype=float)
-        n = self.field.dim
-        if self.affine:
-            jac = self.frame
-        else:
-            jac = np.zeros((n, n))
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = fd_step
-                jac[:, i] = (self.forward(x + e) - self.forward(x - e)) / (2 * fd_step)
+        jac = self.frame if self.affine else self._forward_jacobian(x, fd_step)
         g = self.field.value(self.forward(x))
         return jac.T @ g @ jac
 
@@ -199,25 +172,34 @@ class NormalChart:
         n = self.field.dim
         if self.affine:
             return np.zeros((n, n, n))
-        hess_f = np.zeros((n, n, n))     # d2 F^c / dx_i dx_j
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = fd_step
-            hess_f[:, i, i] = (self.forward(e) - 2 * self.p + self.forward(-e)) \
-                / fd_step ** 2
-        for i in range(n):
-            for j in range(i + 1, n):
-                ei, ej = np.zeros(n), np.zeros(n)
-                ei[i] = fd_step
-                ej[j] = fd_step
-                mixed = (self.forward(ei + ej) - self.forward(ei - ej)
-                         - self.forward(-ei + ej) + self.forward(-ei - ej)) \
-                    / (4 * fd_step ** 2)
-                hess_f[:, i, j] = mixed
-                hess_f[:, j, i] = mixed
+        # d2 F^c / dx_i dx_j, with F(0) = p
+        _, _, hess_f = _central_differences(self.forward, np.zeros(n),
+                                            fd_step, order=2, fx=self.p)
         gamma_p = curvature_data(self.field, self.p).gamma
         ee = np.einsum("cab,ai,bj->cij", gamma_p, self.frame, self.frame)
         return np.einsum("kc,cij->kij", self.frame_inv, hess_f + ee)
+
+
+def _central_differences(f, x, h: float, order: int = 1, fx=None):
+    """Central differences of f at x with step h: the Jacobian at order 1;
+    (f(x), Jacobian, second partials) at order 2, f(x) taken first unless
+    given as fx."""
+    x = np.asarray(x, dtype=float)
+    if order >= 2 and fx is None:
+        fx = f(x)
+    steps = h * np.eye(len(x))
+    pm = np.array([(f(x + e), f(x - e)) for e in steps])
+    jac = ((pm[:, 0] - pm[:, 1]) / (2 * h)).T
+    if order < 2:
+        return jac
+    hess = np.zeros(jac.shape + (len(x),))
+    for i, ei in enumerate(steps):
+        hess[:, i, i] = (pm[i, 0] - 2 * fx + pm[i, 1]) / h ** 2
+        for j, ej in enumerate(steps[i + 1:], start=i + 1):
+            hess[:, i, j] = hess[:, j, i] = (
+                f(x + ei + ej) - f(x + ei - ej)
+                - f(x - ei + ej) + f(x - ei - ej)) / (4 * h ** 2)
+    return fx, jac, hess
 
 
 def orthonormal_frame_from(field_: MetricField, p,

@@ -45,6 +45,12 @@ from .tensors import MetricValue
 DEFAULT_RHO = 0.25
 
 
+def _default_rho(boundary_distance: float) -> float:
+    # small default amplitude keeps e^{2 phi/n} in its linear regime, so
+    # family seminorms decay like 1/n already from n = 1
+    return min(DEFAULT_RHO, boundary_distance / 4.0)
+
+
 # --- C^2 cutoff -----------------------------------------------------------------
 
 def _cutoff_jet(u: Jet2) -> Jet2:
@@ -74,7 +80,8 @@ class BumpField(ScalarField):
 
     The cutoff is identically 1 within rho/2 of the center, so the prescribed
     value and gradient at p are exact. Periodic chart coordinates are wrapped
-    to the nearest image, making the bump well defined on quotient charts.
+    to the nearest image of p (`MetricField.displacement`), making the bump
+    well defined on quotient charts.
     A point (n,) and points (B, n) take the same code, the batch in one
     pass (batch axis last), and agree bit for bit.
     """
@@ -85,12 +92,10 @@ class BumpField(ScalarField):
         self.center = np.asarray(p, dtype=float)
         self.v0 = float(value)
         self.dphi = np.asarray(dphi, dtype=float)
-        self.periods = chart_field.periods
+        self.chart_field = chart_field
         bd = chart_field.boundary_distance(self.center)
         if rho is None:
-            # small default amplitude keeps e^{2 phi/n} in its linear regime,
-            # so family seminorms decay like 1/n already from n = 1
-            rho = min(DEFAULT_RHO, bd / 4.0) if np.isfinite(bd) else DEFAULT_RHO
+            rho = _default_rho(bd)
         if rho <= 0:
             raise RadiusError("bump radius must be positive")
         if np.isfinite(bd) and bd < rho:
@@ -99,18 +104,11 @@ class BumpField(ScalarField):
                 "does not fit")
         self.rho = float(rho)
 
-    def _delta(self, q) -> np.ndarray:
-        d = np.asarray(q, dtype=float) - self.center
-        for i, per in enumerate(self.periods):
-            if per is not None:
-                d[..., i] = (d[..., i] + per / 2.0) % per - per / 2.0
-        return d
-
     def jet2(self, q, order: int = 2) -> Jet2:
         n = self.dim
         # (n,) or (n, B), batch axis last; sums run term by term so that a
         # point and a batch round alike
-        d = self._delta(q).T
+        d = self.chart_field.displacement(q, self.center).T
         ones = np.ones(d.shape[1:])
         r2 = self.rho ** 2
         second = order >= 2
@@ -132,7 +130,8 @@ class NormalCoordBump(ScalarField):
     Exact jets on affine charts and at the chart center; finite-difference
     jets of the Newton inverse elsewhere (slow, diagnostics only). On affine
     charts a point (n,) and points (B, n) take the same code, the batch in
-    one pass; curved charts answer points one at a time.
+    one pass, with q - p to the nearest image of the center, so the bump is
+    smooth on quotient charts; curved charts answer points one at a time.
     """
 
     def __init__(self, chart: NormalChart, core_text: str, rho: float):
@@ -147,29 +146,17 @@ class NormalCoordBump(ScalarField):
         self.rho = float(rho)
 
     def jet2(self, q, order: int = 2) -> Jet2:
-        n = self.dim
         q = np.asarray(q, dtype=float)
-        if self.chart.affine:
-            # x = A (q - p) at a point or points (B, n), batch axis last,
-            # summed term by term so that a point and a batch round alike
-            a = self.chart.frame_inv
-            dq = (q - self.chart.p).T
-            x = [sum(w * c for w, c in zip(row, dq)) for row in a]
-            ones = np.ones(dq.shape[1:])
-            seeds = [Jet2(x[k], np.multiply.outer(a[k], ones),
-                          np.zeros((n, n) + ones.shape) if order >= 2
-                          else None) for k in range(n)]
-        elif q.ndim > 1:
-            return super().jet2(q, order)     # curved charts: point by point
-        else:
+        if not self.chart.affine:
+            if q.ndim > 1:
+                return super().jet2(q, order)   # curved charts: point by point
+            # skip the finite-difference jets where the bump vanishes
             x = self.chart.inverse(q)
             if float(x @ x) >= self.rho ** 2:
-                return Jet2.constant(0.0, n, order)
-            seeds = self.chart.coord_jets(q)
-            if order < 2:
-                seeds = [Jet2(s.value, s.grad, None) for s in seeds]
+                return Jet2.constant(0.0, self.dim, order)
+        seeds = self.chart.coord_jets(q, order)
         u = seeds[0] * seeds[0]
-        for k in range(1, n):
+        for k in range(1, self.dim):
             u = u + seeds[k] * seeds[k]
         chi = _cutoff_jet(u * (1.0 / self.rho ** 2))
         # outside the support chi is exactly 0 with zero derivatives, so the
@@ -566,10 +553,8 @@ def positivity_exit_family(field_: MetricField, p, v, w,
         frame = orthonormal_frame_from(field_, p, first=t0, second=s)
 
     chart = NormalChart(field_, p, frame, tols=tols)
-    bd = field_.boundary_distance(p)
     if rho is None:
-        rho = min(DEFAULT_RHO, bd / 4.0) if np.isfinite(bd) else DEFAULT_RHO
-        rho = min(rho, chart.radius)
+        rho = min(_default_rho(field_.boundary_distance(p)), chart.radius)
     phi = NormalCoordBump(chart, core, rho)
 
     wg_used = mv.inner(w_used, w_used)

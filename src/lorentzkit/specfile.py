@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .catalog import SpacetimeBundle, load as load_builtin
-from .errors import LorentzkitError, SpacetimeFileError
+from .errors import LorentzkitError, ParamError, SpacetimeFileError
 from .expr import SymbolTable
 from .fields import ExprScalarField, VectorField
 from .metric import ExprMetricField, lower_triangle_count
@@ -56,6 +56,30 @@ def _to_float(text: str, lineno: int) -> float:
         return float(text)
     except ValueError as exc:
         raise SpacetimeFileError(lineno, f"expected a number, got {text!r}") from exc
+
+
+def _to_count(text: str, lineno: int) -> int:
+    """A positive integer: a dimension or a grid size."""
+    k = int(text) if text.isdecimal() else 0
+    if k < 1:
+        raise SpacetimeFileError(
+            lineno, f"expected a positive integer, got {text!r}")
+    return k
+
+
+def _to_period(text: str, lineno: int) -> float:
+    per = _to_float(text, lineno)
+    if not (0.0 < per < math.inf):
+        raise SpacetimeFileError(
+            lineno, f"a period must be positive and finite, got {text!r}")
+    return per
+
+
+def _symbols(lineno: int, names: list[str], params: dict) -> SymbolTable:
+    try:
+        return SymbolTable(names, list(params))
+    except ValueError as exc:
+        raise SpacetimeFileError(lineno, str(exc)) from exc
 
 
 def parse_spacetime_file(text: str, name: str = "<file>",
@@ -84,14 +108,14 @@ def parse_spacetime_file(text: str, name: str = "<file>",
         if key == "dimension":
             if len(toks) != 2:
                 raise SpacetimeFileError(lineno, "dimension takes one integer")
-            dimension = int(toks[1])
+            dimension = _to_count(toks[1], lineno)
         elif key == "coordinate":
             if len(toks) not in (2, 4) or (len(toks) == 4 and toks[2] != "periodic"):
                 raise SpacetimeFileError(
                     lineno, "usage: coordinate <name> [periodic <length>]")
             coords.append(toks[1])
             if len(toks) == 4:
-                periods[toks[1]] = _to_float(toks[3], lineno)
+                periods[toks[1]] = _to_period(toks[3], lineno)
         elif key == "param":
             body = raw[len("param"):].strip()
             if "=" not in body:
@@ -140,12 +164,14 @@ def parse_spacetime_file(text: str, name: str = "<file>",
                         raise SpacetimeFileError(
                             blineno,
                             "usage: parameter <name> <lo> <hi> [periodic <length>]")
-                    per = _to_float(btoks[5], blineno) if len(btoks) == 6 else None
+                    per = _to_period(btoks[5], blineno) \
+                        if len(btoks) == 6 else None
                     block["parameters"].append(
                         (btoks[1], _to_float(btoks[2], blineno),
                          _to_float(btoks[3], blineno), per))
                 elif btoks[0] == "grid":
-                    block["grid"] = tuple(int(t) for t in btoks[1:])
+                    block["grid"] = tuple(_to_count(t, blineno)
+                                          for t in btoks[1:])
                 elif btoks[0] == "embed":
                     if "=" not in braw:
                         raise SpacetimeFileError(blineno,
@@ -173,8 +199,11 @@ def parse_spacetime_file(text: str, name: str = "<file>",
     if len(coords) != dimension:
         raise SpacetimeFileError(
             0, f"declared {len(coords)} coordinates for dimension {dimension}")
+    unknown = set(param_overrides or {}) - set(params)
+    if unknown:
+        raise ParamError(f"{name} declares no parameters {sorted(unknown)}")
     params.update(param_overrides or {})
-    table = SymbolTable(coords, list(params))
+    table = _symbols(0, coords, params)
     cindex = {c: k for k, c in enumerate(coords)}
 
     entries: dict[tuple[int, int], str] = {}
@@ -226,7 +255,7 @@ def parse_spacetime_file(text: str, name: str = "<file>",
         if not pnames:
             raise SpacetimeFileError(block["line"],
                                      f"submanifold {block['name']} has no parameters")
-        ptable = SymbolTable(pnames, list(params))
+        ptable = _symbols(block["line"], pnames, params)
         missing = set(coords) - set(block["embeds"])
         if missing:
             raise SpacetimeFileError(

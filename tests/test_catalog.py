@@ -120,3 +120,30 @@ class TestKnownFacts:
         assert bundle.facts, f"{name} has no facts to verify"
         for fact in bundle.facts:
             self._verify(bundle, fact)
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("minkowski", "n", 2.5), ("minkowski", "n", 1e9),
+    ("minkowski", "n", catalog.MAX_DIMENSION + 1),
+    ("torus_quotient", "m", 1e6), ("torus_quotient", "m", 2.5),
+    ("torus_quotient", "m", catalog.MAX_DIMENSION),
+])
+def test_dimension_parameters_are_checked_before_building(monkeypatch, name,
+                                                          key, value):
+    """Non-integral or oversized dimensions raise ParamError before a
+    symbol table, a field or a grid is built from them."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the dimension check")
+
+    for builder in ("SymbolTable", "ExprMetricField", "Embedding"):
+        monkeypatch.setattr(catalog, builder, unreachable)
+    with pytest.raises(ParamError):
+        catalog.load(name, **{key: value})
+
+
+def test_largest_dimensions_load():
+    assert catalog.load("minkowski", n=catalog.MAX_DIMENSION).field.dim == \
+        catalog.MAX_DIMENSION
+    assert catalog.load("torus_quotient",
+                        m=catalog.MAX_DIMENSION - 1).field.dim == \
+        catalog.MAX_DIMENSION

@@ -376,3 +376,60 @@ def test_cli_import_leaves_scipy_unloaded():
         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         text=True, check=True, timeout=60)
     assert probe.stdout.strip() == "False"
+
+
+SPEC_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spacetimes" \
+    / "contracting_desitter.st"
+
+
+@pytest.mark.parametrize("line, replacement, extra", [
+    pytest.param("dimension 4", "dimension four", [], id="dimension-word"),
+    pytest.param("dimension 4", "dimension 0", [], id="dimension-zero"),
+    pytest.param("  grid 8 8", "  grid 4 x", [], id="grid-word"),
+    pytest.param("  grid 8 8", "  grid 0 4", [], id="grid-zero"),
+    pytest.param("  grid 8 8", "  grid -3", [], id="grid-negative-short"),
+    pytest.param("  grid 8 8", "  grid -3 8", [], id="grid-negative"),
+    pytest.param("coordinate x\n", "coordinate x periodic 0\n", [],
+                 id="period-zero"),
+    pytest.param("coordinate x\n", "coordinate x periodic -1\n", [],
+                 id="period-negative"),
+    pytest.param("periodic 6.283185307179586", "periodic 0", [],
+                 id="parameter-period-zero"),
+    pytest.param("param H = 0.5", "param H = 0.5\nparam s = 1", [],
+                 id="param-named-like-a-coordinate"),
+    pytest.param("", "", ["--param", "s=1"], id="override-a-coordinate"),
+    pytest.param("", "", ["--param", "Q=1"], id="override-undeclared"),
+])
+def test_bad_spec_file_is_a_json_error(tmp_path, capsys, line, replacement,
+                                       extra):
+    """A malformed spec file, or a parameter override it does not declare,
+    exits 1 with a JSON error, never a traceback."""
+    text = SPEC_FILE.read_text()
+    assert line in text
+    spec = tmp_path / "bad.st"
+    spec.write_text(text.replace(line, replacement, 1))
+    code, rep = run_json(["analyze", str(spec), "--at", "0,0,0,0"] + extra)
+    assert code == 1
+    assert rep["error_type"] in ("SpacetimeFileError", "ParamError")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["2.5", "1e9", "7"])
+def test_bad_builtin_dimension_is_a_json_error(n):
+    code, rep = run_json(["analyze", "builtin:minkowski", "--param",
+                          f"n={n}", "--at", "0,0,0,0"])
+    assert code == 1 and rep["error_type"] == "ParamError"
+
+
+@pytest.mark.parametrize("argv", [
+    "geodesic builtin:minkowski --from 0,0,0,0 --dir 1,0,0,0 --length -1",
+    "geodesic builtin:minkowski --from 0,0,0,0 --dir 1,0,0,0 --length 0",
+    "gs builtin:minkowski --submanifold sphere --at 1,1 --dir 1,0,0,0 "
+    "--length -1",
+    "gs builtin:minkowski --submanifold sphere --at 1,1 --dir 1,0,0,0 "
+    "--length 0",
+])
+def test_length_must_be_positive(argv, capsys):
+    code, text = run_cli(argv.split())
+    assert code == 2 and text == ""
+    assert "must be positive" in capsys.readouterr().err

@@ -66,12 +66,12 @@ def _compiled(e, pts, order):
         return exc
 
 
-# Jet2 forms f' and f'' of every function at every order, the kernel only
-# the factors its order needs: below order 2, Jet2 alone can overflow or
-# divide by an underflowed power. Nothing else lets a kernel pass where
-# Jet2 fails.
+# Jet2 forms f'' only at order 2, as the kernel does; at order 0 the
+# reference still runs Jet2 at order 1, whose f' can overflow or divide by
+# an underflowed power where the value alone is finite. Nothing else lets a
+# kernel pass where Jet2 fails.
 def _kernel_may_pass(exc, order):
-    return order < 2 and isinstance(exc.__cause__, ArithmeticError)
+    return order == 0 and isinstance(exc.__cause__, ArithmeticError)
 
 
 def _agree(got, want, order):
@@ -216,3 +216,20 @@ def test_floating_point_errors_name_their_operation(text, at_a_point,
             kernel(np.array([p, [0.1, 0.2]]))
         assert (str(point.value), str(batch.value)) == (at_a_point,
                                                         in_a_batch)
+
+
+def test_order1_jets_form_no_second_derivative_factors():
+    """y^-0.5 at y = 4.88e-178: log's f'' is -1/y^2, and y^2 underflows to
+    0. An order-1 Jet2 never forms it, so it returns the order-1 kernel's
+    finite jets, at a point and in a batch; order 2 still raises."""
+    e = expr.parse("y^-0.5 * cosh(-1.12)", SymbolTable(["x", "y"]))
+    p = np.array([0.3, 4.88e-178])
+    for pts in (p, np.array([p, [0.1, 2.0]])):
+        want = _reference(e, list(pts.T) if pts.ndim > 1 else pts.tolist(),
+                          1)
+        assert not isinstance(want, Exception), want
+        got = _compiled(e, pts, 1)
+        assert np.all(np.isfinite(want[1])) and want[2] is None
+        _agree(got, want, 1)
+        assert isinstance(_reference(e, list(pts.T) if pts.ndim > 1
+                                     else pts.tolist(), 2), DomainError)

@@ -10,7 +10,7 @@ import lorentzkit.perturb as perturb
 from lorentzkit.errors import (DomainError, NotApplicable, RadiusError,
                                SupportNotContained)
 from lorentzkit.expr import SymbolTable
-from lorentzkit.fields import ExprScalarField, ZeroScalarField
+from lorentzkit.fields import ExprScalarField, ScalarField, ZeroScalarField
 from lorentzkit.metric import ConformalScaledMetric, ExprMetricField
 from lorentzkit.normal import NormalChart, orthonormal_frame_from
 from lorentzkit.perturb import (BumpField, NormalCoordBump, bump, cs_seminorm,
@@ -568,3 +568,94 @@ class TestBatchedSeminormRows:
         with pytest.raises(DomainError) as got:
             perturb._seminorm_rows(f, phi, 2, phi.support_box(), 5)
         assert str(got.value) == str(want.value)
+
+
+class TestQuotientSeam:
+    """Bumps on a periodic affine chart are functions on the quotient: the
+    offset from the center is taken to its nearest image."""
+
+    P = np.array([0.0, 0.9, 0.5, 0.5])
+    SHIFT = np.array([0.0, 1.0, -1.0, 2.0])     # a deck translation
+
+    def _torus_bump(self, bundles):
+        f = bundles["torus_quotient"].field
+        frame = orthonormal_frame_from(
+            f, self.P, first=np.array([1.0, 0.4, 0.1, 0.0]),
+            second=np.array([0.0, 1.0, 0.3, 0.0]))
+        return NormalCoordBump(NormalChart(f, self.P, frame), "(n0 + n1)^2",
+                               0.25)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_normal_bump_is_periodic(self, bundles, order):
+        nb = self._torus_bump(bundles)
+        rng = np.random.default_rng(12)
+        # points in the support, which crosses the seam x1 = 1 = 0
+        x = TestBatchedScalarJets._shell_points(
+            np.zeros(4), nb.rho, rng, TestBatchedScalarJets.RADII)
+        points = np.array([nb.chart.forward(xk) for xk in x])
+        assert (points[:, 1] > 1.0).any()
+        images = [points + self.SHIFT,
+                  bundles["torus_quotient"].field.canonicalize(points)]
+        # relative to the largest entry over the points, as near the outer
+        # seam of the cutoff a point's value is a cancellation; the shifted
+        # points carry the rounding of q + SHIFT (up to 3e-16 here), which
+        # the Hessian amplifies past 1e-14
+        for jet2 in (lambda qs: nb.jet2(qs, order),
+                     lambda qs: ScalarField.jet2(nb, qs, order)):
+            here = jet2(points)
+            for there in map(jet2, images):
+                assert _rel_close(there.value, here.value, 1e-14)
+                assert _rel_close(there.grad, here.grad, 1e-14)
+                if order == 2:
+                    assert _rel_close(there.hess, here.hess, 1e-13)
+
+    def test_positivity_exit_member_is_continuous_across_the_seam(
+            self, bundles):
+        f = bundles["torus_quotient"].field
+        fam = positivity_exit_family(f, self.P, np.array([1.0, 1, 0, 0]),
+                                     np.array([0.0, 0, 1, 0]), n_max=1,
+                                     seminorm_grid=5)
+        phi = fam.phi
+        # one physical point seen from the covering chart and canonically
+        assert phi.value([0.0, 1.05, 0.5, 0.5]) != 0.0
+        assert phi.value([0.0, 1.05, 0.5, 0.5]) == pytest.approx(
+            phi.value([0.0, 0.05, 0.5, 0.5]), rel=1e-14)
+        member = fam.member(1)
+        below = member.component_jets([0.0, 1.0 - 1e-7, 0.5, 0.5], order=2)
+        at = member.component_jets([0.0, 1.0, 0.5, 0.5], order=2)
+        assert not np.allclose(at[0], f.value([0.0, 0.0, 0.5, 0.5]))
+        for a, b in zip(below, at):
+            assert np.abs(a - b).max() < 1e-5 * (1.0 + np.abs(b).max())
+
+
+def test_trapped_exit_zero_h_deviation_is_pinned(bundles):
+    """On the torus's S the certificate is m^2 g(v,v) / n^2 (m = 2); the
+    printed form m^2/n g(v,v) is kept as printed, so the deviation is
+    nonzero from n = 2 on. The test pins the discrepancy, not a fix."""
+    b = bundles["torus_quotient"]
+    fam = trapped_exit_family(b.field, b.orientation, b.submanifolds["S"],
+                              np.array([0.3, 0.7]), n_max=3, seminorm_grid=3)
+    certs = [c.value_direct for c in fam.certificates]
+    printed = [c.printed_value for c in fam.certificates]
+    assert certs == pytest.approx([4.0, 1.0, 4.0 / 9.0], rel=1e-9)
+    assert printed == pytest.approx([4.0, 2.0, 4.0 / 3.0], rel=1e-12)
+    deviations = [c.deviation for c in fam.certificates]
+    assert deviations[0] == pytest.approx(0.0, abs=1e-9)
+    assert all(abs(d) > 0.5 for d in deviations[1:])
+
+
+def test_bump_default_radius_is_shared(bundles):
+    """BumpField and the positivity-exit family pick the same default
+    radius where the chart's normal ball is no constraint."""
+    b = bundles["schwarzschild_ef"]
+    for p in ([0.0, 3.0, 1.5, 0.3], [0.0, 1.3, 1.5, 0.3]):
+        p = np.array(p)
+        bd = b.field.boundary_distance(p)
+        assert bump(b.field, p, 0.0, np.zeros(4)).rho == \
+            min(perturb.DEFAULT_RHO, bd / 4.0)
+    mink = bundles["minkowski"].field
+    fam = positivity_exit_family(mink, np.zeros(4), np.array([1.0, 0, 0, 0]),
+                                 np.array([0.0, 1, 0, 0]), n_max=1,
+                                 seminorm_grid=3)
+    assert fam.phi.rho == bump(mink, np.zeros(4), 0.0, np.zeros(4)).rho \
+        == perturb.DEFAULT_RHO
