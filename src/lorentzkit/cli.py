@@ -6,6 +6,11 @@ exit code 0 means every requested verdict holds, 1 means a check was
 violated or a computation failed (details embedded in the report), 2 means
 a usage or input error (message on stderr).
 
+Each `_cmd_*(args, bundle)` handler only computes: it returns its exit code
+and its body, a dict of report fields (or the CSV text of a family table).
+`run` alone builds the report envelope, adds the wall time, emits the
+report and maps exceptions to exit codes.
+
 Reports are deterministic for a fixed --seed; wall time is only included
 when --timing is passed, so default reports are byte-identical across runs.
 """
@@ -13,7 +18,6 @@ when --timing is passed, so default reports are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -137,8 +141,8 @@ def _emit(report: dict, out) -> None:
     out.write("\n")
 
 
-def _family_csv(summary: dict, out) -> None:
-    out.write("n,certificate,closed_form,printed,deviation,sign_ok,c0,c1,c2\n")
+def _family_csv(summary: dict) -> str:
+    lines = ["n,certificate,closed_form,printed,deviation,sign_ok,c0,c1,c2\n"]
     sem = {row["n"]: row for row in summary["seminorms"]}
 
     def fmt(x) -> str:
@@ -146,11 +150,12 @@ def _family_csv(summary: dict, out) -> None:
 
     for cert in summary["certificates"]:
         row = sem.get(cert["n"], {})
-        out.write(
+        lines.append(
             f"{cert['n']},{fmt(cert['certificate'])},{fmt(cert['closed_form'])},"
             f"{fmt(cert['printed'])},{fmt(cert['deviation'])},{cert['sign_ok']},"
             f"{fmt(row.get('c0', ''))},{fmt(row.get('c1', ''))},"
             f"{fmt(row.get('c2', ''))}\n")
+    return "".join(lines)
 
 
 def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -238,30 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_catalog(args, out) -> int:
-    _emit({"command": "catalog", "builtins": catalog.names(),
-           "tool_version": __version__}, out)
-    return 0
+def _cmd_catalog(args, bundle):
+    return 0, {"builtins": catalog.names()}
 
 
-def _base_report(args, bundle, overrides) -> dict:
-    rep = {
-        "tool_version": __version__,
-        "command": args.command,
-        "input": bundle.name,
-        "input_digest": spec_digest(args.spec, overrides),
-        "seed": args.seed,
-        "tolerances": Tolerances().as_dict(),
-    }
-    return rep
-
-
-def _cmd_analyze(args, bundle, overrides, out) -> int:
+def _cmd_analyze(args, bundle):
     p = _in_domain("--at", bundle.field,
                    _sized("--at", args.at, bundle.field.dim))
     data = curvature_data(bundle.field, p)
-    rep = _base_report(args, bundle, overrides)
-    rep.update({
+    return 0, {
         "point": p.tolist(),
         "signature_index": data.index,
         "christoffel": data.gamma.tolist(),
@@ -269,79 +259,58 @@ def _cmd_analyze(args, bundle, overrides, out) -> int:
         "ricci": data.ric.tolist(),
         "ricci_scalar": data.scalar(),
         "kretschmann": data.kretschmann(),
-    })
-    _emit(rep, out)
-    return 0
+    }
 
 
-def _cmd_classify(args, bundle, overrides, out) -> int:
+def _cmd_classify(args, bundle):
     emb = _submanifold(bundle, args.submanifold)
     hint = bundle.hints.get(args.submanifold)
     verdict = classify_trapped(bundle.field, bundle.orientation, emb, hint)
-    rep = _base_report(args, bundle, overrides)
-    rep["submanifold"] = args.submanifold
-    rep["verdict"] = verdict.summary()
-    _emit(rep, out)
-    return 0
+    return 0, {"submanifold": args.submanifold, "verdict": verdict.summary()}
 
 
-def _cmd_check(args, bundle, overrides, out) -> int:
+def _cmd_check(args, bundle):
     box = _parse_box(args.region, bundle) or bundle.default_box
     region = Region(box=box, n_points=args.points, n_dirs=args.dirs,
                     seed=args.seed)
     name = args.condition
-    rep = _base_report(args, bundle, overrides)
-    rep["requested"] = name
-    ok = True
     if name in ("E", "SE"):
         r = ricci_condition(bundle.field, region, strict=(name == "SE"),
                             jobs=args.jobs)
-        ok = r.satisfied_strictly if (name == "SE" or args.strict) \
-            else r.satisfied_weakly
-        rep["result"] = r.to_dict()
     elif name in ("P", "FP"):
         r = riem_condition(bundle.field, region, strict=(name == "P"),
                            jobs=args.jobs)
-        ok = r.satisfied_strictly if (name == "P" or args.strict) \
-            else r.satisfied_weakly
-        rep["result"] = r.to_dict()
     elif name == "O":
         r = tidal_condition(bundle.field, region, jobs=args.jobs)
-        ok = r.satisfied_strictly if args.strict else r.satisfied_weakly
-        rep["result"] = r.to_dict()
     elif name == "inclusions":
         r = inclusion_audit(bundle.field, region, jobs=args.jobs)
-        ok = r["verdict"] == "consistent"
-        rep["result"] = r
     elif name == "orientation":
         r = temporal_certificate(bundle.field, bundle.orientation,
                                  "orientation", region)
-        ok = r["verdict"] == "PASSED"
-        rep["result"] = r
-    elif name == "temporal":
-        if bundle.temporal is None:
-            raise LorentzkitError(f"{bundle.name} declares no temporal function")
+    elif bundle.temporal is None:
+        raise LorentzkitError(f"{bundle.name} declares no temporal function")
+    else:
         r = temporal_certificate(bundle.field, bundle.temporal, "temporal",
                                  region)
-        ok = r["verdict"] == "PASSED"
-        rep["result"] = r
-    rep["satisfied"] = ok
-    _emit(rep, out)
-    return 0 if ok else 1
+    if isinstance(r, dict):             # the audit or a certificate
+        ok = r["verdict"] in ("consistent", "PASSED")
+    else:
+        strict = args.strict or name in ("SE", "P")
+        ok = r.satisfied_strictly if strict else r.satisfied_weakly
+        r = r.to_dict()
+    return (0 if ok else 1), {"requested": name, "result": r, "satisfied": ok}
 
 
-def _cmd_gs(args, bundle, overrides, out) -> int:
+def _cmd_gs(args, bundle):
     emb = _submanifold(bundle, args.submanifold)
     u0 = _sized("--at", args.at, emb.m)
     direction = _sized("--dir", args.dir, bundle.field.dim, nonzero=True)
-    rep = _base_report(args, bundle, overrides)
-    rep["result"] = gs_trace(bundle.field, emb, u0, direction, args.length)
-    rep["satisfied"] = rep["result"]["min_trace"] >= -Tolerances().tau_cond
-    _emit(rep, out)
-    return 0 if rep["satisfied"] else 1
+    result = gs_trace(bundle.field, emb, u0, direction, args.length)
+    ok = result["min_trace"] >= -Tolerances().tau_cond
+    return (0 if ok else 1), {"result": result, "satisfied": ok}
 
 
-def _cmd_perturb(args, bundle, overrides, out) -> int:
+def _cmd_perturb(args, bundle):
     if args.theorem == "3.3":
         if not args.submanifold:
             raise LorentzkitError("--theorem 3.3 needs --submanifold")
@@ -366,18 +335,13 @@ def _cmd_perturb(args, bundle, overrides, out) -> int:
             _sized("--witness v", witness["v"], dim),
             _sized("--witness w", witness["w"], dim), n_max=args.nmax)
     summary = fam.summary()
-    all_signed = all(c.sign_ok for c in fam.certificates)
+    code = 0 if all(c.sign_ok for c in fam.certificates) else 1
     if args.format == "csv":
-        _family_csv(summary, out)
-        return 0 if all_signed else 1
-    rep = _base_report(args, bundle, overrides)
-    rep["family"] = summary
-    rep["satisfied"] = all_signed
-    _emit(rep, out)
-    return 0 if all_signed else 1
+        return code, _family_csv(summary)
+    return code, {"family": summary, "satisfied": code == 0}
 
 
-def _cmd_geodesic(args, bundle, overrides, out) -> int:
+def _cmd_geodesic(args, bundle):
     dim = bundle.field.dim
     start = _in_domain("--from", bundle.field,
                        _sized("--from", args.start, dim))
@@ -389,8 +353,7 @@ def _cmd_geodesic(args, bundle, overrides, out) -> int:
                 "canonical_point": bundle.field.canonicalize(x).tolist(),
                 "velocity": xd.tolist()}
                for s, x, xd in sol.samples(33)]
-    rep = _base_report(args, bundle, overrides)
-    rep["result"] = {
+    result = {
         "length_requested": args.length,
         "length_reached": sol.t_reached,
         "chart_exit": sol.chart_exit,
@@ -401,49 +364,54 @@ def _cmd_geodesic(args, bundle, overrides, out) -> int:
     }
     if vecs:
         tr = parallel_transport(bundle.field, sol, np.array(vecs).T)
-        rep["result"]["transport"] = {
+        result["transport"] = {
             "product_drift": tr.product_drift,
             "n_rhs_evals": tr.n_rhs_evals,
             "refinements": tr.refinements,
             "final": tr.evaluate(sol.t_reached).tolist(),
         }
-    _emit(rep, out)
-    return 0
+    return 0, {"result": result}
+
+
+_COMMANDS = {
+    "catalog": _cmd_catalog,
+    "analyze": _cmd_analyze,
+    "classify": _cmd_classify,
+    "check": _cmd_check,
+    "gs": _cmd_gs,
+    "perturb": _cmd_perturb,
+    "geodesic": _cmd_geodesic,
+}
+_PARSER = build_parser()
 
 
 def run(argv: list[str], out=None) -> int:
-    """Entry point used by tests; returns the exit code."""
+    """Entry point used by tests; returns the exit code. The one place a
+    report leaves the program (see the module docstring)."""
     out = out or sys.stdout
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.time()
     try:
         overrides = _parse_params(args.param)
-        if args.command == "catalog":
-            return _cmd_catalog(args, out)
-        bundle = load_spec(args.spec, overrides)
-        handler = {
-            "analyze": _cmd_analyze,
-            "classify": _cmd_classify,
-            "check": _cmd_check,
-            "gs": _cmd_gs,
-            "perturb": _cmd_perturb,
-            "geodesic": _cmd_geodesic,
-        }[args.command]
-        if args.timing:
-            buf = io.StringIO()
-            code = handler(args, bundle, overrides, buf)
-            rep = json.loads(buf.getvalue()) if args.format == "json" else None
-            if rep is not None:
-                rep["wall_time_s"] = round(time.time() - t0, 3)
-                _emit(rep, out)
-            else:
-                out.write(buf.getvalue())
+        rep = {"tool_version": __version__, "command": args.command}
+        bundle = None
+        if args.command != "catalog":
+            bundle = load_spec(args.spec, overrides)
+            rep.update(input=bundle.name,
+                       input_digest=spec_digest(args.spec, overrides),
+                       seed=args.seed, tolerances=Tolerances().as_dict())
+        code, body = _COMMANDS[args.command](args, bundle)
+        if isinstance(body, str):
+            out.write(body)
             return code
-        return handler(args, bundle, overrides, out)
+        rep.update(body)
+        if args.timing:
+            rep["wall_time_s"] = round(time.time() - t0, 3)
+        _emit(rep, out)
+        return code
     except (OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -58,13 +58,16 @@ class Expr:
     def is_constant(self) -> bool:
         raise NotImplementedError
 
-    def symbols(self) -> set[str]:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Num(Expr):
     value: float
+
+    def __post_init__(self):
+        # -0.0 equals and hashes as 0.0, so the kernel compiled for one
+        # would serve the other
+        if self.value == 0.0:
+            object.__setattr__(self, "value", 0.0)
 
     def eval(self, xs, params):
         return self.value
@@ -72,9 +75,6 @@ class Num(Expr):
     @property
     def is_constant(self):
         return True
-
-    def symbols(self):
-        return set()
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,6 @@ class Sym(Expr):
     @property
     def is_constant(self):
         return self.coord_index is None
-
-    def symbols(self):
-        return {self.name}
 
 
 _MATH_FUNCS = {
@@ -117,7 +114,7 @@ def _power(a, b):
         # the exponent depends on the coordinates
         return (_apply("log", a) * b).exp()
     if float(b).is_integer():
-        return a ** int(b)          # exact: repeated multiplication for jets
+        return a ** int(b)          # exact: repeated squaring for jets
     if not isinstance(a, Jet2) and a <= 0.0:    # a jet checks its base
         raise DomainError(f"real exponent requires positive base, got {a}")
     return a ** b
@@ -140,9 +137,6 @@ class Unary(Expr):
     @property
     def is_constant(self):
         return self.arg.is_constant
-
-    def symbols(self):
-        return self.arg.symbols()
 
 
 @dataclass(frozen=True)
@@ -171,8 +165,7 @@ class Binary(Expr):
     def is_constant(self):
         return self.left.is_constant and self.right.is_constant
 
-    def symbols(self):
-        return self.left.symbols() | self.right.symbols()
+
 # --- tokenizer ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"""
@@ -241,11 +234,41 @@ class SymbolTable:
         return set(self.coordinates) | set(self.parameters)
 
 
+# The deepest expression the parser accepts, as levels of nesting (brackets,
+# function calls, signs and exponents) and as tree depth (which long
+# + - * / chains reach without nesting). Every recursive consumer (the
+# parser, Expr.eval, the nodes' hash, the kernel emitter at order 2) then
+# stays far below Python's recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], table: SymbolTable):
         self.tokens = tokens
         self.table = table
         self.i = 0
+        self.nesting = 0
+        self.depths: dict[int, int] = {}    # id(node) -> tree depth
+
+    def nested(self, pos: int, parse) -> Expr:
+        """parse(), one level of nesting further in."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ExprSyntaxError(pos, f"nested more than {MAX_DEPTH} deep")
+        node = parse()
+        self.nesting -= 1
+        return node
+
+    def node(self, pos: int, node: Expr) -> Expr:
+        """An operator node, after checking the depth of its tree."""
+        children = (node.arg,) if isinstance(node, Unary) \
+            else (node.left, node.right)
+        depth = 1 + max(self.depths.get(id(c), 1) for c in children)
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(pos, f"expression tree deeper than "
+                                  f"{MAX_DEPTH}")
+        self.depths[id(node)] = depth
+        return node
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -270,22 +293,23 @@ class _Parser:
     def expr(self) -> Expr:
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Binary(op, node, self.term())
+            op = self.advance()
+            node = self.node(op.pos, Binary(op.text, node, self.term()))
         return node
 
     def term(self) -> Expr:
         node = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Binary(op, node, self.unary())
+            op = self.advance()
+            node = self.node(op.pos, Binary(op.text, node, self.unary()))
         return node
 
     def unary(self) -> Expr:
         t = self.peek()
         if t.kind == "op" and t.text == "-":
             self.advance()
-            return Unary("neg", self.unary())
+            return self.node(t.pos, Unary("neg", self.nested(t.pos,
+                                                             self.unary)))
         return self.power()
 
     def power(self) -> Expr:
@@ -295,7 +319,8 @@ class _Parser:
             self.advance()
             # right associative; exponent binds tighter than unary minus
             # in `a^-b`, so allow a signed exponent here
-            return Binary("^", base, self.unary())
+            return self.node(t.pos, Binary("^", base,
+                                           self.nested(t.pos, self.unary)))
         return base
 
     def atom(self) -> Expr:
@@ -305,9 +330,9 @@ class _Parser:
         if t.kind == "ident":
             if t.text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.nested(t.pos, self.expr)
                 self.expect_op(")")
-                return Unary(t.text, arg)
+                return self.node(t.pos, Unary(t.text, arg))
             if t.text == "abs":
                 raise ExprSyntaxError(t.pos, "abs is not supported "
                                       "(not twice differentiable at 0)")
@@ -316,7 +341,7 @@ class _Parser:
                 raise UnknownSymbol(t.text)
             return Sym(t.text, idx)
         if t.kind == "op" and t.text == "(":
-            e = self.expr()
+            e = self.nested(t.pos, self.expr)
             self.expect_op(")")
             return e
         raise ExprSyntaxError(t.pos, f"unexpected {t.text or 'end of input'!r}")
@@ -717,8 +742,10 @@ class _Emitter:
         if k == 0:
             return self.constant(1.0)
         out = a
-        for _ in range(k - 1):
-            out = self.mul(out, a)
+        for bit in bin(k)[3:]:      # Jet2's repeated squaring
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
         return out
 
     def jet(self, e: Expr):

@@ -181,10 +181,6 @@ class TransportSolution:
         w = self._dense(float(np.clip(s, 0.0, self.geodesic.t_reached)))
         return w.reshape(n, -1) if self.w0.ndim == 2 else w
 
-    def samples(self, num: int = 200):
-        for s in np.linspace(0.0, self.geodesic.t_reached, num):
-            yield float(s), self.evaluate(s)
-
 
 def parallel_transport(field_: MetricField, solution: GeodesicSolution, w0,
                        tols: Tolerances = DEFAULT_TOLS,

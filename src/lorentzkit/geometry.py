@@ -338,19 +338,35 @@ class GenericCheckResult:
 
 
 def generic_check(field_: MetricField, solution, tau: float = 1e-10) -> GenericCheckResult:
-    """Scan a stored geodesic for R(., gamma') gamma' != 0.
+    """Scan a stored geodesic for the generic condition.
 
-    The scan statistic at each sample is the largest h-operator norm of
-    w -> R(w, gamma') gamma' over h-unit w, scaled by |gamma'|_h^2. A
-    'not detected' answer is a statement about the samples, not a proof.
+    For a timelike curve the scan statistic at each sample is the largest
+    h-operator norm of w -> R(w, gamma') gamma' over h-unit w. For a null
+    curve it is the operator norm of that map on the screen
+    gamma'^perp / <gamma'> (`tidal_screen`): there the condition asks for
+    k_[a R_b]cd[e k_f] k^c k^d != 0 (Hawking & Ellis 1973, 4.4), and a part
+    of R(., k) k along k alone does not count. Either is scaled by
+    |gamma'|_h^2. A 'not detected' answer is a statement about the samples,
+    not a proof.
     """
+    v0 = TangentVector(solution.p0, solution.v0)
+    null = causal_class_in(field_.value(solution.p0), v0).kind == "null"
     best = 0.0
     for s, x, xdot in solution.samples():
         data = curvature_data(field_, x)
-        a = -data.g_inv @ data.riem_bilinear(xdot)   # mixed operator on w
         denom = float(xdot @ xdot)
         if denom < 1e-300:
             continue
+        if null:
+            # gamma' is null to the integrator's tolerance only, and the
+            # screen part of R(., k) k moves with g(k, k): put k on the null
+            # cone to first order, along g^-1 k (where g(k, g^-1 k) = |k|_h^2)
+            k = xdot - float(xdot @ data.g @ xdot) / (2.0 * denom) \
+                * (data.g_inv @ xdot)
+            basis = tidal_screen(data.g, k, null=True)
+            a = basis.T @ data.riem_bilinear(k) @ basis
+        else:
+            a = -data.g_inv @ data.riem_bilinear(xdot)   # mixed operator on w
         ratio = float(np.linalg.norm(a, 2)) / denom
         best = max(best, ratio)
         if ratio > tau:

@@ -173,8 +173,10 @@ class Jet2:
                 if isinstance(self.value, np.ndarray) else 1.0
             return Jet2.constant(one, self.dim, self.order)
         out = self
-        for _ in range(k - 1):      # exponents are small in practice
-            out = out * self
+        for bit in bin(k)[3:]:      # repeated squaring, leading bit first
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     # -- univariate chain rule -------------------------------------------
@@ -221,7 +223,9 @@ class Jet2:
 
     def cos(self):
         m = np if isinstance(self.value, np.ndarray) else math
-        s, c = m.sin(self.value), m.cos(self.value)
+        # the function before its partner, as the kernels: an overflow
+        # names the same call
+        c, s = m.cos(self.value), m.sin(self.value)
         return self._compose(c, -s, -c)
 
     def tan(self):
@@ -240,7 +244,9 @@ class Jet2:
 
     def cosh(self):
         m = np if isinstance(self.value, np.ndarray) else math
-        s, c = m.sinh(self.value), m.cosh(self.value)
+        # the function before its partner, as the kernels: an overflow
+        # names the same call
+        c, s = m.cosh(self.value), m.sinh(self.value)
         return self._compose(c, s, c)
 
     def tanh(self):

@@ -7,11 +7,12 @@ are straight lines, so both maps are exact affine maps; that fast path also
 makes composed scalar fields exactly differentiable, which the perturbation
 machinery relies on.
 
-Affine coordinate jets take q - p to the nearest image of the center, so
-they are smooth on quotient charts. At the center of a curved chart the
-2-jet of the inverse map is available in closed form (dPhi = frame^{-1},
-Hess Phi^k = A^k_c Gamma^c_ab(p)); elsewhere jets, the forward Jacobian and
-both pullbacks take one central-difference stencil: accurate but slow.
+The affine inverse and coordinate jets take q - p to the nearest image of
+the center, so they agree and are smooth on quotient charts. At the center
+of a curved chart the 2-jet of the inverse map is available in closed form
+(dPhi = frame^{-1}, Hess Phi^k = A^k_c Gamma^c_ab(p)); elsewhere jets, the
+forward Jacobian and both pullbacks take one central-difference stencil:
+accurate but slow.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class NormalChart:
     def inverse(self, q, max_iter: int = 25) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         if self.affine:
-            return self.frame_inv @ (q - self.p)
+            return self.frame_inv @ self.field.displacement(q, self.p)
         x = self.frame_inv @ (q - self.p)      # exact for flat, good seed else
         scale = 1.0 + float(np.linalg.norm(q - self.p))
         res = self.forward(x) - q

@@ -15,6 +15,10 @@ import pytest
 
 import lorentzkit.geodesics as geodesics
 from lorentzkit.cli import run
+from lorentzkit.errors import ExprSyntaxError, SpacetimeFileError
+from lorentzkit.expr import MAX_DEPTH, SymbolTable, compile, parse
+from lorentzkit.jets import Jet2
+from lorentzkit.specfile import load_spec
 
 from conftest import CATALOG_NAMES, region_points
 
@@ -433,3 +437,66 @@ def test_length_must_be_positive(argv, capsys):
     code, text = run_cli(argv.split())
     assert code == 2 and text == ""
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "catalog",
+    "analyze builtin:desitter --at 0,0,0,0",
+    "classify builtin:minkowski --submanifold sphere",
+    "check builtin:flrw_dust --condition E --points 3 --dirs 8",
+    "gs builtin:desitter --submanifold sphere --at 1.5707,0.5 --dir 1,0,0,0",
+    "perturb builtin:minkowski --theorem 4.2 --at 0,0,0,0 "
+    "--witness v=1,0,0,0 w=0,0,1,0 --nmax 3",
+    "geodesic builtin:minkowski --from 0,0,0,0 --dir 1,0,0,0",
+], ids=lambda argv: argv.split()[0])
+def test_timing_adds_only_the_wall_time(argv):
+    """Every subcommand's --timing report is its untimed report plus
+    wall_time_s, with the same exit code."""
+    code, rep = run_json(argv.split())
+    timed_code, timed = run_json(argv.split() + ["--timing"])
+    assert timed_code == code
+    wall = timed.pop("wall_time_s")
+    assert isinstance(wall, float) and wall >= 0.0
+    assert timed == rep
+
+
+def test_expressions_past_the_depth_bound_are_syntax_errors(tmp_path,
+                                                            capsys):
+    """A metric entry nested or chained past MAX_DEPTH exits 1 with a JSON
+    error and no traceback; an expression at the bound compiles at order 2
+    and matches the Jet2 reference."""
+    text = SPEC_FILE.read_text()
+    for name, entry in [
+            ("chain", "-1 + 0*(" + "+".join(["s"] * 700) + ")"),
+            ("brackets", "-1 + " + "(" * 3000 + "s" + ")" * 3000 + "*0")]:
+        spec = tmp_path / f"{name}.st"
+        spec.write_text(text.replace("metric s s = -1",
+                                     f"metric s s = {entry}", 1))
+        code, rep = run_json(["analyze", str(spec), "--at", "0,0,0,0"])
+        # the spec loader reports every bad metric expression as a
+        # SpacetimeFileError; its cause is the parser's
+        assert code == 1 and rep["error_type"] == "SpacetimeFileError"
+        assert "at offset" in rep["error"]
+        with pytest.raises(SpacetimeFileError) as exc:
+            load_spec(str(spec))
+        assert isinstance(exc.value.__cause__, ExprSyntaxError)
+    assert "Traceback" not in capsys.readouterr().err
+
+    table = SymbolTable(["x", "y"])
+    d = MAX_DEPTH
+    nested = "cos(" * (d - 2) + "x*y" + ")" * (d - 2)
+    chain = " + ".join(["x*y"] * (d - 1))
+    for at_bound in (nested, chain, "(" * d + "x" + ")" * d):
+        e = parse(at_bound, table)
+        want = e.eval([Jet2.variable(0.3, 0, 2), Jet2.variable(0.7, 1, 2)], {})
+        got = compile((e,), 2, order=2, shape=(), slots=[(0,)])(
+            np.array([0.3, 0.7]))
+        for g, w in zip(got, (want.value, want.grad, want.hess)):
+            assert np.allclose(g, w, rtol=1e-12, atol=0.0)
+    for past, offset in [("(" * (d + 1) + "x" + ")" * (d + 1), d),
+                         ("-" * (d + 1) + "x", d),
+                         ("cos(" * (d - 1) + "x*y" + ")" * (d - 1), 0),
+                         (chain + " + x*y", len(chain) + 1)]:
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(past, table)
+        assert exc.value.position == offset

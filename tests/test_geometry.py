@@ -267,3 +267,28 @@ class TestGenericCheck:
         v = np.array([1.0, 0.3, 0, 0])
         sol = geodesic(f, [s0, 0, 0, 0], v, 0.1 * s0)
         assert generic_check(f, sol).satisfied
+
+
+@pytest.mark.parametrize("name, start, direction", [
+    # the principal null directions of Schwarzschild's type-D Weyl tensor
+    ("schwarzschild_ef", [0.0, 3.0, 1.5, 0.3], [0.0, -1.0, 0.0, 0.0]),
+    ("schwarzschild_ef", [0.0, 3.0, 1.5, 0.3], [1.0, 1.0 / 6.0, 0.0, 0.0]),
+    # de Sitter: R(., k) k is a multiple of k, with no part on the screen
+    ("desitter", [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]),
+    ("desitter", [0.0, 0.0, 0.0, 0.0], [1.0, 0.6, 0.0, -0.8]),
+])
+def test_generic_check_takes_the_screen_part_on_null_curves(
+        bundles, name, start, direction):
+    f = bundles[name].field
+    sol = geodesic(f, start, direction, 0.5)
+    assert not generic_check(f, sol).satisfied
+
+
+def test_generic_check_detects_null_curves_in_dust(bundles):
+    """Ric(k, k) > 0 in dust, so the screen part of R(., k) k is not 0."""
+    b = bundles["flrw_dust"]
+    s0 = b.params["s_ref"]
+    a = math.sqrt(b.field.value(np.array([s0, 0.0, 0.0, 0.0]))[1, 1])
+    sol = geodesic(b.field, [s0, 0, 0, 0], [1.0, 1.0 / a, 0, 0], 0.1 * s0)
+    res = generic_check(b.field, sol)
+    assert res.satisfied and res.parameter == 0.0

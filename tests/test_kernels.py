@@ -233,3 +233,42 @@ def test_order1_jets_form_no_second_derivative_factors():
         _agree(got, want, 1)
         assert isinstance(_reference(e, list(pts.T) if pts.ndim > 1
                                      else pts.tolist(), 2), DomainError)
+
+
+# --- kernels against Jet2 on inputs the random trees seldom draw -------------
+
+def test_large_integer_powers_compile_by_repeated_squaring():
+    """x^100000 and x^1000000 take a few dozen products, in the kernel and
+    in Jet2 alike, and agree with each other."""
+    table = SymbolTable(["x", "y"])
+    for text in ("1 + 0.5*x^100000", "x^1000000"):
+        e = expr.parse(text, table)
+        kernel = compile((e,), 2, order=2, shape=(), slots=[(0,)])
+        assert len(kernel.source.splitlines()) < 200
+        for pts in (np.array([1.0 - 1e-6, 0.2]),
+                    np.array([[1.0 - 1e-6, 0.2], [1.0 + 1e-7, -0.4]])):
+            _check_against_reference(e, pts, 2)
+            assert not isinstance(_compiled(e, pts, 2), Exception)
+
+
+def test_negative_zero_numbers_share_the_kernel_of_zero():
+    """Num(-0.0) is Num(0.0): the kernel cached for one says what
+    Expr.eval says for the other."""
+    assert str(Num(-0.0).value) == "0.0"
+    expr._compiled.cache_clear()
+    for zero in (-0.0, 0.0):
+        e = Unary("sqrt", Binary("^", Num(zero), Num(-0.5)))
+        with pytest.raises(DomainError) as want:
+            e.eval([0.3, 0.2], PARAMS)
+        with pytest.raises(DomainError) as got:
+            compile((e,), 2, PARAMS, order=2)(np.array([0.3, 0.2]))
+        assert str(got.value) == str(want.value)
+
+
+def test_jet2_forms_cosh_before_sinh():
+    """cosh(x^-2) overflows at x = 0.001: in cosh first, not in sinh,
+    in the kernel and in Jet2."""
+    e = expr.parse("cosh(x^-2)", SymbolTable(["x", "y"]))
+    pts = np.array([[0.001, 0.0], [0.0005, 1.0]])
+    _check_against_reference(e, pts, 2)
+    assert str(_compiled(e, pts, 2)) == "cosh: overflow encountered in cosh"

@@ -94,3 +94,15 @@ class TestCurvedCharts:
                                rtol=1e-5)
             scale = 1.0 + np.abs(hess_fd).max()
             assert np.abs(jets[k].hess - hess_fd).max() < 2e-4 * scale
+
+
+def test_affine_inverse_takes_the_nearest_periodic_image(bundles):
+    """On the torus quotient the inverse of an affine chart wraps q to the
+    image nearest the center, as its coordinate jets do."""
+    f = bundles["torus_quotient"].field
+    chart = NormalChart(f, [0.0, 0.9, 0.5, 0.5], np.eye(4))
+    q = np.array([0.0, 0.05, 0.5, 0.5])
+    x = chart.inverse(q)
+    assert x[1] == pytest.approx(0.15)
+    assert np.allclose(x, [j.value for j in chart.coord_jets(q)],
+                       rtol=0.0, atol=1e-15)
