@@ -18,15 +18,30 @@ Margins per condition, for an h-unit causal v:
           of `geometry.tidal_screen` (the one `geometry.tidal` uses)
 
 The three eigenvalue margins are short wrappers of one kernel, `_eig_margin`:
-project Riem(., v, v, .) onto a basis, take the least eigenpair, and keep
-the gradient lazy. Every margin function returns (margin, w, grad), where
-grad() is the exact gradient of the margin in v, computed only when the
-descent asks for it: 2 Ric v for ricci, and for the eigenvalue margins the
-envelope theorem at the minimising w (Magnus, Econometric Theory 1(2),
-1985). The dense pass of the shell scan and the inclusion audit take their
-shell vectors from one generator, `_dense_shell`; the shell descent chains
-the gradient through the shell parametrisation and spends one margin
-evaluation per step, with no finite differences.
+project Riem(., v, v, .) (one product with the point's Riemann matrix,
+`CurvatureData.riem_matrix`) onto the closed-form complement of the
+constraint rows (`geometry.complement`, `geometry.tidal_screen`), take the
+least eigenpair, and keep the gradient lazy. The kernel takes one shell
+vector (n,) or a stack (B, n), written once with `...` broadcasting; each
+margin has a stacked sibling (`_ricci_stack`, `_riem_stack`,
+`_riem_gperp_stack`, `_tidal_stack`), and the named per-vector margins
+(`_margin_ricci`, `_margin_riem`, `_margin_riem_gperp`, `_margin_tidal`)
+are thin views of them on one vector. Every margin returns (margin, w,
+grad), where grad() is the exact gradient of the margin in v, computed only
+when the descent asks for it: 2 Ric v for ricci, and for the eigenvalue
+margins the envelope theorem at the minimising w (Magnus, Econometric
+Theory 1(2), 1985).
+
+The shell scan of a point (`_scan_point`) makes a dense pass over shell
+vectors from one generator, `_dense_shell` (which the inclusion audit
+shares), one named margin call per direction. It then runs its `restarts`
+descents in lockstep: each step is one stacked call on the (restarts, n)
+stack of trial vectors, chained through the shell parametrisation with no
+finite differences, and each improved witness is re-evaluated through the
+named margin. So the margin evaluations of a point (at most n_dirs +
+restarts * (refine_iters + 1)) differ from its named margin calls (the
+dense pass and the re-evaluations, at most n_dirs + restarts); the audit
+makes named calls only.
 
 Verdicts: holds-strictly (min > tau), holds-weakly (|min| <= tau or min in
 the weak band), violated (min < -tau), with a witness for violations.
@@ -38,7 +53,6 @@ slower than the serial loop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -46,8 +60,8 @@ import numpy as np
 from .errors import NotApplicable, ParamError
 from .fields import ScalarField, VectorField
 from .geodesics import geodesic, parallel_transport
-from .geometry import (DEFAULT_TOLS, CurvatureData, Tolerances,
-                       curvature_data, h_orthonormal_complement, lorentz_frame,
+from .geometry import (DEFAULT_TOLS, CurvatureData, Tolerances, complement,
+                       curvature_data, lorentz_frame, tidal_rows,
                        tidal_screen)
 from .metric import MetricField
 from .submanifold import Embedding
@@ -75,6 +89,12 @@ class Region:
                     raise ParamError(f"empty box interval ({lo}, {hi})")
         if self.n_dirs < 8:
             raise ParamError("causal-shell density must be at least 8")
+        n = self.n_points if self.points is None else len(self.points)
+        if n < 1:
+            raise ParamError(f"a region needs at least one point, got {n}")
+        if self.refine_iters < 0 or self.restarts < 0:
+            raise ParamError(f"refine_iters and restarts must be >= 0, got "
+                             f"{self.refine_iters} and {self.restarts}")
 
     def sample_points(self) -> np.ndarray:
         if self.points is not None:
@@ -118,11 +138,19 @@ class ConditionReport:
 # --- causal shell machinery ------------------------------------------------------
 
 
-def _shell_vector(frame: np.ndarray, alpha: float, omega: np.ndarray,
-                  sign: float) -> np.ndarray:
-    v = frame[:, 0] + alpha * (frame[:, 1:] @ omega)
-    v = sign * v
-    return v / np.linalg.norm(v)
+def _col(x) -> np.ndarray:
+    """A scalar or a stack (B,) as a column that broadcasts against rows."""
+    return np.asarray(x)[..., None]
+
+
+def _shell_vector(frame: np.ndarray, alpha, omega: np.ndarray,
+                  sign) -> np.ndarray:
+    """The h-unit shell vector sign (f_0 + alpha F omega) / |.|, F the
+    spacelike frame columns; stacks of alpha, omega and sign (one row per
+    vector) give a stack of vectors."""
+    v = frame[:, 0] + _col(alpha) * (omega @ frame[:, 1:].T)
+    v = _col(sign) * v
+    return v / np.sqrt((v * v).sum(-1))[..., None]
 
 
 def _dense_shell(frame: np.ndarray, rng, n_dirs: int, timelike_only: bool):
@@ -143,87 +171,144 @@ def _dense_shell(frame: np.ndarray, rng, n_dirs: int, timelike_only: bool):
         yield alpha, omega, sign, _shell_vector(frame, alpha, omega, sign)
 
 
-def _shell_grad(frame: np.ndarray, alpha: float, omega: np.ndarray,
-                sign: float, grad_v: np.ndarray) -> tuple[float, np.ndarray]:
+def _shell_grad(frame: np.ndarray, alpha, omega: np.ndarray, sign,
+                grad_v: np.ndarray):
     """Chain a gradient in v = _shell_vector(frame, alpha, omega, sign)
     through the parametrisation: (d/d alpha, d/d omega tangent to the
-    sphere |omega| = 1)."""
+    sphere |omega| = 1), row by row for stacks."""
     f1 = frame[:, 1:]
-    f1w = f1 @ omega
-    u = frame[:, 0] + alpha * f1w
-    nu2 = float(u @ u)
+    f1w = omega @ f1.T
+    u = frame[:, 0] + _col(alpha) * f1w
+    nu2 = (u * u).sum(-1)[..., None]
     # v = sign u / |u|: project out u, the direction normalisation removes
-    grad_u = (sign / math.sqrt(nu2)) * (grad_v - u * (float(u @ grad_v) / nu2))
-    gw = alpha * (grad_u @ f1)
-    return float(f1w @ grad_u), gw - omega * float(omega @ gw)
+    grad_u = (_col(sign) / np.sqrt(nu2)) * (
+        grad_v - u * ((u * grad_v).sum(-1)[..., None] / nu2))
+    gw = _col(alpha) * (grad_u @ f1)
+    return (f1w * grad_u).sum(-1), gw - omega * (omega * gw).sum(-1)[..., None]
+
+
+def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrices (..., m, n) times vectors (..., n)."""
+    return (a @ x[..., None])[..., 0]
 
 
 def _eig_margin(data: CurvatureData, v: np.ndarray, basis: np.ndarray,
-               rows=None, gram: np.ndarray | None = None):
+                rows=None, gram: np.ndarray | None = None):
     """(lam, w, grad) for lam(v) = min w^T M(v) w over w in the span of the
     basis columns with w^T N w = 1, M(v)[i, l] = Riem(e_i, v, v, e_l).
 
-    The basis is the complement of constraint rows c_k(v) . w = 0 and is
+    v is one shell vector (n,) with a basis (n, k), or a stack (B, n) with
+    bases (B, n, k); lam, w and grad() then carry the leading axis. The
+    basis is the complement of constraint rows c_k(v) . w = 0 and is
     orthonormal for N (N = gram, or the identity). grad() is the envelope
-    theorem at the minimiser: d(w^T M(v) w)/dv - sum_k mu_k d(c_k(v) . w)/dv.
-    `rows(x)` stacks the rows c_k(x), each linear in x with a symmetric
+    theorem at the minimiser: d(w^T M(v) w)/dv - sum_k mu_k d(c_k(v) . w)/dv,
+    where d(w^T M(v) w)/dv = 2 M(w) v by the pair symmetry. `rows(x)`
+    stacks the rows c_k(x) (..., k, n), each linear in x with a symmetric
     matrix, so d(c_k(v) . w)/dv = c_k(w); the multipliers mu are the
     least-squares solution of rows^T mu = 2 (M w - lam N w), from its normal
     equations. Callers leave rows out when every multiplier vanishes
     identically.
     """
     rv = data.riem_bilinear(v)
-    m = basis.T @ rv @ basis
-    lam, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    w = basis @ vecs[:, 0]
-    lam0 = float(lam[0])
+    lam, vecs = np.linalg.eigh(basis.swapaxes(-1, -2) @ rv @ basis)
+    lam0 = lam[..., 0]
+    w = _mv(basis, vecs[..., 0])
 
     def grad():
-        n = data.dim
-        a = (w @ data.riem.reshape(n, -1)).reshape(n, n, n) @ w  # Riem(w, ., ., w)
-        out = (a + a.T) @ v
+        out = 2.0 * _mv(data.riem_bilinear(w), v)
         if rows is None:
             return out
         c = rows(v)
-        resid = 2.0 * (rv @ w - lam0 * (w if gram is None else gram @ w))
-        mu = np.linalg.solve(c @ c.T, c @ resid)
-        return out - mu @ rows(w)
+        nw = w if gram is None else w @ gram
+        resid = 2.0 * (_mv(rv, w) - lam0[..., None] * nw)
+        mu = np.linalg.solve(c @ c.swapaxes(-1, -2), _mv(c, resid)[..., None])
+        return out - (mu.swapaxes(-1, -2) @ rows(w))[..., 0, :]
     return lam0, w, grad
 
 
-def _margin_ricci(data: CurvatureData, v: np.ndarray):
-    return data.ric_quad(v), None, lambda: 2.0 * (data.ric @ v)
+def _ricci_stack(data: CurvatureData, v: np.ndarray):
+    rv = v @ data.ric
+    return (rv * v).sum(-1), None, lambda: 2.0 * rv
 
 
-def _margin_riem(data: CurvatureData, v: np.ndarray):
+def _riem_stack(data: CurvatureData, v: np.ndarray):
     # the multiplier of v . w = 0 is proportional to Riem(v, v, v, w) = 0
-    return _eig_margin(data, v, h_orthonormal_complement(v[None, :]))
+    return _eig_margin(data, v, complement(v[..., None, :]))
 
 
-def _margin_riem_gperp(data: CurvatureData, v: np.ndarray):
+def _riem_gperp_stack(data: CurvatureData, v: np.ndarray):
     def rows(x):
-        return (data.g @ x)[None, :]
-    return _eig_margin(data, v, h_orthonormal_complement(rows(v)), rows)
+        return (x @ data.g)[..., None, :]
+    return _eig_margin(data, v, complement(rows(v)), rows)
 
 
-def _margin_tidal(data: CurvatureData, v: np.ndarray,
-                  tols: Tolerances = DEFAULT_TOLS):
-    null = data.inner(v, v) >= -tols.tau_c
+def _tidal_stack(data: CurvatureData, v: np.ndarray,
+                 tols: Tolerances = DEFAULT_TOLS):
+    """The O margin of every row; a stack of null and timelike vectors is
+    split by kind, each part on its own screens."""
+    null = ((v @ data.g) * v).sum(-1) >= -tols.tau_c
+    first = bool(null.flat[0])
+    if null.ndim == 0 or (null == first).all():
+        return _tidal_kind(data, v, first)
+    parts = [(mask, _tidal_kind(data, v[mask], kind))
+             for mask, kind in ((~null, False), (null, True))]
+
+    def merge(pick):
+        out = np.empty((len(v),) + pick(parts[0][1]).shape[1:])
+        for mask, part in parts:
+            out[mask] = pick(part)
+        return out
+    return (merge(lambda p: p[0]), merge(lambda p: p[1]),
+            lambda: merge(lambda p: p[2]()))
+
+
+def _tidal_kind(data: CurvatureData, v: np.ndarray, null: bool):
     basis = tidal_screen(data.g, v, null)
     if not null:
         # the multiplier of g(v, w) = 0 is proportional to Riem(v, v, v, w) = 0
         return _eig_margin(data, v, basis)
-    return _eig_margin(data, v, basis,
-                       lambda x: np.vstack([data.g @ x, x]), data.g)
+    return _eig_margin(data, v, basis, lambda x: tidal_rows(data.g, x, True),
+                       data.g)
+
+
+# The named per-vector margins are views of the stacked kernels on one
+# vector: the dense pass, the witness re-evaluation and the inclusion audit
+# call them by these names, and only the lockstep descent calls the stacks.
+
+def _one(result):
+    lam, w, grad = result
+    return float(lam), w, grad
+
+
+def _margin_ricci(data: CurvatureData, v: np.ndarray):
+    return _one(_ricci_stack(data, v))
+
+
+def _margin_riem(data: CurvatureData, v: np.ndarray):
+    return _one(_riem_stack(data, v))
+
+
+def _margin_riem_gperp(data: CurvatureData, v: np.ndarray):
+    return _one(_riem_gperp_stack(data, v))
+
+
+def _margin_tidal(data: CurvatureData, v: np.ndarray,
+                  tols: Tolerances = DEFAULT_TOLS):
+    return _one(_tidal_stack(data, v, tols))
 
 
 def _scan_point(data: CurvatureData, margin_fn, rng, n_dirs: int,
-                refine_iters: int, restarts: int, timelike_only: bool):
+                refine_iters: int, restarts: int, timelike_only: bool,
+                stack_fn):
     """Dense shell sampling plus gradient descent from the best candidates.
 
-    Each descent step is one margin evaluation, whose exact gradient steers
-    the next step, so a point costs at most
-    n_dirs + restarts * (refine_iters + 1) margin evaluations.
+    The dense pass calls margin_fn once per direction. The `restarts`
+    descents then run in lockstep: each step is one stack_fn call on the
+    (restarts, n) stack of trial vectors, and each row keeps its own step
+    length (halved when its trial does not improve it). Each improved
+    witness is re-evaluated through margin_fn, in restart order against the
+    running best. A point costs at most n_dirs + restarts * (refine_iters
+    + 1) margin evaluations, of which n_dirs + restarts are margin_fn calls.
     """
     frame = lorentz_frame(data.g)
     cands = []
@@ -233,26 +318,36 @@ def _scan_point(data: CurvatureData, margin_fn, rng, n_dirs: int,
         cands.append((val, alpha, omega, sign, v, w, grad))
     cands.sort(key=lambda c: c[0])
     best = cands[0][:6]
+    top = cands[:restarts]
+    if not top:
+        return best
 
     amax = 0.95 if timelike_only else 1.0
-    for val, alpha, omega, sign, _v, _w, grad in cands[:restarts]:
-        step = 0.15
-        ga, gw = _shell_grad(frame, alpha, omega, sign, grad())
-        for _ in range(refine_iters):
-            alpha1 = min(max(alpha - step * ga, 0.0), amax)
-            omega1 = omega - step * gw
-            omega1 = omega1 / np.linalg.norm(omega1)
-            val1, _, grad1 = margin_fn(
-                data, _shell_vector(frame, alpha1, omega1, sign))
-            if val1 < val:
-                val, alpha, omega = val1, alpha1, omega1
-                ga, gw = _shell_grad(frame, alpha, omega, sign, grad1())
-            else:
-                step *= 0.5
-        if val < best[0]:
-            v = _shell_vector(frame, alpha, omega, sign)
-            val, w, _grad = margin_fn(data, v)
-            best = (val, alpha, omega, sign, v, w)
+    val, alpha, omega, sign = (np.array([c[k] for c in top])
+                               for k in range(4))
+    ga, gw = _shell_grad(frame, alpha, omega, sign,
+                         np.array([c[6]() for c in top]))
+    step = np.full(len(top), 0.15)
+    for _ in range(refine_iters):
+        alpha1 = np.clip(alpha - step * ga, 0.0, amax)
+        omega1 = omega - step[:, None] * gw
+        omega1 /= np.linalg.norm(omega1, axis=1, keepdims=True)
+        val1, _, grad1 = stack_fn(data, _shell_vector(frame, alpha1, omega1,
+                                                      sign))
+        better = val1 < val
+        step = np.where(better, step, 0.5 * step)
+        if better.any():
+            ga1, gw1 = _shell_grad(frame, alpha1, omega1, sign, grad1())
+            val = np.where(better, val1, val)
+            alpha = np.where(better, alpha1, alpha)
+            ga = np.where(better, ga1, ga)
+            omega = np.where(better[:, None], omega1, omega)
+            gw = np.where(better[:, None], gw1, gw)
+    for r in range(len(top)):
+        if val[r] < best[0]:
+            v = _shell_vector(frame, alpha[r], omega[r], sign[r])
+            val_r, w, _grad = margin_fn(data, v)
+            best = (val_r, alpha[r], omega[r], sign[r], v, w)
     return best
 
 
@@ -264,7 +359,7 @@ def _verdict(margin: float, tau: float) -> str:
     return "violated"
 
 
-def _run_condition(field_: MetricField, region: Region, margin_fn,
+def _run_condition(field_: MetricField, region: Region, margin_fn, stack_fn,
                    name: str, tols: Tolerances, timelike_only: bool = False,
                    extra: dict | None = None) -> ConditionReport:
     pts = region.sample_points()
@@ -272,7 +367,8 @@ def _run_condition(field_: MetricField, region: Region, margin_fn,
 
     results = [_scan_point(curvature_data(field_, p), margin_fn,
                            np.random.default_rng(seed), region.n_dirs,
-                           region.refine_iters, region.restarts, timelike_only)
+                           region.refine_iters, region.restarts, timelike_only,
+                           stack_fn)
                for p, seed in zip(pts, seeds)]
 
     best_i = min(range(len(pts)), key=lambda i: results[i][0])
@@ -293,7 +389,7 @@ def _run_condition(field_: MetricField, region: Region, margin_fn,
 def ricci_condition(field_: MetricField, region: Region, strict: bool = False,
                     tols: Tolerances = DEFAULT_TOLS, jobs: int = 1) -> ConditionReport:
     """Minimum of Ric(v, v) over the sampled causal shell (sets SE / E)."""
-    return _run_condition(field_, region, _margin_ricci,
+    return _run_condition(field_, region, _margin_ricci, _ricci_stack,
                           "ricci-causal" + ("-strict" if strict else ""),
                           tols)
 
@@ -306,10 +402,11 @@ def riem_condition(field_: MetricField, region: Region, strict: bool = False,
     timelike_only restricts v to the timelike shell with w g-orthogonal to v
     (the equivalent characterization of the weak class).
     """
-    fn = _margin_riem_gperp if timelike_only else _margin_riem
+    fn, stack_fn = (_margin_riem_gperp, _riem_gperp_stack) if timelike_only \
+        else (_margin_riem, _riem_stack)
     name = "riemann-causal" + ("-timelike-only" if timelike_only else "") \
         + ("-strict" if strict else "")
-    return _run_condition(field_, region, fn, name, tols,
+    return _run_condition(field_, region, fn, stack_fn, name, tols,
                           timelike_only=timelike_only,
                           extra={"timelike_only": timelike_only})
 
@@ -319,7 +416,10 @@ def tidal_condition(field_: MetricField, region: Region,
     """Minimum tidal-operator eigenvalue over the sampled shell (set O)."""
     def fn(data, v):
         return _margin_tidal(data, v, tols)
-    return _run_condition(field_, region, fn, "tidal-psd", tols)
+
+    def stack_fn(data, v):
+        return _tidal_stack(data, v, tols)
+    return _run_condition(field_, region, fn, stack_fn, "tidal-psd", tols)
 
 
 # --- inclusion audit --------------------------------------------------------------

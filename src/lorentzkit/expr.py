@@ -43,7 +43,23 @@ FUNCTIONS = ("exp", "log", "sin", "cos", "tan", "sinh", "cosh", "tanh", "sqrt")
 # --- AST ---------------------------------------------------------------------
 
 class Expr:
-    """Base node. Subclasses are frozen dataclasses; trees are immutable."""
+    """Base node. Subclasses are frozen dataclasses; trees are immutable.
+
+    Equality is structural (the dataclasses' own). The hash is computed
+    once, when a node is built, from its fields and its children's cached
+    hashes, so hashing a tree (every memo and kernel-cache lookup) takes
+    constant time instead of a walk over the tree. Each subclass binds
+    `__hash__ = Expr.__hash__`, which keeps the dataclass decorator from
+    generating its recursive one.
+    """
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (type(self).__name__,)
+            + tuple(getattr(self, f) for f in self.__dataclass_fields__)))
+
+    def __hash__(self):
+        return self._hash
 
     def eval(self, xs: Sequence, params: Mapping[str, float]):
         """Value at coordinates `xs` (floats or Jet2 seeds, chart order).
@@ -63,11 +79,14 @@ class Expr:
 class Num(Expr):
     value: float
 
+    __hash__ = Expr.__hash__
+
     def __post_init__(self):
         # -0.0 equals and hashes as 0.0, so the kernel compiled for one
         # would serve the other
         if self.value == 0.0:
             object.__setattr__(self, "value", 0.0)
+        super().__post_init__()
 
     def eval(self, xs, params):
         return self.value
@@ -81,6 +100,8 @@ class Num(Expr):
 class Sym(Expr):
     name: str
     coord_index: int | None   # None for parameters
+
+    __hash__ = Expr.__hash__
 
     def eval(self, xs, params):
         if self.coord_index is not None:
@@ -125,6 +146,8 @@ class Unary(Expr):
     op: str             # 'neg' or a function name
     arg: Expr
 
+    __hash__ = Expr.__hash__
+
     def eval(self, xs, params):
         a = self.arg.eval(xs, params)
         if self.op == "neg":
@@ -144,6 +167,8 @@ class Binary(Expr):
     op: str             # '+', '-', '*', '/', '^'
     left: Expr
     right: Expr
+
+    __hash__ = Expr.__hash__
 
     def eval(self, xs, params):
         a = self.left.eval(xs, params)
@@ -237,7 +262,7 @@ class SymbolTable:
 # The deepest expression the parser accepts, as levels of nesting (brackets,
 # function calls, signs and exponents) and as tree depth (which long
 # + - * / chains reach without nesting). Every recursive consumer (the
-# parser, Expr.eval, the nodes' hash, the kernel emitter at order 2) then
+# parser, Expr.eval, the nodes' equality, the kernel emitter at order 2) then
 # stays far below Python's recursion limit.
 MAX_DEPTH = 100
 

@@ -19,14 +19,17 @@ The auxiliary Riemannian metric h used for all normalizations is the
 Euclidean metric of the chart coordinates.
 
 `screen(g, rows)` is the one screen helper: the h-orthogonal complement of
-some constraint rows, with g diagonalised on it. `tidal_screen` (rows g v,
-plus v when v is null) is the screen of `tidal` and of the O margin in
-`conditions`; `submanifold.normal_frame` is the screen of the tangent rows.
+some constraint rows in closed form (`complement`: a Householder reflection
+for one row, a complete QR for more), with g diagonalised on it.
+`tidal_screen` (on `tidal_rows`: g v, plus v when v is null) is the screen
+of `tidal` and of the O margin in `conditions`; `submanifold.normal_frame`
+is the screen of the tangent rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -110,10 +113,22 @@ class CurvatureData:
         """Riem(w, v, v, w)."""
         return float(np.einsum("ijkl,i,j,k,l->", self.riem, w, v, v, w))
 
+    @cached_property
+    def riem_matrix(self) -> np.ndarray:
+        """Riem as an (n^2, n^2) matrix, rows (j, k) and columns (i, l),
+        made exactly symmetric in (i, l): Riem(., v, v, .) is one product
+        of v (x) v with it."""
+        n = self.dim
+        r = self.riem.transpose(1, 2, 0, 3)
+        return (0.5 * (r + r.swapaxes(2, 3))).reshape(n * n, n * n)
+
     def riem_bilinear(self, v) -> np.ndarray:
-        """Matrix M[i, l] = Riem(e_i, v, v, e_l); symmetric by the pair symmetry."""
-        m = np.einsum("ijkl,j,k->il", self.riem, v, v)
-        return 0.5 * (m + m.T)
+        """Matrix M[i, l] = Riem(e_i, v, v, e_l), symmetric; a stack of
+        vectors (B, n) gives a stack (B, n, n)."""
+        v = np.asarray(v)
+        n = self.dim
+        vv = (v[..., :, None] * v[..., None, :]).reshape(v.shape[:-1] + (n * n,))
+        return (vv @ self.riem_matrix).reshape(v.shape[:-1] + (n, n))
 
     def ric_quad(self, v) -> float:
         return float(np.asarray(v) @ self.ric @ np.asarray(v))
@@ -249,35 +264,54 @@ def lorentz_frame(g: np.ndarray) -> np.ndarray:
     return q / np.sqrt(np.abs(lam))
 
 
-def h_orthonormal_complement(vectors: np.ndarray) -> np.ndarray:
-    """Euclidean-orthonormal basis of the orthogonal complement of given rows;
-    a stack (B, k, n) of row sets of one common rank gives stacked bases."""
-    a = np.atleast_2d(np.asarray(vectors, dtype=float))
-    _, s, vt = np.linalg.svd(a)
-    if a.ndim == 2:
-        rank = int(np.sum(s > 1e-13 * (s[0] if s.size else 1.0)))
-        return vt[rank:].T            # columns span the complement
-    ranks = np.sum(s > 1e-13 * s[:, :1], axis=-1)
-    if np.any(ranks != ranks[0]):
-        raise np.linalg.LinAlgError("row sets of different rank")
-    return vt[:, ranks[0]:].swapaxes(-1, -2)
+@lru_cache(maxsize=None)
+def _columns_past_first(n: int) -> np.ndarray:
+    """Columns 1..n-1 of the n x n identity (read-only: it is shared)."""
+    eye = np.eye(n, n - 1, -1)
+    eye.setflags(write=False)
+    return eye
+
+
+def complement(rows: np.ndarray) -> np.ndarray:
+    """Euclidean-orthonormal basis (columns) of the orthogonal complement of
+    k linearly independent rows (k, n); a stack (B, k, n) gives stacked
+    bases (B, n, n - k). One row u takes the Householder reflection
+    I - 2 w w^T / |w|^2, w = u + sign(u_0) |u| e_0, whose columns past the
+    first span the complement; more rows take a complete QR."""
+    k, n = rows.shape[-2:]
+    if k > 1:
+        return np.linalg.qr(rows.swapaxes(-1, -2), mode="complete")[0][..., k:]
+    u = rows[..., 0, :]
+    norm = np.sqrt((u * u).sum(-1))
+    w = u.copy()
+    w[..., 0] += np.copysign(norm, u[..., 0])
+    # |w|^2 = 2 |u| |w_0|
+    scaled = w / (norm * abs(w[..., 0]))[..., None]
+    return _columns_past_first(n) - w[..., :, None] * scaled[..., None, 1:]
 
 
 def screen(g: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lam, basis): ascending eigenvalues of g on the h-orthogonal complement
     of the rows, and its eigenvectors scaled so that g(b_k, b_k) = sign lam_k.
     Stacks g (B, n, n) and rows (B, k, n) give stacked results."""
-    comp = h_orthonormal_complement(rows)
+    comp = complement(rows)
     lam, q = np.linalg.eigh(comp.swapaxes(-1, -2) @ g @ comp)
     return lam, comp @ (q / np.sqrt(np.abs(lam))[..., None, :])
 
 
+def tidal_rows(g: np.ndarray, v: np.ndarray, null: bool) -> np.ndarray:
+    """The rows whose complement is the screen of a causal v: g v, and v
+    too when v is null; (k, n) for a vector, (B, k, n) for a stack."""
+    gv = (v @ g)[..., None, :]
+    return np.concatenate([gv, v[..., None, :]], axis=-2) if null else gv
+
+
 def tidal_screen(g: np.ndarray, v: np.ndarray, null: bool) -> np.ndarray:
-    """g-orthonormal screen of a causal v: the h-complement of g v, and of v
-    too when v is null (realising the quotient v^perp / <v>)."""
-    rows = np.vstack([g @ v, v]) if null else (g @ v)[None, :]
-    lam, basis = screen(g, rows)
-    if lam[0] <= 0:
+    """g-orthonormal screen of a causal v: the h-complement of its
+    `tidal_rows` (realising the quotient v^perp / <v> when v is null). A
+    stack of vectors (B, n) of one kind gives stacked screens."""
+    lam, basis = screen(g, tidal_rows(g, v, null))
+    if (lam[..., 0] <= 0).any():
         raise NotCausal("screen is not g-positive definite")
     return basis
 

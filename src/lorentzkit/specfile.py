@@ -37,7 +37,7 @@ import numpy as np
 
 from .catalog import SpacetimeBundle, load as load_builtin
 from .errors import LorentzkitError, ParamError, SpacetimeFileError
-from .expr import SymbolTable
+from .expr import Expr, SymbolTable, parse
 from .fields import ExprScalarField, VectorField
 from .metric import ExprMetricField, lower_triangle_count
 from .submanifold import Embedding
@@ -206,7 +206,7 @@ def parse_spacetime_file(text: str, name: str = "<file>",
     table = _symbols(0, coords, params)
     cindex = {c: k for k, c in enumerate(coords)}
 
-    entries: dict[tuple[int, int], str] = {}
+    entries: dict[tuple[int, int], Expr] = {}
     for lineno, ci, cj, expr_text in metric_lines:
         if ci not in cindex or cj not in cindex:
             raise SpacetimeFileError(lineno, f"unknown coordinate in metric "
@@ -215,7 +215,11 @@ def parse_spacetime_file(text: str, name: str = "<file>",
         key = (max(a, b), min(a, b))
         if key in entries:
             raise SpacetimeFileError(lineno, f"duplicate metric entry ({ci}, {cj})")
-        entries[key] = expr_text
+        try:
+            entries[key] = parse(expr_text, table)
+        except LorentzkitError as exc:
+            raise SpacetimeFileError(
+                lineno, f"invalid metric entry ({ci}, {cj}): {exc}") from exc
     if len(entries) != lower_triangle_count(dimension):
         raise SpacetimeFileError(
             0, f"metric block needs all {lower_triangle_count(dimension)} "

@@ -460,6 +460,26 @@ def test_timing_adds_only_the_wall_time(argv):
     assert timed == rep
 
 
+@pytest.mark.parametrize("entry,cause", [
+    ("-1 + 0*(" + "+".join(["s"] * 700) + ")", "expression tree deeper than"),
+    ("-1 + Q*s", "Q"),
+    ("-1 + (s", "expected ')'")])
+def test_bad_metric_entries_name_their_line(tmp_path, capsys, entry, cause):
+    """A bad metric expression is reported at the line of its entry (the
+    `metric s s` entry is line 16 of the spec file), with the parser's
+    message, as a JSON error and exit 1."""
+    lines = SPEC_FILE.read_text().splitlines(keepends=True)
+    assert lines[15].startswith("metric s s = ")
+    lines[15] = f"metric s s = {entry}\n"
+    spec = tmp_path / "bad_entry.st"
+    spec.write_text("".join(lines))
+    code, rep = run_json(["analyze", str(spec), "--at", "0,0,0,0"])
+    assert code == 1 and rep["error_type"] == "SpacetimeFileError"
+    assert rep["error"].startswith("line 16: invalid metric entry (s, s): ")
+    assert cause in rep["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_expressions_past_the_depth_bound_are_syntax_errors(tmp_path,
                                                             capsys):
     """A metric entry nested or chained past MAX_DEPTH exits 1 with a JSON

@@ -10,7 +10,7 @@ import lorentzkit.conditions as conditions
 from lorentzkit.conditions import (Region, gs_trace, inclusion_audit,
                                    ricci_condition, riem_condition,
                                    temporal_certificate, tidal_condition)
-from lorentzkit.errors import NotApplicable, ParamError
+from lorentzkit.errors import NotApplicable, NotCausal, ParamError
 from lorentzkit.fields import ExprScalarField
 from lorentzkit.geometry import (TangentVector, curvature_data, lorentz_frame,
                                  tidal)
@@ -35,6 +35,27 @@ class TestRegion:
     def test_density_floor(self):
         with pytest.raises(ParamError):
             Region(box=((0.0, 1.0),), n_dirs=4)
+
+    @pytest.mark.parametrize("sizes", [
+        dict(restarts=-1), dict(refine_iters=-1), dict(n_points=0),
+        dict(n_points=-3)])
+    def test_nonsensical_sizes_rejected(self, sizes):
+        """A negative restart count used to slice the candidates from the
+        end, and an empty box sample ended in min() of an empty list."""
+        with pytest.raises(ParamError):
+            Region(box=((0.0, 1.0),), **sizes)
+
+    def test_empty_point_list_rejected(self):
+        with pytest.raises(ParamError):
+            Region(points=())
+
+    def test_zero_descent_sizes_scan_the_dense_pass_only(self, bundles):
+        b = bundles["flrw_dust"]
+        dense = ricci_condition(b.field, Region(
+            box=b.default_box, n_points=2, seed=3, restarts=0))
+        no_steps = ricci_condition(b.field, Region(
+            box=b.default_box, n_points=2, seed=3, refine_iters=0))
+        assert dense.to_dict() == no_steps.to_dict()
 
     def test_point_list(self):
         r = Region(points=((0.0, 0.0, 0.0, 0.0), (1.0, 0, 0, 0)))
@@ -143,6 +164,157 @@ class TestExactGradients:
         check(b.field, region)
         per_point = region.n_dirs + region.restarts * (region.refine_iters + 1)
         assert 0 < calls[0] <= region.n_points * per_point
+
+
+STACKS = {"ricci": conditions._ricci_stack, "riem": conditions._riem_stack,
+          "riem_gperp": conditions._riem_gperp_stack,
+          "tidal": conditions._tidal_stack}
+
+
+def shell_stack(data, alphas, seed):
+    """Shell vectors (len(alphas), n) at the given alphas, random omega and
+    alternating signs."""
+    rng = np.random.default_rng(seed)
+    omega = rng.normal(size=(len(alphas), data.dim - 1))
+    omega /= np.linalg.norm(omega, axis=1, keepdims=True)
+    sign = np.where(np.arange(len(alphas)) % 2 == 0, 1.0, -1.0)
+    return conditions._shell_vector(lorentz_frame(data.g), np.array(alphas),
+                                    omega, sign)
+
+
+def _stack_cases():
+    for margin in sorted(STACKS):
+        for kind, alphas in (("timelike", [0.0, 0.3, 0.6, 0.9, 0.5]),
+                             ("null", [1.0] * 4),
+                             ("mixed", [1.0, 0.4, 1.0, 0.8, 0.0, 1.0])):
+            if margin == "riem_gperp" and kind != "timelike":
+                continue                  # the timelike-only margin
+            yield margin, kind, alphas
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @pytest.mark.parametrize("margin,kind,alphas", list(_stack_cases()))
+    def test_rows_match_the_named_margins(self, bundles, name, margin, kind,
+                                          alphas):
+        """Each row of a stacked call gives the margin, the minimiser and
+        the gradient of the named per-vector margin on that row's vector,
+        for timelike, null and mixed stacks."""
+        b = bundles[name]
+        for k, p in enumerate(region_points(b, 2, seed=31)):
+            data = curvature_data(b.field, p)
+            vs = shell_stack(data, alphas, seed=k)
+            lam, w, grad = STACKS[margin](data, vs)
+            grads = grad()
+            assert lam.shape == (len(vs),) and grads.shape == vs.shape
+            scale = max(np.abs(data.riem).max(), np.abs(data.ric).max(), 1.0)
+            tol = dict(rtol=1e-12, atol=1e-12 * scale)
+            for r, v in enumerate(vs):
+                lam_r, w_r, grad_r = MARGINS[margin](data, v)
+                assert isinstance(lam_r, float)
+                assert np.allclose(lam[r], lam_r, **tol)
+                assert np.allclose(grads[r], grad_r(), **tol)
+                if w_r is None:
+                    assert w is None
+                    continue
+                # the same minimiser up to sign, or, where the least
+                # eigenvalue is repeated (isotropic or flat spacetimes),
+                # another one: in the same constraint set, with the same
+                # normalisation, attaining the same margin
+                if np.allclose(np.abs(w[r] @ w_r), w_r @ w_r, rtol=1e-12):
+                    continue
+                gv = data.g @ v
+                rows = [v] if margin == "riem" else [gv]
+                if margin == "tidal" and data.inner(v, v) >= -1e-9:
+                    rows.append(v)
+                assert np.abs(np.array(rows) @ w[r]).max() < 1e-12
+                for x in (w[r], w_r):
+                    norm = data.inner(x, x) if margin == "tidal" else x @ x
+                    assert norm == pytest.approx(1.0, rel=1e-12)
+                    assert np.allclose(data.riem_quad(x, v), lam_r, **tol)
+
+    def test_a_stack_with_a_non_causal_screen_raises(self, bundles):
+        """A spacelike row fails the screen check of the whole stack, as it
+        fails the named margin: v = f_1 + f_2 of the Lorentz frame (g's
+        eigenvectors) has f_0 on its screen, h- and g-orthogonal to v."""
+        b = bundles["schwarzschild_ef"]
+        data = curvature_data(b.field, region_points(b, 1, seed=3)[0])
+        frame = lorentz_frame(data.g)
+        spacelike = frame[:, 1] + frame[:, 2]
+        spacelike /= np.linalg.norm(spacelike)
+        with pytest.raises(NotCausal):
+            conditions._margin_tidal(data, spacelike)
+        for rows in ([spacelike, spacelike],
+                     [shell_stack(data, [1.0], 0)[0], spacelike],
+                     [shell_stack(data, [0.5], 0)[0], spacelike]):
+            with pytest.raises(NotCausal):
+                conditions._tidal_stack(data, np.array(rows))
+
+
+def sequential_scan(data, margin_fn, rng, n_dirs, refine_iters, restarts,
+                    timelike_only):
+    """The shell search with one descent after the other, each step one
+    per-vector margin call: the reference for the lockstep descent."""
+    frame = lorentz_frame(data.g)
+    cands = []
+    for alpha, omega, sign, v in conditions._dense_shell(frame, rng, n_dirs,
+                                                         timelike_only):
+        val, w, grad = margin_fn(data, v)
+        cands.append((val, alpha, omega, sign, v, w, grad))
+    cands.sort(key=lambda c: c[0])
+    best = cands[0][:6]
+    amax = 0.95 if timelike_only else 1.0
+    for val, alpha, omega, sign, _v, _w, grad in cands[:restarts]:
+        step = 0.15
+        ga, gw = conditions._shell_grad(frame, alpha, omega, sign, grad())
+        for _ in range(refine_iters):
+            alpha1 = min(max(alpha - step * ga, 0.0), amax)
+            omega1 = omega - step * gw
+            omega1 = omega1 / np.linalg.norm(omega1)
+            val1, _, grad1 = margin_fn(
+                data, conditions._shell_vector(frame, alpha1, omega1, sign))
+            if val1 < val:
+                val, alpha, omega = val1, alpha1, omega1
+                ga, gw = conditions._shell_grad(frame, alpha, omega, sign,
+                                                grad1())
+            else:
+                step *= 0.5
+        if val < best[0]:
+            v = conditions._shell_vector(frame, alpha, omega, sign)
+            val, w, _grad = margin_fn(data, v)
+            best = (val, alpha, omega, sign, v, w)
+    return best
+
+
+class TestLockstepDescent:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @pytest.mark.parametrize("margin,timelike_only", [
+        ("ricci", False), ("riem", False), ("riem_gperp", True),
+        ("tidal", False)])
+    def test_verdicts_match_the_sequential_descent(self, bundles, name,
+                                                   margin, timelike_only):
+        """Lockstep and one-after-the-other descents reach the same verdict
+        on every builtin at several seeds, from the same dense pass."""
+        b = bundles[name]
+        tau = conditions.DEFAULT_TOLS.tau_cond
+        for seed in (0, 7, 401):
+            region = Region(box=b.default_box, n_points=3, n_dirs=12,
+                            seed=seed, refine_iters=8, restarts=3)
+            pts = region.sample_points()
+            seeds = np.random.SeedSequence(seed).spawn(len(pts))
+            got, want = [], []
+            for p, s in zip(pts, seeds):
+                data = curvature_data(b.field, p)
+                args = (region.n_dirs, region.refine_iters, region.restarts,
+                        timelike_only)
+                got.append(conditions._scan_point(
+                    data, MARGINS[margin], np.random.default_rng(s), *args,
+                    STACKS[margin])[0])
+                want.append(sequential_scan(
+                    data, MARGINS[margin], np.random.default_rng(s),
+                    *args)[0])
+            assert conditions._verdict(min(got), tau) == \
+                conditions._verdict(min(want), tau)
 
 
 def oracle_margin(data, v, rows, metric):

@@ -272,3 +272,29 @@ def test_jet2_forms_cosh_before_sinh():
     pts = np.array([[0.001, 0.0], [0.0005, 1.0]])
     _check_against_reference(e, pts, 2)
     assert str(_compiled(e, pts, 2)) == "cosh: overflow encountered in cosh"
+
+
+def test_compiling_hashes_each_node_a_bounded_number_of_times(monkeypatch):
+    """Node hashes are cached when a node is built, so compiling a chain
+    `x*y + x*y + ...` hashes a bounded number of nodes per node of the tree
+    (a recursive hash makes the count grow with the square of its size),
+    while equality stays structural."""
+    table = SymbolTable(["x", "y"])
+    per_node = []
+    for terms in (25, 99):
+        e = expr.parse(" + ".join(["x*y"] * terms), table)
+        calls = [0]
+        for cls in (Num, Sym, Unary, Binary):
+            def counting(self, original=cls.__hash__):
+                calls[0] += 1
+                return original(self)
+            monkeypatch.setattr(cls, "__hash__", counting)
+        expr._compiled.cache_clear()
+        compile((e,), 2, order=2, shape=(), slots=[(0,)])
+        monkeypatch.undo()
+        per_node.append(calls[0] / (4 * terms - 1))
+    assert max(per_node) <= 2.0
+    again = expr.parse(" + ".join(["x*y"] * 99), table)
+    assert again == e and hash(again) == hash(e) and again is not e
+    assert Binary("+", Sym("x", 0), Num(1.0)) != \
+        Binary("+", Sym("x", 0), Num(2.0))
