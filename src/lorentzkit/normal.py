@@ -17,6 +17,8 @@ accurate but slow.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import FrameNotOrthonormal, InversionFailure
@@ -50,9 +52,7 @@ class NormalChart:
                 f"frame Gram matrix deviates from the signature form by {err:.3e}")
         self.frame_inv = np.linalg.inv(self.frame)
         self.affine = bool(getattr(field_, "constant_components", False))
-        self._tight = Tolerances(tau_zero=tols.tau_zero, tau_c=tols.tau_c,
-                                 eps_geo=1e-11, tau_cond=tols.tau_cond,
-                                 tau_trap=tols.tau_trap)
+        self._tight = replace(tols, eps_geo=1e-11)
         if radius is None:
             bd = field_.boundary_distance(self.p)
             radius = min(1.0, bd / 2.0) if np.isfinite(bd) else 1.0

@@ -26,34 +26,103 @@ Every lower-triangle metric component must be given explicitly (all
 n(n+1)/2 of them), orientation is mandatory, temporal and hints optional.
 Expressions use the package grammar and are validated against the declared
 coordinates and parameters at parse time.
+
+Each stanza appears at most once per scope (the file, or one submanifold
+block) and each name is declared once; a declared name is one identifier of
+the grammar, not a function name; a domain, region or embed names a declared
+coordinate; an interval needs lo < hi. Errors name their stanza's line, or
+line 0 when they concern the whole file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import re
+from contextlib import contextmanager
 
 import numpy as np
 
 from .catalog import SpacetimeBundle, load as load_builtin
 from .errors import LorentzkitError, ParamError, SpacetimeFileError
-from .expr import Expr, SymbolTable, parse
+from .expr import _TOKEN_RE, FUNCTIONS, Expr, SymbolTable, parse
 from .fields import ExprScalarField, VectorField
 from .metric import ExprMetricField, lower_triangle_count
 from .submanifold import Embedding
 
+# The shape of each stanza, per scope: a pattern for the text after its key
+# (its groups are the stanza's fields), the message when the text does not
+# fit, and what may not repeat in the scope ("{0}" is the first field).
+_WORD, _EQ = r"([^\s=]+)", r"\s*=\s*(.*)"
+_BOUNDS, _PERIODIC = r"(\S+)\s+(\S+)\s+(\S+)", r"(?:\s+periodic\s+(\S+))?"
+_TEXT = (r"=?\s*(.*)", "", "stanza")
+_SHAPES = {"file": {
+    "dimension": (r"(\S+)", "dimension takes one integer", "stanza"),
+    "coordinate": (r"(\S+)" + _PERIODIC,
+                   "usage: coordinate <name> [periodic <length>]", "{0}"),
+    "param": (_WORD + _EQ, "usage: param <name> = <value>", "{0}"),
+    "domain": (_BOUNDS, "usage: domain <coord> <lo> <hi>", "{0}"),
+    "region": (_BOUNDS, "usage: region <coord> <lo> <hi>", "{0}"),
+    "metric": (_WORD + r"\s+" + _WORD + _EQ,
+               "usage: metric <ci> <cj> = <expr>", None),
+    "orientation": _TEXT, "temporal": _TEXT,
+    "submanifold": (r"(\S+)", "usage: submanifold <name>", "{0}"),
+}, "submanifold": {
+    "parameter": (_BOUNDS + _PERIODIC,
+                  "usage: parameter <name> <lo> <hi> [periodic <length>]", "{0}"),
+    "grid": (r"(.+)", "usage: grid <size> ...", "stanza"),
+    "embed": (_WORD + _EQ, "usage: embed <coord> = <expr>", "{0}"),
+    "hint": _TEXT,
+    "end": ("", "usage: end", None),
+}}
 
-def _tokens(line: str) -> list[str]:
-    return line.split()
+
+def _stanzas(text: str):
+    """(lineno, key, fields) of each stanza, comments and blank lines
+    skipped. A `submanifold` stanza opens that block's scope and `end`
+    (not yielded) closes it; shape and repeats are checked per scope."""
+    block, seen = 0, {}             # block: line of the open submanifold
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, *rest = line.split(None, 1)
+        shapes = _SHAPES["submanifold" if block else "file"]
+        if key not in shapes:
+            what = "submanifold entry" if block else "stanza"
+            raise SpacetimeFileError(lineno, f"unknown {what} {key!r}")
+        pattern, usage, label = shapes[key]
+        m = re.fullmatch(pattern, rest[0] if rest else "")
+        if m is None:
+            raise SpacetimeFileError(lineno, usage)
+        if label is not None:
+            label = f"{key} " + label.format(*m.groups())
+            first = seen.setdefault((block, label), lineno)
+            if first != lineno:
+                raise SpacetimeFileError(
+                    lineno, f"duplicate {label}, first given at line {first}")
+        if key == "end":
+            block = 0
+            continue
+        if key == "submanifold":
+            block = lineno
+        yield lineno, key, m.groups()
+    if block:
+        raise SpacetimeFileError(block, "submanifold block missing 'end'")
+
+
+@contextmanager
+def _at(lineno: int, prefix: str = ""):
+    """Re-raise an error building a stanza's object at the stanza's line."""
+    try:
+        yield
+    except (LorentzkitError, ValueError) as exc:    # ValueError: SymbolTable
+        raise SpacetimeFileError(lineno, prefix + str(exc)) from exc
 
 
 def _to_float(text: str, lineno: int) -> float:
     try:
-        if text.lower() in ("inf", "+inf"):
-            return math.inf
-        if text.lower() == "-inf":
-            return -math.inf
-        return float(text)
+        return float(text)         # "inf", "-inf" and "nan" included
     except ValueError as exc:
         raise SpacetimeFileError(lineno, f"expected a number, got {text!r}") from exc
 
@@ -67,7 +136,10 @@ def _to_count(text: str, lineno: int) -> int:
     return k
 
 
-def _to_period(text: str, lineno: int) -> float:
+def _to_period(text: str | None, lineno: int) -> float | None:
+    """The length after `periodic`, or None when there is none."""
+    if text is None:
+        return None
     per = _to_float(text, lineno)
     if not (0.0 < per < math.inf):
         raise SpacetimeFileError(
@@ -75,127 +147,76 @@ def _to_period(text: str, lineno: int) -> float:
     return per
 
 
-def _symbols(lineno: int, names: list[str], params: dict) -> SymbolTable:
-    try:
-        return SymbolTable(names, list(params))
-    except ValueError as exc:
-        raise SpacetimeFileError(lineno, str(exc)) from exc
+def _interval(lo: str, hi: str, lineno: int) -> tuple[float, float]:
+    bounds = _to_float(lo, lineno), _to_float(hi, lineno)
+    if not bounds[0] < bounds[1]:
+        raise SpacetimeFileError(lineno, f"an interval needs lo < hi, got {lo} {hi}")
+    return bounds
+
+
+def _name(text: str, lineno: int) -> str:
+    """A declared name: the tokenizer must read it back as one identifier,
+    and not one the parser takes for a function."""
+    token = _TOKEN_RE.fullmatch(text)
+    if token is None or token.lastgroup != "ident" \
+            or text in FUNCTIONS + ("abs",):
+        raise SpacetimeFileError(lineno, f"{text!r} is not a usable name "
+                                         "(an identifier, not a function)")
+    return text
+
+
+def _vector(stanza: tuple[int, str], what: str, table: SymbolTable,
+            params: dict) -> VectorField:
+    """The vector field of an `orientation` or `hint` stanza."""
+    lineno, src = stanza
+    comps = [s.strip() for s in src.split(",")]
+    if len(comps) != table.dim:
+        raise SpacetimeFileError(lineno, f"{what} needs {table.dim} components")
+    with _at(lineno, f"bad {what}: "):
+        return VectorField(comps, table, params)
 
 
 def parse_spacetime_file(text: str, name: str = "<file>",
                          param_overrides: dict | None = None) -> SpacetimeBundle:
-    lines = text.splitlines()
+    # periods: the coordinates in order, with their periods or None;
+    # texts: (line, text) of the orientation and temporal stanzas
     dimension = None
-    coords: list[str] = []
-    periods: dict[str, float] = {}
-    domains: dict[str, tuple[float, float]] = {}
-    regions: dict[str, tuple[float, float]] = {}
-    params: dict[str, float] = {}
-    metric_lines: list[tuple[int, str, str, str]] = []
-    orientation_src: tuple[int, str] | None = None
-    temporal_src: tuple[int, str] | None = None
-    sub_blocks: list[dict] = []
+    periods, params, domains, regions, texts = {}, {}, {}, {}, {}
+    coord_refs, metric_lines, blocks = [], [], []   # coord_refs: (line, key, c)
 
-    i = 0
-    while i < len(lines):
-        lineno = i + 1
-        raw = lines[i].split("#", 1)[0].strip()
-        i += 1
-        if not raw:
-            continue
-        toks = _tokens(raw)
-        key = toks[0]
+    for lineno, key, fields in _stanzas(text):
         if key == "dimension":
-            if len(toks) != 2:
-                raise SpacetimeFileError(lineno, "dimension takes one integer")
-            dimension = _to_count(toks[1], lineno)
+            dimension = _to_count(fields[0], lineno)
         elif key == "coordinate":
-            if len(toks) not in (2, 4) or (len(toks) == 4 and toks[2] != "periodic"):
-                raise SpacetimeFileError(
-                    lineno, "usage: coordinate <name> [periodic <length>]")
-            coords.append(toks[1])
-            if len(toks) == 4:
-                periods[toks[1]] = _to_period(toks[3], lineno)
+            periods[_name(fields[0], lineno)] = _to_period(fields[1], lineno)
         elif key == "param":
-            body = raw[len("param"):].strip()
-            if "=" not in body:
-                raise SpacetimeFileError(lineno, "usage: param <name> = <value>")
-            pname, pval = (s.strip() for s in body.split("=", 1))
-            params[pname] = _to_float(pval, lineno)
-        elif key == "domain":
-            if len(toks) != 4:
-                raise SpacetimeFileError(lineno, "usage: domain <coord> <lo> <hi>")
-            domains[toks[1]] = (_to_float(toks[2], lineno), _to_float(toks[3], lineno))
-        elif key == "region":
-            if len(toks) != 4:
-                raise SpacetimeFileError(lineno, "usage: region <coord> <lo> <hi>")
-            regions[toks[1]] = (_to_float(toks[2], lineno), _to_float(toks[3], lineno))
+            params[_name(fields[0], lineno)] = _to_float(fields[1], lineno)
+        elif key in ("domain", "region"):
+            coord_refs.append((lineno, key, fields[0]))
+            (domains if key == "domain" else regions)[fields[0]] = \
+                _interval(fields[1], fields[2], lineno)
         elif key == "metric":
-            if "=" not in raw:
-                raise SpacetimeFileError(lineno, "usage: metric <ci> <cj> = <expr>")
-            head, expr_text = (s.strip() for s in raw.split("=", 1))
-            parts = head.split()
-            if len(parts) != 3:
-                raise SpacetimeFileError(lineno, "usage: metric <ci> <cj> = <expr>")
-            metric_lines.append((lineno, parts[1], parts[2], expr_text))
-        elif key == "orientation":
-            orientation_src = (lineno, raw.split("=", 1)[1].strip()
-                               if "=" in raw else raw[len("orientation"):].strip())
-        elif key == "temporal":
-            temporal_src = (lineno, raw.split("=", 1)[1].strip()
-                            if "=" in raw else raw[len("temporal"):].strip())
+            metric_lines.append((lineno, *fields))
+        elif key in ("orientation", "temporal"):
+            texts[key] = (lineno, fields[0])
         elif key == "submanifold":
-            if len(toks) != 2:
-                raise SpacetimeFileError(lineno, "usage: submanifold <name>")
-            block = {"name": toks[1], "line": lineno, "parameters": [],
-                     "embeds": {}, "hint": None, "grid": None}
-            while i < len(lines):
-                blineno = i + 1
-                braw = lines[i].split("#", 1)[0].strip()
-                i += 1
-                if not braw:
-                    continue
-                btoks = _tokens(braw)
-                if btoks[0] == "end":
-                    break
-                if btoks[0] == "parameter":
-                    if len(btoks) not in (4, 6) or \
-                            (len(btoks) == 6 and btoks[4] != "periodic"):
-                        raise SpacetimeFileError(
-                            blineno,
-                            "usage: parameter <name> <lo> <hi> [periodic <length>]")
-                    per = _to_period(btoks[5], blineno) \
-                        if len(btoks) == 6 else None
-                    block["parameters"].append(
-                        (btoks[1], _to_float(btoks[2], blineno),
-                         _to_float(btoks[3], blineno), per))
-                elif btoks[0] == "grid":
-                    block["grid"] = tuple(_to_count(t, blineno)
-                                          for t in btoks[1:])
-                elif btoks[0] == "embed":
-                    if "=" not in braw:
-                        raise SpacetimeFileError(blineno,
-                                                 "usage: embed <coord> = <expr>")
-                    head, expr_text = (s.strip() for s in braw.split("=", 1))
-                    parts = head.split()
-                    if len(parts) != 2:
-                        raise SpacetimeFileError(blineno,
-                                                 "usage: embed <coord> = <expr>")
-                    block["embeds"][parts[1]] = (blineno, expr_text)
-                elif btoks[0] == "hint":
-                    block["hint"] = (blineno, braw.split("=", 1)[1].strip()
-                                     if "=" in braw else braw[len("hint"):].strip())
-                else:
-                    raise SpacetimeFileError(blineno,
-                                             f"unknown submanifold entry {btoks[0]!r}")
-            else:
-                raise SpacetimeFileError(lineno, "submanifold block missing 'end'")
-            sub_blocks.append(block)
+            blocks.append({"name": fields[0], "line": lineno, "parameters": [],
+                           "embeds": {}, "grid": None, "hint": None})
+        elif key == "parameter":
+            pname, lo, hi, per = fields
+            bounds, per = _interval(lo, hi, lineno), _to_period(per, lineno)
+            blocks[-1]["parameters"].append((_name(pname, lineno), bounds, per))
+        elif key == "grid":
+            blocks[-1]["grid"] = tuple(_to_count(t, lineno) for t in fields[0].split())
+        elif key == "embed":
+            coord_refs.append((lineno, key, fields[0]))
+            blocks[-1]["embeds"][fields[0]] = (lineno, fields[1])
         else:
-            raise SpacetimeFileError(lineno, f"unknown stanza {key!r}")
+            blocks[-1]["hint"] = (lineno, fields[0])
 
     if dimension is None:
         raise SpacetimeFileError(0, "missing dimension stanza")
+    coords = list(periods)
     if len(coords) != dimension:
         raise SpacetimeFileError(
             0, f"declared {len(coords)} coordinates for dimension {dimension}")
@@ -203,8 +224,13 @@ def parse_spacetime_file(text: str, name: str = "<file>",
     if unknown:
         raise ParamError(f"{name} declares no parameters {sorted(unknown)}")
     params.update(param_overrides or {})
-    table = _symbols(0, coords, params)
-    cindex = {c: k for k, c in enumerate(coords)}
+    with _at(0):
+        table = SymbolTable(coords, list(params))
+    cindex = table.coord_index
+    for lineno, key, c in coord_refs:
+        if c not in cindex:
+            raise SpacetimeFileError(
+                lineno, f"{key} names undeclared coordinate {c!r}")
 
     entries: dict[tuple[int, int], Expr] = {}
     for lineno, ci, cj, expr_text in metric_lines:
@@ -215,89 +241,62 @@ def parse_spacetime_file(text: str, name: str = "<file>",
         key = (max(a, b), min(a, b))
         if key in entries:
             raise SpacetimeFileError(lineno, f"duplicate metric entry ({ci}, {cj})")
-        try:
+        with _at(lineno, f"invalid metric entry ({ci}, {cj}): "):
             entries[key] = parse(expr_text, table)
-        except LorentzkitError as exc:
-            raise SpacetimeFileError(
-                lineno, f"invalid metric entry ({ci}, {cj}): {exc}") from exc
     if len(entries) != lower_triangle_count(dimension):
         raise SpacetimeFileError(
             0, f"metric block needs all {lower_triangle_count(dimension)} "
                f"lower-triangle entries, found {len(entries)}")
 
-    period_list = [periods.get(c) for c in coords]
     domain_list = [domains.get(c, (-np.inf, np.inf)) for c in coords]
-    try:
+    with _at(0, "invalid metric block: "):
         field_ = ExprMetricField(table, entries, params=params,
-                                 periods=period_list, domain=domain_list)
-    except LorentzkitError as exc:
-        raise SpacetimeFileError(0, f"invalid metric block: {exc}") from exc
+                                 periods=list(periods.values()),
+                                 domain=domain_list)
 
-    if orientation_src is None:
+    if "orientation" not in texts:
         raise SpacetimeFileError(0, "missing orientation stanza")
-    lineno, src = orientation_src
-    comps = [s.strip() for s in src.split(",")]
-    if len(comps) != dimension:
-        raise SpacetimeFileError(lineno,
-                                 f"orientation needs {dimension} components")
-    try:
-        orientation = VectorField(comps, table, params)
-    except LorentzkitError as exc:
-        raise SpacetimeFileError(lineno, f"bad orientation: {exc}") from exc
-
+    orientation = _vector(texts["orientation"], "orientation", table, params)
     temporal = None
-    if temporal_src is not None:
-        lineno, src = temporal_src
-        try:
+    if "temporal" in texts:
+        lineno, src = texts["temporal"]
+        with _at(lineno, "bad temporal function: "):
             temporal = ExprScalarField(src, table, params)
-        except LorentzkitError as exc:
-            raise SpacetimeFileError(lineno, f"bad temporal function: {exc}") from exc
 
     subs, hints = {}, {}
-    for block in sub_blocks:
+    for block in blocks:
+        line, sub = block["line"], block["name"]
         pnames = [p[0] for p in block["parameters"]]
         if not pnames:
-            raise SpacetimeFileError(block["line"],
-                                     f"submanifold {block['name']} has no parameters")
-        ptable = _symbols(block["line"], pnames, params)
+            raise SpacetimeFileError(line, f"submanifold {sub} has no parameters")
+        with _at(line):
+            ptable = SymbolTable(pnames, list(params))
         missing = set(coords) - set(block["embeds"])
         if missing:
             raise SpacetimeFileError(
-                block["line"], f"submanifold {block['name']} missing embed "
-                               f"for {sorted(missing)}")
-        exprs = [block["embeds"][c][1] for c in coords]
+                line, f"submanifold {sub} missing embed for {sorted(missing)}")
+        exprs = []
+        for c in coords:
+            lineno, src = block["embeds"][c]
+            with _at(lineno, f"invalid embed {c}: "):
+                exprs.append(parse(src, ptable))
         grid = block["grid"] or (16,) * len(pnames)
         if len(grid) != len(pnames):
-            raise SpacetimeFileError(block["line"],
-                                     "grid length != parameter count")
-        try:
-            emb = Embedding(ptable, exprs, dimension,
-                            domain=[(p[1], p[2]) for p in block["parameters"]],
-                            periodic=[p[3] for p in block["parameters"]],
-                            params=params, grid_shape=grid, name=block["name"])
-        except LorentzkitError as exc:
-            raise SpacetimeFileError(block["line"], str(exc)) from exc
-        subs[block["name"]] = emb
+            raise SpacetimeFileError(line, "grid length != parameter count")
+        subs[sub] = Embedding(
+            ptable, exprs, dimension, domain=[p[1] for p in block["parameters"]],
+            periodic=[p[2] for p in block["parameters"]],
+            params=params, grid_shape=grid, name=sub)
         if block["hint"] is not None:
-            blineno, src = block["hint"]
-            comps = [s.strip() for s in src.split(",")]
-            if len(comps) != dimension:
-                raise SpacetimeFileError(blineno,
-                                         f"hint needs {dimension} components")
-            hints[block["name"]] = VectorField(comps, table, params)
+            hints[sub] = _vector(block["hint"], "hint", table, params)
 
     # default sampling box: explicit region stanzas win, then finite domain
     # bounds, then [-1, 1] clipped into the domain
     box = []
-    for c in coords:
-        if c in regions:
-            box.append(regions[c])
-            continue
-        lo, hi = domains.get(c, (-np.inf, np.inf))
-        blo = lo if np.isfinite(lo) else -1.0
-        bhi = hi if np.isfinite(hi) else max(1.0, blo + 2.0)
-        box.append((blo, bhi))
-    box = tuple(box)
+    for lo, hi in domain_list:
+        lo = lo if np.isfinite(lo) else -1.0
+        box.append((lo, hi if np.isfinite(hi) else max(1.0, lo + 2.0)))
+    box = tuple(regions.get(c, b) for c, b in zip(coords, box))
     bundle = SpacetimeBundle(name=name, params=params, field=field_,
                              orientation=orientation, temporal=temporal,
                              submanifolds=subs, hints=hints,

@@ -1,5 +1,6 @@
 """CLI behavior: exit-code contract, report shapes, determinism, CSV."""
 
+import contextlib
 import importlib.util
 import io
 import json
@@ -12,6 +13,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lorentzkit.geodesics as geodesics
 from lorentzkit.cli import run
@@ -478,6 +481,132 @@ def test_bad_metric_entries_name_their_line(tmp_path, capsys, entry, cause):
     assert rep["error"].startswith("line 16: invalid metric entry (s, s): ")
     assert cause in rep["error"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+# (line of the file to replace, its replacement, line the error must name)
+@pytest.mark.parametrize("line, replacement, lineno", [
+    pytest.param("  embed z = (1/H)*cos(ua)", "  embed z = (1/H)*cos(uq)", 35,
+                 id="embed-undeclared-symbol"),
+    pytest.param("  hint = 0, x, y, z", "  hint = 0, x, y, q", 36,
+                 id="hint-undeclared-symbol"),
+    pytest.param("  hint = 0, x, y, z", "  hint = 0, x, y, (z", 36,
+                 id="hint-syntax"),
+    pytest.param("dimension 4", "dimension 4\ndimension 4", 7,
+                 id="duplicate-dimension"),
+    pytest.param("orientation = 1, 0, 0, 0",
+                 "orientation = 1, 0, 0, 0\norientation = 1, 0, 0, 0", 27,
+                 id="duplicate-orientation"),
+    pytest.param("temporal = s", "temporal = s\ntemporal = -s", 28,
+                 id="duplicate-temporal"),
+    pytest.param("coordinate x", "coordinate x\ncoordinate x", 9,
+                 id="duplicate-coordinate"),
+    pytest.param("param H = 0.5", "param H = 0.5\nparam H = 0.7", 12,
+                 id="duplicate-param"),
+    pytest.param("region s -0.3 0.3", "region s -0.3 0.3\ndomain s -1 1\n"
+                 "domain s -2 2", 14, id="duplicate-domain"),
+    pytest.param("region s -0.3 0.3", "region s -0.3 0.3\nregion s -0.2 0.2",
+                 13, id="duplicate-region"),
+    pytest.param("  embed z = (1/H)*cos(ua)",
+                 "  embed z = (1/H)*cos(ua)\n  embed z = 0", 36,
+                 id="duplicate-embed"),
+    pytest.param("  grid 8 8", "  grid 8 8\n  grid 4 4", 32,
+                 id="duplicate-grid"),
+    pytest.param("  hint = 0, x, y, z", "  hint = 0, x, y, z\n  hint = 1, 0, 0, 0",
+                 37, id="duplicate-hint"),
+    pytest.param("  parameter ub", "  parameter ua 0 1\n  parameter ub", 30,
+                 id="duplicate-parameter"),
+    pytest.param("end", "end\nsubmanifold horizon\n  parameter ua 0 1\n"
+                 "  parameter ub 0 1\n  embed s = 0\n  embed x = ua\n"
+                 "  embed y = ub\n  embed z = 0.5\nend", 38,
+                 id="duplicate-submanifold"),
+    pytest.param("region s -0.3 0.3", "region s -0.3 0.3\ndomain q 0 1", 13,
+                 id="domain-undeclared-coordinate"),
+    pytest.param("region s -0.3 0.3", "region q -0.3 0.3", 12,
+                 id="region-undeclared-coordinate"),
+    pytest.param("  embed s = 0", "  embed s = 0\n  embed q = 0", 33,
+                 id="embed-undeclared-coordinate"),
+    pytest.param("  grid 8 8", "  grid", 31, id="grid-without-sizes"),
+    pytest.param("param H = 0.5", "param H = 0.5\nparam = 7", 12,
+                 id="param-without-name"),
+    pytest.param("param H = 0.5", "param H = 0.5\nparam 1x = 7", 12,
+                 id="param-number-name"),
+    pytest.param("param H = 0.5", "param H = 0.5\nparam exp = 2", 12,
+                 id="param-function-name"),
+    pytest.param("coordinate x", "coordinate sin", 8,
+                 id="coordinate-function-name"),
+    pytest.param("  parameter ua", "  parameter cos", 29,
+                 id="parameter-function-name"),
+    pytest.param("region s -0.3 0.3", "region s -0.3 0.3\ndomain x nan 1", 13,
+                 id="domain-nan"),
+    pytest.param("region s -0.3 0.3", "region s -0.3 0.3\ndomain x 1 1", 13,
+                 id="domain-empty"),
+    pytest.param("region s -0.3 0.3", "region s nan 0.3", 12,
+                 id="region-nan"),
+    pytest.param("region s -0.3 0.3", "region s 0.3 -0.3", 12,
+                 id="region-reversed"),
+    pytest.param("  parameter ua 0.35 2.791592653589793",
+                 "  parameter ua 2.791592653589793 0.35", 29,
+                 id="parameter-reversed"),
+])
+def test_malformed_stanzas_name_their_line(tmp_path, capsys, line, replacement,
+                                           lineno):
+    """Every malformed stanza exits 1 with a JSON SpacetimeFileError at the
+    line of that stanza, never a traceback and never a silent load."""
+    text = SPEC_FILE.read_text()
+    assert line in text
+    spec = tmp_path / "bad.st"
+    spec.write_text(text.replace(line, replacement, 1))
+    code, rep = run_json(["analyze", str(spec), "--at", "0,0,0,0"])
+    assert code == 1 and rep["error_type"] == "SpacetimeFileError"
+    assert rep["error"].startswith(f"line {lineno}: ")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+SPEC_LINES = SPEC_FILE.read_text().splitlines()
+SCHEMA_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+_TOKENS = sorted({t for line in SPEC_LINES for t in line.split()}
+                 | {"nan", "inf", "-inf", "0", "-1", "1e400", "=", "x^1"})
+
+
+@st.composite
+def _mutated_spec(draw):
+    """contracting_desitter.st with one to three lines dropped, duplicated,
+    truncated or given another token."""
+    lines = list(SPEC_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "truncate", "swap"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "truncate":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        else:
+            words = lines[i].split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = \
+                draw(st.sampled_from(_TOKENS))
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_mutated_spec())
+def test_mutated_spec_files_keep_the_error_contract(tmp_path_factory, text):
+    """`analyze` on a mutated spec file exits 0, 1 or 2 and prints no
+    traceback; a report is schema-valid JSON, and an error report names its
+    error type."""
+    spec = tmp_path_factory.mktemp("fuzz") / "mutated.st"
+    spec.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["analyze", str(spec), "--at", "0,0,0,0"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        rep = json.loads(out)
+        SCHEMA_VALIDATOR.validate(rep)
+        assert code == 0 or "error_type" in rep
 
 
 def test_expressions_past_the_depth_bound_are_syntax_errors(tmp_path,

@@ -120,3 +120,9 @@ class TestParsing:
         with pytest.raises(SpacetimeFileError) as exc:
             parse_spacetime_file(bad)
         assert "embed" in str(exc.value) or "missing" in str(exc.value)
+
+    def test_caret_names_stay_legal(self):
+        bundle = parse_spacetime_file(EF_FILE.replace("phi", "x^3"))
+        assert bundle.field.table.coordinates[3] == "x^3"
+        assert bundle.submanifolds["horizon"].n == 4
+
