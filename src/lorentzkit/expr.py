@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownSymbol
-from .jets import Jet2, any_true, first_bad
+from .jets import Jet2, any_true, first_bad, reciprocal
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "tan", "sinh", "cosh", "tanh", "sqrt")
 
@@ -657,6 +657,12 @@ class _Emitter:
 
     # -- jets ---------------------------------------------------------------
 
+    def fail(self, message: str):
+        """The jet of a subtree whose folding failed: the kernel raises
+        DomainError(message) where the subtree would be evaluated."""
+        self.line(f"_bad({message!r})")
+        return self.constant(math.nan)
+
     def constant(self, c: float):
         return (c, [None] * self.n, {})
 
@@ -790,8 +796,7 @@ class _Emitter:
             try:
                 jet = self.constant(float(e.eval((), self.params)))
             except DomainError as exc:
-                self.line(f"_bad({str(exc)!r})")
-                jet = self.constant(math.nan)
+                jet = self.fail(str(exc))
         elif isinstance(e, Sym):
             if e.coord_index >= self.n:
                 raise ValueError(f"coordinate {e.name!r} outside {self.n} "
@@ -813,11 +818,10 @@ class _Emitter:
             elif e.op == "*":
                 jet = self.mul(a, b)
             elif isinstance(b[0], float):
-                if b[0] == 0.0:
-                    self.line("_bad('division by zero')")
-                    jet = self.constant(math.nan)
-                else:
-                    jet = self.scale(a, 1.0 / b[0])
+                try:
+                    jet = self.scale(a, reciprocal(b[0]))
+                except DomainError as exc:
+                    jet = self.fail(str(exc))
             elif isinstance(a[0], float):
                 jet = self.scale(self.reciprocal(b), a[0])
             else:

@@ -28,19 +28,24 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _minus_gamma(field_: MetricField, x, xdot, w) -> np.ndarray:
-    """-Gamma^k_ij x'^i w^j at x, for w of shape (n,) or (n, m).
+def _contraction(g, dg, xdot) -> tuple[np.ndarray, np.ndarray]:
+    """(g^-1, m) with Gamma^k_ij x'^i w^j = 1/2 g^kl (m w)_l for every w.
 
     Contracts before inverting, so no Christoffel array is built:
-    Gamma^k_ij x'^i w^j = g^kl c_l with
-    c_l = 1/2 (d_i g_jl x'^i w^j + d_j g_il x'^i w^j - d_l g_ij x'^i w^j).
+    (m w)_l = d_i g_jl x'^i w^j + d_j g_il x'^i w^j - d_l g_ij x'^i w^j.
     """
-    n = field_.dim
-    g, dg, _ = field_.component_jets(x, order=1)
+    n = len(xdot)
     g_inv, _ = invert_metric(g)
     a = (xdot @ dg.reshape(n, n * n)).reshape(n, n)   # a[j, l] = x'^i d_i g_jl
     u = dg @ xdot                                     # u[k, l] = d_k g_li x'^i
-    return -0.5 * (g_inv @ ((a + u.T - u) @ w))
+    return g_inv, a + u.T - u
+
+
+def _minus_gamma(field_: MetricField, x, xdot, w) -> np.ndarray:
+    """-Gamma^k_ij x'^i w^j at x, for w of shape (n,) or (n, m)."""
+    g, dg, _ = field_.component_jets(x, order=1)
+    g_inv, m = _contraction(g, dg, xdot)
+    return -0.5 * (g_inv @ (m @ w))
 
 
 def _geodesic_rhs(field_: MetricField):
@@ -49,6 +54,33 @@ def _geodesic_rhs(field_: MetricField):
     def rhs(_s, y):
         x, xdot = y[:n], y[n:]
         return np.concatenate([xdot, _minus_gamma(field_, x, xdot, xdot)])
+
+    return rhs
+
+
+def _variational_rhs(field_: MetricField, cols: int):
+    """The geodesic with `cols` Jacobi fields: state (x, x', J, J'), J and
+    J' of shape (n, cols), flattened.
+
+    The first variation of g x'' + c = 0, with c = 1/2 m x' (see
+    `_contraction`), along J: J'' = -g^-1 [(d_J g) x'' + d_J c] - 2 Gamma(x', J'),
+    where d_J c_l = x'^i x'^j J^k (d_k d_i g_jl - 1/2 d_k d_l g_ij) and
+    2 Gamma(x', J') = g^-1 m J'.
+    """
+    n = field_.dim
+
+    def rhs(_s, y):
+        x, xdot = y[:n], y[n:2 * n]
+        jac, jac_dot = y[2 * n:].reshape(2, n, cols)
+        g, dg, d2g = field_.component_jets(x, order=2)
+        g_inv, m = _contraction(g, dg, xdot)
+        xddot = -0.5 * (g_inv @ (m @ xdot))
+        r = d2g @ xdot                  # r[k, i, l] = d_k d_i g_lj x'^j
+        t = (xdot @ r.reshape(n, n * n)).reshape(n, n)
+        k = (dg @ xddot + t - 0.5 * (r @ xdot)).T   # (d_J g) x'' + d_J c = k J
+        jac_ddot = -(g_inv @ (k @ jac + m @ jac_dot))
+        return np.concatenate([xdot, xddot, jac_dot.reshape(-1),
+                               jac_ddot.reshape(-1)])
 
     return rhs
 
@@ -101,7 +133,14 @@ class GeodesicSolution:
         """Raw (unwrapped) point and velocity at affine parameter s."""
         n = self.field.dim
         y = self._dense(float(np.clip(s, 0.0, self.t_reached)))
-        return y[:n], y[n:]
+        return y[:n], y[n:2 * n]
+
+    def jacobi(self, s: float) -> np.ndarray:
+        """The Jacobi fields J (n, m) at affine parameter s, of a solution
+        integrated with `jacobi` columns J'(0) (J(0) = 0)."""
+        n = self.field.dim
+        y = self._dense(float(np.clip(s, 0.0, self.t_reached)))
+        return y[2 * n:].reshape(2, n, -1)[0]
 
     def point(self, s: float, canonical: bool = False) -> np.ndarray:
         x, _ = self.evaluate(s)
@@ -114,7 +153,7 @@ class GeodesicSolution:
 
 
 def geodesic(field_: MetricField, p, v, t_end: float,
-             tols: Tolerances = DEFAULT_TOLS,
+             tols: Tolerances = DEFAULT_TOLS, jacobi=None,
              _rtol: float | None = None) -> GeodesicSolution:
     """Integrate the geodesic from (p, v) over affine parameter [0, t_end].
 
@@ -124,20 +163,31 @@ def geodesic(field_: MetricField, p, v, t_end: float,
     refinement retry at rtol * 1e-3 (an rtol below scipy's floor runs at the
     floor, with atol still rtol * 1e-2). A retry sets `refinements` to 1,
     and `n_rhs_evals` counts the discarded attempt's right-hand sides too.
+
+    With `jacobi` columns (n, m), the Jacobi fields with J(0) = 0 and
+    J'(0) = jacobi ride along as the first variational equation, under the
+    same step control (`GeodesicSolution.jacobi`); for t_end = 1 they are
+    the differential of the exponential map, d exp_p(v) jacobi.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     if float(v @ v) == 0.0:
         raise ValueError("geodesic needs a nonzero initial velocity")
     rtol = _rtol if _rtol is not None else max(1e-12, min(1e-9, tols.eps_geo * 0.1))
-    y0 = np.concatenate([p, v])
-    sol = solve_ivp(_geodesic_rhs(field_), (0.0, float(t_end)), y0,
+    n = field_.dim
+    if jacobi is None:
+        rhs, y0 = _geodesic_rhs(field_), np.concatenate([p, v])
+    else:
+        jacobi = np.asarray(jacobi, dtype=float)
+        rhs = _variational_rhs(field_, jacobi.shape[1])
+        y0 = np.concatenate([p, v, np.zeros(jacobi.size), jacobi.reshape(-1)])
+    sol = solve_ivp(rhs, (0.0, float(t_end)), y0,
                     method="RK45", rtol=max(rtol, _RTOL_FLOOR),
                     atol=rtol * 1e-2,
                     dense_output=True, events=_boundary_events(field_))
     if sol.status == -1:
         last = sol.y[:, -1] if sol.y.size else y0
-        raise StepFailure(sol.message, last_point=last[:field_.dim],
+        raise StepFailure(sol.message, last_point=last[:n],
                           last_time=float(sol.t[-1]) if sol.t.size else 0.0)
     chart_exit = sol.status == 1
     t_reached = float(sol.t[-1])
@@ -147,13 +197,14 @@ def geodesic(field_: MetricField, p, v, t_end: float,
     drift = 0.0
     for s in np.linspace(0.0, t_reached, 33):
         y = sol.sol(s)
-        x, xdot = y[:field_.dim], y[field_.dim:]
+        x, xdot = y[:n], y[n:2 * n]
         q = float(xdot @ field_.value(x) @ xdot)
         drift = max(drift, abs(q - q0))
     budget = tols.eps_geo * (1.0 + abs(q0))
     if drift > budget:
         if _rtol is None:
-            refined = geodesic(field_, p, v, t_end, tols, _rtol=rtol * 1e-3)
+            refined = geodesic(field_, p, v, t_end, tols, jacobi,
+                               _rtol=rtol * 1e-3)
             refined.n_rhs_evals += int(sol.nfev)
             refined.refinements = 1
             return refined

@@ -53,6 +53,18 @@ def first_bad(v, mask):
     return v
 
 
+def reciprocal(c: float) -> float:
+    """1 / c for a float divisor, refusing 0 and a c so small (subnormal)
+    that 1 / c overflows: `Expr.eval` on jets and the compiled kernels
+    raise the same DomainError for either."""
+    if c == 0:
+        raise DomainError("division by zero")
+    r = 1.0 / c
+    if math.isinf(r):
+        raise DomainError(f"'/': 1/{c!r} overflows")
+    return r
+
+
 @dataclass(slots=True)
 class Jet2:
     """Value, gradient and (symmetric) Hessian of a scalar at a point, or at
@@ -139,9 +151,7 @@ class Jet2:
     def __truediv__(self, other):
         if isinstance(other, Jet2):
             return self * other._reciprocal()
-        if other == 0:
-            raise DomainError("division by zero")
-        return self * (1.0 / other)
+        return self * reciprocal(other)
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other

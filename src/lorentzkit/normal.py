@@ -7,12 +7,19 @@ are straight lines, so both maps are exact affine maps; that fast path also
 makes composed scalar fields exactly differentiable, which the perturbation
 machinery relies on.
 
+On a curved chart the forward Jacobian DF(x) is exact: the Jacobi fields
+J(1) with J(0) = 0 and J'(0) = frame, integrated with the geodesic as its
+first variational equation under the same step control. A Newton step of
+the inverse is one such solve, which returns both F and DF at its trial
+point; the pullback metric takes the same DF.
+
 The affine inverse and coordinate jets take q - p to the nearest image of
 the center, so they agree and are smooth on quotient charts. At the center
 of a curved chart the 2-jet of the inverse map is available in closed form
-(dPhi = frame^{-1}, Hess Phi^k = A^k_c Gamma^c_ab(p)); elsewhere jets, the
-forward Jacobian and both pullbacks take one central-difference stencil:
-accurate but slow.
+(dPhi = frame^{-1}, Hess Phi^k = A^k_c Gamma^c_ab(p)). The off-centre jets
+and the pullback Christoffel symbols need second derivatives of the
+exponential map, which take one central-difference stencil: accurate but
+slow.
 """
 
 from __future__ import annotations
@@ -69,11 +76,7 @@ class NormalChart:
         r = float(np.linalg.norm(x))
         if r == 0.0:
             return self.p.copy()
-        sol = geodesic(self.field, self.p, self.frame @ x, 1.0,
-                       tols=self._tight)
-        if sol.chart_exit:
-            raise InversionFailure("exponential map left the chart domain")
-        return sol.point(sol.t_reached)
+        return self._exp(x).point(1.0)
 
     def inverse(self, q, max_iter: int = 25) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -82,10 +85,12 @@ class NormalChart:
         x = self.frame_inv @ (q - self.p)      # exact for flat, good seed else
         scale = 1.0 + float(np.linalg.norm(q - self.p))
         res = self.forward(x) - q
+        jac = None
         for _ in range(max_iter):
             if np.linalg.norm(res) < 1e-11 * scale:
                 return x
-            jac = self._forward_jacobian(x)
+            if jac is None:     # DF at the seed; then the accepted trial's
+                jac = self._forward_jacobian(x)
             try:
                 step = np.linalg.solve(jac, res)
             except np.linalg.LinAlgError as exc:
@@ -93,9 +98,10 @@ class NormalChart:
             lam = 1.0
             for _ in range(8):                  # damping: insist on progress
                 trial = x - lam * step
-                trial_res = self.forward(trial) - q
+                point, trial_jac = self._forward_and_jacobian(trial)
+                trial_res = point - q
                 if np.linalg.norm(trial_res) < np.linalg.norm(res):
-                    x, res = trial, trial_res
+                    x, res, jac = trial, trial_res, trial_jac
                     break
                 lam *= 0.5
             else:
@@ -105,8 +111,25 @@ class NormalChart:
         raise InversionFailure(
             f"Newton did not converge (|residual| = {np.linalg.norm(res):.3e})")
 
-    def _forward_jacobian(self, x, h: float = 2e-4) -> np.ndarray:
-        return _central_differences(self.forward, x, h)
+    def _exp(self, x, jacobi=None):
+        """The geodesic from p with velocity frame x over [0, 1], with Jacobi
+        fields J'(0) = jacobi riding along; leaving the chart fails."""
+        sol = geodesic(self.field, self.p, self.frame @ x, 1.0,
+                       tols=self._tight, jacobi=jacobi)
+        if sol.chart_exit:
+            raise InversionFailure("exponential map left the chart domain")
+        return sol
+
+    def _forward_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """F(x) and the exact DF(x): the Jacobi fields J(1) with J(0) = 0
+        and J'(0) = frame, from one variational solve."""
+        if float(np.linalg.norm(x)) == 0.0:
+            return self.p.copy(), self.frame.copy()
+        sol = self._exp(x, jacobi=self.frame)
+        return sol.point(1.0), sol.jacobi(1.0)
+
+    def _forward_jacobian(self, x) -> np.ndarray:
+        return self._forward_and_jacobian(x)[1]
 
     def _shrink_to_invertible(self, max_shrinks: int = 10):
         n = self.field.dim
@@ -154,19 +177,21 @@ class NormalChart:
         if np.linalg.norm(q - self.p) < 1e-14:
             jets = self.center_coord_jets()
         else:
-            x0, grad, hess = _central_differences(self.inverse, q, fd_step, 2)
+            x0, grad, hess = _central_differences(self.inverse, q, fd_step)
             jets = [Jet2(float(x0[k]), grad[k], hess[k]) for k in range(n)]
         return jets if order >= 2 else [Jet2(j.value, j.grad, None)
                                         for j in jets]
 
     # -- pullback diagnostics -----------------------------------------------------
 
-    def pullback_metric(self, x, fd_step: float = 2e-4) -> np.ndarray:
-        """Components of the metric in normal coordinates at x (FD Jacobian)."""
+    def pullback_metric(self, x) -> np.ndarray:
+        """Components of the metric in normal coordinates at x (exact DF)."""
         x = np.asarray(x, dtype=float)
-        jac = self.frame if self.affine else self._forward_jacobian(x, fd_step)
-        g = self.field.value(self.forward(x))
-        return jac.T @ g @ jac
+        if self.affine:
+            point, jac = self.forward(x), self.frame
+        else:
+            point, jac = self._forward_and_jacobian(x)
+        return jac.T @ self.field.value(point) @ jac
 
     def pullback_christoffel_origin(self, fd_step: float = 2e-3) -> np.ndarray:
         """Gamma of the pulled-back metric at x = 0; should vanish."""
@@ -175,24 +200,21 @@ class NormalChart:
             return np.zeros((n, n, n))
         # d2 F^c / dx_i dx_j, with F(0) = p
         _, _, hess_f = _central_differences(self.forward, np.zeros(n),
-                                            fd_step, order=2, fx=self.p)
+                                            fd_step, fx=self.p)
         gamma_p = curvature_data(self.field, self.p).gamma
         ee = np.einsum("cab,ai,bj->cij", gamma_p, self.frame, self.frame)
         return np.einsum("kc,cij->kij", self.frame_inv, hess_f + ee)
 
 
-def _central_differences(f, x, h: float, order: int = 1, fx=None):
-    """Central differences of f at x with step h: the Jacobian at order 1;
-    (f(x), Jacobian, second partials) at order 2, f(x) taken first unless
-    given as fx."""
+def _central_differences(f, x, h: float, fx=None):
+    """Central differences of f at x with step h: (f(x), Jacobian, second
+    partials), f(x) taken first unless given as fx."""
     x = np.asarray(x, dtype=float)
-    if order >= 2 and fx is None:
+    if fx is None:
         fx = f(x)
     steps = h * np.eye(len(x))
     pm = np.array([(f(x + e), f(x - e)) for e in steps])
     jac = ((pm[:, 0] - pm[:, 1]) / (2 * h)).T
-    if order < 2:
-        return jac
     hess = np.zeros(jac.shape + (len(x),))
     for i, ei in enumerate(steps):
         hess[:, i, i] = (pm[i, 0] - 2 * fx + pm[i, 1]) / h ** 2

@@ -30,8 +30,9 @@ coordinates and parameters at parse time.
 Each stanza appears at most once per scope (the file, or one submanifold
 block) and each name is declared once; a declared name is one identifier of
 the grammar, not a function name; a domain, region or embed names a declared
-coordinate; an interval needs lo < hi. Errors name their stanza's line, or
-line 0 when they concern the whole file.
+coordinate; an interval needs lo < hi, and a region or parameter interval
+finite bounds. Errors name their stanza's line, or line 0 when they concern
+the whole file.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _at(lineno: int, prefix: str = ""):
     """Re-raise an error building a stanza's object at the stanza's line."""
     try:
         yield
-    except (LorentzkitError, ValueError) as exc:    # ValueError: SymbolTable
+    except (LorentzkitError, ValueError) as exc:
         raise SpacetimeFileError(lineno, prefix + str(exc)) from exc
 
 
@@ -147,10 +148,16 @@ def _to_period(text: str | None, lineno: int) -> float | None:
     return per
 
 
-def _interval(lo: str, hi: str, lineno: int) -> tuple[float, float]:
+def _interval(lo: str, hi: str, lineno: int,
+              key: str = "domain") -> tuple[float, float]:
+    """lo < hi; a region or parameter interval (a sampling or parameter
+    box) also needs finite bounds, where a domain may be unbounded."""
     bounds = _to_float(lo, lineno), _to_float(hi, lineno)
     if not bounds[0] < bounds[1]:
         raise SpacetimeFileError(lineno, f"an interval needs lo < hi, got {lo} {hi}")
+    if key != "domain" and not all(map(math.isfinite, bounds)):
+        raise SpacetimeFileError(
+            lineno, f"a {key} needs finite bounds, got {lo} {hi}")
     return bounds
 
 
@@ -163,6 +170,16 @@ def _name(text: str, lineno: int) -> str:
         raise SpacetimeFileError(lineno, f"{text!r} is not a usable name "
                                          "(an identifier, not a function)")
     return text
+
+
+def _no_clash(names, params: dict, lines: dict) -> None:
+    """Coordinates, or a submanifold's parameters, may not share a name with
+    a `param`; a clash is reported at the first of its stanzas in `lines`
+    (the line of each param, or of each parameter)."""
+    dupes = sorted(set(names) & set(params))
+    if dupes:
+        raise SpacetimeFileError(min(lines[d] for d in dupes),
+                                 f"names declared twice: {dupes}")
 
 
 def _vector(stanza: tuple[int, str], what: str, table: SymbolTable,
@@ -179,9 +196,11 @@ def _vector(stanza: tuple[int, str], what: str, table: SymbolTable,
 def parse_spacetime_file(text: str, name: str = "<file>",
                          param_overrides: dict | None = None) -> SpacetimeBundle:
     # periods: the coordinates in order, with their periods or None;
-    # texts: (line, text) of the orientation and temporal stanzas
+    # texts: (line, text) of the orientation and temporal stanzas;
+    # param_lines: the line of each param stanza
     dimension = None
     periods, params, domains, regions, texts = {}, {}, {}, {}, {}
+    param_lines = {}
     coord_refs, metric_lines, blocks = [], [], []   # coord_refs: (line, key, c)
 
     for lineno, key, fields in _stanzas(text):
@@ -191,10 +210,11 @@ def parse_spacetime_file(text: str, name: str = "<file>",
             periods[_name(fields[0], lineno)] = _to_period(fields[1], lineno)
         elif key == "param":
             params[_name(fields[0], lineno)] = _to_float(fields[1], lineno)
+            param_lines[fields[0]] = lineno
         elif key in ("domain", "region"):
             coord_refs.append((lineno, key, fields[0]))
             (domains if key == "domain" else regions)[fields[0]] = \
-                _interval(fields[1], fields[2], lineno)
+                _interval(fields[1], fields[2], lineno, key)
         elif key == "metric":
             metric_lines.append((lineno, *fields))
         elif key in ("orientation", "temporal"):
@@ -204,10 +224,12 @@ def parse_spacetime_file(text: str, name: str = "<file>",
                            "embeds": {}, "grid": None, "hint": None})
         elif key == "parameter":
             pname, lo, hi, per = fields
-            bounds, per = _interval(lo, hi, lineno), _to_period(per, lineno)
-            blocks[-1]["parameters"].append((_name(pname, lineno), bounds, per))
+            bounds = _interval(lo, hi, lineno, key)
+            blocks[-1]["parameters"].append(
+                (_name(pname, lineno), bounds, _to_period(per, lineno), lineno))
         elif key == "grid":
-            blocks[-1]["grid"] = tuple(_to_count(t, lineno) for t in fields[0].split())
+            blocks[-1]["grid"] = (lineno, tuple(_to_count(t, lineno)
+                                                for t in fields[0].split()))
         elif key == "embed":
             coord_refs.append((lineno, key, fields[0]))
             blocks[-1]["embeds"][fields[0]] = (lineno, fields[1])
@@ -224,8 +246,8 @@ def parse_spacetime_file(text: str, name: str = "<file>",
     if unknown:
         raise ParamError(f"{name} declares no parameters {sorted(unknown)}")
     params.update(param_overrides or {})
-    with _at(0):
-        table = SymbolTable(coords, list(params))
+    _no_clash(coords, params, param_lines)
+    table = SymbolTable(coords, list(params))
     cindex = table.coord_index
     for lineno, key, c in coord_refs:
         if c not in cindex:
@@ -269,8 +291,8 @@ def parse_spacetime_file(text: str, name: str = "<file>",
         pnames = [p[0] for p in block["parameters"]]
         if not pnames:
             raise SpacetimeFileError(line, f"submanifold {sub} has no parameters")
-        with _at(line):
-            ptable = SymbolTable(pnames, list(params))
+        _no_clash(pnames, params, {p[0]: p[3] for p in block["parameters"]})
+        ptable = SymbolTable(pnames, list(params))
         missing = set(coords) - set(block["embeds"])
         if missing:
             raise SpacetimeFileError(
@@ -280,9 +302,9 @@ def parse_spacetime_file(text: str, name: str = "<file>",
             lineno, src = block["embeds"][c]
             with _at(lineno, f"invalid embed {c}: "):
                 exprs.append(parse(src, ptable))
-        grid = block["grid"] or (16,) * len(pnames)
+        grid_line, grid = block["grid"] or (line, (16,) * len(pnames))
         if len(grid) != len(pnames):
-            raise SpacetimeFileError(line, "grid length != parameter count")
+            raise SpacetimeFileError(grid_line, "grid length != parameter count")
         subs[sub] = Embedding(
             ptable, exprs, dimension, domain=[p[1] for p in block["parameters"]],
             periodic=[p[2] for p in block["parameters"]],

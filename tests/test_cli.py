@@ -547,6 +547,17 @@ def test_bad_metric_entries_name_their_line(tmp_path, capsys, entry, cause):
     pytest.param("  parameter ua 0.35 2.791592653589793",
                  "  parameter ua 2.791592653589793 0.35", 29,
                  id="parameter-reversed"),
+    pytest.param("region s -0.3 0.3", "region s -0.3 inf", 12,
+                 id="region-infinite"),
+    pytest.param("region x -1 1", "region x -inf 1", 13,
+                 id="region-minus-infinite"),
+    pytest.param("  parameter ua 0.35 2.791592653589793",
+                 "  parameter ua 0.35 inf", 29, id="parameter-infinite"),
+    pytest.param("param H = 0.5", "param H = 0.5\nparam s = 1", 12,
+                 id="param-named-like-a-coordinate"),
+    pytest.param("  parameter ub", "  parameter H", 30,
+                 id="parameter-named-like-a-param"),
+    pytest.param("  grid 8 8", "  grid 8", 31, id="grid-length"),
 ])
 def test_malformed_stanzas_name_their_line(tmp_path, capsys, line, replacement,
                                            lineno):

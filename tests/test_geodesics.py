@@ -9,7 +9,8 @@ import pytest
 import lorentzkit.geodesics as geodesics
 from lorentzkit.errors import SingularMetric, ToleranceExceeded
 from lorentzkit.expr import SymbolTable
-from lorentzkit.geodesics import (_geodesic_rhs, _transport_rhs, geodesic,
+from lorentzkit.geodesics import (_geodesic_rhs, _transport_rhs,
+                                  _variational_rhs, geodesic,
                                   parallel_transport)
 from lorentzkit.geometry import Tolerances
 from lorentzkit.metric import ExprMetricField
@@ -271,8 +272,32 @@ class TestRightHandSides:
             assert np.abs(got.reshape(n, 2) - dw).max() <= \
                 1e-10 * np.abs(dw).max()
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("contracting_desitter",))
+    def test_jacobi_rhs_differentiates_the_geodesic_rhs(self, bundles, name):
+        """The variational right-hand side carries the geodesic's own
+        bit for bit, and its Jacobi part (J', J'') is the derivative of the
+        geodesic right-hand side along (J, J'), by central differences."""
+        b = self._bundle(bundles, name)
+        n, h = b.field.dim, 1e-6
+        geo = _geodesic_rhs(b.field)
+        rng = np.random.default_rng(47)
+        for p in region_points(b, 3, seed=53):
+            base = np.concatenate([p, rng.normal(size=n)])
+            jac, jac_dot = rng.normal(size=(2, n, 2))
+            y = _variational_rhs(b.field, 2)(0.0, np.concatenate(
+                [base, jac.reshape(-1), jac_dot.reshape(-1)]))
+            assert np.array_equal(y[:2 * n], geo(0.0, base))
+            got = y[2 * n:].reshape(2, n, 2)
+            assert np.array_equal(got[0], jac_dot)
+            for c in range(2):
+                step = h * np.concatenate([jac[:, c], jac_dot[:, c]])
+                want = (geo(0.0, base + step) - geo(0.0, base - step))[n:] \
+                    / (2 * h)
+                assert np.abs(got[1][:, c] - want).max() <= \
+                    1e-6 * (1.0 + np.abs(want).max())
+
     def test_near_degenerate_metric_raises(self):
-        """rcond 1e-13 < RCOND_FLOOR: both right-hand sides refuse it."""
+        """rcond 1e-13 < RCOND_FLOOR: every right-hand side refuses it."""
         table = SymbolTable(["t", "x"])
         field = ExprMetricField(table, {(0, 0): "-1", (1, 0): "0",
                                         (1, 1): "1e-13 * exp(t)"})
@@ -284,3 +309,6 @@ class TestRightHandSides:
         curve = SimpleNamespace(evaluate=lambda s: (p, xdot))
         with pytest.raises(SingularMetric):
             _transport_rhs(field, curve, 1)(0.0, xdot)
+        with pytest.raises(SingularMetric):
+            _variational_rhs(field, 1)(0.0, np.concatenate([p, xdot, xdot,
+                                                            xdot]))

@@ -125,6 +125,20 @@ def test_compiled_jets_match_the_jet2_reference(e, point, batch):
         _check_against_reference(e, np.array(batch), order)
 
 
+def test_division_by_a_subnormal_names_its_operation():
+    """x / 5e-324, once drawn by the property test above: 1/5e-324
+    overflows while the divisor is folded, and the kernel and the Jet2
+    reference both report it as an error of the division, at a point and in
+    a batch, at every order."""
+    e = Binary("/", Sym("x", 0), Num(5e-324))
+    for pts in (np.array([0.0, 0.0]), np.array([[1.0, 0.0], [1.0, 0.0]])):
+        xs = list(pts.T) if pts.ndim > 1 else pts.tolist()
+        for order in (0, 1, 2):
+            for exc in (_compiled(e, pts, order), _reference(e, xs, order)):
+                assert isinstance(exc, DomainError)
+                assert str(exc) == "'/': 1/5e-324 overflows"
+
+
 def test_shared_subtrees_are_emitted_once():
     table = SymbolTable(["x", "y"])
     e = expr.parse("sin(x*y) + cos(x*y) * sin(x*y)", table)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from lorentzkit.errors import FrameNotOrthonormal
+from lorentzkit.expr import SymbolTable
+from lorentzkit.metric import ExprMetricField
 from lorentzkit.normal import NormalChart, orthonormal_frame_from
 
 from conftest import fd_scalar_jet
@@ -80,6 +82,20 @@ class TestCurvedCharts:
             expected = (a * math.sin(rho / a) / rho) ** 2
             assert got == pytest.approx(expected, rel=1e-5)
 
+    def test_sphere_determinant_is_exact(self, sphere_metric):
+        """The same determinant from the exact exp-map Jacobian, to 1e-10."""
+        a = 2.0
+        p = np.array([math.pi / 2, 0.3])
+        lam, q = np.linalg.eigh(sphere_metric.value(p))
+        chart = NormalChart(sphere_metric, p, q / np.sqrt(lam), radius=0.8)
+        for x in ([0.4, 0.0], [0.0, 0.5], [0.3, 0.4], [-0.2, 0.35],
+                  [-0.5, -0.5]):
+            x = np.asarray(x)
+            rho = np.linalg.norm(x)
+            got = np.linalg.det(chart.pullback_metric(x))
+            expected = (a * math.sin(rho / a) / rho) ** 2
+            assert got == pytest.approx(expected, rel=1e-10)
+
     def test_center_coord_jets_match_fd(self, bundles):
         """Closed-form 2-jet of the inverse vs finite differences."""
         b = bundles["schwarzschild_static"]
@@ -94,6 +110,62 @@ class TestCurvedCharts:
                                rtol=1e-5)
             scale = 1.0 + np.abs(hess_fd).max()
             assert np.abs(jets[k].hess - hess_fd).max() < 2e-4 * scale
+
+
+class TestFlatSphericalChart:
+    """Flat space in spherical coordinates (t, r, th, ph): the components
+    are not constant, so the curved path runs, but every geodesic is a
+    straight line in Cartesian coordinates X. So the exponential map is
+    F(x) = Sph(X(p) + dX(p) frame x), and DF(x) = dX(F(x))^-1 dX(p) frame."""
+
+    P = np.array([0.0, 2.0, 1.2, 0.5])
+
+    @pytest.fixture(scope="class")
+    def chart(self):
+        entries = {(i, j): "0" for i in range(4) for j in range(i)}
+        entries.update({(0, 0): "-1", (1, 1): "1", (2, 2): "r^2",
+                        (3, 3): "r^2*sin(th)^2"})
+        field_ = ExprMetricField(
+            SymbolTable(["t", "r", "th", "ph"]), entries,
+            domain=[(-np.inf, np.inf), (1e-3, np.inf),
+                    (1e-3, math.pi - 1e-3), (-np.inf, np.inf)])
+        return NormalChart(field_, self.P,
+                           orthonormal_frame_from(field_, self.P), radius=0.5)
+
+    @staticmethod
+    def _cartesian(q):
+        t, r, th, ph = q
+        return np.array([t, r * math.sin(th) * math.cos(ph),
+                         r * math.sin(th) * math.sin(ph), r * math.cos(th)])
+
+    @staticmethod
+    def _d_cartesian(q):
+        _, r, th, ph = q
+        st, ct, sp, cp = math.sin(th), math.cos(th), math.sin(ph), math.cos(ph)
+        return np.array([[1.0, 0, 0, 0],
+                         [0, st * cp, r * ct * cp, -r * st * sp],
+                         [0, st * sp, r * ct * sp, r * st * cp],
+                         [0, ct, -r * st, 0]])
+
+    @staticmethod
+    def _spherical(big):
+        t, x, y, z = big
+        r = math.sqrt(x * x + y * y + z * z)
+        return np.array([t, r, math.acos(z / r), math.atan2(y, x)])
+
+    @pytest.mark.parametrize("x", [[0.3, 0.4, -0.2, 0.1], [0.0, -0.5, 0.2, 0.3],
+                                   [-0.2, 0.1, 0.35, -0.3]])
+    def test_forward_and_jacobian_are_closed_form(self, chart, x):
+        x = np.asarray(x)
+        moved = self._d_cartesian(self.P) @ chart.frame
+        want_f = self._spherical(self._cartesian(self.P) + moved @ x)
+        want_df = np.linalg.solve(self._d_cartesian(want_f), moved)
+        for got_f in (chart.forward(x), chart._forward_and_jacobian(x)[0]):
+            assert np.abs(got_f - want_f).max() <= \
+                1e-10 * np.abs(want_f).max()
+        got_df = chart._forward_jacobian(x)
+        assert np.abs(got_df - want_df).max() <= 1e-10 * np.abs(want_df).max()
+        assert np.abs(chart.inverse(want_f) - x).max() <= 1e-10
 
 
 def test_affine_inverse_takes_the_nearest_periodic_image(bundles):

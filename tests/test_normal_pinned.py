@@ -1,9 +1,11 @@
 """Pinned `schwarzschild_static` NormalChart outputs.
 
-The chart's finite-difference paths (forward Jacobian, off-centre
-coordinate jets, both pullbacks) must keep their arithmetic bit for bit
-and their number of exponential-map calls. The reference file holds every
-output as `float.hex` strings; regenerate it with
+The chart's outputs (radius, Newton inverse, exact pullback metric, and the
+finite-difference off-centre coordinate jets and pullback Christoffel
+symbols) must keep their arithmetic bit for bit, their number of
+exponential-map calls (plain and with Jacobi fields) and of geodesic
+right-hand sides. The reference file holds every output as `float.hex`
+strings; regenerate it with
 
     PYTHONPATH=src python tests/test_normal_pinned.py
 
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+import lorentzkit.geodesics as geodesics
 from lorentzkit import catalog
 from lorentzkit.normal import NormalChart, orthonormal_frame_from
 
@@ -24,8 +27,10 @@ REFERENCE = Path(__file__).resolve().parent / "data" / \
 
 
 def _chart_outputs(field_) -> dict:
-    """Every pinned output, with the forward and inverse calls of each."""
-    calls = {"forward": 0, "inverse": 0}
+    """Every pinned output, with the chart calls and right-hand sides of
+    each."""
+    names = ("forward", "inverse", "_forward_and_jacobian")
+    calls = dict.fromkeys(names + ("rhs",), 0)
     out = {}
 
     def counted(name):
@@ -35,6 +40,11 @@ def _chart_outputs(field_) -> dict:
             calls[name] += 1
             return method(self, *args, **kwargs)
         return wrapper
+
+    def solve_ivp(*args, **kwargs):
+        sol = originals["solve_ivp"](*args, **kwargs)
+        calls["rhs"] += sol.nfev
+        return sol
 
     def record(key, make, pin=lambda result: result):
         before = dict(calls)
@@ -47,9 +57,11 @@ def _chart_outputs(field_) -> dict:
 
     p = np.array([0.0, 6.0, math.pi / 2, 0.0])
     frame = orthonormal_frame_from(field_, p, first=np.array([1.0, 0, 0, 0]))
-    forward, inverse = NormalChart.forward, NormalChart.inverse
-    NormalChart.forward, NormalChart.inverse = \
-        counted("forward"), counted("inverse")
+    originals = {name: getattr(NormalChart, name) for name in names}
+    originals["solve_ivp"] = geodesics.solve_ivp
+    for name in names:
+        setattr(NormalChart, name, counted(name))
+    geodesics.solve_ivp = solve_ivp
     try:
         chart = record("radius", lambda: NormalChart(field_, p, frame),
                        lambda chart: chart.radius)
@@ -63,7 +75,9 @@ def _chart_outputs(field_) -> dict:
         record("pullback_christoffel_origin",
                chart.pullback_christoffel_origin)
     finally:
-        NormalChart.forward, NormalChart.inverse = forward, inverse
+        geodesics.solve_ivp = originals.pop("solve_ivp")
+        for name, method in originals.items():
+            setattr(NormalChart, name, method)
     return out
 
 
