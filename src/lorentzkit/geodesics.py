@@ -1,4 +1,4 @@
-"""Geodesic integration and parallel transport (adaptive Dormand-Prince 5(4)).
+"""Geodesic integration and parallel transport (Dormand-Prince 8(5,3)).
 
 Integration happens in the covering chart: periodic coordinates are never
 wrapped inside the ODE state, so curves unwrap naturally; metric queries
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepFailure, ToleranceExceeded
+from .errors import LorentzkitError, StepFailure, ToleranceExceeded
 from .geometry import DEFAULT_TOLS, Tolerances
 from .metric import MetricField
 from .tensors import invert_metric
@@ -93,6 +93,16 @@ def _transport_rhs(field_: MetricField, solution, m: int):
         return _minus_gamma(field_, x, xdot, wflat.reshape(n, m)).reshape(-1)
 
     return rhs
+
+
+def _metric_values(field_: MetricField, points: np.ndarray) -> np.ndarray:
+    """g at points (B, n) in one batched query. An error (or numpy's
+    overflow in the batched kernel) re-runs the points one by one, so the
+    first failing point raises its own error."""
+    try:
+        return field_.value(points)
+    except (LorentzkitError, ArithmeticError, ValueError):
+        return np.array([field_.value(x) for x in points])
 
 
 def _boundary_events(field_: MetricField, margin: float = 0.0):
@@ -182,7 +192,7 @@ def geodesic(field_: MetricField, p, v, t_end: float,
         rhs = _variational_rhs(field_, jacobi.shape[1])
         y0 = np.concatenate([p, v, np.zeros(jacobi.size), jacobi.reshape(-1)])
     sol = solve_ivp(rhs, (0.0, float(t_end)), y0,
-                    method="RK45", rtol=max(rtol, _RTOL_FLOOR),
+                    method="DOP853", rtol=max(rtol, _RTOL_FLOOR),
                     atol=rtol * 1e-2,
                     dense_output=True, events=_boundary_events(field_))
     if sol.status == -1:
@@ -194,12 +204,10 @@ def geodesic(field_: MetricField, p, v, t_end: float,
 
     g0 = field_.value(p)
     q0 = float(v @ g0 @ v)
-    drift = 0.0
-    for s in np.linspace(0.0, t_reached, 33):
-        y = sol.sol(s)
-        x, xdot = y[:n], y[n:2 * n]
-        q = float(xdot @ field_.value(x) @ xdot)
-        drift = max(drift, abs(q - q0))
+    y = sol.sol(np.linspace(0.0, t_reached, 33))
+    x, xdot = y[:n].T, y[n:2 * n].T
+    q = np.einsum("bi,bij,bj->b", xdot, _metric_values(field_, x), xdot)
+    drift = float(np.max(np.abs(q - q0)))
     budget = tols.eps_geo * (1.0 + abs(q0))
     if drift > budget:
         if _rtol is None:
@@ -252,7 +260,7 @@ def parallel_transport(field_: MetricField, solution: GeodesicSolution, w0,
 
     sol = solve_ivp(_transport_rhs(field_, solution, m),
                     (0.0, solution.t_reached), cols.reshape(-1),
-                    method="RK45", rtol=max(rtol, _RTOL_FLOOR),
+                    method="DOP853", rtol=max(rtol, _RTOL_FLOOR),
                     atol=rtol * 1e-2,
                     dense_output=True)
     if sol.status != 0:
@@ -262,14 +270,14 @@ def parallel_transport(field_: MetricField, solution: GeodesicSolution, w0,
     g0 = field_.value(solution.p0)
     base = np.hstack([cols, solution.v0[:, None]])
     prod0 = base.T @ g0 @ base
-    drift = curve_drift = 0.0
-    for s in np.linspace(0.0, solution.t_reached, 17):
-        x, xdot = solution.evaluate(s)
-        w = sol.sol(s).reshape(n, m)
-        stack = np.hstack([w, xdot[:, None]])
-        diff = np.abs(stack.T @ field_.value(x) @ stack - prod0)
-        drift = max(drift, float(np.max(diff)))
-        curve_drift = max(curve_drift, float(diff[-1, -1]))
+    ts = np.linspace(0.0, solution.t_reached, 17)
+    y = solution._dense(ts)
+    x, xdot = y[:n].T, y[n:2 * n].T
+    stack = np.concatenate([sol.sol(ts).T.reshape(-1, n, m),
+                            xdot[:, :, None]], axis=2)
+    g = _metric_values(field_, x)
+    diff = np.abs(np.einsum("bia,bij,bjc->bac", stack, g, stack) - prod0)
+    drift, curve_drift = float(np.max(diff)), float(np.max(diff[:, -1, -1]))
     budget = tols.eps_geo * (1.0 + float(np.max(np.abs(prod0))))
     if drift > budget:
         if _rtol is None and curve_drift <= budget:

@@ -251,11 +251,10 @@ class TestCommands:
         for k in counts[0]:
             assert isinstance(k, int) and k > 0
 
-    def test_radial_infall_counts_its_refinement(self, monkeypatch):
-        """The infall to the r = 1e-3 edge misses the drift budget at the
-        default rtol and is refined once: the report says so, and its
-        n_rhs_evals counts every right-hand side of both attempts (4126 on
-        the machine where this was written, 794 of them discarded)."""
+    @staticmethod
+    def _counted_geodesic(monkeypatch, argv):
+        """The geodesic report for argv, and the right-hand sides that
+        every solve_ivp attempt called."""
         calls = [0]
         original = geodesics.solve_ivp
 
@@ -266,14 +265,31 @@ class TestCommands:
             return original(counted, *args, **kwargs)
 
         monkeypatch.setattr(geodesics, "solve_ivp", solve_ivp)
-        code, rep = run_json(["geodesic", "builtin:schwarzschild_ef",
-                              "--from", "0,3,1.5707,0", "--dir", "1,-1,0,0",
-                              "--length", "2"])
+        code, rep = run_json(["geodesic"] + argv)
         assert code == 0
-        res = rep["result"]
+        return rep["result"], calls[0]
+
+    def test_radial_infall_counts_its_refinement(self, monkeypatch):
+        """The infall to the r = 1e-3 edge meets the drift budget at the
+        default rtol: the report says it was not refined, and its
+        n_rhs_evals counts every right-hand side (1355 on the machine where
+        this was written)."""
+        res, calls = self._counted_geodesic(monkeypatch, [
+            "builtin:schwarzschild_ef", "--from", "0,3,1.5707,0",
+            "--dir", "1,-1,0,0", "--length", "2"])
         assert res["chart_exit"]
+        assert res["refinements"] == 0
+        assert res["n_rhs_evals"] == calls
+
+    def test_refined_geodesic_counts_both_attempts(self, monkeypatch):
+        """This de Sitter start misses the drift budget at the default rtol
+        (2.5e-7 against 2e-8) and is refined once: the report says so, and
+        its n_rhs_evals counts the right-hand sides of both attempts."""
+        res, calls = self._counted_geodesic(monkeypatch, [
+            "builtin:desitter", "--from=-0.11,-0.29,-0.93,0.7",
+            "--dir=-1.3,-0.1,0.6,-0.7", "--length", "1"])
         assert res["refinements"] == 1
-        assert res["n_rhs_evals"] == calls[0]
+        assert res["n_rhs_evals"] == calls
 
     def test_perturb_33_json(self):
         code, rep = run_json(["perturb", "builtin:torus_quotient", "--theorem",

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import lorentzkit.geodesics as geodesics
-from lorentzkit.errors import SingularMetric, ToleranceExceeded
+from lorentzkit.errors import DomainError, SingularMetric, ToleranceExceeded
 from lorentzkit.expr import SymbolTable
-from lorentzkit.geodesics import (_geodesic_rhs, _transport_rhs,
-                                  _variational_rhs, geodesic,
+from lorentzkit.geodesics import (_geodesic_rhs, _metric_values,
+                                  _transport_rhs, _variational_rhs, geodesic,
                                   parallel_transport)
 from lorentzkit.geometry import Tolerances
 from lorentzkit.metric import ExprMetricField
@@ -80,6 +80,37 @@ class TestGeodesic:
         assert sol.t_reached < 5.0
         x, _ = sol.evaluate(sol.t_reached)
         assert x[1] == pytest.approx(1e-3, abs=1e-6)
+
+    def test_radial_infall_ends_at_the_quadrature_time(self, bundles):
+        """Radial infall in the EF chart: with energy E = f v' - r' and
+        g(x', x') = q, r'^2 = E^2 + q f (f = 1 - 2M/r), so the affine time
+        to the r = 1e-3 edge is the integral of dr / |r'|."""
+        from scipy.integrate import quad
+        f = bundles["schwarzschild_ef"].field
+        p, v = np.array([0.0, 3.0, 1.5707, 0.0]), np.array([1.0, -1.0, 0, 0])
+        energy, q = 4.0 / 3.0, -7.0 / 3.0       # f(3) = 1/3
+        want, _ = quad(lambda r: 1.0 / math.sqrt(energy ** 2
+                                                 + q * (1.0 - 2.0 / r)),
+                       1e-3, 3.0, epsabs=0.0, epsrel=1e-13, limit=200)
+        sol = geodesic(f, p, v, 2.0)
+        assert sol.chart_exit
+        assert sol.t_reached == pytest.approx(want, rel=1e-8, abs=0.0)
+
+    def test_killing_energy_and_angular_momentum_are_conserved(self, bundles):
+        """-g(d_v, x') and g(d_phi, x') stay put along seeded infalls near
+        r = 3 with some angular momentum."""
+        f = bundles["schwarzschild_ef"].field
+        rng = np.random.default_rng(61)
+        for _ in range(4):
+            p = np.array([0.0, rng.uniform(2.8, 3.2), rng.uniform(1.3, 1.8),
+                          rng.uniform(0, 2 * np.pi)])
+            v = np.array([1.0, -1.0, 0.0, rng.uniform(0.05, 0.15)])
+            samples = [(f.value(x), xd)
+                       for _s, x, xd in geodesic(f, p, v, 1.5).samples(33)]
+            for row, sign in ((0, -1.0), (3, 1.0)):
+                quantity = [sign * float(g[row] @ xd) for g, xd in samples]
+                assert max(quantity) - min(quantity) <= \
+                    1e-7 * (1.0 + abs(quantity[0]))
 
     def test_unwrapped_and_canonical_points(self, bundles):
         b = bundles["torus_quotient"]
@@ -187,11 +218,13 @@ class TestRefinementCounts:
         return attempts
 
     P, V = np.array([0.0, 3.0, 1.5, 0.3]), np.array([1.0, -0.5, 0.0, 0.1])
+    # the radial infall; at rtol 1e-4 its drift misses the budget
+    INFALL = np.array([0.0, 3.0, 1.5707, 0.0]), np.array([1.0, -1.0, 0, 0])
 
     @pytest.mark.parametrize("loose_first", [False, True])
     def test_geodesic(self, bundles, monkeypatch, loose_first):
         attempts = self._counting_solver(monkeypatch, loose_first)
-        sol = geodesic(bundles["schwarzschild_ef"].field, self.P, self.V, 1.0)
+        sol = geodesic(bundles["schwarzschild_ef"].field, *self.INFALL, 1.5)
         assert len(attempts) == 1 + loose_first
         assert sol.refinements == int(loose_first)
         assert sol.n_rhs_evals == sum(attempts)
@@ -211,8 +244,8 @@ class TestRefinementCounts:
     def test_retry_stays_at_scipys_rtol_floor(self, bundles):
         """eps_geo 1e-12 asks for a retry at rtol 1e-15, below scipy's floor
         of 100 eps: the retry runs at the floor without scipy's warning."""
-        sol = geodesic(bundles["schwarzschild_ef"].field, (0, 4, 1.5, 0.3),
-                       (1, -1, 0, 0.2), 2.0, Tolerances(eps_geo=1e-12))
+        sol = geodesic(bundles["schwarzschild_ef"].field, *self.INFALL, 2.0,
+                       Tolerances(eps_geo=1e-12))
         assert sol.refinements == 1
 
     def test_transport_skips_a_retry_the_geodesic_decides(self, bundles,
@@ -220,11 +253,11 @@ class TestRefinementCounts:
         """When g(x', x') of the stored geodesic alone drifts over the
         transport budget, a transport retry cannot help and is not run."""
         f = bundles["schwarzschild_ef"].field
-        sol = geodesic(f, (0, 3, 1.5707, 0), (1, -1, 0, 0), 1.8)
+        sol = geodesic(f, *self.INFALL, 1.8)     # drift 1.85e-9
         attempts = self._counting_solver(monkeypatch, loose_first=False)
         with pytest.raises(ToleranceExceeded):
             parallel_transport(f, sol, np.array([0.0, 1.0, 0.0, 0.0]),
-                               Tolerances(eps_geo=1e-9))
+                               Tolerances(eps_geo=1e-10))
         assert len(attempts) == 1
 
 
@@ -312,3 +345,19 @@ class TestRightHandSides:
         with pytest.raises(SingularMetric):
             _variational_rhs(field, 1)(0.0, np.concatenate([p, xdot, xdot,
                                                             xdot]))
+
+    def test_a_failing_drift_sample_raises_its_own_error(self):
+        """The drift checks query their samples in one batch; a batch that
+        fails is replayed point by point, so the error is the failing
+        point's own (here math's range error, not numpy's overflow)."""
+        table = SymbolTable(["t", "x"])
+        field = ExprMetricField(table, {(0, 0): "-1", (1, 0): "0",
+                                        (1, 1): "exp(x)"})
+        points = np.array([[0.0, 1.0], [0.0, 800.0], [0.0, 2.0]])
+        with pytest.raises(DomainError) as alone:
+            field.value(points[1])
+        with pytest.raises(DomainError) as sampled:
+            _metric_values(field, points)
+        assert str(sampled.value) == str(alone.value)
+        assert np.array_equal(_metric_values(field, points[[0, 2]]),
+                              [field.value(points[0]), field.value(points[2])])
