@@ -24,6 +24,7 @@ import numpy as np
 
 from .fields import ScalarField
 from .geometry import DEFAULT_TOLS, Tolerances, curvature_data
+from .jets import Jet2
 from .metric import ConformalScaledMetric, MetricField
 from .submanifold import (Embedding, MeanCurvature, mean_curvature,
                           normal_part)
@@ -38,8 +39,9 @@ def rescale(field_: MetricField, factor: ScalarField,
 
 def _factor_jet(field_: MetricField, factor: ScalarField, p, scale: float,
                 order: int = 2):
-    q = field_.canonicalize(p)
-    return factor.jet2(q, order) * scale
+    jet = factor.jet2(field_.canonicalize(p), order)
+    return Jet2(jet.value * scale, jet.grad * scale,
+                None if jet.hess is None else jet.hess * scale)
 
 
 def connection_delta(field_: MetricField, factor: ScalarField, p,

@@ -14,13 +14,12 @@ deliberately not provided (not twice differentiable at 0). The parsed tree is
 immutable.
 
 Fields evaluate expressions through `compile`: one straight-line kernel
-per tuple of expressions and order (0, 1 or 2), with Jet2's arithmetic and
-domain checks term for term, cached module-wide (see the section below).
-The tree walker `Expr.eval(xs, params)` remains for constant folding, for
-jets composed from other jets (`xs` Jet2 seeds, as a bump's core on its
-chart's coordinate jets) and as the reference the kernels are tested
-against; numbers and parameters evaluate to floats there, so constant
-subtrees never allocate jets.
+per tuple of expressions and order (0, 1 or 2), with every derivative rule
+and domain check of the package, cached module-wide (see the section
+below). Jets composed from other jets (a bump's core on its chart's
+coordinate jets, the cutoff, e^{2sf}) are kernels pulled back through
+their inner jets by `jets.compose`. The tree walker `Expr.eval(xs, params)`
+evaluates floats only: the kernels fold constant subtrees with it.
 """
 
 from __future__ import annotations
@@ -62,9 +61,8 @@ class Expr:
         return self._hash
 
     def eval(self, xs: Sequence, params: Mapping[str, float]):
-        """Value at coordinates `xs` (floats or Jet2 seeds, chart order).
+        """Value at coordinates `xs` (floats, chart order).
 
-        Returns a float when the result does not depend on a Jet2 seed.
         Raises DomainError outside an operation's domain, on division by
         zero and on floating-point overflow.
         """
@@ -120,23 +118,18 @@ _MATH_FUNCS = {
 }
 
 
-def _apply(op: str, a):
-    """The function `op` of a float (math) or of a Jet2 (its method)."""
-    if isinstance(a, Jet2):
-        return getattr(a, op)()
+def _apply(op: str, a: float) -> float:
+    """The function `op` of a float, through math."""
     try:
         return _MATH_FUNCS[op](a)
     except ValueError as exc:
         raise DomainError(f"{op}({a}): {exc}") from exc
 
 
-def _power(a, b):
-    if isinstance(b, Jet2):
-        # the exponent depends on the coordinates
-        return (_apply("log", a) * b).exp()
+def _power(a: float, b: float) -> float:
     if float(b).is_integer():
-        return a ** int(b)          # exact: repeated squaring for jets
-    if not isinstance(a, Jet2) and a <= 0.0:    # a jet checks its base
+        return a ** int(b)
+    if a <= 0.0:
         raise DomainError(f"real exponent requires positive base, got {a}")
     return a ** b
 
@@ -389,8 +382,8 @@ def parse(text: str, table: SymbolTable) -> Expr:
 # terms, each one statement. Shared subtrees are emitted once (the frozen
 # nodes hash by structure), numbers, parameters and constant subtrees are
 # folded to literals, and a derivative that is structurally zero is never
-# formed. The arithmetic is Jet2's, term for term, with its domain checks;
-# one rule holds at every order, so order 0 is the value part of order 1.
+# formed. Every derivative rule and domain check lives here, once; one rule
+# holds at every order, so order 0 is the value part of order 1.
 # The source runs on floats at a point (math) and on (B,) arrays at a
 # batch (numpy, overflow and invalid values raising): only the function
 # names and the check helpers bound to it differ.
@@ -403,7 +396,7 @@ class Kernel:
     `shape`. A call at a point (n,) returns (value, grad, hess) of shapes
     shape, (n,) + shape and (n, n) + shape; at points (B, n) each carries
     a last batch axis (B,). Parts above the kernel's order are None. Raises
-    DomainError where Jet2 arithmetic does, and when a result is not
+    DomainError outside an operation's domain, and when a result is not
     finite. A floating-point error names the operation it arose in, as
     `Expr.eval` does ("exp: math range error" at a point, "'*': overflow
     encountered in multiply" in a batch): `labels[i]` is the operation of
@@ -467,9 +460,17 @@ def _bad_batch(message, value=None, mask=None):
                       else f"{message} {first_bad(value, mask)}")
 
 
-_POINT_NAMES = dict(_MATH_FUNCS, _any=bool, _bad=_bad_point)
+def _clip_point(z):
+    return min(max(z, 0.0), 1.0)
+
+
+def _clip_batch(z):
+    return np.clip(z, 0.0, 1.0)
+
+
+_POINT_NAMES = dict(_MATH_FUNCS, _any=bool, _bad=_bad_point, _clip=_clip_point)
 _BATCH_NAMES = dict({f: getattr(np, f) for f in FUNCTIONS},
-                    _any=any_true, _bad=_bad_batch)
+                    _any=any_true, _bad=_bad_batch, _clip=_clip_batch)
 
 
 def _load(code, constants: dict, names: dict):
@@ -672,7 +673,7 @@ class _Emitter:
                 self.hessian(lambda k, l: f(ah.get((k, l)), bh.get((k, l)))))
 
     def scale(self, a, c: float):
-        """Jet2's jet * float."""
+        """A jet times a float."""
         v, g, h = a
         return (self.term(self.product(v, c)),
                 [self.term(self.product(t, c)) for t in g],
@@ -721,6 +722,8 @@ class _Emitter:
         if op == "exp":
             e = call("exp")
             return self.compose(a, e, e, e)
+        if op == "cutoff":
+            return self.cutoff(a)
         if op in ("log", "sqrt"):
             self.check(f"{v} <= 0.0", f"{op} of nonpositive value", v)
             if op == "log":
@@ -753,6 +756,27 @@ class _Emitter:
         return self.compose(a, t, sech2,
                             self.factor(2, f"-2.0 * {t} * {sech2}"))
 
+    def cutoff(self, a):
+        """chi(u): 1 on u <= 1/4, the quintic C^2 ramp 1 - s(z) with
+        z = (u - 1/4) / (3/4) on [1/4, 1], and 0 beyond.
+
+        The ramp is the unique quintic with value, slope and curvature
+        matching at both ends, so z is clipped to [0, 1] (`_clip`: min/max
+        at a point, np.clip in a batch) and no point takes a branch: at
+        either end the ramp is exactly 1 or 0 with zero derivatives. Powers
+        are products, which round alike on floats and arrays. An internal
+        operation of the perturbation bumps, outside the grammar.
+        """
+        z = self.let(f"_clip(({self.lit(a[0])} - 0.25) / 0.75)")
+        c = repr(1.0 / 0.75)            # dz/du
+        value = self.let(f"1.0 - {z} * {z} * {z} * "
+                         f"(10.0 - 15.0 * {z} + 6.0 * {z} * {z})")
+        fp = self.factor(1, f"-(30.0 * {z} * {z} * ((1.0 - {z}) * "
+                            f"(1.0 - {z}))) * {c}")
+        fpp = self.factor(2, f"-(60.0 * {z} * (1.0 - 3.0 * {z} + "
+                             f"2.0 * {z} * {z})) * {c} * {c}")
+        return self.compose(a, value, fp, fpp)
+
     def power(self, e: "Binary"):
         a, b = self.jet(e.left), self.jet(e.right)
         if not e.right.is_constant:
@@ -773,7 +797,7 @@ class _Emitter:
         if k == 0:
             return self.constant(1.0)
         out = a
-        for bit in bin(k)[3:]:      # Jet2's repeated squaring
+        for bit in bin(k)[3:]:      # repeated squaring, leading bit first
             out = self.mul(out, out)
             if bit == "1":
                 out = self.mul(out, a)

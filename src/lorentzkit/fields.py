@@ -1,9 +1,10 @@
 """Scalar and vector fields over a chart, with jet-level queries.
 
-A scalar field answers `jet2(p, order)`: a Jet2 at order 2, or a
-Hessian-free one at order 1, at a point p (n,) or, as a batch Jet2 with the
-batch axis last, at points p (B, n). `ExprScalarField` (its compiled
-kernel), `ZeroScalarField` and the bump fields of `perturb` answer both with
+A scalar field answers `jet2(p, order)`: a Jet2 (a container of value,
+gradient and Hessian) at order 2, or a Hessian-free one at order 1, at a
+point p (n,) or, as a batch Jet2 with the batch axis last, at points p
+(B, n). `ExprScalarField` (its compiled kernel), `ZeroScalarField` and the
+bump fields of `perturb` (kernels composed on inner jets) answer both with
 one code path; the base class stacks per-point jets for fields without a
 batched pass (`NormalCoordBump` on a curved chart). A vector field's `value`
 takes a point (n,) or points (B, n).

@@ -130,9 +130,6 @@ class CurvatureData:
         vv = (v[..., :, None] * v[..., None, :]).reshape(v.shape[:-1] + (n * n,))
         return (vv @ self.riem_matrix).reshape(v.shape[:-1] + (n, n))
 
-    def ric_quad(self, v) -> float:
-        return float(np.asarray(v) @ self.ric @ np.asarray(v))
-
     def scalar(self) -> float:
         return float(np.einsum("jk,jk->", self.g_inv, self.ric))
 

@@ -1,33 +1,19 @@
-"""Second-order jets: (value, gradient, Hessian) propagated together.
+"""Second-order jets: (value, gradient, Hessian) carried together.
 
-Metric components, scalar and vector fields and embedding maps are
-evaluated by compiled kernels (`expr.compile`), which follow this class's
-arithmetic term for term. A Jet2 carries jets where fields meet: conformal
-factors and their exponential (`metric.product_jets`), bump cores composed
-on a chart's coordinate jets, cutoffs. `Expr.eval` on Jet2 seeds is the
-reference the kernels are tested against.
-
-A jet seeded at order 1 carries no Hessian (`hess` is None) and everything
-derived from it is order 1 too: value and gradient follow exactly the same
-arithmetic as at order 2, and the Hessian terms are never formed, nor the
-second-derivative factors of 1/v, log and sqrt (so an order-1 jet cannot
-fail on one). Mixing an order-1 with an order-2 jet gives an order-1 jet.
+Every jet in the package is computed by a compiled kernel (`expr.compile`).
+`Jet2` only carries the parts where fields meet: a scalar field's jet, a
+chart's normal-coordinate jets, the inner jets a kernel is composed on.
+`compose` is the one chain rule through inner variables: it pulls the jets
+of a kernel in m variables back through m inner jets (bump cores on normal
+coordinates, the cutoff on a squared radius, e^{2sf} on a conformal factor).
 
 A jet is either at one point (a float value, gradient (n,), Hessian (n, n))
 or at a batch of B points, with the batch axis last: value (B,), gradient
-(n, B), Hessian (n, n, B). Both share the arithmetic: products take outer
-products with `np.outer` at a point and by broadcasting over a batch,
-univariate functions call `math` on a float and numpy on a batch, and every
-domain check tests each element. One point keeps the float arithmetic of a
-scalar jet bit for bit. Batched and single-point jets do not mix.
+(n, B), Hessian (n, n, B). An order-1 jet carries no Hessian (`hess` is
+None).
 
-Arithmetic accepts plain floats on either side (`2.0 * j`, `1.0 / j`,
-`c - j`), which is how the expression evaluator keeps constant subtrees as
-floats instead of constant jets. Jets are never changed after construction;
-all arithmetic returns fresh instances. The class is not a frozen dataclass
-because a frozen `__init__` costs about 0.7 us more per jet, and a bump
-query builds a dozen or more of them. Derivative factors form powers as
-products (v * v, not v ** 2), which round alike on floats and arrays.
+The helpers below are the domain checks the kernels share at a point and
+in a batch.
 """
 
 from __future__ import annotations
@@ -54,9 +40,9 @@ def first_bad(v, mask):
 
 
 def reciprocal(c: float) -> float:
-    """1 / c for a float divisor, refusing 0 and a c so small (subnormal)
-    that 1 / c overflows: `Expr.eval` on jets and the compiled kernels
-    raise the same DomainError for either."""
+    """1 / c for a divisor the kernels fold, refusing 0 (with the message
+    of the kernels' own division check) and a c so small (subnormal) that
+    1 / c overflows."""
     if c == 0:
         raise DomainError("division by zero")
     r = 1.0 / c
@@ -83,190 +69,36 @@ class Jet2:
         return Jet2(float(c), np.zeros(n),
                     np.zeros((n, n)) if order >= 2 else None)
 
-    @staticmethod
-    def variable(x, index: int, n: int, order: int = 2) -> "Jet2":
-        """Coordinate `index` seeded at x: a float, or a (B,) array."""
-        if isinstance(x, np.ndarray):
-            jet = Jet2.constant(x, n, order)
-            jet.grad[index] = 1.0
-            return jet
-        g = np.zeros(n)
-        g[index] = 1.0
-        return Jet2(float(x), g, np.zeros((n, n)) if order >= 2 else None)
 
-    @property
-    def dim(self) -> int:
-        return self.grad.shape[0]
+def compose(kernel_jets, inner) -> Jet2:
+    """The jet of F(y_1, ..., y_m) from F's kernel jets at the inner values
+    and the m inner jets y_k, by the second-order chain rule:
 
-    @property
-    def order(self) -> int:
-        return 1 if self.hess is None else 2
+        grad = sum_k F_k grad y_k
+        hess = sum_kl F_kl grad y_k grad y_l^T + sum_k F_k hess y_k
 
-    # -- ring operations ------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Jet2):
-            hess = None if self.hess is None or other.hess is None \
-                else self.hess + other.hess
-            return Jet2(self.value + other.value, self.grad + other.grad, hess)
-        return Jet2(self.value + other, self.grad, self.hess)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(-self.value, -self.grad,
-                    None if self.hess is None else -self.hess)
-
-    def __sub__(self, other):
-        if isinstance(other, Jet2):
-            hess = None if self.hess is None or other.hess is None \
-                else self.hess - other.hess
-            return Jet2(self.value - other.value, self.grad - other.grad, hess)
-        return Jet2(self.value - other, self.grad, self.hess)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Jet2):
-            grad = self.value * other.grad + other.value * self.grad
-            if self.hess is None or other.hess is None:
-                return Jet2(self.value * other.value, grad, None)
-            if self.grad.ndim == 1:
-                cross = np.outer(self.grad, other.grad)
-                cross_t = cross.T
-            else:                       # batch axis last
-                cross = self.grad[:, None] * other.grad[None, :]
-                cross_t = cross.swapaxes(0, 1)
-            return Jet2(
-                self.value * other.value, grad,
-                self.value * other.hess + other.value * self.hess
-                + cross + cross_t,
-            )
-        return Jet2(self.value * other, self.grad * other,
-                    None if self.hess is None else self.hess * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet2):
-            return self * other._reciprocal()
-        return self * reciprocal(other)
-
-    def __rtruediv__(self, other):
-        return self._reciprocal() * other
-
-    def _reciprocal(self) -> "Jet2":
-        v = self.value
-        zero = v == 0.0
-        if zero.any() if isinstance(zero, np.ndarray) else zero:
-            raise DomainError("division by zero")
-        return self._compose(1.0 / v, -1.0 / (v * v),
-                             None if self.hess is None else 2.0 / (v * v * v))
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, int) or (isinstance(exponent, float)
-                                         and exponent.is_integer()):
-            return self._int_pow(int(exponent))
-        # real exponent: exp(b log a), requires a > 0 so the jet stays exact
-        bad = self.value <= 0.0
-        if bad.any() if isinstance(bad, np.ndarray) else bad:
-            raise DomainError(f"real exponent requires positive base, got "
-                              f"{first_bad(self.value, bad)}")
-        return (self.log() * float(exponent)).exp()
-
-    def _int_pow(self, k: int) -> "Jet2":
-        if k < 0:
-            return self._reciprocal()._int_pow(-k)
-        if k == 0:
-            one = np.ones_like(self.value) \
-                if isinstance(self.value, np.ndarray) else 1.0
-            return Jet2.constant(one, self.dim, self.order)
-        out = self
-        for bit in bin(k)[3:]:      # repeated squaring, leading bit first
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
-
-    # -- univariate chain rule -------------------------------------------
-
-    def _compose(self, f, fp, fpp) -> "Jet2":
-        """Jet of f(u) from f, f', f'' at u = self.value. An order-1 jet
-        ignores fpp, so callers whose f'' can fail (a division by an
-        underflowed power) pass None for it there."""
-        g = self.grad
-        if self.hess is None:
-            return Jet2(f, fp * g, None)
-        outer = np.outer(g, g) if g.ndim == 1 else g[:, None] * g[None, :]
-        return Jet2(f, fp * g, fp * self.hess + fpp * outer)
-
-    def exp(self):
-        v = self.value
-        e = np.exp(v) if isinstance(v, np.ndarray) else math.exp(v)
-        return self._compose(e, e, e)
-
-    def log(self):
-        v = self.value
-        batch = isinstance(v, np.ndarray)
-        bad = v <= 0.0
-        if bad.any() if batch else bad:
-            raise DomainError(f"log of nonpositive value {first_bad(v, bad)}")
-        lv = np.log(v) if batch else math.log(v)
-        return self._compose(lv, 1.0 / v,
-                             None if self.hess is None else -1.0 / (v * v))
-
-    def sqrt(self):
-        v = self.value
-        batch = isinstance(v, np.ndarray)
-        bad = v <= 0.0
-        if bad.any() if batch else bad:
-            raise DomainError(f"sqrt of nonpositive value {first_bad(v, bad)}")
-        s = np.sqrt(v) if batch else math.sqrt(v)
-        return self._compose(s, 0.5 / s,
-                             None if self.hess is None else -0.25 / (s * v))
-
-    def sin(self):
-        m = np if isinstance(self.value, np.ndarray) else math
-        s, c = m.sin(self.value), m.cos(self.value)
-        return self._compose(s, c, -s)
-
-    def cos(self):
-        m = np if isinstance(self.value, np.ndarray) else math
-        # the function before its partner, as the kernels: an overflow
-        # names the same call
-        c, s = m.cos(self.value), m.sin(self.value)
-        return self._compose(c, -s, -c)
-
-    def tan(self):
-        m = np if isinstance(self.value, np.ndarray) else math
-        c = m.cos(self.value)
-        if any_true(abs(c) < 1e-300):
-            raise DomainError("tan at a pole")
-        t = m.tan(self.value)
-        sec2 = 1.0 + t * t
-        return self._compose(t, sec2, 2.0 * t * sec2)
-
-    def sinh(self):
-        m = np if isinstance(self.value, np.ndarray) else math
-        s, c = m.sinh(self.value), m.cosh(self.value)
-        return self._compose(s, c, s)
-
-    def cosh(self):
-        m = np if isinstance(self.value, np.ndarray) else math
-        # the function before its partner, as the kernels: an overflow
-        # names the same call
-        c, s = m.cosh(self.value), m.sinh(self.value)
-        return self._compose(c, s, c)
-
-    def tanh(self):
-        v = self.value
-        t = np.tanh(v) if isinstance(v, np.ndarray) else math.tanh(v)
-        sech2 = 1.0 - t * t
-        return self._compose(t, sech2, -2.0 * t * sech2)
-
-    def symmetrized(self) -> "Jet2":
-        if self.hess is None:
-            return self
-        return Jet2(self.value, self.grad,
-                    0.5 * (self.hess + self.hess.swapaxes(0, 1)))
+    `kernel_jets` is what a one-expression kernel returns at the stacked
+    inner values: value (), gradient (m,) and Hessian (m, m) at a point,
+    each with a last batch axis (B,) in a batch. The result has the order
+    of the kernel (a kernel gradient is required; order 1 without a
+    Hessian). Sums run term by term, and each cross term is formed as
+    g_k g_l^T + g_l g_k^T, so a point and a batch round alike and the
+    Hessian is exactly symmetric.
+    """
+    f, fg, fh = kernel_jets
+    value = float(f) if np.ndim(f) == 0 else f
+    grads = [y.grad for y in inner]
+    products = [fg[k] * g for k, g in enumerate(grads)]
+    grad = sum(products[1:], products[0])
+    if fh is None:
+        return Jet2(value, grad, None)
+    terms = []
+    for k, a in enumerate(grads):
+        for l in range(k, len(grads)):
+            b = grads[l]
+            cross = np.outer(a, b) if a.ndim == 1 else a[:, None] * b[None, :]
+            if l != k:
+                cross = cross + cross.swapaxes(0, 1)
+            terms.append(fh[k, l] * cross)
+    terms += [fg[k] * y.hess for k, y in enumerate(inner)]
+    return Jet2(value, grad, sum(terms[1:], terms[0]))

@@ -7,11 +7,10 @@ p it returns (g, dg, d2g) with
     dg[k, i, j]    first partials  d_k g_ij,
     d2g[k, l, i, j] second partials d_k d_l g_ij,
 
-all analytic (compiled forward-mode kernels for expression metrics, jets
-for conformal factors; no finite differences). Every field also
-answers a batch of points p (B, n) in one pass, with a leading batch axis on
-each result; `product_jets` is the product rule of a conformal rescaling,
-shared by point and batch queries. Charts may declare
+all analytic (compiled forward-mode kernels; no finite differences). Every
+field also answers a batch of points p (B, n) in one pass, with a leading
+batch axis on each result; `product_jets` is the product rule of a
+conformal rescaling, shared by point and batch queries. Charts may declare
 periodic coordinates (quotient spacetimes); points are canonicalized modulo
 the periods before every field query, while curves are integrated in the
 covering chart and reported both raw and canonicalized. `displacement` is
@@ -20,14 +19,15 @@ the one offset rule on a quotient: q - p to the nearest image of p.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ParamError
-from .expr import Expr, Kernels, SymbolTable, parse
+from .expr import Binary, Expr, Kernels, Num, Sym, SymbolTable, Unary, parse
 from .fields import ScalarField
-from .jets import Jet2
+from .jets import Jet2, compose
 from .tensors import MetricValue
 
 
@@ -187,10 +187,11 @@ def minkowski_field(n: int = 4,
 class ConformalScaledMetric(MetricField):
     """e^{2 s f} g as a first-class metric field.
 
-    Component jets apply the product/chain rule exactly (`product_jets`),
-    at a point or a batch of points alike, so this wrapper is the
-    ground-truth oracle for every closed-form conformal transformation law
-    in the package.
+    Component jets apply the product/chain rule exactly: e^{2 s f} is the
+    kernel of exp(2 s y) composed on the factor's jet, and `product_jets`
+    multiplies it into g's, at a point or a batch of points alike. This
+    wrapper is the ground-truth oracle for every closed-form conformal
+    transformation law in the package.
     """
 
     def __init__(self, base: MetricField, factor: ScalarField, scale: float = 1.0):
@@ -205,12 +206,23 @@ class ConformalScaledMetric(MetricField):
         self.periods = base.periods
         self.domain = base.domain
         self.constant_components = False
+        self._exp = exp_kernels(2.0 * self.scale)
 
     def component_jets(self, p, order: int = 2):
         q = self.base.canonicalize(p)
         g, dg, d2g = self.base.component_jets(q, order=order)
-        f = self.factor.jet2(q, max(order, 1)) * self.scale
-        return product_jets((2.0 * f).exp(), g, dg, d2g)
+        order = max(order, 1)
+        f = self.factor.jet2(q, order)
+        e = compose(self._exp(np.asarray(f.value)[..., None], order), [f])
+        return product_jets(e, g, dg, d2g)
+
+
+@functools.lru_cache(maxsize=64)
+def exp_kernels(c: float) -> Kernels:
+    """The kernels of exp(c y) in one variable y, to compose (`jets.compose`)
+    on a conformal factor's jet: e^{2 s f} with c = 2 s."""
+    return Kernels((Unary("exp", Binary("*", Num(c), Sym("y", 0))),), 1,
+                   shape=(), slots=[(0,)])
 
 
 def product_jets(e: Jet2, g, dg=None, d2g=None):

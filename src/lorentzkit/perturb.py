@@ -28,13 +28,14 @@ import numpy as np
 
 from .errors import (LorentzkitError, NotApplicable, NotCausal, RadiusError,
                      SupportNotContained)
-from .expr import SymbolTable, parse
+from .expr import Binary, Kernels, Num, Sym, SymbolTable, Unary, parse
 from .fields import ScalarField
 from .geometry import (DEFAULT_TOLS, TangentVector, Tolerances,
                        _orientation_field_value, causal_class_in, curvature_data,
                        lorentz_frame)
-from .jets import Jet2
-from .metric import ConformalScaledMetric, MetricField, product_jets
+from .jets import Jet2, compose
+from .metric import (ConformalScaledMetric, MetricField, exp_kernels,
+                     product_jets)
 from .normal import NormalChart, orthonormal_frame_from
 from .conformal import conformal_mean_curvature, conformal_riemann, rescale
 from .submanifold import (Embedding, MeanCurvature, mean_curvature,
@@ -51,26 +52,16 @@ def _default_rho(boundary_distance: float) -> float:
     return min(DEFAULT_RHO, boundary_distance / 4.0)
 
 
-# --- C^2 cutoff -----------------------------------------------------------------
+# --- bumps: a core times the C^2 cutoff ------------------------------------------
+#
+# Both bumps are kernels composed on inner jets (`jets.compose`): the cutoff
+# chi(u) is the kernels' internal `cutoff` operation, 1 on [0, 1/4], the
+# quintic C^2 ramp on [1/4, 1] and 0 beyond, so the field is C^2 everywhere
+# and its jets are exact.
 
-def _cutoff_jet(u: Jet2) -> Jet2:
-    """chi(u): 1 on [0, 1/4], quintic C^2 ramp on [1/4, 1], 0 beyond.
-
-    The ramp is the unique quintic with value/slope/curvature matching at
-    both ends, so all jets are exact and the field is C^2 everywhere. z is
-    clipped to [0, 1], elementwise on a batch, which is exact for the same
-    reason: at either end the ramp is exactly 1 or 0 with zero derivatives,
-    so a point or a batch takes the same path and no point takes a branch.
-    """
-    z = np.clip((u.value - 0.25) / 0.75, 0.0, 1.0)
-    # products, not powers: numpy rounds z ** 3 on an array and on a
-    # scalar differently
-    s = z * z * z * (10.0 - 15.0 * z + 6.0 * z * z)
-    ds = 30.0 * z * z * ((1.0 - z) * (1.0 - z))
-    d2s = 60.0 * z * (1.0 - 3.0 * z + 2.0 * z * z)
-    # chain through z = (u - 1/4) / (3/4)
-    c = 1.0 / 0.75
-    return u._compose(1.0 - s, -ds * c, -d2s * c * c)
+# core * chi(u) over the variables (core, u), shared by every BumpField
+_BUMP = Kernels((Binary("*", Sym("c", 0), Unary("cutoff", Sym("u", 1))),), 2,
+                shape=(), slots=[(0,)])
 
 
 class BumpField(ScalarField):
@@ -118,7 +109,8 @@ class BumpField(ScalarField):
         core = Jet2(self.v0 + sum(w * c for w, c in zip(self.dphi, d)),
                     np.multiply.outer(self.dphi, ones),
                     np.zeros((n, n) + ones.shape) if second else None)
-        return core * _cutoff_jet(u)
+        return compose(_BUMP(np.array([core.value, u.value]).T, order),
+                       [core, u])
 
     def support_box(self) -> list[tuple[float, float]]:
         return [(float(c - self.rho), float(c + self.rho)) for c in self.center]
@@ -144,27 +136,32 @@ class NormalCoordBump(ScalarField):
         if rho <= 0:
             raise RadiusError("bump radius must be positive")
         self.rho = float(rho)
+        # core(x) * chi(|x|^2 / rho^2) over the normal coordinates
+        r2 = parse(" + ".join(f"n{k}*n{k}" for k in range(n)),
+                   self.coord_table)
+        chi = Unary("cutoff", Binary("*", r2, Num(1.0 / self.rho ** 2)))
+        self._kernels = Kernels((Binary("*", self.core, chi),), n, shape=(),
+                                slots=[(0,)])
 
     def jet2(self, q, order: int = 2) -> Jet2:
         q = np.asarray(q, dtype=float)
-        if not self.chart.affine:
-            if q.ndim > 1:
-                return super().jet2(q, order)   # curved charts: point by point
-            # skip the finite-difference jets where the bump vanishes
+        if self.chart.affine:
+            seeds = self.chart.coord_jets(q, order)
+        elif q.ndim > 1:
+            return super().jet2(q, order)       # curved charts: point by point
+        else:
+            # the Newton inverse first: finite-difference jets only inside
             x = self.chart.inverse(q)
-            if float(x @ x) >= self.rho ** 2:
-                return Jet2.constant(0.0, self.dim, order)
-        seeds = self.chart.coord_jets(q, order)
-        u = seeds[0] * seeds[0]
-        for k in range(1, self.dim):
-            u = u + seeds[k] * seeds[k]
-        chi = _cutoff_jet(u * (1.0 / self.rho ** 2))
-        # outside the support chi is exactly 0 with zero derivatives, so the
-        # core is taken at x = 0 there: a far point cannot overflow it
-        inside = u.value < self.rho ** 2
-        core = self.core.eval([Jet2(s.value * inside, s.grad, s.hess)
-                               for s in seeds], {})   # a float if constant
-        return core * chi
+            seeds = self.chart.coord_jets(q, order) \
+                if float(x @ x) < self.rho ** 2 \
+                else [Jet2.constant(xk, self.dim, order) for xk in x]
+        x = np.array([s.value for s in seeds]).T
+        # outside the support the jets are exactly 0, and the core is taken
+        # at x = 0 there: a far point cannot overflow it
+        inside = np.sum(x * x, axis=-1) < self.rho ** 2
+        jets = self._kernels(np.where(inside[..., None], x, 0.0), order)
+        return compose([None if part is None else part * inside
+                        for part in jets], seeds)
 
     def support_box(self) -> list[tuple[float, float]]:
         # image of the normal-coordinate ball under the (affine) chart map
@@ -337,6 +334,7 @@ def _seminorm_rows(base: MetricField, phi: ScalarField, n_max: int,
     pad = [(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo))
            for lo, hi in support_box]
     maxima = np.zeros((n_max, 3))
+    exps = [(2.0 / n, exp_kernels(2.0 / n)) for n in range(1, n_max + 1)]
     try:
         with np.errstate(over="raise", invalid="raise"):
             for slab in _grid(pad, grid_per_axis).reshape(grid_per_axis, -1,
@@ -344,10 +342,9 @@ def _seminorm_rows(base: MetricField, phi: ScalarField, n_max: int,
                 q = base.canonicalize(slab)
                 g, dg, d2g = base.component_jets(q, order=2)
                 f = phi.jet2(q, 2)
-                for k, row in enumerate(maxima):
-                    t = 2.0 * (f * (1.0 / (k + 1)))        # 2 phi / n
-                    exp_t = t.exp()
-                    e = Jet2(np.expm1(t.value), exp_t.grad, exp_t.hess)
+                for row, (c, kernels) in zip(maxima, exps):
+                    exp_t = compose(kernels(f.value[:, None], 2), [f])
+                    e = Jet2(np.expm1(c * f.value), exp_t.grad, exp_t.hess)
                     for m, part in enumerate(product_jets(e, g, dg, d2g)):
                         row[m] = max(row[m], np.abs(part).max())
     except (LorentzkitError, ArithmeticError, ValueError):

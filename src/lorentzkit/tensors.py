@@ -88,10 +88,6 @@ class MetricValue:
     def dim(self) -> int:
         return self.g.shape[0]
 
-    @property
-    def lorentzian(self) -> bool:
-        return self.index == 1
-
     def inner(self, v: np.ndarray, w: np.ndarray) -> float:
         return float(v @ self.g @ w)
 

@@ -416,8 +416,8 @@ class TestRicciCondition:
         from lorentzkit.geometry import curvature_data
         p = np.array(rep.witness["point"])
         v = np.array(rep.witness["v"])
-        assert curvature_data(b.field, p).ric_quad(v) == pytest.approx(
-            rep.margin, rel=1e-9)
+        ric = curvature_data(b.field, p).ric
+        assert float(v @ ric @ v) == pytest.approx(rep.margin, rel=1e-9)
 
 
 class TestRiemCondition:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorentzkit.errors import DomainError, ExprSyntaxError, UnknownSymbol
-from lorentzkit.expr import Binary, SymbolTable, Unary, eval2, parse
+from lorentzkit.expr import Binary, SymbolTable, Unary, compile, eval2, parse
+from lorentzkit.jets import Jet2, compose
 
 from conftest import fd_scalar_jet
 
@@ -175,7 +176,8 @@ class TestChainRule:
     @settings(max_examples=100, deadline=None)
     @given(_inner_outer())
     def test_composition_consistency(self, case):
-        """eval2(f . g) equals composing the jet of f with the jet of g."""
+        """eval2(f . g) equals the kernel of f pulled back through the jet
+        of g by jets.compose."""
         inner, outer, x, y = case
         xy = SymbolTable(["x", "y"])
         u = SymbolTable(["u"])
@@ -184,8 +186,40 @@ class TestChainRule:
         composed = parse(outer.replace("u", f"({inner})"), xy)
         direct = eval2(composed, [x, y])
         g_jet = eval2(g_expr, [x, y])
-        seeded = f_expr.eval([g_jet], {})
+        kernel = compile((f_expr,), 1, order=2, shape=(), slots=[(0,)])
+        seeded = compose(kernel(np.array([g_jet.value])), [g_jet])
         assert direct.value == pytest.approx(seeded.value, abs=1e-12, rel=1e-12)
         assert np.allclose(direct.grad, seeded.grad, atol=1e-12, rtol=1e-12)
         assert np.allclose(direct.hess, 0.5 * (seeded.hess + seeded.hess.T),
                            atol=1e-11, rtol=1e-11)
+
+    def test_two_variable_outer(self):
+        """An outer kernel in two variables, on two inner jets, at a point
+        and in a batch."""
+        xy = SymbolTable(["x", "y"])
+        uw = SymbolTable(["u", "w"])
+        inner = ["x*y + sin(x)", "exp(0.3*x) - y^2"]
+        outer = "u^2*w + sin(u*w)"
+        composed = parse(outer.replace("u", f"({inner[0]})")
+                         .replace("w", f"({inner[1]})"), xy)
+        kernel = compile((parse(outer, uw),), 2, order=2, shape=(),
+                         slots=[(0,)])
+        points = np.random.default_rng(12).uniform(-1.2, 1.2, size=(5, 2))
+        batch_inner = [compile((parse(t, xy),), 2, order=2, shape=(),
+                               slots=[(0,)])(points) for t in inner]
+        batch = compose(kernel(np.stack([j[0] for j in batch_inner], axis=-1)),
+                        [Jet2(*j) for j in batch_inner])
+        for k, p in enumerate(points):
+            direct = eval2(composed, p)
+            jets = [eval2(parse(t, xy), p) for t in inner]
+            seeded = compose(kernel(np.array([j.value for j in jets])), jets)
+            assert direct.value == pytest.approx(seeded.value, abs=1e-12,
+                                                 rel=1e-12)
+            assert np.allclose(direct.grad, seeded.grad, atol=1e-12, rtol=1e-12)
+            assert np.allclose(direct.hess, seeded.hess, atol=1e-11, rtol=1e-11)
+            # numpy and math may round sin and exp apart in the last bit
+            assert batch.value[k] == pytest.approx(seeded.value, rel=1e-14)
+            assert np.allclose(batch.grad[:, k], seeded.grad, atol=1e-14,
+                               rtol=1e-14)
+            assert np.allclose(batch.hess[:, :, k], seeded.hess, atol=1e-14,
+                               rtol=1e-14)

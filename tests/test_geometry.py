@@ -196,7 +196,7 @@ class TestRicci:
         for p in region_points(b, 4, seed=5):
             data = curvature_data(b.field, p)
             v = np.array([1.0, 0, 0, 0])
-            assert data.ric_quad(v) > 0.1
+            assert float(v @ data.ric @ v) > 0.1
 
     def test_symmetry(self, bundles):
         for name in CATALOG_NAMES:

@@ -7,19 +7,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorentzkit import jets
 from lorentzkit.conformal import rescale
 from lorentzkit.errors import DomainError
-from lorentzkit.expr import SymbolTable
+from lorentzkit.expr import FUNCTIONS, SymbolTable, parse
 from lorentzkit.fields import ExprScalarField
-from lorentzkit.jets import Jet2
 from lorentzkit.metric import ExprMetricField, minkowski_field
-from lorentzkit.normal import NormalChart
+from lorentzkit.normal import NormalChart, orthonormal_frame_from
 from lorentzkit.perturb import BumpField, NormalCoordBump
 from lorentzkit.specfile import load_spec
 
 from conftest import CATALOG_NAMES, region_points
+from jet_reference import Jet2
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+def test_jet2_is_a_container():
+    """The package's one jet arithmetic is its compiled kernels: lorentzkit's
+    Jet2 carries value, gradient and Hessian and defines no operator and no
+    univariate function, and Expr.eval takes floats only."""
+    arithmetic = {"__add__", "__radd__", "__iadd__", "__sub__", "__rsub__",
+                  "__isub__", "__mul__", "__rmul__", "__imul__",
+                  "__truediv__", "__rtruediv__", "__itruediv__",
+                  "__floordiv__", "__rfloordiv__", "__mod__", "__pow__",
+                  "__rpow__", "__neg__", "__pos__", "__abs__", "__matmul__",
+                  "__rmatmul__"}
+    names = set(dir(jets.Jet2))
+    assert not arithmetic & names
+    assert not (set(FUNCTIONS) | {"cutoff"}) & names
+    assert {n for n in names if not n.startswith("_")} == \
+        {"value", "grad", "hess", "constant"}
+    seed = jets.Jet2.constant(0.3, 1)
+    for text in ("sin(x)", "x * x", "2 - x"):
+        with pytest.raises(TypeError):
+            parse(text, SymbolTable(["x"])).eval([seed], {})
+
+
+# --- the reference arithmetic (tests/jet_reference.py) ----------------------
 
 
 def jet_of(f, x, y):
@@ -326,3 +351,132 @@ def test_batched_evaluation_raises_where_a_point_does(order):
         field.component_jets(good, order=order)
         with pytest.raises(DomainError):
             field.component_jets(pts, order=order)
+
+
+# --- jets composed on kernels, against sympy ----------------------------------
+
+def _sympy_jets(sp, expr, syms, point):
+    """Value, gradient and Hessian of a sympy expression at a point, to 30
+    digits; the point's floats enter exactly."""
+    at = {s: sp.Rational(float(v)) for s, v in zip(syms, point)}
+
+    def num(e):
+        return float(sp.N(e.subs(at), 30))
+
+    grad = [sp.diff(expr, s) for s in syms]
+    return (np.array(num(expr)), np.array([num(g) for g in grad]),
+            np.array([[num(sp.diff(g, s)) for s in syms] for g in grad]))
+
+
+def _chi(sp, u):
+    """The C^2 cutoff on its ramp 1/4 <= u <= 1 (1 on the plateau)."""
+    z = (u - sp.Rational(1, 4)) / sp.Rational(3, 4)
+    return 1 - z ** 3 * (10 - 15 * z + 6 * z ** 2)
+
+
+def _assert_parts_close(got, want, what):
+    """Each part to 1e-12 relative to its largest entry."""
+    for order, (g, w) in enumerate(zip(got, want)):
+        scale = np.abs(w).max()
+        assert np.all(np.abs(np.asarray(g) - w) <= 1e-12 * scale), \
+            (what, order, g, w)
+
+
+def _plateau_and_ramp_points(center, radius, frame_inv, seed):
+    """Points whose normalized squared radius |A (q - p)|^2 / rho^2 lies on
+    the plateau (below 1/4) and on the ramp (between 1/4 and 1)."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for r in (0.3, 0.45, 0.6, 0.75, 0.9):
+        d = rng.normal(size=len(center))
+        x = radius * r * d / np.linalg.norm(d)
+        points.append(center + np.linalg.solve(frame_inv, x))
+    return points
+
+
+def test_bump_jets_match_sympy():
+    """BumpField = (v0 + dphi . (q - p)) * chi(|q - p|^2 / rho^2)."""
+    sp = pytest.importorskip("sympy")
+    f = minkowski_field()
+    center = np.array([0.1, -0.2, 0.3, 0.05])
+    dphi = np.array([0.5, -1.0, 2.0, 0.3])
+    b = BumpField(f, center, 0.7, dphi, 0.4)
+    q = sp.symbols("q0:4")
+    d = [qk - sp.Rational(float(c)) for qk, c in zip(q, center)]
+    core = sp.Rational(0.7) + sum(sp.Rational(float(w)) * dk
+                                  for w, dk in zip(dphi, d))
+    u = sum(dk ** 2 for dk in d) / sp.Rational(0.4) ** 2
+    for p in _plateau_and_ramp_points(center, 0.4, np.eye(4), seed=31):
+        plateau = float(np.sum((p - center) ** 2)) / 0.16 <= 0.25
+        phi = core * (1 if plateau else _chi(sp, u))
+        want = _sympy_jets(sp, phi, q, p)
+        for order in (1, 2):
+            jet = b.jet2(p, order)
+            got = (jet.value, jet.grad, jet.hess)[:order + 1]
+            _assert_parts_close(got, want[:order + 1], (p, order))
+
+
+@pytest.mark.parametrize("core", ["exp(n0)", "(n0 + n1)^2"])
+def test_affine_normal_bump_jets_match_sympy(core):
+    """NormalCoordBump on an affine chart: core(x) * chi(|x|^2 / rho^2) with
+    x = A (q - p)."""
+    sp = pytest.importorskip("sympy")
+    f = minkowski_field()
+    center = np.array([0.2, -0.1, 0.3, 0.0])
+    frame = orthonormal_frame_from(f, center, first=np.array([1.0, 0.3, 0.1, 0.0]),
+                                   second=np.array([0.0, 1.0, 0.5, 0.0]))
+    chart = NormalChart(f, center, frame)
+    assert chart.affine
+    nb = NormalCoordBump(chart, core, 0.3)
+    q = sp.symbols("q0:4")
+    a = chart.frame_inv
+    x = [sum(sp.Rational(float(a[k, j])) * (q[j] - sp.Rational(float(center[j])))
+             for j in range(4)) for k in range(4)]
+    core_expr = sp.sympify(core.replace("^", "**"),
+                           locals={f"n{k}": x[k] for k in range(4)})
+    u = sum(xk ** 2 for xk in x) / sp.Rational(0.3) ** 2
+    for p in _plateau_and_ramp_points(center, 0.3, a, seed=32):
+        xp = a @ (p - center)
+        plateau = float(xp @ xp) / 0.09 <= 0.25
+        phi = core_expr * (1 if plateau else _chi(sp, u))
+        want = _sympy_jets(sp, phi, q, p)
+        for order in (1, 2):
+            jet = nb.jet2(p, order)
+            got = (jet.value, jet.grad, jet.hess)[:order + 1]
+            _assert_parts_close(got, want[:order + 1], (core, p, order))
+
+
+def test_conformal_metric_jets_match_sympy():
+    """ConformalScaledMetric: e^{2 s f} g with an expression factor f, every
+    component's value, gradient and Hessian at orders 0, 1 and 2."""
+    sp = pytest.importorskip("sympy")
+    names = ["t", "x", "y"]
+    entries = {(0, 0): "-(1 + 0.1*x^2)", (1, 0): "0.05*x*y",
+               (1, 1): "1 + 0.2*sin(t)*y", (2, 0): "0", (2, 1): "0.1*t",
+               (2, 2): "exp(0.3*x)"}
+    factor_text = "0.1*sin(x)*cos(y) + 0.05*t"
+    table = SymbolTable(names)
+    field = rescale(ExprMetricField(table, entries),
+                    ExprScalarField(factor_text, table), 0.7)
+    syms = sp.symbols(names)
+    local = dict(zip(names, syms))
+
+    def sym(text):
+        return sp.sympify(text.replace("^", "**"), locals=local)
+
+    e2sf = sp.exp(2 * sp.Rational(0.7) * sym(factor_text))
+    rng = np.random.default_rng(33)
+    for p in rng.uniform(-0.8, 0.8, size=(3, 3)):
+        want = {}
+        for (i, j), text in entries.items():
+            want[i, j] = want[j, i] = _sympy_jets(sp, e2sf * sym(text), syms, p)
+        for order in (0, 1, 2):
+            got = field.component_jets(p, order)
+            for (i, j), (v, g, h) in want.items():
+                parts = [got[0][i, j]]
+                if order >= 1:
+                    parts.append(got[1][:, i, j])
+                if order >= 2:
+                    parts.append(got[2][:, :, i, j])
+                _assert_parts_close(parts, (v, g, h)[:order + 1],
+                                    (p, order, i, j))

@@ -1,5 +1,5 @@
-"""Compiled jet kernels against the tree-walking Jet2 reference, their
-module-wide cache and their finiteness check."""
+"""Compiled jet kernels against the tree-walking Jet2 reference
+(`jet_reference`), their module-wide cache and their finiteness check."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,9 @@ from lorentzkit import catalog, expr
 from lorentzkit.errors import DomainError
 from lorentzkit.expr import (FUNCTIONS, Binary, Num, Sym, SymbolTable, Unary,
                              compile)
-from lorentzkit.jets import Jet2
 from lorentzkit.metric import ExprMetricField
+
+from jet_reference import Jet2, jet_eval
 
 PARAMS = {"a": 0.7, "b": -1.3}
 
@@ -43,14 +44,14 @@ points = st.tuples(coordinate, coordinate)
 
 
 def _reference(e, xs, order):
-    """Expr.eval on Jet2 seeds (order 1 for order 0): (value, grad, hess)
+    """jet_eval on Jet2 seeds (order 1 for order 0): (value, grad, hess)
     or the exception it raised. A batch runs under numpy's raising
     errstate, as the kernel's batch does."""
     seeds = [Jet2.variable(x, i, 2, max(order, 1)) for i, x in enumerate(xs)]
     state = "raise" if isinstance(xs[0], np.ndarray) else "ignore"
     try:
         with np.errstate(divide=state, over=state, invalid=state):
-            jet = e.eval(seeds, PARAMS)
+            jet = jet_eval(e, seeds, PARAMS)
     except (DomainError, ValueError) as exc:
         return exc
     if not isinstance(jet, Jet2):
@@ -312,3 +313,61 @@ def test_compiling_hashes_each_node_a_bounded_number_of_times(monkeypatch):
     assert again == e and hash(again) == hash(e) and again is not e
     assert Binary("+", Sym("x", 0), Num(1.0)) != \
         Binary("+", Sym("x", 0), Num(2.0))
+
+
+# --- the cutoff: the bumps' internal operation ----------------------------------
+
+CUTOFF = Unary("cutoff", Sym("u", 0))
+
+
+def _quintic(u):
+    """chi(u), chi'(u) and chi''(u): the C^2 ramp's formulas, written out."""
+    z = np.clip((u - 0.25) / 0.75, 0.0, 1.0)
+    s = z * z * z * (10.0 - 15.0 * z + 6.0 * z * z)
+    ds = 30.0 * z * z * ((1.0 - z) * (1.0 - z))
+    d2s = 60.0 * z * (1.0 - 3.0 * z + 2.0 * z * z)
+    c = 1.0 / 0.75
+    return 1.0 - s, -ds * c, -d2s * c * c
+
+
+def _cutoff_kernel(order):
+    return compile((CUTOFF,), 1, order=order, shape=(), slots=[(0,)])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_cutoff_kernels_are_the_quintic_ramp(order):
+    """At seeded u on the plateau, on the ramp and beyond it, at a point and
+    in a batch, bit for bit."""
+    rng = np.random.default_rng(18)
+    us = np.concatenate([rng.uniform(0.0, 0.25, 4), rng.uniform(0.25, 1.0, 8),
+                         rng.uniform(1.0, 3.0, 4)])
+    kernel = _cutoff_kernel(order)
+    batch = kernel(us[:, None])
+    for k, u in enumerate(us):
+        one = kernel(np.array([u]))
+        for got, want in zip(one[:order + 1], _quintic(u)):
+            assert got.reshape(-1)[0] == want
+        for got, want in zip(batch[:order + 1], _quintic(us)):
+            assert got.reshape(-1, len(us))[0, k] == want[k]
+
+
+def test_cutoff_plateau_support_and_ramp_derivatives():
+    """Exactly (1, 0, 0) for u <= 1/4 and exactly 0 for u >= 1; on the ramp
+    the derivatives pass central differences."""
+    kernel = _cutoff_kernel(2)
+    for u in (0.0, 0.1, 0.25):
+        value, grad, hess = kernel(np.array([u]))
+        assert (float(value), float(grad[0]), float(hess[0, 0])) == (1.0, 0.0, 0.0)
+    for u in (1.0, 1.5, 40.0):
+        value, grad, hess = kernel(np.array([u]))
+        assert (float(value), float(grad[0]), float(hess[0, 0])) == (0.0, 0.0, 0.0)
+    h = 1e-5
+    for u in np.linspace(0.3, 0.95, 8):
+        value, grad, hess = (float(a.reshape(-1)[0])
+                             for a in kernel(np.array([u])))
+        up, down = (kernel(np.array([u + s]))[:2] for s in (h, -h))
+        assert grad == pytest.approx((float(up[0]) - float(down[0])) / (2 * h),
+                                     rel=1e-8, abs=1e-10)
+        assert hess == pytest.approx(
+            (float(up[1][0]) - float(down[1][0])) / (2 * h), rel=1e-7,
+            abs=1e-9)

@@ -18,7 +18,7 @@ def minkowski_value():
 class TestMetricValue:
     def test_minkowski(self):
         mv = minkowski_value()
-        assert mv.index == 1 and mv.lorentzian
+        assert mv.index == 1
         assert np.allclose(mv.g @ mv.g_inv, np.eye(4), atol=1e-10)
 
     def test_euclidean_index(self):
