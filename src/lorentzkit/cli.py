@@ -332,8 +332,9 @@ def _cmd_perturb(args, bundle):
         fam = positivity_exit_family(
             bundle.field,
             _in_domain("--at", bundle.field, _sized("--at", args.at, dim)),
-            _sized("--witness v", witness["v"], dim),
-            _sized("--witness w", witness["w"], dim), n_max=args.nmax)
+            _sized("--witness v", witness["v"], dim, nonzero=True),
+            _sized("--witness w", witness["w"], dim, nonzero=True),
+            n_max=args.nmax)
     summary = fam.summary()
     code = 0 if all(c.sign_ok for c in fam.certificates) else 1
     if args.format == "csv":

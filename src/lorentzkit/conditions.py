@@ -560,7 +560,8 @@ def temporal_certificate(field_: MetricField, subject: VectorField | ScalarField
         g = field_.value(p)
         if mode == "orientation":
             x = subject.value(field_.canonicalize(p))
-            q = float(x @ g @ x) / float(x @ x)
+            nrm = float(x @ x)
+            q = 0.0 if nrm < tols.tau_zero else float(x @ g @ x) / nrm
         elif mode == "temporal":
             g_inv, _ = invert_metric(g)
             dt = subject.jet2(field_.canonicalize(p), 1).grad

@@ -6,8 +6,7 @@ point p (n,) or, as a batch Jet2 with the batch axis last, at points p
 (B, n). `ExprScalarField` (its compiled kernel), `ZeroScalarField` and the
 bump fields of `perturb` (kernels composed on inner jets) answer both with
 one code path; the base class stacks per-point jets for fields without a
-batched pass (`NormalCoordBump` on a curved chart). A vector field's `value`
-takes a point (n,) or points (B, n).
+batched pass. A vector field's `value` takes a point (n,) or points (B, n).
 """
 
 from __future__ import annotations

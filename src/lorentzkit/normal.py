@@ -3,23 +3,20 @@
 A NormalChart maps normal coordinates x to manifold points exp_p(x^i e_i) by
 geodesic integration, and back by damped Newton iteration on the forward map.
 For metrics with constant components in their chart (flat charts) geodesics
-are straight lines, so both maps are exact affine maps; that fast path also
-makes composed scalar fields exactly differentiable, which the perturbation
-machinery relies on.
+are straight lines, so both maps are exact affine maps; the affine inverse
+takes q - p to the nearest image of the center, so it is smooth on quotient
+charts.
 
 On a curved chart the forward Jacobian DF(x) is exact: the Jacobi fields
 J(1) with J(0) = 0 and J'(0) = frame, integrated with the geodesic as its
 first variational equation under the same step control. A Newton step of
 the inverse is one such solve, which returns both F and DF at its trial
-point; the pullback metric takes the same DF.
+point; the pullback metric takes the same DF. Nothing here takes finite
+differences.
 
-The affine inverse and coordinate jets take q - p to the nearest image of
-the center, so they agree and are smooth on quotient charts. At the center
-of a curved chart the 2-jet of the inverse map is available in closed form
-(dPhi = frame^{-1}, Hess Phi^k = A^k_c Gamma^c_ab(p)). The off-centre jets
-and the pullback Christoffel symbols need second derivatives of the
-exponential map, which take one central-difference stencil: accurate but
-slow.
+The positivity-exit bump does not use this chart: it needs only the 2-jet
+of the normal coordinates at p, which second-order normal coordinates
+(`perturb.NormalCoordBump`) have in closed form.
 """
 
 from __future__ import annotations
@@ -29,9 +26,8 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import FrameNotOrthonormal, InversionFailure
-from .geometry import DEFAULT_TOLS, Tolerances, curvature_data
+from .geometry import DEFAULT_TOLS, Tolerances
 from .geodesics import geodesic
-from .jets import Jet2
 from .metric import MetricField
 
 _FRAME_TOL = 1e-9
@@ -148,40 +144,6 @@ class NormalChart:
         raise InversionFailure(
             f"no invertible radius found (down to {self.radius:.3g})")
 
-    # -- jets of the normal coordinate functions --------------------------------
-
-    def center_coord_jets(self) -> list[Jet2]:
-        """Exact 2-jets of x^k(.) at the center, in chart coordinates."""
-        a = self.frame_inv
-        gamma_p = curvature_data(self.field, self.p).gamma
-        hess = np.einsum("kc,cab->kab", a, gamma_p)
-        return [Jet2(0.0, a[k], hess[k]) for k in range(self.field.dim)]
-
-    def coord_jets(self, q, order: int = 2,
-                   fd_step: float = 2e-3) -> list[Jet2]:
-        """Jets of the normal coordinates at q (order 1: no Hessian). Affine
-        charts answer a point q (n,) or points (B, n), batch axis last;
-        curved charts one point, exactly at the center and by finite
-        differences of the Newton inverse elsewhere (slow)."""
-        q = np.asarray(q, dtype=float)
-        n = self.field.dim
-        if self.affine:
-            # x = A (q - p) summed term by term: a point and a batch
-            # round alike
-            dq = self.field.displacement(q, self.p).T
-            ones = np.ones(dq.shape[1:])
-            return [Jet2(sum(w * c for w, c in zip(row, dq)),
-                         np.multiply.outer(row, ones),
-                         np.zeros((n, n) + ones.shape) if order >= 2 else None)
-                    for row in self.frame_inv]
-        if np.linalg.norm(q - self.p) < 1e-14:
-            jets = self.center_coord_jets()
-        else:
-            x0, grad, hess = _central_differences(self.inverse, q, fd_step)
-            jets = [Jet2(float(x0[k]), grad[k], hess[k]) for k in range(n)]
-        return jets if order >= 2 else [Jet2(j.value, j.grad, None)
-                                        for j in jets]
-
     # -- pullback diagnostics -----------------------------------------------------
 
     def pullback_metric(self, x) -> np.ndarray:
@@ -192,37 +154,6 @@ class NormalChart:
         else:
             point, jac = self._forward_and_jacobian(x)
         return jac.T @ self.field.value(point) @ jac
-
-    def pullback_christoffel_origin(self, fd_step: float = 2e-3) -> np.ndarray:
-        """Gamma of the pulled-back metric at x = 0; should vanish."""
-        n = self.field.dim
-        if self.affine:
-            return np.zeros((n, n, n))
-        # d2 F^c / dx_i dx_j, with F(0) = p
-        _, _, hess_f = _central_differences(self.forward, np.zeros(n),
-                                            fd_step, fx=self.p)
-        gamma_p = curvature_data(self.field, self.p).gamma
-        ee = np.einsum("cab,ai,bj->cij", gamma_p, self.frame, self.frame)
-        return np.einsum("kc,cij->kij", self.frame_inv, hess_f + ee)
-
-
-def _central_differences(f, x, h: float, fx=None):
-    """Central differences of f at x with step h: (f(x), Jacobian, second
-    partials), f(x) taken first unless given as fx."""
-    x = np.asarray(x, dtype=float)
-    if fx is None:
-        fx = f(x)
-    steps = h * np.eye(len(x))
-    pm = np.array([(f(x + e), f(x - e)) for e in steps])
-    jac = ((pm[:, 0] - pm[:, 1]) / (2 * h)).T
-    hess = np.zeros(jac.shape + (len(x),))
-    for i, ei in enumerate(steps):
-        hess[:, i, i] = (pm[i, 0] - 2 * fx + pm[i, 1]) / h ** 2
-        for j, ej in enumerate(steps[i + 1:], start=i + 1):
-            hess[:, i, j] = hess[:, j, i] = (
-                f(x + ei + ej) - f(x + ei - ej)
-                - f(x - ei + ej) + f(x - ei - ej)) / (4 * h ** 2)
-    return fx, jac, hess
 
 
 def orthonormal_frame_from(field_: MetricField, p,

@@ -9,9 +9,9 @@ compactly supported phi built from a C^2 bump:
   ghat(Hhat, Hhat) > 0, so the perturbed metric is no longer weakly trapped.
 
 * positivity_exit_family: at a point with a causal v and non-collinear w
-  where Riem(w, v, v, w) = 0, a bump-extended function of the normal
-  coordinates makes Riem(g_n)(w, v, v, w) < 0, so the perturbed metric
-  leaves the weak curvature-positivity class.
+  where Riem(w, v, v, w) = 0, a bump-extended function of second-order
+  normal coordinates makes Riem(g_n)(w, v, v, w) < 0, so the perturbed
+  metric leaves the weak curvature-positivity class.
 
 Every certificate is computed twice (closed-form transformation law and
 direct recomputation on the rescaled metric) and recorded next to the
@@ -36,7 +36,7 @@ from .geometry import (DEFAULT_TOLS, TangentVector, Tolerances,
 from .jets import Jet2, compose
 from .metric import (ConformalScaledMetric, MetricField, exp_kernels,
                      product_jets)
-from .normal import NormalChart, orthonormal_frame_from
+from .normal import orthonormal_frame_from
 from .conformal import conformal_mean_curvature, conformal_riemann, rescale
 from .submanifold import (Embedding, MeanCurvature, mean_curvature,
                           normal_frame)
@@ -117,57 +117,98 @@ class BumpField(ScalarField):
 
 
 class NormalCoordBump(ScalarField):
-    """core(x(q)) * chi(|x(q)|^2 / rho^2) for normal coordinates x = chart^-1.
+    """core(x(q)) * chi(|x(q)|^2 / rho^2) on second-order normal coordinates.
 
-    Exact jets on affine charts and at the chart center; finite-difference
-    jets of the Newton inverse elsewhere (slow, diagnostics only). On affine
-    charts a point (n,) and points (B, n) take the same code, the batch in
-    one pass, with q - p to the nearest image of the center, so the bump is
-    smooth on quotient charts; curved charts answer points one at a time.
+    x = A (d + Gamma_p(d, d) / 2), with d = q - p (periodic axes to the
+    nearest image of p), A = frame^-1 and Gamma_p the Christoffel symbols
+    at p, has the 2-jet at p of the exponential map's normal coordinates
+    (so Gamma vanishes at p in x), and exact jets everywhere:
+    dx^k/dq^m = A^k_c (delta^c_m + Gamma^c_mb d^b), d2x^k = A^k_c Gamma^c_ab.
+    On constant-component charts Gamma_p = 0 and x = A d.
+
+    In frame components y = A d, x = y + Q(y, y) / 2 with
+    Q^k_ij = A^k_c Gamma^c_ab E^a_i E^b_j (E = frame); gamma = |Q|_F. For
+    |y| < 1/gamma, y -> x is injective and |x| >= |y| (1 - gamma |y| / 2).
+    The jets are exactly 0 where |x| >= rho or |y| >= 1/gamma, so no far
+    copy of the level set enters; rho <= 1/(2 gamma) keeps the field C^2,
+    and the default is min(`_default_rho`, 1/(4 gamma)). A point (n,) and
+    points (B, n) take the same code (batch axis last) and agree bit for
+    bit.
     """
 
-    def __init__(self, chart: NormalChart, core_text: str, rho: float):
-        self.chart = chart
-        self.dim = chart.field.dim
-        n = self.dim
-        self.coord_table = SymbolTable([f"n{k}" for k in range(n)])
-        self.core = parse(core_text, self.coord_table)
-        self.core_text = core_text
-        if rho <= 0:
-            raise RadiusError("bump radius must be positive")
+    def __init__(self, field_: MetricField, p, frame, core_text: str,
+                 rho: float | None = None):
+        self.field = field_
+        self.p = np.asarray(p, dtype=float)
+        self.frame = np.asarray(frame, dtype=float)     # columns e_i
+        self.dim = n = field_.dim
+        self.frame_inv = np.linalg.inv(self.frame)
+        self.gamma_p = np.zeros((n, n, n)) if field_.constant_components \
+            else curvature_data(field_, self.p).gamma
+        self.gamma = float(np.linalg.norm(np.einsum(
+            "kc,cab,ai,bj->kij", self.frame_inv, self.gamma_p, self.frame,
+            self.frame)))
+        limit = 0.5 / self.gamma if self.gamma else np.inf     # 1/(2 gamma)
+        if rho is None:
+            rho = min(_default_rho(field_.boundary_distance(self.p)),
+                      limit / 2)
+        if not 0 < rho <= limit:
+            raise RadiusError(
+                f"bump radius {rho:.3g} is not in (0, {limit:.3g}]")
         self.rho = float(rho)
+        for i, (lo, hi) in enumerate(self.support_box()):
+            dlo, dhi = field_.domain[i]
+            if field_.periods[i] is None and (lo < dlo or hi > dhi):
+                raise RadiusError(f"bump support [{lo:.3g}, {hi:.3g}] leaves "
+                                  f"the chart domain along axis {i}")
+        # the coordinates' Hessians are constant: exactly the 2-jet at p
+        self._coord_hess = np.einsum("kc,cab->kab", self.frame_inv,
+                                     self.gamma_p)
         # core(x) * chi(|x|^2 / rho^2) over the normal coordinates
-        r2 = parse(" + ".join(f"n{k}*n{k}" for k in range(n)),
-                   self.coord_table)
+        table = SymbolTable([f"n{k}" for k in range(n)])
+        r2 = parse(" + ".join(f"n{k}*n{k}" for k in range(n)), table)
         chi = Unary("cutoff", Binary("*", r2, Num(1.0 / self.rho ** 2)))
-        self._kernels = Kernels((Binary("*", self.core, chi),), n, shape=(),
-                                slots=[(0,)])
+        self._kernels = Kernels((Binary("*", parse(core_text, table), chi),),
+                                n, shape=(), slots=[(0,)])
+
+    def _coords(self, q, order: int) -> tuple[list[Jet2], np.ndarray]:
+        """The jets of x^k at a point q (n,) or points (B, n), batch axis
+        last, and |y|^2. Sums run term by term, so a point and a batch round
+        alike."""
+        n = self.dim
+        a, gam = self.frame_inv, self.gamma_p
+        d = self.field.displacement(q, self.p).T        # (n,) or (n, B)
+        ones = np.ones(d.shape[1:])
+        # gd[c, m] = Gamma^c_mb d^b; jac = delta + gd = d(d + Gamma(d, d)/2)/dq
+        gd = sum(np.multiply.outer(gam[:, :, b], d[b]) for b in range(n))
+        jac = np.multiply.outer(np.eye(n), ones) + gd
+        z = d + 0.5 * sum(gd[:, m] * d[m] for m in range(n))
+        x = sum(np.multiply.outer(a[:, c], z[c]) for c in range(n))
+        y = sum(np.multiply.outer(a[:, c], d[c]) for c in range(n))
+        grad = sum(np.multiply.outer(a[:, c], jac[c]) for c in range(n))
+        hess = np.multiply.outer(self._coord_hess, ones) \
+            if order >= 2 else [None] * n
+        return [Jet2(x[k], grad[k], hess[k]) for k in range(n)], \
+            sum(c * c for c in y)
 
     def jet2(self, q, order: int = 2) -> Jet2:
-        q = np.asarray(q, dtype=float)
-        if self.chart.affine:
-            seeds = self.chart.coord_jets(q, order)
-        elif q.ndim > 1:
-            return super().jet2(q, order)       # curved charts: point by point
-        else:
-            # the Newton inverse first: finite-difference jets only inside
-            x = self.chart.inverse(q)
-            seeds = self.chart.coord_jets(q, order) \
-                if float(x @ x) < self.rho ** 2 \
-                else [Jet2.constant(xk, self.dim, order) for xk in x]
+        seeds, y2 = self._coords(np.asarray(q, dtype=float), order)
         x = np.array([s.value for s in seeds]).T
         # outside the support the jets are exactly 0, and the core is taken
         # at x = 0 there: a far point cannot overflow it
-        inside = np.sum(x * x, axis=-1) < self.rho ** 2
+        inside = (np.sum(x * x, axis=-1) < self.rho ** 2) \
+            & (self.gamma ** 2 * y2 < 1.0)
         jets = self._kernels(np.where(inside[..., None], x, 0.0), order)
         return compose([None if part is None else part * inside
                         for part in jets], seeds)
 
     def support_box(self) -> list[tuple[float, float]]:
-        # image of the normal-coordinate ball under the (affine) chart map
-        spans = self.rho * np.linalg.norm(self.chart.frame, axis=1)
-        return [(float(c - s), float(c + s))
-                for c, s in zip(self.chart.p, spans)]
+        # the support lies in |y| < s, the root of s (1 - gamma s / 2) = rho
+        # (s = rho when gamma = 0), and q - p = E y
+        root = np.sqrt(max(0.0, 1.0 - 2.0 * self.gamma * self.rho))
+        spans = 2.0 * self.rho / (1.0 + root) * np.linalg.norm(self.frame,
+                                                                axis=1)
+        return [(float(c - s), float(c + s)) for c, s in zip(self.p, spans)]
 
 
 def bump(chart_field: MetricField, p, value: float, dphi,
@@ -491,9 +532,10 @@ def positivity_exit_family(field_: MetricField, p, v, w,
     """Family certifying exit from weak curvature positivity at p.
 
     The witness (v, w) must be causal-v, non-collinear-w with
-    Riem(w, v, v, w) = 0; the construction aligns a normal chart with v,
-    builds the case's function of the normal coordinates (bump-extended),
-    and certifies Riem(g_n)(w, v, v, w) < 0 for every n.
+    Riem(w, v, v, w) = 0; the construction aligns an orthonormal frame with
+    v, builds the case's function of the second-order normal coordinates of
+    that frame (bump-extended, `NormalCoordBump`), and certifies
+    Riem(g_n)(w, v, v, w) < 0 for every n.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -549,10 +591,7 @@ def positivity_exit_family(field_: MetricField, p, v, w,
             printed_form = "-4/n * g(w,w)"
         frame = orthonormal_frame_from(field_, p, first=t0, second=s)
 
-    chart = NormalChart(field_, p, frame, tols=tols)
-    if rho is None:
-        rho = min(_default_rho(field_.boundary_distance(p)), chart.radius)
-    phi = NormalCoordBump(chart, core, rho)
+    phi = NormalCoordBump(field_, p, frame, core, rho)
 
     wg_used = mv.inner(w_used, w_used)
     certificates = []
@@ -575,11 +614,8 @@ def positivity_exit_family(field_: MetricField, p, v, w,
             printed_value=float(printed), printed_form=printed_form,
             sign_expected=-1, agreement=float(agreement)))
 
-    if chart.affine:
-        seminorms = _seminorm_rows(field_, phi, n_max, phi.support_box(),
-                                   seminorm_grid)
-    else:
-        seminorms = []        # off-center jets of curved charts are FD-only
+    seminorms = _seminorm_rows(field_, phi, n_max, phi.support_box(),
+                               seminorm_grid)
     return PerturbationFamily(
         base=field_, phi=phi, kind="positivity-exit", case=case, point=p,
         n_max=n_max, certificates=certificates, seminorms=seminorms,
@@ -589,5 +625,5 @@ def positivity_exit_family(field_: MetricField, p, v, w,
             "g_ww_used": wg_used,
             "core": core,
             "bump_radius": phi.rho,
-            "chart_affine": chart.affine,
+            "chart_affine": field_.constant_components,
         })

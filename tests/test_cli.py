@@ -332,6 +332,27 @@ class TestCommands:
         assert code == 1
         assert "witness" in json.loads(text)["error"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("witness", ["v=1,0,0,0 w=0,0,0,0",
+                                         "v=0,0,0,0 w=0,0,1,0"])
+    def test_zero_witness_is_usage_error(self, witness, capsys):
+        code, text = run_cli(("perturb builtin:minkowski --theorem 4.2 --at "
+                              f"0,0,0,0 --witness {witness}").split())
+        assert code == 2 and text == ""
+        assert "must be nonzero" in capsys.readouterr().err
+
+    def test_desitter_positivity_exit_is_a_family(self):
+        """A curved chart: eight certificates -8/n and a seminorm table."""
+        code, rep = run_json(["perturb", "builtin:desitter", "--theorem",
+                              "4.2", "--at", "0,0,0,0", "--witness",
+                              "v=1,1,0,0", "w=0,0,1,0"])
+        assert code == 0 and rep["satisfied"]
+        fam = rep["family"]
+        assert [c["certificate"] for c in fam["certificates"]] == \
+            pytest.approx([-8.0 / n for n in range(1, 9)], rel=1e-12)
+        assert len(fam["seminorms"]) == 8
+        assert -1.1 <= fam["seminorm_slope_c2"] <= -0.9
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self):
@@ -635,6 +656,19 @@ def test_mutated_spec_files_keep_the_error_contract(tmp_path_factory, text):
         SCHEMA_VALIDATOR.validate(rep)
         assert code == 0 or "error_type" in rep
 
+
+def test_zero_orientation_is_a_param_error(tmp_path, capsys):
+    """A zero orientation vector is not timelike: the load exits 1 with a
+    JSON ParamError, never a ZeroDivisionError traceback."""
+    text = SPEC_FILE.read_text()
+    assert "orientation = 1, 0, 0, 0" in text
+    spec = tmp_path / "zero.st"
+    spec.write_text(text.replace("orientation = 1, 0, 0, 0",
+                                 "orientation = 0, 0, 0, 0", 1))
+    code, rep = run_json(["analyze", str(spec), "--at", "0,0,0,0"])
+    assert code == 1 and rep["error_type"] == "ParamError"
+    assert "not timelike" in rep["error"]
+    assert "Traceback" not in capsys.readouterr().err
 
 def test_expressions_past_the_depth_bound_are_syntax_errors(tmp_path,
                                                             capsys):

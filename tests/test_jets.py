@@ -279,7 +279,7 @@ def test_batched_conformal_and_vector_fields_match_points(bundles):
         (ExprScalarField("0.1*sin(r)*cos(theta) + 0.05*v", b.field.table),
          np.array_equal),
         (BumpField(b.field, center, 0.2, [0.3, -0.5, 0.1, 0.2], 0.8), _close),
-        (NormalCoordBump(NormalChart(minkowski_field(), center, np.eye(4)),
+        (NormalCoordBump(minkowski_field(), center, np.eye(4),
                          "exp(n0) + n1*n2", 0.8), _close),
     ]
     for factor, agree in factors:
@@ -427,7 +427,7 @@ def test_affine_normal_bump_jets_match_sympy(core):
                                    second=np.array([0.0, 1.0, 0.5, 0.0]))
     chart = NormalChart(f, center, frame)
     assert chart.affine
-    nb = NormalCoordBump(chart, core, 0.3)
+    nb = NormalCoordBump(f, center, frame, core, 0.3)
     q = sp.symbols("q0:4")
     a = chart.frame_inv
     x = [sum(sp.Rational(float(a[k, j])) * (q[j] - sp.Rational(float(center[j])))

@@ -5,8 +5,10 @@ import pytest
 
 from lorentzkit.errors import FrameNotOrthonormal
 from lorentzkit.expr import SymbolTable
+from lorentzkit.geometry import curvature_data
 from lorentzkit.metric import ExprMetricField
 from lorentzkit.normal import NormalChart, orthonormal_frame_from
+from lorentzkit.perturb import NormalCoordBump
 
 from conftest import fd_scalar_jet
 
@@ -38,8 +40,9 @@ class TestMinkowskiChart:
 
     def test_center_jets(self, bundles):
         f = bundles["minkowski"].field
-        chart = NormalChart(f, np.array([0.1, 0.2, 0.3, 0.4]), np.eye(4))
-        jets = chart.center_coord_jets()
+        p = np.array([0.1, 0.2, 0.3, 0.4])
+        jets = [NormalCoordBump(f, p, np.eye(4), f"n{k}").jet2(p)
+                for k in range(4)]
         for k, j in enumerate(jets):
             assert j.value == 0.0
             assert np.allclose(j.grad, np.eye(4)[k])
@@ -52,7 +55,22 @@ class TestCurvedCharts:
         p = np.array([0.0, 6.0, math.pi / 2, 0.0])
         frame = orthonormal_frame_from(b.field, p, first=np.array([1.0, 0, 0, 0]))
         chart = NormalChart(b.field, p, frame, radius=0.4)
-        gamma0 = chart.pullback_christoffel_origin()
+        # Gamma of the pulled-back metric at x = 0 is A (D2F + Gamma_p(E, E)),
+        # D2F from central differences of the forward map, F(0) = p
+        h = 2e-3
+        steps = h * np.eye(4)
+        d2f = np.zeros((4, 4, 4))
+        for i, ei in enumerate(steps):
+            d2f[:, i, i] = (chart.forward(ei) - 2 * p
+                            + chart.forward(-ei)) / h ** 2
+            for j, ej in enumerate(steps[i + 1:], start=i + 1):
+                d2f[:, i, j] = d2f[:, j, i] = (
+                    chart.forward(ei + ej) - chart.forward(ei - ej)
+                    - chart.forward(-ei + ej)
+                    + chart.forward(-ei - ej)) / (4 * h ** 2)
+        gamma_p = curvature_data(b.field, p).gamma
+        ee = np.einsum("cab,ai,bj->cij", gamma_p, frame, frame)
+        gamma0 = np.einsum("kc,cij->kij", np.linalg.inv(frame), d2f + ee)
         assert np.abs(gamma0).max() < 1e-6
 
     def test_schwarzschild_roundtrip(self, bundles):
@@ -97,12 +115,14 @@ class TestCurvedCharts:
             assert got == pytest.approx(expected, rel=1e-10)
 
     def test_center_coord_jets_match_fd(self, bundles):
-        """Closed-form 2-jet of the inverse vs finite differences."""
+        """The bump's second-order normal coordinates have the 2-jet at p of
+        the exponential map's inverse (by finite differences)."""
         b = bundles["schwarzschild_static"]
         p = np.array([0.0, 6.0, math.pi / 2, 0.0])
         frame = orthonormal_frame_from(b.field, p, first=np.array([1.0, 0, 0, 0]))
         chart = NormalChart(b.field, p, frame, radius=0.4)
-        jets = chart.center_coord_jets()
+        jets = [NormalCoordBump(b.field, p, frame, f"n{k}").jet2(p)
+                for k in range(4)]
         for k in range(4):
             _, grad_fd, hess_fd = fd_scalar_jet(
                 lambda q: chart.inverse(q)[k], p, h=5e-4)
@@ -170,11 +190,14 @@ class TestFlatSphericalChart:
 
 def test_affine_inverse_takes_the_nearest_periodic_image(bundles):
     """On the torus quotient the inverse of an affine chart wraps q to the
-    image nearest the center, as its coordinate jets do."""
+    image nearest the center, as the normal-coordinate bump does (its core
+    n_k is x^k where the cutoff is 1)."""
     f = bundles["torus_quotient"].field
-    chart = NormalChart(f, [0.0, 0.9, 0.5, 0.5], np.eye(4))
+    p = np.array([0.0, 0.9, 0.5, 0.5])
+    chart = NormalChart(f, p, np.eye(4))
     q = np.array([0.0, 0.05, 0.5, 0.5])
     x = chart.inverse(q)
     assert x[1] == pytest.approx(0.15)
-    assert np.allclose(x, [j.value for j in chart.coord_jets(q)],
-                       rtol=0.0, atol=1e-15)
+    assert np.allclose(
+        x, [NormalCoordBump(f, p, np.eye(4), f"n{k}", 0.5).value(q)
+            for k in range(4)], rtol=0.0, atol=1e-15)

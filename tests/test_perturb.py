@@ -92,10 +92,8 @@ class TestBumpField:
 
 class TestNormalCoordBump:
     def test_core_jets_at_center(self, bundles):
-        from lorentzkit.normal import NormalChart
         f = bundles["minkowski"].field
-        chart = NormalChart(f, np.zeros(4), np.eye(4))
-        nb = NormalCoordBump(chart, "exp(n0)", 0.4)
+        nb = NormalCoordBump(f, np.zeros(4), np.eye(4), "exp(n0)", 0.4)
         jet = nb.jet2(np.zeros(4))
         assert jet.value == pytest.approx(1.0)
         assert np.allclose(jet.grad, [1, 0, 0, 0])
@@ -104,10 +102,8 @@ class TestNormalCoordBump:
         assert np.allclose(jet.hess, hess)
 
     def test_zero_outside(self, bundles):
-        from lorentzkit.normal import NormalChart
         f = bundles["minkowski"].field
-        chart = NormalChart(f, np.zeros(4), np.eye(4))
-        nb = NormalCoordBump(chart, "n0^2", 0.3)
+        nb = NormalCoordBump(f, np.zeros(4), np.eye(4), "n0^2", 0.3)
         jet = nb.jet2(np.array([0.4, 0.0, 0, 0]))
         assert jet.value == 0.0 and np.abs(jet.hess).max() == 0.0
 
@@ -116,13 +112,132 @@ class TestNormalCoordBump:
     def test_zero_far_outside(self, bundles):
         """exp(n0) would overflow 800 units out; the cutoff is exactly 0
         there, so a point and a batch give 0 without evaluating it."""
-        chart = NormalChart(bundles["minkowski"].field, np.zeros(4), np.eye(4))
-        nb = NormalCoordBump(chart, "exp(n0)", 0.3)
+        nb = NormalCoordBump(bundles["minkowski"].field, np.zeros(4),
+                             np.eye(4), "exp(n0)", 0.3)
         far = np.array([800.0, 0.0, 0.0, 0.0])
         assert nb.jet2(far).value == 0.0
         batch = nb.jet2(np.array([far, [0.1, 0.0, 0.0, 0.0]]))
         assert batch.value[0] == 0.0 and not np.abs(batch.hess[..., 0]).any()
         assert batch.value[1] == pytest.approx(math.exp(0.1))
+
+
+
+class TestCurvedNormalCoordBump:
+    """On a curved chart the bump runs on second-order normal coordinates
+    x = A (d + Gamma_p(d, d) / 2): one code path for a point and a batch,
+    exactly 0 off its support."""
+
+    CASES = {
+        # (base, center, first and second frame seeds)
+        "desitter": (np.zeros(4), [1.0, 0, 0, 0], [0.0, 1, 0, 0]),
+        "schwarzschild_static": (np.array([0.0, 6.0, math.pi / 2, 0.0]),
+                                 [1.0, 0, 0, 0], [0.0, 1, 0, 0]),
+    }
+
+    def _bump(self, bundles, name, core="(n0 + n1)^2"):
+        p, first, second = self.CASES[name]
+        f = bundles[name].field
+        frame = orthonormal_frame_from(f, p, first=np.array(first),
+                                       second=np.array(second))
+        return NormalCoordBump(f, p, frame, core)
+
+    @staticmethod
+    def _frame_points(nb, radii, seed):
+        """p + E y for y at the given lengths in random directions."""
+        rng = np.random.default_rng(seed)
+        dirs = rng.normal(size=(len(radii), nb.dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        return nb.p + (np.asarray(radii)[:, None] * dirs) @ nb.frame.T
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_batch_equals_points_bit_for_bit(self, bundles, name, order):
+        nb = self._bump(bundles, name)
+        assert nb.gamma > 0
+        radii = nb.rho * np.array([0.0, 0.2, 0.5, 0.7, 0.9, 0.99, 1.0, 1.05,
+                                   1.2, 2.0, 5.0])
+        points = self._frame_points(nb, np.repeat(radii, 3), 19)
+        batch = nb.jet2(points, order)
+        for k, q in enumerate(points):
+            one = nb.jet2(q, order)
+            assert batch.value[k] == one.value
+            assert np.array_equal(batch.grad[..., k], one.grad)
+            assert order == 1 and one.hess is None and batch.hess is None \
+                or np.array_equal(batch.hess[..., k], one.hess)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exactly_zero_outside_the_support_box(self, bundles, name):
+        nb = self._bump(bundles, name)
+        box = np.array(nb.support_box())
+        lo, hi = box[:, 0], box[:, 1]
+        rng = np.random.default_rng(23)
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        points = mid + half * rng.uniform(-1.6, 1.6, size=(4000, nb.dim))
+        jet = nb.jet2(points, 2)
+        outside = ((points < lo) | (points > hi)).any(axis=1)
+        assert outside.sum() > 1000 and (jet.value[~outside] != 0).any()
+        assert not jet.value[outside].any()
+        assert not jet.grad[:, outside].any()
+        assert not jet.hess[:, :, outside].any()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("core", ["(n0 + n1)^2", "exp(n0) + n1*n2"])
+    def test_jets_match_finite_differences(self, bundles, name, core):
+        """Off the center, on the plateau and the ramp, the exact jets are
+        the derivatives of the field's own values."""
+        nb = self._bump(bundles, name, core)
+        points = self._frame_points(nb, nb.rho * np.array([0.2, 0.45, 0.6,
+                                                           0.8]), 31)
+        for q in points:
+            jet = nb.jet2(q)
+            value, grad, hess = fd_scalar_jet(nb.value, q, h=1e-4 * nb.rho)
+            assert jet.value == value
+            for got, want in ((jet.grad, grad), (jet.hess, hess)):
+                assert np.abs(got - want).max() < 1e-4 * (
+                    1.0 + np.abs(got).max())
+
+    def test_far_copy_of_the_level_set_is_cut(self, bundles):
+        """In de Sitter at 0 (H = 1, frame = identity) x^0 = y^0 + |y'|^2 / 2
+        and x^i = y^i (1 + y^0), so x vanishes again at y = (-1, sqrt 2, 0,
+        0), where |y| = sqrt 3 > 1/gamma: the jets there are 0."""
+        nb = self._bump(bundles, "desitter")
+        assert np.array_equal(nb.frame, np.eye(4)) and nb.gamma == 3.0
+        y = np.array([-1.0, math.sqrt(2.0), 0.0, 0.0])       # q - p = y
+        x = nb.frame_inv @ (y + 0.5 * np.einsum("cab,a,b->c", nb.gamma_p,
+                                                 y, y))
+        assert np.abs(x).max() < 1e-15
+        jet = nb.jet2(y)
+        assert jet.value == 0.0
+        assert not jet.grad.any() and not jet.hess.any()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_jets_are_continuous_across_the_radius(self, bundles, name):
+        """Along rays, the last point with a nonzero jet (|x| just below
+        rho, by bisection) has jets that are nearly 0, as the first point
+        past it has exactly."""
+        nb = self._bump(bundles, name)
+        jet = nb.jet2(self._frame_points(nb, nb.rho * np.linspace(0, 1, 50),
+                                         3))
+        scale = max(np.abs(part).max()
+                    for part in (jet.value, jet.grad, jet.hess))
+        rng = np.random.default_rng(29)
+        for _ in range(4):
+            u = rng.normal(size=nb.dim)
+            u /= np.linalg.norm(u)
+            ray = lambda t: nb.p + nb.frame @ (t * u)
+            nonzero = lambda t: bool(nb.jet2(ray(t)).hess.any())
+            lo, hi = 0.3 * nb.rho, 3.0 * nb.rho
+            assert nonzero(lo) and not nonzero(hi)
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if nonzero(mid):
+                    lo = mid
+                else:
+                    hi = mid
+            inner, outer = nb.jet2(ray(lo)), nb.jet2(ray(hi))
+            assert outer.value == 0.0 and not outer.grad.any()
+            for part in (inner.value, inner.grad, inner.hess):
+                assert np.abs(part).max() < 1e-6 * scale
 
 
 class TestSeminorm:
@@ -407,7 +522,7 @@ class TestBatchedScalarJets:
             f, p, first=np.array([1.0, 0.3, 0.1, 0.0]),
             second=np.array([0.0, 1.0, 0.5, 0.0]))
         chart = NormalChart(f, p, frame)
-        nb = NormalCoordBump(chart, core, 0.3)
+        nb = NormalCoordBump(f, p, frame, core, 0.3)
         rng = np.random.default_rng(7)
         # distances in normal coordinates: the chart is not an isometry of
         # the chart's Euclidean norm, so sample x and map it forward
@@ -582,8 +697,7 @@ class TestQuotientSeam:
         frame = orthonormal_frame_from(
             f, self.P, first=np.array([1.0, 0.4, 0.1, 0.0]),
             second=np.array([0.0, 1.0, 0.3, 0.0]))
-        return NormalCoordBump(NormalChart(f, self.P, frame), "(n0 + n1)^2",
-                               0.25)
+        return NormalCoordBump(f, self.P, frame, "(n0 + n1)^2", 0.25)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_normal_bump_is_periodic(self, bundles, order):
@@ -592,7 +706,8 @@ class TestQuotientSeam:
         # points in the support, which crosses the seam x1 = 1 = 0
         x = TestBatchedScalarJets._shell_points(
             np.zeros(4), nb.rho, rng, TestBatchedScalarJets.RADII)
-        points = np.array([nb.chart.forward(xk) for xk in x])
+        chart = NormalChart(nb.field, nb.p, nb.frame)
+        points = np.array([chart.forward(xk) for xk in x])
         assert (points[:, 1] > 1.0).any()
         images = [points + self.SHIFT,
                   bundles["torus_quotient"].field.canonicalize(points)]
@@ -659,3 +774,26 @@ def test_bump_default_radius_is_shared(bundles):
                                  seminorm_grid=3)
     assert fam.phi.rho == bump(mink, np.zeros(4), 0.0, np.zeros(4)).rho \
         == perturb.DEFAULT_RHO
+
+
+def test_schwarzschild_static_positivity_exit_is_pinned(bundles):
+    """A curved-chart family keeps the certificates of the exponential-map
+    chart bit for bit (its 2-jet at p is the same), and now publishes a
+    seminorm table that falls like 1/n."""
+    f = bundles["schwarzschild_static"].field
+    fam = positivity_exit_family(
+        f, np.array([0.0, 6.0, math.pi / 2, 0.0]),
+        np.array([1.0, 2.0 / 3.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0]))
+    assert fam.case == "null-spacelike" and not fam.detail["chart_affine"]
+    assert [c.value_direct.hex() for c in fam.certificates] == [
+        "-0x1.1fffffffffffep+8", "-0x1.1fffffffffffep+7",
+        "-0x1.7fffffffffffcp+6", "-0x1.1fffffffffffep+6",
+        "-0x1.ccccccccccccap+5", "-0x1.7fffffffffffdp+5",
+        "-0x1.4924924924922p+5", "-0x1.1fffffffffffep+5"]
+    assert [c.value_closed_form.hex() for c in fam.certificates] == [
+        "-0x1.1fffffffffffep+8", "-0x1.1ffffffffffffp+7",
+        "-0x1.7fffffffffffep+6", "-0x1.1fffffffffffep+6",
+        "-0x1.ccccccccccccap+5", "-0x1.7fffffffffffdp+5",
+        "-0x1.4924924924922p+5", "-0x1.1fffffffffffep+5"]
+    assert len(fam.seminorms) == 8
+    assert -1.1 <= fam.seminorm_slope(2) <= -0.9
