@@ -72,12 +72,14 @@ def _positive_int(text: str) -> int:
 
 def _sized(flag: str, vec: np.ndarray, dim: int,
            nonzero: bool = False) -> np.ndarray:
-    """vec, after checking it has `dim` components (and is nonzero)."""
+    """vec, after checking it has `dim` components (and is nonzero: a
+    vector whose squared norm underflows to 0 is zero to the solvers)."""
     if vec.shape[0] != dim:
         raise argparse.ArgumentTypeError(
             f"{flag} needs {dim} components, got {vec.shape[0]}")
-    if nonzero and not np.any(vec):
-        raise argparse.ArgumentTypeError(f"{flag} must be nonzero")
+    if nonzero and float(vec @ vec) == 0.0:
+        raise argparse.ArgumentTypeError(
+            f"{flag} must be nonzero, with a squared norm above 0")
     return vec
 
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import NotApplicable, ParamError
+from .errors import NotApplicable, ParamError, batch_or_replay
 from .fields import ScalarField, VectorField
 from .geodesics import geodesic, parallel_transport
 from .geometry import (DEFAULT_TOLS, CurvatureData, Tolerances, complement,
@@ -492,8 +492,11 @@ def gs_trace(field_: MetricField, emb: Embedding, u0, direction,
 
     gamma starts on the submanifold with the given future causal normal
     velocity; E_a are the parallel-transported coordinate tangents, whose
-    Gram matrix g_ab stays constant along the curve. Returns the sampled
-    minimum and the first parameter where the trace dips below -tau_cond.
+    Gram matrix g_ab stays constant along the curve. The n_samples points,
+    velocities and frames are read in one call each and their curvature in
+    one batched pass (`batch_or_replay`: a failing sample raises its own
+    error). Returns the sampled minimum and the first parameter where the
+    trace dips below -tau_cond.
     """
     u0 = np.asarray(u0, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -513,26 +516,26 @@ def gs_trace(field_: MetricField, emb: Embedding, u0, direction,
     gram = jac.T @ g0 @ jac
     gram_inv = np.linalg.inv(0.5 * (gram + gram.T))
 
-    traces = []
-    first_negative = None
-    for s, x, xdot in sol.samples(n_samples):
-        frame = transport.evaluate(s)
-        data = curvature_data(field_, x)
-        tr = float(np.einsum("ab,ijkl,i,ja,kb,l->", gram_inv, data.riem,
-                             xdot, frame, frame, xdot))
-        traces.append((s, tr))
-        if first_negative is None and tr < -tols.tau_cond:
-            first_negative = {"s": s, "trace": tr,
-                              "point": [float(c) for c in x]}
-    values = np.array([t for _, t in traces])
+    def trace(x, xdot, frame):
+        return np.einsum("ab,...ijkl,...i,...ja,...kb,...l->...", gram_inv,
+                         curvature_data(field_, x).riem, xdot, frame, frame,
+                         xdot, optimize=True)
+
+    s = np.linspace(0.0, sol.t_reached, n_samples)
+    x, xdot = sol.evaluate(s)
+    values = batch_or_replay(trace, x, xdot, transport.evaluate(s))
+    below = np.flatnonzero(values < -tols.tau_cond)
+    first_negative = None if not below.size else {
+        "s": float(s[below[0]]), "trace": float(values[below[0]]),
+        "point": x[below[0]].tolist()}
     i_min = int(np.argmin(values))
     return {
         "condition": "trace-along-normal-geodesic",
         "min_trace": float(values[i_min]),
         "max_abs_trace": float(np.abs(values).max()),
-        "argmin_s": float(traces[i_min][0]),
+        "argmin_s": float(s[i_min]),
         "first_negative": first_negative,
-        "samples": len(traces),
+        "samples": len(values),
         "chart_exit": sol.chart_exit,
         "length_reached": sol.t_reached,
         "gram_constant_drift": transport.product_drift,

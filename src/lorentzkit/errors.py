@@ -2,11 +2,30 @@
 
 Every failure mode that callers are expected to handle gets its own class;
 all inherit from LorentzkitError so `except LorentzkitError` catches the lot.
+`batch_or_replay` keeps that contract for batched kernels: a batch that
+fails is replayed point by point, so the error is the failing point's own.
 """
+
+import numpy as np
 
 
 class LorentzkitError(Exception):
     pass
+
+
+def batch_or_replay(fn, *stacks):
+    """fn(*stacks) on stacks with a leading batch axis, in one call.
+
+    When the batch raises a LorentzkitError, an ArithmeticError or a
+    ValueError, fn runs on the rows one by one (each a point, not a batch
+    of one) and the results are stacked, so the first failing row raises
+    its own error: a batched kernel can fail differently, with numpy's
+    overflow where the point's `math` raises a DomainError.
+    """
+    try:
+        return fn(*stacks)
+    except (LorentzkitError, ArithmeticError, ValueError):
+        return np.array([fn(*row) for row in zip(*stacks)])
 
 
 # --- expression layer -------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LorentzkitError, StepFailure, ToleranceExceeded
+from .errors import StepFailure, ToleranceExceeded, batch_or_replay
 from .geometry import DEFAULT_TOLS, Tolerances
 from .metric import MetricField
 from .tensors import invert_metric
@@ -95,16 +95,6 @@ def _transport_rhs(field_: MetricField, solution, m: int):
     return rhs
 
 
-def _metric_values(field_: MetricField, points: np.ndarray) -> np.ndarray:
-    """g at points (B, n) in one batched query. An error (or numpy's
-    overflow in the batched kernel) re-runs the points one by one, so the
-    first failing point raises its own error."""
-    try:
-        return field_.value(points)
-    except (LorentzkitError, ArithmeticError, ValueError):
-        return np.array([field_.value(x) for x in points])
-
-
 def _boundary_events(field_: MetricField, margin: float = 0.0):
     events = []
     n = field_.dim
@@ -139,11 +129,13 @@ class GeodesicSolution:
     _dense: object
     refinements: int = 0          # 1 when the first attempt was discarded
 
-    def evaluate(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """Raw (unwrapped) point and velocity at affine parameter s."""
+    def evaluate(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """Raw (unwrapped) point and velocity at affine parameter s, (n,)
+        each; parameters s (B,) give points and velocities (B, n) from one
+        dense-output call, equal to the calls one s at a time."""
         n = self.field.dim
-        y = self._dense(float(np.clip(s, 0.0, self.t_reached)))
-        return y[:n], y[n:2 * n]
+        y = self._dense(np.clip(s, 0.0, self.t_reached))
+        return y[:n].T, y[n:2 * n].T
 
     def jacobi(self, s: float) -> np.ndarray:
         """The Jacobi fields J (n, m) at affine parameter s, of a solution
@@ -157,9 +149,9 @@ class GeodesicSolution:
         return self.field.canonicalize(x) if canonical else x
 
     def samples(self, num: int = 200):
-        for s in np.linspace(0.0, self.t_reached, num):
-            x, xdot = self.evaluate(s)
-            yield float(s), x, xdot
+        """(s, x, x') at num parameters from 0 to t_reached, read at once."""
+        s = np.linspace(0.0, self.t_reached, num)
+        return zip(s.tolist(), *self.evaluate(s))
 
 
 def geodesic(field_: MetricField, p, v, t_end: float,
@@ -206,7 +198,7 @@ def geodesic(field_: MetricField, p, v, t_end: float,
     q0 = float(v @ g0 @ v)
     y = sol.sol(np.linspace(0.0, t_reached, 33))
     x, xdot = y[:n].T, y[n:2 * n].T
-    q = np.einsum("bi,bij,bj->b", xdot, _metric_values(field_, x), xdot)
+    q = np.einsum("bi,bij,bj->b", xdot, batch_or_replay(field_.value, x), xdot)
     drift = float(np.max(np.abs(q - q0)))
     budget = tols.eps_geo * (1.0 + abs(q0))
     if drift > budget:
@@ -235,10 +227,12 @@ class TransportSolution:
     _dense: object
     refinements: int = 0          # 1 when the first attempt was discarded
 
-    def evaluate(self, s: float) -> np.ndarray:
+    def evaluate(self, s) -> np.ndarray:
+        """The transported w0, (n,) or (n, m), at affine parameter s;
+        parameters s (B,) give (B, n) or (B, n, m) from one call."""
         n = self.geodesic.field.dim
-        w = self._dense(float(np.clip(s, 0.0, self.geodesic.t_reached)))
-        return w.reshape(n, -1) if self.w0.ndim == 2 else w
+        w = self._dense(np.clip(s, 0.0, self.geodesic.t_reached)).T
+        return w.reshape(w.shape[:-1] + (n, -1)) if self.w0.ndim == 2 else w
 
 
 def parallel_transport(field_: MetricField, solution: GeodesicSolution, w0,
@@ -271,11 +265,10 @@ def parallel_transport(field_: MetricField, solution: GeodesicSolution, w0,
     base = np.hstack([cols, solution.v0[:, None]])
     prod0 = base.T @ g0 @ base
     ts = np.linspace(0.0, solution.t_reached, 17)
-    y = solution._dense(ts)
-    x, xdot = y[:n].T, y[n:2 * n].T
+    x, xdot = solution.evaluate(ts)
     stack = np.concatenate([sol.sol(ts).T.reshape(-1, n, m),
                             xdot[:, :, None]], axis=2)
-    g = _metric_values(field_, x)
+    g = batch_or_replay(field_.value, x)
     diff = np.abs(np.einsum("bia,bij,bjc->bac", stack, g, stack) - prod0)
     drift, curve_drift = float(np.max(diff)), float(np.max(diff[:, -1, -1]))
     budget = tols.eps_geo * (1.0 + float(np.max(np.abs(prod0))))

@@ -87,12 +87,14 @@ class CausalClass:
         return f"{self.kind}, {self.orientation}-directed"
 
 
-# --- pointwise curvature ------------------------------------------------------
+# --- curvature ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CurvatureData:
-    """Everything curvature-related at one point, computed in one pass."""
+    """Everything curvature-related at one point, computed in one pass; from
+    points (B, n), every field carries the batch axis first (`index` is then
+    an array (B,)). The methods take one point's data."""
 
     point: np.ndarray
     g: np.ndarray          # (n, n)
@@ -100,11 +102,11 @@ class CurvatureData:
     gamma: np.ndarray      # (k, i, j) = Gamma^k_ij
     riem: np.ndarray       # (i, j, k, l), fully covariant, convention above
     ric: np.ndarray        # (j, k)
-    index: int
+    index: int | np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
     def inner(self, v, w) -> float:
         return float(np.asarray(v) @ self.g @ np.asarray(w))
@@ -149,6 +151,8 @@ def christoffel_from_jets(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 
 
 def curvature_data(field_: MetricField, p) -> CurvatureData:
+    """Curvature at a point p (n,), or at points (B, n) in one pass, with
+    the batch axis first on every field of the result."""
     p = np.asarray(p, dtype=float)
     g, dg, d2g = field_.component_jets(p, order=2)
     mv = MetricValue.from_matrix(g)
@@ -156,22 +160,21 @@ def curvature_data(field_: MetricField, p) -> CurvatureData:
     gamma = christoffel_from_jets(g_inv, dg)
 
     # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}
-    dginv = -np.einsum("ka,mab,bl->mkl", g_inv, dg, g_inv)
+    dginv = -np.einsum("...ka,...mab,...bl->...mkl", g_inv, dg, g_inv)
     # D[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij and its derivative
-    d_sym = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-    dd_sym = (d2g + np.transpose(d2g, (0, 2, 1, 3))
-              - np.transpose(d2g, (0, 2, 3, 1)))
+    d_sym = dg + dg.swapaxes(-3, -2) - np.moveaxis(dg, -3, -1)
+    dd_sym = d2g + d2g.swapaxes(-3, -2) - np.moveaxis(d2g, -3, -1)
     # dGamma[m, k, i, j] = d_m Gamma^k_ij
-    dgamma = 0.5 * (np.einsum("mkl,ijl->mkij", dginv, d_sym)
-                    + np.einsum("kl,mijl->mkij", g_inv, dd_sym))
+    dgamma = 0.5 * (np.einsum("...mkl,...ijl->...mkij", dginv, d_sym)
+                    + np.einsum("...kl,...mijl->...mkij", g_inv, dd_sym))
 
-    rup = (np.einsum("kilj->ijkl", dgamma)
-           - np.einsum("likj->ijkl", dgamma)
-           + np.einsum("ikm,mlj->ijkl", gamma, gamma)
-           - np.einsum("ilm,mkj->ijkl", gamma, gamma))
-    riem = -np.einsum("im,mjkl->ijkl", g, rup)
-    ric = np.einsum("il,ijkl->jk", g_inv, riem)
-    ric = 0.5 * (ric + ric.T)
+    rup = (np.einsum("...kilj->...ijkl", dgamma)
+           - np.einsum("...likj->...ijkl", dgamma)
+           + np.einsum("...ikm,...mlj->...ijkl", gamma, gamma)
+           - np.einsum("...ilm,...mkj->...ijkl", gamma, gamma))
+    riem = -np.einsum("...im,...mjkl->...ijkl", g, rup)
+    ric = np.einsum("...il,...ijkl->...jk", g_inv, riem)
+    ric = 0.5 * (ric + ric.swapaxes(-1, -2))
     return CurvatureData(point=p, g=g, g_inv=g_inv, gamma=gamma,
                          riem=riem, ric=ric, index=mv.index)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lorentzkit.geodesics as geodesics
@@ -655,6 +655,111 @@ def test_mutated_spec_files_keep_the_error_contract(tmp_path_factory, text):
         rep = json.loads(out)
         SCHEMA_VALIDATOR.validate(rep)
         assert code == 0 or "error_type" in rep
+
+
+_NUMBER = st.one_of(st.floats(-3.0, 3.0).map(repr), st.sampled_from(
+    ["0", "1", "-1", "0.5", "1.5", "3", "1e-300", "1e300", "1e400", "nan",
+     "inf", "-inf", "", "x"]))
+
+
+def _vector(size):
+    """Comma-joined numbers: mostly `size` finite ones, sometimes another
+    length or a bad token."""
+    return st.one_of(
+        st.lists(st.floats(-3.0, 3.0).map(repr), min_size=size,
+                 max_size=size),
+        st.lists(st.floats(-3.0, 3.0).map(repr), min_size=size,
+                 max_size=size),
+        st.lists(_NUMBER, min_size=1, max_size=5)).map(",".join)
+
+
+# the four-dimensional spacetimes, the spec file, and two that do not load
+_SPECS = st.sampled_from([f"builtin:{name}" for name in CATALOG_NAMES]
+                         + [str(SPEC_FILE), "builtin:nope", "missing.st"])
+# at most 1: every example integrates quickly
+_LENGTH = st.one_of(st.floats(1e-3, 1.0).map(repr),
+                    st.floats(1e-3, 1.0).map(repr),
+                    st.sampled_from(["1", "0", "-0.5", "nan", "1e-9", "x"]))
+
+
+def _flag(name, value):
+    """A flag and its value, left out when the value is None."""
+    return [] if value is None else [f"{name}={value}"]
+
+
+def _mostly(strategy):
+    """The strategy, or (about one time in eight) None: a missing flag."""
+    return st.sampled_from([True] * 7 + [False]).flatmap(
+        lambda keep: strategy if keep else st.none())
+
+
+# submanifolds of each spec that loads; a draw of None asks for "nope",
+# which no spec has
+_SUBMANIFOLDS = {
+    "builtin:minkowski": ["sphere", "plane"],
+    "builtin:torus_quotient": ["S", "Pi"],
+    "builtin:schwarzschild_ef": ["inner_sphere", "horizon_sphere"],
+    "builtin:schwarzschild_static": ["far_sphere"],
+    "builtin:flrw_dust": ["sphere"],
+    "builtin:desitter": ["sphere"],
+    "builtin:null_H_demo": ["sheet"],
+    str(SPEC_FILE): ["horizon"],
+}
+
+
+@st.composite
+def _gs_argv(draw):
+    spec = draw(_SPECS)
+    sub = draw(_mostly(st.sampled_from(_SUBMANIFOLDS.get(spec, ["sphere"]))))
+    sub = "nope" if sub is None else sub
+    direction = st.one_of(st.sampled_from(["1,0,0,0", "0,-1,0,0",
+                                           "1,0.2,0,0"]), _vector(4))
+    return (["gs", spec, "--submanifold", sub]
+            + _flag("--at", draw(_mostly(_vector(2))))
+            + _flag("--dir", draw(_mostly(direction)))
+            + _flag("--length", draw(st.none() | _LENGTH)))
+
+
+@st.composite
+def _geodesic_argv(draw):
+    transport = draw(st.none() | st.lists(_vector(4), min_size=1, max_size=2)
+                     .map(";".join))
+    return (["geodesic", draw(_SPECS)]
+            + _flag("--from", draw(_mostly(_vector(4))))
+            + _flag("--dir", draw(_mostly(_vector(4))))
+            + _flag("--length", draw(st.none() | _LENGTH))
+            + _flag("--transport", transport))
+
+
+def _keeps_the_error_contract(argv):
+    """Exit 0, 1 or 2 with no traceback; a report is schema-valid JSON."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        SCHEMA_VALIDATOR.validate(json.loads(out))
+
+
+# a direction whose squared norm underflows to 0 is refused as zero
+_TINY_DIR = "--dir=0.0,0.0,0.0,1.6783824282020422e-242"
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_gs_argv())
+@example(argv=["gs", "builtin:minkowski", "--submanifold", "sphere",
+               "--at=1.5,0.5", _TINY_DIR])
+def test_gs_argv_keeps_the_error_contract(argv):
+    _keeps_the_error_contract(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_geodesic_argv())
+@example(argv=["geodesic", "builtin:minkowski", "--from=0.0,0.0,0.0,0.0",
+               _TINY_DIR])
+def test_geodesic_argv_keeps_the_error_contract(argv):
+    _keeps_the_error_contract(argv)
 
 
 def test_zero_orientation_is_a_param_error(tmp_path, capsys):

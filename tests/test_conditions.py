@@ -1,6 +1,7 @@
 """Region checkers, the inclusion audit, the trace condition, certificates."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from lorentzkit.conditions import (Region, gs_trace, inclusion_audit,
                                    temporal_certificate, tidal_condition)
 from lorentzkit.errors import NotApplicable, NotCausal, ParamError
 from lorentzkit.fields import ExprScalarField
-from lorentzkit.geometry import (TangentVector, curvature_data, lorentz_frame,
-                                 tidal)
+from lorentzkit.geodesics import geodesic, parallel_transport
+from lorentzkit.geometry import (DEFAULT_TOLS, TangentVector, curvature_data,
+                                 lorentz_frame, tidal)
+from lorentzkit.specfile import load_spec
+from lorentzkit.submanifold import null_frame_and_expansions
 
 from conftest import CATALOG_NAMES, region_points
 
@@ -550,6 +554,103 @@ class TestGsTrace:
         with pytest.raises(NotApplicable):
             gs_trace(b.field, b.submanifolds["sphere"], [math.pi / 2, 0.0],
                      radial, 1.0)
+
+
+def _gs_one_at_a_time(field, emb, u0, direction, length, n_samples=200):
+    """gs_trace's samples as they ran one at a time: scalar reads of the
+    curve and the transported frame, one curvature_data call and one
+    six-operand einsum per sample. (s, trace, point) triples."""
+    x0, jac, _ = emb.first_second(np.asarray(u0, dtype=float))
+    g0 = field.value(x0)
+    sol = geodesic(field, x0, direction, length)
+    transport = parallel_transport(field, sol, jac)
+    gram = jac.T @ g0 @ jac
+    gram_inv = np.linalg.inv(0.5 * (gram + gram.T))
+    out = []
+    for s in np.linspace(0.0, sol.t_reached, n_samples):
+        x, xdot = sol.evaluate(float(s))
+        frame = transport.evaluate(float(s))
+        tr = float(np.einsum("ab,ijkl,i,ja,kb,l->", gram_inv,
+                             curvature_data(field, x).riem, xdot, frame,
+                             frame, xdot))
+        out.append((float(s), tr, x))
+    return out
+
+
+def _gs_cases():
+    from lorentzkit import catalog
+    u0 = [math.pi / 2, 0.5]
+    ds = catalog.load("desitter")
+    dust = catalog.load("flrw_dust")
+    a_s = dust.params["s_ref"] ** (2.0 / 3.0)
+    spec = load_spec(str(Path(__file__).resolve().parents[1] / "perfbench"
+                         / "spacetimes" / "contracting_desitter.st"))
+    ef = catalog.load("schwarzschild_ef")
+    horizon = ef.submanifolds["horizon_sphere"]
+    frame, _, _ = null_frame_and_expansions(
+        ef.field, ef.orientation, horizon, [1.2, 0.4],
+        ef.hints["horizon_sphere"])
+    return {
+        "desitter": (ds.field, ds.submanifolds["sphere"], u0,
+                     np.array([1.0, 0.0, 0.0, 0.0]), 1.0),
+        "flrw_dust": (dust.field, dust.submanifolds["sphere"], u0,
+                      np.array([1.0, math.cos(0.5) / a_s,
+                                math.sin(0.5) / a_s, 0.0]), 1.0),
+        "spec-horizon": (spec.field, spec.submanifolds["horizon"],
+                         [1.4, 0.3], np.array([1.0, 0.0, 0.0, 0.0]), 0.5),
+        # the ingoing null normal of the Schwarzschild horizon
+        "ef-horizon-null": (ef.field, horizon, [1.2, 0.4], frame.k_minus,
+                            1.0),
+    }
+
+
+@pytest.mark.parametrize("case", ["desitter", "flrw_dust", "spec-horizon",
+                                  "ef-horizon-null"])
+def test_gs_trace_matches_the_samples_one_at_a_time(case):
+    """The batched pass reads the same samples: equal sample count, argmin
+    and first negative parameter, and every number within 1e-12 of the
+    loop relative to the trace's scale (or absolute below 1)."""
+    args = _gs_cases()[case]
+    rep = gs_trace(*args)
+    ref = _gs_one_at_a_time(*args)
+    values = np.array([t for _, t, _ in ref])
+    tol = 1e-12 * max(1.0, np.abs(values).max())
+    i_min = int(np.argmin(values))
+    assert rep["samples"] == len(ref)
+    assert rep["argmin_s"] == ref[i_min][0]
+    assert abs(rep["min_trace"] - values[i_min]) <= tol
+    assert abs(rep["max_abs_trace"] - np.abs(values).max()) <= tol
+    below = [r for r in ref if r[1] < -DEFAULT_TOLS.tau_cond]
+    if not below:
+        assert rep["first_negative"] is None
+    else:
+        s, tr, x = below[0]
+        assert rep["first_negative"]["s"] == s
+        assert abs(rep["first_negative"]["trace"] - tr) <= tol
+        assert rep["first_negative"]["point"] == x.tolist()
+    if case == "desitter":
+        # constant curvature H = 1: trace = -m H^2 from the first sample on
+        assert rep["first_negative"]["s"] == 0.0
+        assert rep["min_trace"] == pytest.approx(-2.0, rel=1e-6)
+    if case == "flrw_dust":
+        assert rep["first_negative"] is None
+
+
+def test_gs_trace_reads_its_curvature_in_one_batch(monkeypatch):
+    """On a curve where no sample fails, the 200 samples take one
+    curvature_data call: a fallback to the point-by-point replay would
+    give the same numbers 200 calls later."""
+    import lorentzkit.conditions as conditions
+    calls = []
+
+    def counted(field_, p):
+        calls.append(np.shape(p))
+        return curvature_data(field_, p)
+
+    monkeypatch.setattr(conditions, "curvature_data", counted)
+    rep = gs_trace(*_gs_cases()["ef-horizon-null"])
+    assert rep["samples"] == 200
+    assert calls == [(200, 4)]
 
 
 class TestCertificates:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import lorentzkit.geodesics as geodesics
-from lorentzkit.errors import DomainError, SingularMetric, ToleranceExceeded
+from lorentzkit.errors import (DomainError, SingularMetric,
+                               ToleranceExceeded, batch_or_replay)
 from lorentzkit.expr import SymbolTable
-from lorentzkit.geodesics import (_geodesic_rhs, _metric_values,
-                                  _transport_rhs, _variational_rhs, geodesic,
+from lorentzkit.geodesics import (_geodesic_rhs, _transport_rhs,
+                                  _variational_rhs, geodesic,
                                   parallel_transport)
 from lorentzkit.geometry import Tolerances
 from lorentzkit.metric import ExprMetricField
@@ -119,6 +120,28 @@ class TestGeodesic:
         canon = sol.point(3.0, canonical=True)
         assert raw[1] == pytest.approx(2.1, abs=1e-9)       # covering chart
         assert canon[1] == pytest.approx(0.1, abs=1e-9)     # wrapped
+
+
+@pytest.mark.parametrize("w0", [np.array([0.0, 1.0, 0.0, 0.0]),
+                                np.eye(4)[:, 1:3]], ids=["vector", "frame"])
+def test_array_reads_equal_the_reads_one_at_a_time(bundles, w0):
+    """evaluate on parameters (B,) is one dense-output call whose rows are
+    bit for bit the scalar calls, clipped to [0, t_reached] alike."""
+    f = bundles["schwarzschild_ef"].field
+    sol = geodesic(f, [0.0, 3.0, 1.5, 0.3], [1.0, -1.0, 0.0, 0.1], 1.0)
+    tr = parallel_transport(f, sol, w0)
+    s = np.concatenate([[-0.5], np.linspace(0.0, sol.t_reached, 33), [9.0]])
+    x, xdot = sol.evaluate(s)
+    w = tr.evaluate(s)
+    assert x.shape == xdot.shape == (35, 4)
+    assert w.shape == (35,) + w0.shape
+    for i, si in enumerate(s):
+        x1, xdot1 = sol.evaluate(float(si))
+        assert np.array_equal(x[i], x1) and np.array_equal(xdot[i], xdot1)
+        assert np.array_equal(w[i], tr.evaluate(float(si)))
+    for (si, xi, vi), j in zip(sol.samples(33), range(1, 34)):
+        assert si == s[j]
+        assert np.array_equal(xi, x[j]) and np.array_equal(vi, xdot[j])
 
 
 class TestParallelTransport:
@@ -357,7 +380,7 @@ class TestRightHandSides:
         with pytest.raises(DomainError) as alone:
             field.value(points[1])
         with pytest.raises(DomainError) as sampled:
-            _metric_values(field, points)
+            batch_or_replay(field.value, points)
         assert str(sampled.value) == str(alone.value)
-        assert np.array_equal(_metric_values(field, points[[0, 2]]),
+        assert np.array_equal(batch_or_replay(field.value, points[[0, 2]]),
                               [field.value(points[0]), field.value(points[2])])

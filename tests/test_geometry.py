@@ -1,17 +1,21 @@
 """Curvature, causal classification, tidal operators, generic condition."""
 
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lorentzkit.errors import NotCausal, OrientationError
+from lorentzkit.errors import (DomainError, NotCausal, OrientationError,
+                               batch_or_replay)
 from lorentzkit.expr import SymbolTable
 from lorentzkit.geometry import (TangentVector, causal_class, christoffel,
                                  curvature_data, generic_check, ricci,
                                  riemann, signature, tidal)
 from lorentzkit.geodesics import geodesic
 from lorentzkit.metric import ExprMetricField
+from lorentzkit.specfile import load_spec
 from lorentzkit.tensors import invert_metric
 
 from conftest import CATALOG_NAMES, fd_metric_first, region_points
@@ -292,3 +296,79 @@ def test_generic_check_detects_null_curves_in_dust(bundles):
     sol = geodesic(b.field, [s0, 0, 0, 0], [1.0, 1.0 / a, 0, 0], 0.1 * s0)
     res = generic_check(b.field, sol)
     assert res.satisfied and res.parameter == 0.0
+
+
+SPEC_FILE = (Path(__file__).resolve().parents[1] / "perfbench" / "spacetimes"
+             / "contracting_desitter.st")
+CURVATURE_FIELDS = ("g", "g_inv", "gamma", "riem", "ric", "index")
+METRICS = CATALOG_NAMES + ("contracting_desitter.st",)
+
+
+class TestBatchedCurvature:
+    """curvature_data on points (B, n) against one call per point.
+
+    The curvature algebra adds no rounding of its own: from the same jets a
+    batch and its points agree bit for bit on every metric. The jets agree
+    bit for bit only where the metric uses operations whose batched (numpy)
+    and point (math) kernels round alike; `desitter` and the spec file
+    (exp) and `flrw_dust` (s^(4/3)) can move by an ulp (the `CHANGES.md`
+    FOUND on `expr.Kernel`), so those hold to 1e-12 relative.
+    """
+
+    @pytest.fixture(scope="class")
+    def batches(self, bundles):
+        metrics = dict(bundles)
+        metrics["contracting_desitter.st"] = load_spec(str(SPEC_FILE))
+        out = {}
+        for name, b in metrics.items():
+            pts = region_points(b, 32, seed=20)
+            out[name] = (b.field, pts, curvature_data(b.field, pts))
+        return out
+
+    @pytest.mark.parametrize("name", METRICS)
+    def test_batch_matches_points(self, batches, name):
+        field, pts, batch = batches[name]
+        assert batch.riem.shape == (32,) + (field.dim,) * 4
+        exact = name in ("minkowski", "torus_quotient", "schwarzschild_ef",
+                         "schwarzschild_static", "null_H_demo")
+        for i, p in enumerate(pts):
+            one = curvature_data(field, p)
+            for f in CURVATURE_FIELDS:
+                want, got = getattr(one, f), getattr(batch, f)[i]
+                if exact:
+                    assert np.array_equal(got, want), (f, i)
+                else:
+                    scale = max(np.abs(want).max(), 1e-300)
+                    assert np.abs(got - want).max() <= 1e-12 * scale, (f, i)
+
+    @pytest.mark.parametrize("name", METRICS)
+    def test_same_jets_give_the_same_bits(self, batches, name):
+        field, pts, batch = batches[name]
+        jets = field.component_jets(pts, order=2)
+        for i, p in enumerate(pts):
+            ith = SimpleNamespace(component_jets=lambda _p, order, i=i:
+                                  tuple(a[i] for a in jets))
+            one = curvature_data(ith, p)
+            for f in CURVATURE_FIELDS:
+                assert np.array_equal(getattr(batch, f)[i], getattr(one, f))
+
+
+def test_a_failing_curvature_sample_raises_its_own_error():
+    """One exp(x) point at x = 800 in a batch: the batch overflows in numpy,
+    and the replay raises the point's own DomainError (math's range
+    error); a batch without it is the batch's own result."""
+    table = SymbolTable(["t", "x"])
+    field = ExprMetricField(table, {(0, 0): "-1", (1, 0): "0",
+                                    (1, 1): "exp(x)"})
+    points = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 800.0], [0.0, 3.0]])
+
+    def riem(x):
+        return curvature_data(field, x).riem
+
+    with pytest.raises(DomainError) as alone:
+        riem(points[2])
+    with pytest.raises(DomainError) as batched:
+        batch_or_replay(riem, points)
+    assert str(batched.value) == str(alone.value)
+    good = points[[0, 1, 3]]
+    assert np.array_equal(batch_or_replay(riem, good), riem(good))
