@@ -60,14 +60,17 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.array([_finite_float(t) for t in text.split(",")])
 
 
-def _positive_int(text: str) -> int:
-    try:
-        k = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
-    return k
+def _int_at_least(least: int):
+    def parse(text: str) -> int:
+        try:
+            k = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+        if k < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {k}")
+        return k
+    return parse
 
 
 def _sized(flag: str, vec: np.ndarray, dim: int,
@@ -164,7 +167,7 @@ def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # present on the top-level parser with real defaults and on every
     # subparser with SUPPRESS, so flags work on either side of the subcommand
     d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--seed", type=int,
+    parser.add_argument("--seed", type=_int_at_least(0),  # numpy: >= 0
                         default=d if suppress else 0,
                         help="seed for all sampling (default 0)")
     parser.add_argument("--jobs", type=int,
@@ -209,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", required=True, choices=_CHECK_NAMES)
     p.add_argument("--region", default="default")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--points", type=_positive_int, default=40)
+    p.add_argument("--points", type=_int_at_least(1), default=40)
     p.add_argument("--dirs", type=int, default=16)
 
     p = sub.add_parser("gs", help="curvature trace along a normal geodesic",
@@ -232,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parameter point (3.3) or chart point (4.2)")
     p.add_argument("--witness", nargs="*", default=[],
                    metavar="v=..|w=..", help="witness vectors for 4.2")
-    p.add_argument("--nmax", type=_positive_int, default=8)
+    p.add_argument("--nmax", type=_int_at_least(1), default=8)
 
     p = sub.add_parser("geodesic", help="integrate a geodesic",
                        parents=[common])

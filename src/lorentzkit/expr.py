@@ -394,13 +394,13 @@ class Kernel:
 
     Expression k fills the positions `slots[k]` of an array of shape
     `shape`. A call at a point (n,) returns (value, grad, hess) of shapes
-    shape, (n,) + shape and (n, n) + shape; at points (B, n) each carries
-    a last batch axis (B,). Parts above the kernel's order are None. Raises
-    DomainError outside an operation's domain, and when a result is not
-    finite. A floating-point error names the operation it arose in, as
-    `Expr.eval` does ("exp: math range error" at a point, "'*': overflow
-    encountered in multiply" in a batch): `labels[i]` is the operation of
-    source line i + 2.
+    shape, (n,) + shape and (n, n) + shape; at points (B, n) each leads
+    with the batch axis (B,), as views of one (size, B) buffer. Parts above
+    the kernel's order are None. Raises DomainError outside an operation's
+    domain, and when a result is not finite. A floating-point error names
+    the operation it arose in, as `Expr.eval` does ("exp: math range error"
+    at a point, "'*': overflow encountered in multiply" in a batch):
+    `labels[i]` is the operation of source line i + 2.
     """
 
     def __init__(self, source: str, constants: dict, labels: list, n: int,
@@ -426,14 +426,13 @@ class Kernel:
                     self._batch(out, *np.ascontiguousarray(points.T))
         except (ArithmeticError, ValueError) as exc:
             raise DomainError(self._message(exc)) from exc
-        if points.ndim > 1 and one:
-            out = out[:, None]
-        batch = out.shape[1:]
-        n, w = self.n, self._width
-        value = out[:w].reshape(self.shape + batch)
-        grad = out[w:w * (1 + n)].reshape((n,) + self.shape + batch) \
+        # the buffer is (size,) or (size, B); its transpose puts a batch first
+        rows = out[None] if points.ndim > 1 and one else out.T
+        lead, n, w = rows.shape[:-1], self.n, self._width
+        value = rows[..., :w].reshape(lead + self.shape)
+        grad = rows[..., w:w * (1 + n)].reshape(lead + (n,) + self.shape) \
             if self.order >= 1 else None
-        hess = out[w * (1 + n):].reshape((n, n) + self.shape + batch) \
+        hess = rows[..., w * (1 + n):].reshape(lead + (n, n) + self.shape) \
             if self.order >= 2 else None
         return value, grad, hess
 

@@ -2,7 +2,7 @@
 
 A scalar field answers `jet2(p, order)`: a Jet2 (a container of value,
 gradient and Hessian) at order 2, or a Hessian-free one at order 1, at a
-point p (n,) or, as a batch Jet2 with the batch axis last, at points p
+point p (n,) or, as a batch Jet2 with the batch axis first, at points p
 (B, n). `ExprScalarField` (its compiled kernel), `ZeroScalarField` and the
 bump fields of `perturb` (kernels composed on inner jets) answer both with
 one code path; the base class stacks per-point jets for fields without a
@@ -36,9 +36,8 @@ class ScalarField:
             raise NotImplementedError
         jets = [self.jet2(q, order) for q in points]
         return Jet2(np.array([j.value for j in jets]),
-                    np.stack([j.grad for j in jets], axis=-1),
-                    np.stack([j.hess for j in jets], axis=-1)
-                    if order >= 2 else None)
+                    np.stack([j.grad for j in jets]),
+                    np.stack([j.hess for j in jets]) if order >= 2 else None)
 
     def value(self, p: Sequence[float]) -> float:
         return self.jet2(p, 1).value
@@ -65,8 +64,7 @@ class ZeroScalarField(ScalarField):
         self.dim = dim
 
     def jet2(self, p, order: int = 2):
-        zero = np.zeros(len(p)) if np.ndim(p) > 1 else 0.0
-        return Jet2.constant(zero, self.dim, order)
+        return Jet2.constant(np.zeros(np.shape(p)[:-1]), self.dim, order)
 
 
 class VectorField:
@@ -89,6 +87,4 @@ class VectorField:
 
     def value(self, p: Sequence[float]) -> np.ndarray:
         """Components at a point (n,), or stacked (B, n) at points (B, n)."""
-        q = np.asarray(p, dtype=float)
-        values = self._kernels(q, 0)[0]
-        return values if q.ndim == 1 else values.T
+        return self._kernels(np.asarray(p, dtype=float), 0)[0]

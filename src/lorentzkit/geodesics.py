@@ -95,7 +95,7 @@ def _transport_rhs(field_: MetricField, solution, m: int):
     return rhs
 
 
-def _boundary_events(field_: MetricField, margin: float = 0.0):
+def _boundary_events(field_: MetricField):
     events = []
     n = field_.dim
     for i, (lo, hi) in enumerate(field_.domain):
@@ -103,12 +103,12 @@ def _boundary_events(field_: MetricField, margin: float = 0.0):
             continue
         if np.isfinite(lo):
             def ev_lo(_s, y, i=i, lo=lo):
-                return y[i] - (lo + margin)
+                return y[i] - lo
             ev_lo.terminal = True
             events.append(ev_lo)
         if np.isfinite(hi):
             def ev_hi(_s, y, i=i, hi=hi):
-                return (hi - margin) - y[i]
+                return hi - y[i]
             ev_hi.terminal = True
             events.append(ev_hi)
     return events

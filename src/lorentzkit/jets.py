@@ -8,8 +8,8 @@ of a kernel in m variables back through m inner jets (bump cores on normal
 coordinates, the cutoff on a squared radius, e^{2sf} on a conformal factor).
 
 A jet is either at one point (a float value, gradient (n,), Hessian (n, n))
-or at a batch of B points, with the batch axis last: value (B,), gradient
-(n, B), Hessian (n, n, B). An order-1 jet carries no Hessian (`hess` is
+or at a batch of B points, with the batch axis first: value (B,), gradient
+(B, n), Hessian (B, n, n). An order-1 jet carries no Hessian (`hess` is
 None).
 
 The helpers below are the domain checks the kernels share at a point and
@@ -18,6 +18,7 @@ in a batch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,20 +55,18 @@ def reciprocal(c: float) -> float:
 @dataclass(slots=True)
 class Jet2:
     """Value, gradient and (symmetric) Hessian of a scalar at a point, or at
-    a batch of points (batch axis last)."""
+    a batch of points (batch axis first)."""
 
     value: float | np.ndarray   # float, or shape (B,)
-    grad: np.ndarray            # shape (n,) or (n, B)
-    hess: np.ndarray | None     # (n, n) or (n, n, B), symmetric; None at order 1
+    grad: np.ndarray            # shape (n,) or (B, n)
+    hess: np.ndarray | None     # (n, n) or (B, n, n), symmetric; None at order 1
 
     @staticmethod
     def constant(c, n: int, order: int = 2) -> "Jet2":
         """The constant c: a float, or a (B,) array for a batch."""
-        if isinstance(c, np.ndarray):
-            return Jet2(c, np.zeros((n,) + c.shape),
-                        np.zeros((n, n) + c.shape) if order >= 2 else None)
-        return Jet2(float(c), np.zeros(n),
-                    np.zeros((n, n)) if order >= 2 else None)
+        lead = np.shape(c)
+        return Jet2(c if lead else float(c), np.zeros(lead + (n,)),
+                    np.zeros(lead + (n, n)) if order >= 2 else None)
 
 
 def compose(kernel_jets, inner) -> Jet2:
@@ -79,26 +78,32 @@ def compose(kernel_jets, inner) -> Jet2:
 
     `kernel_jets` is what a one-expression kernel returns at the stacked
     inner values: value (), gradient (m,) and Hessian (m, m) at a point,
-    each with a last batch axis (B,) in a batch. The result has the order
-    of the kernel (a kernel gradient is required; order 1 without a
-    Hessian). Sums run term by term, and each cross term is formed as
+    each led by the batch axis (B,) in a batch, where an inner jet's
+    constant parts may leave that axis out and broadcast. The result has
+    the order of the kernel (a kernel gradient is required; order 1 without
+    a Hessian). Sums run term by term, and each cross term is formed as
     g_k g_l^T + g_l g_k^T, so a point and a batch round alike and the
-    Hessian is exactly symmetric.
+    Hessian is exactly symmetric. Products keep the batch innermost in
+    memory, as kernel results do, so numpy loops along the batch, not n.
     """
     f, fg, fh = kernel_jets
     value = float(f) if np.ndim(f) == 0 else f
     grads = [y.grad for y in inner]
-    products = [fg[k] * g for k, g in enumerate(grads)]
+    products = [_times(fg[..., k, None], g) for k, g in enumerate(grads)]
     grad = sum(products[1:], products[0])
     if fh is None:
         return Jet2(value, grad, None)
     terms = []
     for k, a in enumerate(grads):
         for l in range(k, len(grads)):
-            b = grads[l]
-            cross = np.outer(a, b) if a.ndim == 1 else a[:, None] * b[None, :]
+            cross = _times(a[..., :, None], grads[l][..., None, :])
             if l != k:
-                cross = cross + cross.swapaxes(0, 1)
-            terms.append(fh[k, l] * cross)
-    terms += [fg[k] * y.hess for k, y in enumerate(inner)]
+                cross = cross + cross.swapaxes(-1, -2)
+            terms.append(_times(fh[..., k, l, None, None], cross))
+    terms += [_times(fg[..., k, None, None], y.hess)
+              for k, y in enumerate(inner)]
     return Jet2(value, grad, sum(terms[1:], terms[0]))
+
+
+# a * b, laid out with its first (batch) axis innermost in memory
+_times = functools.partial(np.multiply, order="F")

@@ -50,10 +50,9 @@ class MetricField:
     def canonicalize(self, p: Sequence[float]) -> np.ndarray:
         """A point (n,) or points (B, n) modulo the periods."""
         q = np.array(p, dtype=float)
-        coords = q.T                    # coordinate i is coords[i]
         for i, per in enumerate(self.periods):
             if per is not None:
-                coords[i] %= per
+                q[..., i] %= per
         return q
 
     def displacement(self, q: Sequence[float], p) -> np.ndarray:
@@ -65,12 +64,12 @@ class MetricField:
                 d[..., i] = (d[..., i] + per / 2.0) % per - per / 2.0
         return d
 
-    def contains(self, p: Sequence[float], margin: float = 0.0) -> bool:
+    def contains(self, p: Sequence[float]) -> bool:
         q = np.asarray(p, dtype=float)
         for i, (lo, hi) in enumerate(self.domain):
             if self.periods[i] is not None:
                 continue
-            if not (lo + margin <= q[i] <= hi - margin):
+            if not (lo <= q[i] <= hi):
                 return False
         return True
 
@@ -162,13 +161,7 @@ class ExprMetricField(MetricField):
                     f"along coordinate {self.table.coordinates[axis]}")
 
     def component_jets(self, p, order: int = 2):
-        q = self.canonicalize(p)
-        jets = self._kernels(q, order)
-        if q.ndim == 1:
-            return jets
-        # the kernel's batch axis is last
-        return tuple(None if a is None else np.moveaxis(a, -1, 0)
-                     for a in jets)
+        return self._kernels(self.canonicalize(p), order)
 
 
 def minkowski_field(n: int = 4,
@@ -229,24 +222,22 @@ def product_jets(e: Jet2, g, dg=None, d2g=None):
     """Component jets of e g from a scalar jet e and g's component jets.
 
     At a point e is a float jet and g, dg, d2g are (n, n), (n, n, n) and
-    (n, n, n, n); at points (B, n) e carries its batch axis last and the
-    components theirs first, as the fields return them. The result has the
-    components' layout, up to the order dg and d2g reach:
+    (n, n, n, n); at points (B, n) each leads with the batch axis, as the
+    fields return them. The result has the components' layout, up to the
+    order dg and d2g reach:
 
         order 0   e g
         order 1   de (x) g + e dg
         order 2   d2e (x) g + de (x) dg + (de (x) dg)^T + e d2g
     """
-    # move e's batch axis first, to meet the components'
     v = np.asarray(e.value)[..., None, None]
     eg = v * g
     if dg is None:
         return eg, None, None
-    de = np.moveaxis(e.grad, 0, -1)[..., :, None, None]
+    de = e.grad[..., :, None, None]
     deg = de * g[..., None, :, :] + v[..., None] * dg
     if d2g is None:
         return eg, deg, None
-    d2e = np.moveaxis(e.hess, (0, 1), (-2, -1))[..., None, None]
     cross = de[..., None] * dg[..., None, :, :, :]      # d_k e d_l g_ij
-    return eg, deg, (d2e * g[..., None, None, :, :] + cross
+    return eg, deg, (e.hess[..., None, None] * g[..., None, None, :, :] + cross
                      + cross.swapaxes(-4, -3) + v[..., None, None] * d2g)

@@ -31,6 +31,8 @@ from .geodesics import geodesic
 from .metric import MetricField
 
 _FRAME_TOL = 1e-9
+_NEWTON_STEPS = 25     # damped Newton steps of `inverse`
+_RADIUS_SHRINKS = 10   # radius shrinks before a chart gives up
 
 
 class NormalChart:
@@ -74,7 +76,7 @@ class NormalChart:
             return self.p.copy()
         return self._exp(x).point(1.0)
 
-    def inverse(self, q, max_iter: int = 25) -> np.ndarray:
+    def inverse(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         if self.affine:
             return self.frame_inv @ self.field.displacement(q, self.p)
@@ -82,7 +84,7 @@ class NormalChart:
         scale = 1.0 + float(np.linalg.norm(q - self.p))
         res = self.forward(x) - q
         jac = None
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_STEPS):
             if np.linalg.norm(res) < 1e-11 * scale:
                 return x
             if jac is None:     # DF at the seed; then the accepted trial's
@@ -127,10 +129,10 @@ class NormalChart:
     def _forward_jacobian(self, x) -> np.ndarray:
         return self._forward_and_jacobian(x)[1]
 
-    def _shrink_to_invertible(self, max_shrinks: int = 10):
+    def _shrink_to_invertible(self):
         n = self.field.dim
         dirs = list(np.eye(n)) + list(-np.eye(n))
-        for _ in range(max_shrinks):
+        for _ in range(_RADIUS_SHRINKS):
             try:
                 for d in dirs:
                     x = self.radius * d

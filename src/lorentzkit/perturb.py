@@ -74,7 +74,7 @@ class BumpField(ScalarField):
     to the nearest image of p (`MetricField.displacement`), making the bump
     well defined on quotient charts.
     A point (n,) and points (B, n) take the same code, the batch in one
-    pass (batch axis last), and agree bit for bit.
+    pass (batch axis first), and agree bit for bit.
     """
 
     def __init__(self, chart_field: MetricField, p, value: float,
@@ -97,20 +97,18 @@ class BumpField(ScalarField):
 
     def jet2(self, q, order: int = 2) -> Jet2:
         n = self.dim
-        # (n,) or (n, B), batch axis last; sums run term by term so that a
-        # point and a batch round alike
-        d = self.chart_field.displacement(q, self.center).T
-        ones = np.ones(d.shape[1:])
+        # (n,) or (B, n); sums run term by term so that a point and a batch
+        # round alike, and the constant parts broadcast over the batch
+        d = self.chart_field.displacement(q, self.center)
         r2 = self.rho ** 2
         second = order >= 2
-        u = Jet2(sum(c * c for c in d) / r2, 2.0 * d / r2,
-                 np.multiply.outer(2.0 * np.eye(n) / r2, ones)
-                 if second else None)
-        core = Jet2(self.v0 + sum(w * c for w, c in zip(self.dphi, d)),
-                    np.multiply.outer(self.dphi, ones),
-                    np.zeros((n, n) + ones.shape) if second else None)
-        return compose(_BUMP(np.array([core.value, u.value]).T, order),
-                       [core, u])
+        u = Jet2(sum(d[..., c] * d[..., c] for c in range(n)) / r2,
+                 2.0 * d / r2, 2.0 * np.eye(n) / r2 if second else None)
+        core = Jet2(self.v0 + sum(w * d[..., c]
+                                  for c, w in enumerate(self.dphi)),
+                    self.dphi, np.zeros((n, n)) if second else None)
+        inner = np.stack([core.value, u.value], axis=-1)
+        return compose(_BUMP(inner, order), [core, u])
 
     def support_box(self) -> list[tuple[float, float]]:
         return [(float(c - self.rho), float(c + self.rho)) for c in self.center]
@@ -132,7 +130,7 @@ class NormalCoordBump(ScalarField):
     The jets are exactly 0 where |x| >= rho or |y| >= 1/gamma, so no far
     copy of the level set enters; rho <= 1/(2 gamma) keeps the field C^2,
     and the default is min(`_default_rho`, 1/(4 gamma)). A point (n,) and
-    points (B, n) take the same code (batch axis last) and agree bit for
+    points (B, n) take the same code (batch axis first) and agree bit for
     bit.
     """
 
@@ -171,36 +169,38 @@ class NormalCoordBump(ScalarField):
         self._kernels = Kernels((Binary("*", parse(core_text, table), chi),),
                                 n, shape=(), slots=[(0,)])
 
-    def _coords(self, q, order: int) -> tuple[list[Jet2], np.ndarray]:
-        """The jets of x^k at a point q (n,) or points (B, n), batch axis
-        last, and |y|^2. Sums run term by term, so a point and a batch round
-        alike."""
+    def _coords(self, q, order: int):
+        """x, the jets of each x^k and |y|^2 at a point q (n,) or points
+        (B, n). Sums run term by term, so a point and a batch round alike;
+        x^k's Hessian is constant, (n, n) broadcast over a batch."""
         n = self.dim
         a, gam = self.frame_inv, self.gamma_p
-        d = self.field.displacement(q, self.p).T        # (n,) or (n, B)
-        ones = np.ones(d.shape[1:])
+        d = self.field.displacement(q, self.p)          # (n,) or (B, n)
+        coords = [d[..., b, None] for b in range(n)]
         # gd[c, m] = Gamma^c_mb d^b; jac = delta + gd = d(d + Gamma(d, d)/2)/dq
-        gd = sum(np.multiply.outer(gam[:, :, b], d[b]) for b in range(n))
-        jac = np.multiply.outer(np.eye(n), ones) + gd
-        z = d + 0.5 * sum(gd[:, m] * d[m] for m in range(n))
-        x = sum(np.multiply.outer(a[:, c], z[c]) for c in range(n))
-        y = sum(np.multiply.outer(a[:, c], d[c]) for c in range(n))
-        grad = sum(np.multiply.outer(a[:, c], jac[c]) for c in range(n))
-        hess = np.multiply.outer(self._coord_hess, ones) \
-            if order >= 2 else [None] * n
-        return [Jet2(x[k], grad[k], hess[k]) for k in range(n)], \
-            sum(c * c for c in y)
+        gd = sum(gam[:, :, b] * coords[b][..., None] for b in range(n))
+        jac = np.eye(n) + gd
+        z = d + 0.5 * sum(gd[..., m] * coords[m] for m in range(n))
+        x = sum(a[:, c] * z[..., c, None] for c in range(n))
+        y = sum(a[:, c] * coords[c] for c in range(n))
+        # grad[k] = dx^k/dq, one contiguous (B, n) array per k
+        grad = sum(np.multiply.outer(a[:, c], jac[..., c, :])
+                   for c in range(n))
+        hess = self._coord_hess if order >= 2 else [None] * n
+        return x, [Jet2(x[..., k], grad[k], hess[k]) for k in range(n)], \
+            sum(y[..., k] * y[..., k] for k in range(n))
 
     def jet2(self, q, order: int = 2) -> Jet2:
-        seeds, y2 = self._coords(np.asarray(q, dtype=float), order)
-        x = np.array([s.value for s in seeds]).T
+        x, seeds, y2 = self._coords(np.asarray(q, dtype=float), order)
         # outside the support the jets are exactly 0, and the core is taken
         # at x = 0 there: a far point cannot overflow it
         inside = (np.sum(x * x, axis=-1) < self.rho ** 2) \
             & (self.gamma ** 2 * y2 < 1.0)
         jets = self._kernels(np.where(inside[..., None], x, 0.0), order)
-        return compose([None if part is None else part * inside
-                        for part in jets], seeds)
+        # mask each part over its batch axis: value, grad (B, n), hess
+        return compose([None if part is None
+                        else part * inside[(...,) + (None,) * k]
+                        for k, part in enumerate(jets)], seeds)
 
     def support_box(self) -> list[tuple[float, float]]:
         # the support lies in |y| < s, the root of s (1 - gamma s / 2) = rho

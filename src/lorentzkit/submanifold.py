@@ -108,16 +108,10 @@ class Embedding:
         J is checked to have rank m. Parameter points u (B, m) give every
         result a leading batch axis, from one batched kernel pass, and the
         rank error names the first failing point."""
-        q = np.asarray(u, dtype=float)
         m = self.m
-        # the kernel lays out x (n,), d_a x (m, n), d_a d_b x (m, m, n),
-        # each with its batch axis last
-        x, jac, hess = self._kernels(q, 2)
-        if q.ndim == 1:
-            jac, hess = jac.T, hess.transpose(2, 0, 1)
-        else:
-            x, jac = x.T, jac.transpose(2, 1, 0)
-            hess = hess.transpose(3, 2, 0, 1)
+        # the kernel lays out x (n,), d_a x (m, n) and d_a d_b x (m, m, n)
+        x, dx, d2x = self._kernels(np.asarray(u, dtype=float), 2)
+        jac, hess = dx.swapaxes(-1, -2), np.moveaxis(d2x, -1, -3)
         sv = np.linalg.svd(jac, compute_uv=False)
         low = np.reshape(sv[..., -1] <= 1e-10 * np.maximum(sv[..., 0], 1.0), -1)
         if low.any():

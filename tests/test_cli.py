@@ -762,6 +762,124 @@ def test_geodesic_argv_keeps_the_error_contract(argv):
     _keeps_the_error_contract(argv)
 
 
+def _usually(good, bad):
+    """`good` seven times in eight, else `bad`: most argv reach the command,
+    the rest its argument checks."""
+    return st.sampled_from([True] * 7 + [False]).flatmap(
+        lambda ok: good if ok else bad)
+
+
+# parameter overrides: real ones with good and bad values, and unknown ones
+_PARAM = st.sampled_from(["M=1", "M=0.5", "M=-1", "M=0", "M=nan", "M=1e400",
+                          "H=2", "H=-1", "nope=1", "M", "=1", "M=x"])
+
+
+def _common(draw):
+    """Flags every subcommand accepts, each left out most of the time."""
+    seed = _usually(st.none() | st.sampled_from(["0", "7"]),
+                    st.sampled_from(["-3", "x", ""]))
+    return (_flag("--seed", draw(seed))
+            + _flag("--param", draw(_usually(st.none(), _PARAM)))
+            + (["--timing"] if draw(st.integers(0, 7)) == 0 else []))
+
+
+@st.composite
+def _catalog_argv(draw):
+    extra = draw(_usually(st.just([]), st.sampled_from(
+        [["builtin:minkowski"], ["--at=0"], ["--format=csv"]])))
+    return ["catalog"] + extra + _common(draw)
+
+
+@st.composite
+def _analyze_argv(draw):
+    return (["analyze", draw(_SPECS)]
+            + _flag("--at", draw(_mostly(_vector(4)))) + _common(draw))
+
+
+@st.composite
+def _classify_argv(draw):
+    spec = draw(_SPECS)
+    sub = draw(_mostly(st.sampled_from(_SUBMANIFOLDS.get(spec, ["sphere"]))))
+    return (["classify", spec, "--submanifold",
+             "nope" if sub is None else sub] + _common(draw))
+
+
+def _count(good):
+    return _usually(st.sampled_from(good), st.sampled_from(["0", "-1", "x"]))
+
+
+# a box of four intervals, or malformed ones
+_REGION = _usually(
+    st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 2.0))
+             .map(lambda c: f"{c[0]!r}:{c[0] + c[1]!r}"),
+             min_size=4, max_size=4).map(",".join),
+    st.lists(st.tuples(_NUMBER, _NUMBER).map(":".join) | _NUMBER,
+             min_size=1, max_size=5).map(",".join))
+
+
+@st.composite
+def _check_argv(draw):
+    condition = draw(_mostly(st.sampled_from(
+        ["E", "SE", "P", "FP", "O", "inclusions", "orientation", "temporal",
+         "bogus"])))
+    return (["check", draw(_SPECS)] + _flag("--condition", condition)
+            + _flag("--region", draw(st.none() | _REGION))
+            + _flag("--points", draw(_count(["1", "2", "3"])))
+            + _flag("--dirs", draw(st.none() | _count(["1", "4", "8"])))
+            + (["--strict"] if draw(st.booleans()) else []) + _common(draw))
+
+
+@st.composite
+def _perturb_argv(draw):
+    spec = draw(_SPECS)
+    theorem = draw(_usually(st.sampled_from(["3.3", "4.2"]),
+                            st.sampled_from([None, "5"])))
+    if theorem == "4.2":
+        witness = ["v=" + draw(_usually(_vector(4), st.just(""))),
+                   "w=" + draw(_usually(_vector(4), st.just("")))]
+        witness = draw(_usually(st.just(witness), st.sampled_from(
+            [[], witness[:1], ["u=1,0,0,0"] + witness, ["v"]])))
+        at = _vector(4)
+        sub = st.none()
+    else:
+        witness = []
+        at = _vector(2)
+        sub = _mostly(st.sampled_from(_SUBMANIFOLDS.get(spec, ["sphere"])))
+    return (["perturb", spec] + _flag("--theorem", theorem)
+            + _flag("--submanifold", draw(sub))
+            + _flag("--at", draw(_mostly(at)))
+            + (["--witness", *witness] if witness else [])
+            + _flag("--nmax", draw(_count(["1", "2"])))
+            + _common(draw))
+
+
+@pytest.mark.parametrize("argv", [
+    _catalog_argv(), _analyze_argv(), _classify_argv(), _check_argv(),
+    _perturb_argv()], ids=["catalog", "analyze", "classify", "check",
+                           "perturb"])
+def test_argv_keeps_the_error_contract(argv):
+    """Each remaining subcommand on drawn argv: small grids, at most 3
+    points and n_max at most 2, so every example runs quickly."""
+    @settings(max_examples=40, deadline=None)
+    @given(argv=argv)
+    def keeps(argv):
+        _keeps_the_error_contract(argv)
+    keeps()
+
+
+def test_negative_seed_is_a_usage_error():
+    """numpy takes non-negative seeds only: a negative --seed exits 2 (it
+    was a ValueError traceback in `check`'s sampling)."""
+    argv = ["check", "builtin:minkowski", "--condition=E", "--points=1",
+            "--seed=-3"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert "must be at least 0, got -3" in err.getvalue()
+    assert run_cli(argv[:-1] + ["--seed=0"])[0] in (0, 1)
+
+
 def test_zero_orientation_is_a_param_error(tmp_path, capsys):
     """A zero orientation vector is not timelike: the load exits 1 with a
     JSON ParamError, never a ZeroDivisionError traceback."""

@@ -219,7 +219,7 @@ class TestChainRule:
             assert np.allclose(direct.hess, seeded.hess, atol=1e-11, rtol=1e-11)
             # numpy and math may round sin and exp apart in the last bit
             assert batch.value[k] == pytest.approx(seeded.value, rel=1e-14)
-            assert np.allclose(batch.grad[:, k], seeded.grad, atol=1e-14,
+            assert np.allclose(batch.grad[k], seeded.grad, atol=1e-14,
                                rtol=1e-14)
-            assert np.allclose(batch.hess[:, :, k], seeded.hess, atol=1e-14,
+            assert np.allclose(batch.hess[k], seeded.hess, atol=1e-14,
                                rtol=1e-14)

@@ -198,32 +198,35 @@ def test_zero_power_factor_at_order_one():
 
 def test_rescaled_order1_query_builds_no_hessian(bundles, monkeypatch):
     """An order-1 query on a rescaled metric asks its factor for an order-1
-    jet: no np.outer, for an expression factor and for a bump."""
+    jet: no kernel runs at order 2 (every Hessian comes from one), for an
+    expression factor and for a bump."""
+    from lorentzkit.expr import Kernel
     from lorentzkit.perturb import bump
-    calls = []
-    outer = np.outer
+    orders = []
+    call = Kernel.__call__
 
-    def counting_outer(*args, **kwargs):
-        calls.append(1)
-        return outer(*args, **kwargs)
+    def counting_call(self, points):
+        orders.append(self.order)
+        return call(self, points)
 
     b = bundles["schwarzschild_ef"]
     p = region_points(b, 1, seed=5)[0]
     factors = [ExprScalarField("0.1*sin(r)*cos(theta) + 0.05*v", b.field.table),
                bump(b.field, p, 0.0, [0.1, -0.2, 0.05, 0.0], 0.3)]
-    monkeypatch.setattr(np, "outer", counting_outer)
+    monkeypatch.setattr(Kernel, "__call__", counting_call)
     for factor in factors:
         field = rescale(b.field, factor, 0.5)
         g, dg, d2g = field.component_jets(p + 0.01, order=1)
         assert d2g is None
-        assert not calls
+        assert orders and max(orders) == 1
+        orders.clear()
         # the counter does see the factor's order-2 path
         field.component_jets(p + 0.01, order=2)
-        assert calls
-        calls.clear()
+        assert 2 in orders
+        orders.clear()
 
 
-# --- batched jets: a (B,) value, batch axis last ----------------------------
+# --- batched jets: a (B,) value, batch axis first ---------------------------
 
 def _close(batch, one, rel=1e-15):
     """Elementwise relative agreement; exact where the per-point entry is 0."""
@@ -313,6 +316,34 @@ def test_rescaled_metric_answers_a_batch_in_one_pass(bundles, monkeypatch):
     factor = BumpField(b.field, pts[0], 0.1, [0.2, 0.1, 0.0, -0.3], 0.5)
     rescale(b.field, factor).component_jets(pts, order=2)
     assert calls == [pts.shape]
+
+
+def test_rescaled_metric_reads_its_factor_once_per_batch(bundles,
+                                                         monkeypatch):
+    """A batch query of a rescaled metric makes one batched factor.jet2
+    call, for an expression factor and for both bumps: stacking per-point
+    jets would give the same result B calls later."""
+    b = bundles["schwarzschild_ef"]
+    pts = region_points(b, 6, seed=3)
+    frame = orthonormal_frame_from(b.field, pts[0],
+                                   first=np.array([1.0, 0, 0, 0]),
+                                   second=np.array([0.0, 1, 0, 0]))
+    factors = [ExprScalarField("0.1*sin(r)*cos(theta) + 0.05*v", b.field.table),
+               BumpField(b.field, pts[0], 0.1, [0.2, 0.1, 0.0, -0.3], 0.5),
+               NormalCoordBump(b.field, pts[0], frame, "(n0 + n1)^2")]
+    for factor in factors:
+        calls = []
+        jet2 = factor.jet2
+
+        def counted(q, order=2, jet2=jet2):
+            calls.append(np.shape(q))
+            return jet2(q, order)
+
+        monkeypatch.setattr(factor, "jet2", counted)
+        for order in (0, 1, 2):
+            calls.clear()
+            rescale(b.field, factor).component_jets(pts, order=order)
+            assert calls == [pts.shape], (factor, order)
 
 
 def test_batched_jet_arithmetic_and_domain_checks():

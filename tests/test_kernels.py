@@ -77,9 +77,11 @@ def _kernel_may_pass(exc, order):
 
 def _agree(got, want, order):
     """Value, gradient and the Hessian's upper triangle (the kernel mirrors
-    it) to 1e-12 relative to each part's largest entry."""
+    it) to 1e-12 relative to each part's largest entry. A batched kernel
+    leads with its batch axis, which the reference carries last."""
     iu = np.triu_indices(2)
-    value, grad, hess = got
+    value, grad, hess = (part if part is None or np.ndim(got[0]) == 0
+                         else np.moveaxis(part, 0, -1) for part in got)
     parts = [(value, want[0])]
     if order >= 1:
         parts.append((grad, want[1]))

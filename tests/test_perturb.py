@@ -117,7 +117,7 @@ class TestNormalCoordBump:
         far = np.array([800.0, 0.0, 0.0, 0.0])
         assert nb.jet2(far).value == 0.0
         batch = nb.jet2(np.array([far, [0.1, 0.0, 0.0, 0.0]]))
-        assert batch.value[0] == 0.0 and not np.abs(batch.hess[..., 0]).any()
+        assert batch.value[0] == 0.0 and not np.abs(batch.hess[0]).any()
         assert batch.value[1] == pytest.approx(math.exp(0.1))
 
 
@@ -161,9 +161,9 @@ class TestCurvedNormalCoordBump:
         for k, q in enumerate(points):
             one = nb.jet2(q, order)
             assert batch.value[k] == one.value
-            assert np.array_equal(batch.grad[..., k], one.grad)
+            assert np.array_equal(batch.grad[k], one.grad)
             assert order == 1 and one.hess is None and batch.hess is None \
-                or np.array_equal(batch.hess[..., k], one.hess)
+                or np.array_equal(batch.hess[k], one.hess)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_exactly_zero_outside_the_support_box(self, bundles, name):
@@ -177,8 +177,8 @@ class TestCurvedNormalCoordBump:
         outside = ((points < lo) | (points > hi)).any(axis=1)
         assert outside.sum() > 1000 and (jet.value[~outside] != 0).any()
         assert not jet.value[outside].any()
-        assert not jet.grad[:, outside].any()
-        assert not jet.hess[:, :, outside].any()
+        assert not jet.grad[outside].any()
+        assert not jet.hess[outside].any()
 
     @pytest.mark.parametrize("name", sorted(CASES))
     @pytest.mark.parametrize("core", ["(n0 + n1)^2", "exp(n0) + n1*n2"])
@@ -443,15 +443,15 @@ def _rel_close(got, want, rel):
 
 def _assert_batch_matches_points(field_, points, order):
     """The batch jet at points (B, n) against the per-point jets stacked
-    with the batch axis last, relative to their largest entry. (Near the
+    with the batch axis first, relative to their largest entry. (Near the
     outer seam the value is a cancellation 1 - s(z) with s close to 1, so a
     point's own relative error there is not small.)"""
     batch = field_.jet2(points, order)
     jets = [field_.jet2(q, order) for q in points]
     assert _rel_close(batch.value, [j.value for j in jets], 1e-14)
-    assert _rel_close(batch.grad, np.stack([j.grad for j in jets], -1), 1e-14)
+    assert _rel_close(batch.grad, np.stack([j.grad for j in jets]), 1e-14)
     if order >= 2:
-        assert _rel_close(batch.hess, np.stack([j.hess for j in jets], -1),
+        assert _rel_close(batch.hess, np.stack([j.hess for j in jets]),
                           1e-14)
     else:
         assert batch.hess is None
@@ -508,9 +508,9 @@ class TestBatchedScalarJets:
         for k, q in enumerate(points):
             one = b.jet2(q, order)
             assert batch.value[k] == one.value
-            assert np.array_equal(batch.grad[..., k], one.grad)
+            assert np.array_equal(batch.grad[k], one.grad)
             assert order == 1 and one.hess is None \
-                or np.array_equal(batch.hess[..., k], one.hess)
+                or np.array_equal(batch.hess[k], one.hess)
 
     @pytest.mark.parametrize("core", ["exp(n0)", "n0^2", "(n0 + n1)^2"])
     @pytest.mark.parametrize("order", [1, 2])
@@ -541,9 +541,9 @@ class TestBatchedScalarJets:
                 for k, q in enumerate(points):
                     jet = field_.jet2(q, order)
                     assert batch.value[k] == jet.value
-                    assert np.array_equal(batch.grad[:, k], jet.grad)
+                    assert np.array_equal(batch.grad[k], jet.grad)
                     if order == 2:
-                        assert np.array_equal(batch.hess[:, :, k], jet.hess)
+                        assert np.array_equal(batch.hess[k], jet.hess)
 
 
 def _family_constructions(bundles):
@@ -613,6 +613,31 @@ class TestBatchedSeminormRows:
             assert len(fam.seminorms) == 2
             _assert_rows_match(fam.seminorms,
                                _oracle_rows(fam.base, fam.phi, 2, 5))
+
+    def test_family_tables_never_replay_point_by_point(self, bundles,
+                                                       monkeypatch):
+        """A layout bug raises ValueError, which the tables' fallback
+        catches and replays through `_seminorm_orders`, with the same rows
+        many times slower: the benchmark's families and two curved
+        positivity families never take it."""
+        replays = []
+        replay = perturb._seminorm_orders
+
+        def replayed(*args):
+            replays.append(1)
+            return replay(*args)
+
+        monkeypatch.setattr(perturb, "_seminorm_orders", replayed)
+        families = [build() for build in _family_constructions(bundles)]
+        for name, p, v in (("desitter", np.zeros(4), [1.0, 1.0, 0, 0]),
+                           ("schwarzschild_static",
+                            np.array([0.0, 6.0, 1.5707963, 0.0]),
+                            [1.0, 2.0 / 3.0, 0, 0])):
+            families.append(positivity_exit_family(
+                bundles[name].field, p, v, [0.0, 0, 1, 0], n_max=2,
+                seminorm_grid=5))
+        assert all(len(fam.seminorms) == 2 for fam in families)
+        assert not replays
 
     def test_rows_match_oracle_on_the_cli_grid(self, bundles):
         fam = _family_constructions(bundles)[0](grid=7)

@@ -427,6 +427,34 @@ def test_classify_matches_point_by_point(bundles):
             assert v.theta_minus[idx] == pytest.approx(tm, rel=1e-12, abs=1e-12), name
 
 
+def test_classify_reads_its_grid_in_one_batch(bundles, monkeypatch):
+    """On a grid where no point fails, the verdict takes one
+    _mean_curvatures pass over every grid point: a fallback to the
+    point-by-point replay would give the same verdict many calls later."""
+    calls, replays = [], []
+    batched = submanifold._mean_curvatures
+
+    def counted(*args):
+        calls.append(np.shape(args[3]))
+        return batched(*args)
+
+    replay = submanifold._grid_margins_point_by_point
+
+    def replayed(*args):
+        replays.append(1)
+        return replay(*args)
+
+    monkeypatch.setattr(submanifold, "_mean_curvatures", counted)
+    monkeypatch.setattr(submanifold, "_grid_margins_point_by_point", replayed)
+    b = bundles["schwarzschild_ef"]
+    emb = b.submanifolds["horizon_sphere"]
+    v = classify_trapped(b.field, b.orientation, emb,
+                         b.hints.get("horizon_sphere"))
+    assert v.theta_plus is not None
+    assert calls == [(math.prod(emb.grid_shape), emb.m)]
+    assert not replays
+
+
 def _first_point_error(field_, X, emb, hint):
     """The error of the grid loop classify_trapped used to run: per point in
     np.ndindex order, mean_curvature (a NotSpacelike names the grid index),
