@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", default="default")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--points", type=_int_at_least(1), default=40)
-    p.add_argument("--dirs", type=int, default=16)
+    p.add_argument("--dirs", type=_int_at_least(8), default=16)
 
     p = sub.add_parser("gs", help="curvature trace along a normal geodesic",
                        parents=[common])

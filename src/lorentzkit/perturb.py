@@ -13,10 +13,11 @@ compactly supported phi built from a C^2 bump:
   normal coordinates makes Riem(g_n)(w, v, v, w) < 0, so the perturbed
   metric leaves the weak curvature-positivity class.
 
-Every certificate is computed twice (closed-form transformation law and
-direct recomputation on the rescaled metric) and recorded next to the
-literature's printed closed form; where the two disagree the measured value
-is authoritative and the deviation is logged, never patched.
+Both run one pipeline (`_family`): each supplies its bump, its detail and,
+per n, a certificate computed twice (closed-form transformation law and
+direct recomputation on the rescaled metric) beside the literature's printed
+closed form; where they disagree the measured value is authoritative and the
+deviation is logged, never patched.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .normal import orthonormal_frame_from
 from .conformal import conformal_mean_curvature, conformal_riemann, rescale
 from .submanifold import (Embedding, MeanCurvature, mean_curvature,
                           normal_frame)
-from .tensors import MetricValue
 
 
 DEFAULT_RHO = 0.25
@@ -312,6 +312,15 @@ def _finite_or_none(x: float) -> float | None:
     return x if np.isfinite(x) else None
 
 
+def _loglog_slope(ns, vals) -> float:
+    """Least-squares slope of log(vals) against log(ns); NaN for fewer than
+    two rows or a value that is not positive."""
+    ns, vals = np.asarray(ns, dtype=float), np.asarray(vals, dtype=float)
+    if len(ns) < 2 or np.any(vals <= 0):
+        return float("nan")
+    return float(np.polyfit(np.log(ns), np.log(vals), 1)[0])
+
+
 @dataclass
 class PerturbationFamily:
     """g_n = e^{2 phi / n} g with per-n certificates and seminorms."""
@@ -331,19 +340,12 @@ class PerturbationFamily:
 
     def scaling_exponent(self) -> float:
         """Log-log slope of |certificate| against n."""
-        ns = np.array([c.n for c in self.certificates], dtype=float)
-        vals = np.array([abs(c.value_direct) for c in self.certificates])
-        if len(ns) < 2 or np.any(vals <= 0):
-            return float("nan")
-        return float(np.polyfit(np.log(ns), np.log(vals), 1)[0])
+        return _loglog_slope([c.n for c in self.certificates],
+                             [abs(c.value_direct) for c in self.certificates])
 
     def seminorm_slope(self, order: int = 2) -> float:
-        key = f"c{order}"
-        ns = np.array([row["n"] for row in self.seminorms], dtype=float)
-        vals = np.array([row[key] for row in self.seminorms])
-        if len(ns) < 2 or np.any(vals <= 0):
-            return float("nan")
-        return float(np.polyfit(np.log(ns), np.log(vals), 1)[0])
+        return _loglog_slope([row["n"] for row in self.seminorms],
+                             [row[f"c{order}"] for row in self.seminorms])
 
     def summary(self) -> dict:
         return {
@@ -395,6 +397,27 @@ def _seminorm_rows(base: MetricField, phi: ScalarField, n_max: int,
     return [{"n": n, "c0": float(m0), "c1": float(max(m0, m1)),
              "c2": float(max(m0, m1, m2))}
             for n, (m0, m1, m2) in enumerate(maxima, start=1)]
+
+
+def _family(kind: str, case: str, field_: MetricField, phi: ScalarField,
+            p, n_max: int, seminorm_grid: int, sign: int, printed_form: str,
+            certify, detail: dict) -> PerturbationFamily:
+    """The family g_n = e^{2 phi / n} g of either theorem: certify(n) gives
+    the (direct, closed-form, printed) certificate values for n = 1..n_max,
+    and the seminorm rows of g_n - g follow from phi."""
+    certificates = []
+    for n in range(1, n_max + 1):
+        direct, closed, printed = certify(n)
+        certificates.append(Certificate(
+            n=n, value_direct=float(direct), value_closed_form=float(closed),
+            printed_value=float(printed), printed_form=printed_form,
+            sign_expected=sign,
+            agreement=float(abs(direct - closed) / (1.0 + abs(direct)))))
+    seminorms = _seminorm_rows(field_, phi, n_max, phi.support_box(),
+                               seminorm_grid)
+    return PerturbationFamily(
+        base=field_, phi=phi, kind=kind, case=case, point=p, n_max=n_max,
+        certificates=certificates, seminorms=seminorms, detail=detail)
 
 
 def _spacelike_unit_normal(mc: MeanCurvature) -> np.ndarray:
@@ -467,62 +490,26 @@ def trapped_exit_family(field_: MetricField, X, emb: Embedding, u0,
     g_hv = float(mc.h_vec @ g @ v)
     g_vv = float(v @ g @ v)
 
-    certificates = []
-    for n in range(1, n_max + 1):
-        scale = 1.0 / n
+    def certify(n: int):
         _, closed = conformal_mean_curvature(field_, X, emb, phi, u0,
-                                             scale=scale, tols=tols, base=mc)
-        direct = mean_curvature(rescale(field_, phi, scale), X, emb, u0,
+                                             scale=1.0 / n, tols=tols, base=mc)
+        direct = mean_curvature(rescale(field_, phi, 1.0 / n), X, emb, u0,
                                 tols).g_hh
         # phi(p) = 0 by construction, so the exp factors in the printed
         # forms are exactly 1 whichever sign the exponent carries
         if case == "zero-H":
-            printed = (m * m / n) * g_vv
-        else:
-            printed = -(2.0 * m / n) * g_hv
-        agreement = abs(direct - closed) / (1.0 + abs(direct))
-        certificates.append(Certificate(
-            n=n, value_direct=float(direct), value_closed_form=float(closed),
-            printed_value=float(printed), printed_form=printed_form,
-            sign_expected=+1, agreement=float(agreement)))
+            return direct, closed, (m * m / n) * g_vv
+        return direct, closed, -(2.0 * m / n) * g_hv
 
-    seminorms = _seminorm_rows(field_, phi, n_max, phi.support_box(),
-                               seminorm_grid)
-    return PerturbationFamily(
-        base=field_, phi=phi, kind="trapped-exit", case=case, point=p,
-        n_max=n_max, certificates=certificates, seminorms=seminorms,
-        detail={
-            "v": [float(a) for a in v],
-            "g_hh_at_p": mc.g_hh,
-            "g_hx_at_p": mc.g_hx,
-            "g_hv": g_hv,
-            "bump_radius": phi.rho,
-            "sigma_dim": m,
-        })
-
-
-def find_degenerate_witness(field_: MetricField, p, tols: Tolerances = DEFAULT_TOLS,
-                            seed: int = 0, samples: int = 512):
-    """Search a causal (v, w) pair with Riem(w, v, v, w) = 0 at p."""
-    data = curvature_data(field_, p)
-    frame = lorentz_frame(data.g)
-    rng = np.random.default_rng(seed)
-    n = field_.dim
-    best = None
-    for _ in range(samples):
-        alpha = rng.random()
-        omega = rng.normal(size=n - 1)
-        omega /= np.linalg.norm(omega)
-        v = frame[:, 0] + alpha * (frame[:, 1:] @ omega)
-        w = rng.normal(size=n)
-        w -= (w @ v) / (v @ v) * v
-        val = abs(data.riem_quad(w / np.linalg.norm(w), v / np.linalg.norm(v)))
-        if best is None or val < best[0]:
-            best = (val, v, w)
-    if best[0] > tols.tau_cond:
-        raise NotApplicable(
-            f"no degenerate causal pair found (best |Riem| = {best[0]:.3e})")
-    return best[1], best[2]
+    return _family("trapped-exit", case, field_, phi, p, n_max, seminorm_grid,
+                   +1, printed_form, certify, {
+                       "v": [float(a) for a in v],
+                       "g_hh_at_p": mc.g_hh,
+                       "g_hx_at_p": mc.g_hx,
+                       "g_hv": g_hv,
+                       "bump_radius": phi.rho,
+                       "sigma_dim": m,
+                   })
 
 
 def positivity_exit_family(field_: MetricField, p, v, w,
@@ -541,8 +528,7 @@ def positivity_exit_family(field_: MetricField, p, v, w,
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     data = curvature_data(field_, p)
-    mv = MetricValue.from_matrix(data.g)
-    cls = causal_class_in(mv.g, TangentVector(p, v), None, tols)
+    cls = causal_class_in(data.g, TangentVector(p, v), None, tols)
     if cls.kind not in ("timelike", "null"):
         raise NotCausal(f"witness v must be causal, got {cls.kind}")
     q0 = data.riem_quad(w / np.linalg.norm(w), v / np.linalg.norm(v))
@@ -550,12 +536,11 @@ def positivity_exit_family(field_: MetricField, p, v, w,
         raise NotApplicable(
             f"Riem(w,v,v,w) = {q0:.3e} at p is not degenerate")
 
-    n = field_.dim
     if cls.kind == "timelike":
         case = "timelike"
-        vhat = v / np.sqrt(-mv.inner(v, v))
-        w_perp = w + mv.inner(w, vhat) * vhat
-        wg = mv.inner(w_perp, w_perp)
+        vhat = v / np.sqrt(-data.inner(v, v))
+        w_perp = w + data.inner(w, vhat) * vhat
+        wg = data.inner(w_perp, w_perp)
         if wg <= tols.tau_zero:
             raise NotApplicable("w is collinear with v")
         w_used = w_perp / np.sqrt(wg)
@@ -565,16 +550,16 @@ def positivity_exit_family(field_: MetricField, p, v, w,
         printed_form = "-exp(2/n)/n"
     else:
         # split v = e0 + e1 against a unit timelike leg; ell = e0 - e1
-        t0 = lorentz_frame(mv.g)[:, 0]
-        gvt = mv.inner(v, t0)
+        t0 = lorentz_frame(data.g)[:, 0]
+        gvt = data.inner(v, t0)
         if gvt > 0:
             t0 = -t0
             gvt = -gvt
         v_used = v / (-gvt)                 # now g(v_used, t0) = -1
         s = v_used - t0                     # unit spacelike, orthogonal to t0
         ell = t0 - s
-        b = -mv.inner(w, v_used) / 2.0
-        a = -mv.inner(w, ell) / 2.0
+        b = -data.inner(w, v_used) / 2.0
+        a = -data.inner(w, ell) / 2.0
         u_res = w - a * v_used - b * ell
         # drop the v-component (contributes nothing by the symmetries)
         w_used = b * ell + u_res
@@ -593,37 +578,26 @@ def positivity_exit_family(field_: MetricField, p, v, w,
 
     phi = NormalCoordBump(field_, p, frame, core, rho)
 
-    wg_used = mv.inner(w_used, w_used)
-    certificates = []
-    for k in range(1, n_max + 1):
-        scale = 1.0 / k
-        riem_cf = conformal_riemann(field_, phi, p, scale=scale).components
-        closed = float(np.einsum("ijkl,i,j,k,l->", riem_cf,
-                                 w_used, v_used, v_used, w_used))
-        direct = curvature_data(rescale(field_, phi, scale), p).riem_quad(
+    wg_used = data.inner(w_used, w_used)
+
+    def certify(n: int):
+        riem_cf = conformal_riemann(field_, phi, p, scale=1.0 / n).components
+        closed = np.einsum("ijkl,i,j,k,l->", riem_cf, w_used, v_used, v_used,
+                           w_used)
+        direct = curvature_data(rescale(field_, phi, 1.0 / n), p).riem_quad(
             w_used, v_used)
         if case == "timelike":
-            printed = -np.exp(2.0 / k) / k
-        elif case == "null-null":
-            printed = -8.0 / k
-        else:
-            printed = -4.0 * wg_used / k
-        agreement = abs(direct - closed) / (1.0 + abs(direct))
-        certificates.append(Certificate(
-            n=k, value_direct=float(direct), value_closed_form=float(closed),
-            printed_value=float(printed), printed_form=printed_form,
-            sign_expected=-1, agreement=float(agreement)))
+            return direct, closed, -np.exp(2.0 / n) / n
+        if case == "null-null":
+            return direct, closed, -8.0 / n
+        return direct, closed, -4.0 * wg_used / n
 
-    seminorms = _seminorm_rows(field_, phi, n_max, phi.support_box(),
-                               seminorm_grid)
-    return PerturbationFamily(
-        base=field_, phi=phi, kind="positivity-exit", case=case, point=p,
-        n_max=n_max, certificates=certificates, seminorms=seminorms,
-        detail={
-            "v_used": [float(a) for a in v_used],
-            "w_used": [float(a) for a in w_used],
-            "g_ww_used": wg_used,
-            "core": core,
-            "bump_radius": phi.rho,
-            "chart_affine": field_.constant_components,
-        })
+    return _family("positivity-exit", case, field_, phi, p, n_max,
+                   seminorm_grid, -1, printed_form, certify, {
+                       "v_used": [float(a) for a in v_used],
+                       "w_used": [float(a) for a in w_used],
+                       "g_ww_used": wg_used,
+                       "core": core,
+                       "bump_radius": phi.rho,
+                       "chart_affine": field_.constant_components,
+                   })

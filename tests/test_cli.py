@@ -880,6 +880,20 @@ def test_negative_seed_is_a_usage_error():
     assert run_cli(argv[:-1] + ["--seed=0"])[0] in (0, 1)
 
 
+def test_sparse_shell_is_a_usage_error():
+    """The causal shell needs at least 8 directions: --dirs 7 exits 2 with
+    the message on stderr, as --points 0 does (it was a ParamError report
+    with exit 1)."""
+    argv = ["check", "builtin:minkowski", "--condition=E", "--points=1",
+            "--dirs=7"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert "must be at least 8, got 7" in err.getvalue()
+    assert run_cli(argv[:-1] + ["--dirs=8"])[0] in (0, 1)
+
+
 def test_zero_orientation_is_a_param_error(tmp_path, capsys):
     """A zero orientation vector is not timelike: the load exits 1 with a
     JSON ParamError, never a ZeroDivisionError traceback."""

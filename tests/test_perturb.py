@@ -13,8 +13,8 @@ from lorentzkit.expr import SymbolTable
 from lorentzkit.fields import ExprScalarField, ScalarField, ZeroScalarField
 from lorentzkit.metric import ConformalScaledMetric, ExprMetricField
 from lorentzkit.normal import NormalChart, orthonormal_frame_from
-from lorentzkit.perturb import (BumpField, NormalCoordBump, bump, cs_seminorm,
-                                find_degenerate_witness,
+from lorentzkit.perturb import (BumpField, Certificate, NormalCoordBump,
+                                PerturbationFamily, bump, cs_seminorm,
                                 positivity_exit_family, trapped_exit_family)
 from lorentzkit.conformal import rescale
 from lorentzkit.specfile import load_spec
@@ -426,12 +426,6 @@ class TestPositivityExitFamily:
             positivity_exit_family(b.field, np.zeros(4),
                                    [1, 0, 0, 0], [0, 1, 0, 0])
 
-    def test_witness_search_on_flat(self, bundles):
-        b = bundles["minkowski"]
-        v, w = find_degenerate_witness(b.field, np.zeros(4))
-        fam = positivity_exit_family(b.field, np.zeros(4), v, w, n_max=3)
-        assert all(c.value_direct < 0 for c in fam.certificates)
-
 
 def _rel_close(got, want, rel):
     """got within rel of want, relative to the largest entry of want
@@ -822,3 +816,117 @@ def test_schwarzschild_static_positivity_exit_is_pinned(bundles):
         "-0x1.4924924924922p+5", "-0x1.1fffffffffffep+5"]
     assert len(fam.seminorms) == 8
     assert -1.1 <= fam.seminorm_slope(2) <= -0.9
+
+
+def _family_hexes(fam):
+    """The certificates, closed forms, printed values, C^0..C^2 seminorm
+    columns and the certificate and C^0..C^2 slopes, as float.hex."""
+    out = {"certificate": [c.value_direct.hex() for c in fam.certificates],
+           "closed_form": [c.value_closed_form.hex()
+                           for c in fam.certificates],
+           "printed": [c.printed_value.hex() for c in fam.certificates]}
+    for k in ("c0", "c1", "c2"):
+        out[k] = [row[k].hex() for row in fam.seminorms]
+    out["slopes"] = [fam.scaling_exponent().hex()] + [
+        fam.seminorm_slope(k).hex() for k in (0, 1, 2)]
+    return out
+
+
+# the n_max = 4 families on a 4-point seminorm grid, digit for digit
+_TRAPPED_PINS = {
+    "zero-H": {
+        "certificate": ["0x1.0000000000000p+2", "0x1.0000000000000p+0",
+                        "0x1.c71c71c71c71cp-2", "0x1.0000000000000p-2"],
+        "closed_form": ["0x1.0000000000000p+2", "0x1.0000000000000p+0",
+                        "0x1.c71c71c71c71cp-2", "0x1.0000000000000p-2"],
+        "printed": ["0x1.0000000000000p+2", "0x1.0000000000000p+1",
+                    "0x1.5555555555555p+0", "0x1.0000000000000p+0"],
+        "c0": ["0x1.1cd879a1dc828p-3", "0x1.13934b5c97fa3p-4",
+               "0x1.6b6eaa8dd50d1p-5", "0x1.0f1704670841fp-5"],
+        "c1": ["0x1.5ec6ac2e52282p+0", "0x1.48a9f19ffdc12p-1",
+               "0x1.accf4c396000ep-2", "0x1.3e22d5c8b3b9ep-2"],
+        "c2": ["0x1.baa759e7b6e8bp+5", "0x1.9ef3bbd910062p+4",
+               "0x1.0ebd41f167828p+4", "0x1.91c21e557bdabp+3"],
+        "slopes": ["-0x1.ffffffffffffep+0", "-0x1.0949451cd90e8p+0",
+                   "-0x1.12528f8d04e96p+0", "-0x1.122f6c5235bf0p+0"],
+    },
+    "null-H": {
+        "certificate": ["0x1.6a09e667f3bccp+2", "0x1.6a09e667f3bccp+1",
+                        "0x1.e2b7dddfefa67p+0", "0x1.6a09e667f3bcfp+0"],
+        "closed_form": ["0x1.6a09e667f3bccp+2", "0x1.6a09e667f3bccp+1",
+                        "0x1.e2b7dddfefa65p+0", "0x1.6a09e667f3bccp+0"],
+        "printed": ["0x1.6a09e667f3bccp+2", "0x1.6a09e667f3bccp+1",
+                    "0x1.e2b7dddfefa65p+0", "0x1.6a09e667f3bccp+0"],
+        "c0": ["0x1.9e2329e00b6d3p-3", "0x1.8b155358424bap-4",
+               "0x1.03539905a4a8ap-4", "0x1.81fd62df7f0b6p-5"],
+        "c1": ["0x1.05c86a8e364cap+1", "0x1.dd81e22b10c86p-1",
+               "0x1.34b72a57f6289p-1", "0x1.c80547b9622e9p-2"],
+        "c2": ["0x1.de30ce5166bc1p+5", "0x1.b6409a4c23d09p+4",
+               "0x1.1bcb9502b605dp+4", "0x1.a38c5f8fd5e3ap+3"],
+        "slopes": ["-0x1.ffffffffffffdp-1", "-0x1.0d34b2696bc25p+0",
+                   "-0x1.19e9746212898p+0", "-0x1.188b27e200ccap+0"],
+    },
+}
+
+
+@pytest.mark.parametrize("name, sub, u0, case", [
+    ("torus_quotient", "S", [0.3, 0.7], "zero-H"),
+    ("null_H_demo", "sheet", [0.0, 0.0], "null-H")])
+def test_trapped_exit_reports_are_pinned(bundles, name, sub, u0, case):
+    """Both cases of the trapped-exit theorem keep every digit of their
+    certificates, closed forms, printed values, seminorm rows and slopes."""
+    b = bundles[name]
+    fam = trapped_exit_family(b.field, b.orientation, b.submanifolds[sub],
+                              np.array(u0), n_max=4, seminorm_grid=4)
+    assert fam.case == case
+    assert _family_hexes(fam) == _TRAPPED_PINS[case]
+
+
+def _hand_family(ns, certificates, seminorms):
+    """A family from its tables alone (the slopes read nothing else)."""
+    return PerturbationFamily(
+        base=None, phi=None, kind="trapped-exit", case="zero-H",
+        point=np.zeros(2), n_max=len(ns),
+        certificates=[Certificate(n=n, value_direct=v, value_closed_form=v,
+                                  printed_value=v, printed_form="",
+                                  sign_expected=+1, agreement=0.0)
+                      for n, v in zip(ns, certificates)],
+        seminorms=[{"n": n, "c0": c0, "c1": c1, "c2": c2}
+                   for n, (c0, c1, c2) in zip(ns, seminorms)])
+
+
+class TestLogLogSlopes:
+    NS = [1, 2, 3, 5, 8]
+    CERTS = [4.0, 1.1, 0.43, 0.17, 0.06]
+    ROWS = [(0.3, 2.0, 41.0), (0.16, 1.1, 20.5), (0.1, 0.7, 14.1),
+            (0.07, 0.41, 8.0), (0.04, 0.26, 5.3)]
+
+    def test_slopes_are_the_least_squares_fit(self):
+        fam = _hand_family(self.NS, self.CERTS, self.ROWS)
+        log_n = np.log(self.NS)
+        assert fam.scaling_exponent() == np.polyfit(
+            log_n, np.log(self.CERTS), 1)[0]
+        for k in (0, 1, 2):
+            assert fam.seminorm_slope(k) == np.polyfit(
+                log_n, np.log([row[k] for row in self.ROWS]), 1)[0]
+
+    def test_a_negative_certificate_is_fit_by_its_modulus(self):
+        signed = [-c for c in self.CERTS]
+        assert _hand_family(self.NS, signed, self.ROWS).scaling_exponent() \
+            == _hand_family(self.NS, self.CERTS, self.ROWS).scaling_exponent()
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5])
+    def test_a_seminorm_that_is_not_positive_gives_nan(self, bad):
+        rows = self.ROWS[:2] + [(bad, bad, bad)] + self.ROWS[3:]
+        fam = _hand_family(self.NS, self.CERTS, rows)
+        assert all(math.isnan(fam.seminorm_slope(k)) for k in (0, 1, 2))
+
+    def test_a_zero_certificate_gives_nan(self):
+        certs = self.CERTS[:2] + [0.0] + self.CERTS[3:]
+        assert math.isnan(
+            _hand_family(self.NS, certs, self.ROWS).scaling_exponent())
+
+    def test_one_row_gives_nan(self):
+        fam = _hand_family(self.NS[:1], self.CERTS[:1], self.ROWS[:1])
+        assert math.isnan(fam.scaling_exponent())
+        assert all(math.isnan(fam.seminorm_slope(k)) for k in (0, 1, 2))
