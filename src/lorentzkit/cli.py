@@ -29,7 +29,7 @@ from . import __version__, catalog
 from .conditions import (Region, gs_trace, inclusion_audit, ricci_condition,
                          riem_condition, temporal_certificate, tidal_condition)
 from .errors import DomainError, LorentzkitError
-from .geodesics import geodesic, parallel_transport
+from .geodesics import geodesic
 from .geometry import Tolerances, curvature_data
 from .perturb import positivity_exit_family, trapped_exit_family
 from .specfile import load_spec, spec_digest
@@ -354,7 +354,8 @@ def _cmd_geodesic(args, bundle):
     direction = _sized("--dir", args.dir, dim, nonzero=True)
     vecs = [_sized("--transport", _parse_vector(v), dim)
             for v in args.transport.split(";")] if args.transport else []
-    sol = geodesic(bundle.field, start, direction, args.length)
+    sol = geodesic(bundle.field, start, direction, args.length,
+                   transport=np.array(vecs).T if vecs else None)
     samples = [{"s": s, "point": x.tolist(),
                 "canonical_point": bundle.field.canonicalize(x).tolist(),
                 "velocity": xd.tolist()}
@@ -369,7 +370,7 @@ def _cmd_geodesic(args, bundle):
         "samples": samples,
     }
     if vecs:
-        tr = parallel_transport(bundle.field, sol, np.array(vecs).T)
+        tr = sol.transport
         result["transport"] = {
             "product_drift": tr.product_drift,
             "n_rhs_evals": tr.n_rhs_evals,

@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField
-from .geometry import DEFAULT_TOLS, Tolerances, curvature_data
+from .geometry import (DEFAULT_TOLS, CurvatureData, Tolerances,
+                       curvature_data)
 from .jets import Jet2
 from .metric import ConformalScaledMetric, MetricField
 from .submanifold import (Embedding, MeanCurvature, mean_curvature,
@@ -91,10 +92,12 @@ def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def conformal_riemann(field_: MetricField, factor: ScalarField, p,
-                      scale: float = 1.0) -> TensorValue:
-    """Closed-form covariant Riemann tensor of e^{2f} g at p."""
+                      scale: float = 1.0,
+                      base: CurvatureData | None = None) -> TensorValue:
+    """Closed-form covariant Riemann tensor of e^{2f} g at p. `base` is
+    curvature_data(field_, p) when the caller already has it."""
     p = np.asarray(p, dtype=float)
-    data = curvature_data(field_, p)
+    data = base if base is not None else curvature_data(field_, p)
     fj = _factor_jet(field_, factor, p, scale)
     df = fj.grad
     # covariant Hessian: coordinate Hessian minus the connection term

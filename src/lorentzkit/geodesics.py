@@ -48,12 +48,17 @@ def _minus_gamma(field_: MetricField, x, xdot, w) -> np.ndarray:
     return -0.5 * (g_inv @ (m @ w))
 
 
-def _geodesic_rhs(field_: MetricField):
+def _geodesic_rhs(field_: MetricField, cols: int = 0):
+    """The geodesic with `cols` parallel-transported vectors: state
+    (x, x', w_1 ... w_cols), each vector contiguous. One contraction gives
+    the acceleration and every w_a' as -1/2 g^-1 m [x' | w_1 ... w_cols]."""
     n = field_.dim
 
     def rhs(_s, y):
-        x, xdot = y[:n], y[n:]
-        return np.concatenate([xdot, _minus_gamma(field_, x, xdot, xdot)])
+        x, xdot = y[:n], y[n:2 * n]
+        vel = y[n:].reshape(cols + 1, n).T if cols else xdot
+        return np.concatenate([xdot, _minus_gamma(field_, x, xdot, vel)
+                               .T.reshape(-1)])
 
     return rhs
 
@@ -128,6 +133,7 @@ class GeodesicSolution:
     n_rhs_evals: int              # every attempt's, a discarded one included
     _dense: object
     refinements: int = 0          # 1 when the first attempt was discarded
+    transport: TransportSolution | None = None   # with `transport` columns
 
     def evaluate(self, s) -> tuple[np.ndarray, np.ndarray]:
         """Raw (unwrapped) point and velocity at affine parameter s, (n,)
@@ -154,8 +160,19 @@ class GeodesicSolution:
         return zip(s.tolist(), *self.evaluate(s))
 
 
+def _product_drift(field_: MetricField, p0, base0, x,
+                   vecs) -> tuple[np.ndarray, np.ndarray]:
+    """(|g(a, b) - g(a0, b0)|, g(a0, b0)) for every pair of columns a, b of
+    vecs (B, n, k) at the points x (B, n), against the columns a0, b0 of
+    base0 (n, k) at p0: shapes (B, k, k) and (k, k). The B metric values
+    are read in one batch."""
+    prod0 = base0.T @ field_.value(p0) @ base0
+    g = batch_or_replay(field_.value, x)
+    return np.abs(np.einsum("bia,bij,bjc->bac", vecs, g, vecs) - prod0), prod0
+
+
 def geodesic(field_: MetricField, p, v, t_end: float,
-             tols: Tolerances = DEFAULT_TOLS, jacobi=None,
+             tols: Tolerances = DEFAULT_TOLS, jacobi=None, transport=None,
              _rtol: float | None = None) -> GeodesicSolution:
     """Integrate the geodesic from (p, v) over affine parameter [0, t_end].
 
@@ -170,15 +187,30 @@ def geodesic(field_: MetricField, p, v, t_end: float,
     J'(0) = jacobi ride along as the first variational equation, under the
     same step control (`GeodesicSolution.jacobi`); for t_end = 1 they are
     the differential of the exponential map, d exp_p(v) jacobi.
+
+    With `transport` vectors, (n,) or columns (n, m), those vectors are
+    parallel-transported in the same solve (`GeodesicSolution.transport`,
+    a `TransportSolution`): one right-hand side gives the acceleration and
+    every w' from one metric jet. All pairwise g-inner products among the
+    columns and x' must then also stay within eps_geo (the budget of
+    `parallel_transport`); the one retry runs if either drift is over its
+    budget, and the transport's `n_rhs_evals` and `refinements` are the
+    shared solve's. `jacobi` and `transport` cannot be combined.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     if float(v @ v) == 0.0:
         raise ValueError("geodesic needs a nonzero initial velocity")
+    if jacobi is not None and transport is not None:
+        raise ValueError("geodesic takes jacobi or transport columns, not both")
     rtol = _rtol if _rtol is not None else max(1e-12, min(1e-9, tols.eps_geo * 0.1))
     n = field_.dim
+    w0 = None if transport is None else np.asarray(transport, dtype=float)
+    cols = np.empty((n, 0)) if w0 is None else w0.reshape(n, -1)
+    m = cols.shape[1]
     if jacobi is None:
-        rhs, y0 = _geodesic_rhs(field_), np.concatenate([p, v])
+        rhs = _geodesic_rhs(field_, m)
+        y0 = np.concatenate([p, v, cols.T.reshape(-1)])
     else:
         jacobi = np.asarray(jacobi, dtype=float)
         rhs = _variational_rhs(field_, jacobi.shape[1])
@@ -194,31 +226,44 @@ def geodesic(field_: MetricField, p, v, t_end: float,
     chart_exit = sol.status == 1
     t_reached = float(sol.t[-1])
 
-    g0 = field_.value(p)
-    q0 = float(v @ g0 @ v)
+    # conservation: g(x', x') and the pairwise products of [x' | w_1 ... w_m]
     y = sol.sol(np.linspace(0.0, t_reached, 33))
-    x, xdot = y[:n].T, y[n:2 * n].T
-    q = np.einsum("bi,bij,bj->b", xdot, batch_or_replay(field_.value, x), xdot)
-    drift = float(np.max(np.abs(q - q0)))
-    budget = tols.eps_geo * (1.0 + abs(q0))
-    if drift > budget:
+    vecs = y[n:(m + 2) * n].T.reshape(-1, m + 1, n).transpose(0, 2, 1)
+    diff, prod0 = _product_drift(field_, p, np.column_stack([v, cols]),
+                                 y[:n].T, vecs)
+    drift, product_drift = float(np.max(diff[:, 0, 0])), float(np.max(diff))
+    budget = tols.eps_geo * (1.0 + abs(prod0[0, 0]))
+    product_budget = tols.eps_geo * (1.0 + float(np.max(np.abs(prod0))))
+    if drift > budget or product_drift > product_budget:
         if _rtol is None:
-            refined = geodesic(field_, p, v, t_end, tols, jacobi,
+            refined = geodesic(field_, p, v, t_end, tols, jacobi, transport,
                                _rtol=rtol * 1e-3)
-            refined.n_rhs_evals += int(sol.nfev)
-            refined.refinements = 1
+            for out in (refined, refined.transport):
+                if out is not None:
+                    out.n_rhs_evals += int(sol.nfev)
+                    out.refinements = 1
             return refined
+        if drift > budget:
+            raise ToleranceExceeded(
+                f"norm drift {drift:.3e} exceeds budget {budget:.3e}")
         raise ToleranceExceeded(
-            f"norm drift {drift:.3e} exceeds budget {budget:.3e}")
-    return GeodesicSolution(field=field_, p0=p, v0=v, t_end=float(t_end),
-                            t_reached=t_reached, chart_exit=chart_exit,
-                            norm_drift=drift, n_rhs_evals=int(sol.nfev),
-                            _dense=sol.sol)
+            f"transport product drift {product_drift:.3e} over budget")
+    out = GeodesicSolution(field=field_, p0=p, v0=v, t_end=float(t_end),
+                           t_reached=t_reached, chart_exit=chart_exit,
+                           norm_drift=drift, n_rhs_evals=int(sol.nfev),
+                           _dense=sol.sol)
+    if w0 is not None:
+        # the dense rows of w_1 ... w_m, in the (n, m) order of cols
+        rows = (2 * n + n * np.arange(m) + np.arange(n)[:, None]).reshape(-1)
+        out.transport = TransportSolution(
+            geodesic=out, w0=w0, product_drift=product_drift,
+            n_rhs_evals=int(sol.nfev), _dense=lambda s: sol.sol(s)[rows])
+    return out
 
 
 @dataclass
 class TransportSolution:
-    """Vector(s) parallel-transported along a stored geodesic."""
+    """Vector(s) parallel-transported along a geodesic."""
 
     geodesic: GeodesicSolution
     w0: np.ndarray                # (n,) or (n, m)
@@ -239,6 +284,11 @@ def parallel_transport(field_: MetricField, solution: GeodesicSolution, w0,
                        tols: Tolerances = DEFAULT_TOLS,
                        _rtol: float | None = None) -> TransportSolution:
     """Solve w'^k + Gamma^k_ij gamma'^i w^j = 0 along the stored curve.
+
+    This is a second solve, whose every right-hand side reads the curve's
+    dense output and takes its own metric jet there. For a curve not yet
+    integrated, `geodesic(..., transport=w0)` transports w0 in the
+    geodesic's own solve instead.
 
     w0 may be a single vector (n,) or a matrix of columns (n, m); columns are
     transported together. All pairwise g-inner products are checked to stay
@@ -261,15 +311,13 @@ def parallel_transport(field_: MetricField, solution: GeodesicSolution, w0,
         raise StepFailure(sol.message)
 
     # conservation: pairwise products among transported columns and gamma'
-    g0 = field_.value(solution.p0)
-    base = np.hstack([cols, solution.v0[:, None]])
-    prod0 = base.T @ g0 @ base
     ts = np.linspace(0.0, solution.t_reached, 17)
     x, xdot = solution.evaluate(ts)
     stack = np.concatenate([sol.sol(ts).T.reshape(-1, n, m),
                             xdot[:, :, None]], axis=2)
-    g = batch_or_replay(field_.value, x)
-    diff = np.abs(np.einsum("bia,bij,bjc->bac", stack, g, stack) - prod0)
+    diff, prod0 = _product_drift(field_, solution.p0,
+                                 np.hstack([cols, solution.v0[:, None]]),
+                                 x, stack)
     drift, curve_drift = float(np.max(diff)), float(np.max(diff[:, -1, -1]))
     budget = tols.eps_geo * (1.0 + float(np.max(np.abs(prod0))))
     if drift > budget:

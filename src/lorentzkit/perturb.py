@@ -581,7 +581,8 @@ def positivity_exit_family(field_: MetricField, p, v, w,
     wg_used = data.inner(w_used, w_used)
 
     def certify(n: int):
-        riem_cf = conformal_riemann(field_, phi, p, scale=1.0 / n).components
+        riem_cf = conformal_riemann(field_, phi, p, scale=1.0 / n,
+                                    base=data).components
         closed = np.einsum("ijkl,i,j,k,l->", riem_cf, w_used, v_used, v_used,
                            w_used)
         direct = curvature_data(rescale(field_, phi, 1.0 / n), p).riem_quad(

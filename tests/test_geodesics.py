@@ -1,4 +1,6 @@
 import importlib.util
+import io
+import json
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -284,6 +286,109 @@ class TestRefinementCounts:
         assert len(attempts) == 1
 
 
+class TestFusedTransport:
+    """`geodesic(..., transport=)` carries the frame in the geodesic's own
+    solve: one solve_ivp call, the same transport as the stored-curve solve
+    within eps_geo, and one shared retry."""
+
+    @pytest.mark.parametrize("name", ["schwarzschild_ef", "flrw_dust", "desitter"])
+    def test_agrees_with_the_stored_curve_transport(self, bundles, name):
+        b = bundles[name]
+        p = region_points(b, 1, seed=29)[0]
+        v = np.array([1.0, 0.05, 0.02, 0.0])
+        w0 = np.eye(4)[:, 1:3]
+        fused = geodesic(b.field, p, v, 0.8, transport=w0)
+        stored = parallel_transport(b.field, geodesic(b.field, p, v, 0.8), w0)
+        budget = Tolerances().eps_geo
+        s = np.linspace(0.0, fused.t_reached, 33)
+        w = fused.transport.evaluate(s)
+        assert w.shape == (33, 4, 2)
+        assert np.abs(w - stored.evaluate(s)).max() <= budget
+        assert np.array_equal(fused.transport.evaluate(0.0), w0)
+        assert fused.transport.product_drift < budget
+        assert fused.transport.geodesic is fused
+
+    def test_minkowski_constant(self, bundles):
+        w0 = np.array([0.3, 1.0, -2.0, 0.5])
+        sol = geodesic(bundles["minkowski"].field, np.zeros(4),
+                       np.array([1.0, 0.2, 0, 0]), 2.0, transport=w0)
+        assert sol.transport.evaluate(2.0).shape == (4,)
+        assert np.allclose(sol.transport.evaluate(2.0), w0, atol=1e-9)
+
+    def test_sphere_triangle_holonomy(self, sphere_metric):
+        """Around a geodesic octant (vertices e_x, e_y, e_z of the ambient
+        sphere of radius 2, tilted off the chart poles), the transported
+        first velocity comes back rotated by pi/2 against the start."""
+        a, beta = 2.0, 0.7
+        rot = np.array([[math.cos(beta), 0.0, math.sin(beta)],
+                        [0.0, 1.0, 0.0],
+                        [-math.sin(beta), 0.0, math.cos(beta)]])
+        verts = list(rot.T)
+
+        def chart(u):
+            return np.array([math.acos(u[2]), math.atan2(u[1], u[0])])
+
+        def chart_velocity(th_ph, d):
+            th, ph = th_ph
+            jac = a * np.array([[math.cos(th) * math.cos(ph), -math.sin(th) * math.sin(ph)],
+                                [math.cos(th) * math.sin(ph), math.sin(th) * math.cos(ph)],
+                                [-math.sin(th), 0.0]])
+            return np.linalg.lstsq(jac, d, rcond=None)[0]
+
+        pt, w = chart(verts[0]), None
+        for k in range(3):
+            v = chart_velocity(pt, verts[(k + 1) % 3])   # unit ambient speed
+            w = v if w is None else w
+            leg = geodesic(sphere_metric, pt, v, math.pi * a / 2.0, transport=w)
+            w = leg.transport.evaluate(leg.t_reached)
+            pt, _ = leg.evaluate(leg.t_reached)
+        assert np.allclose(pt, chart(verts[0]), atol=1e-6)
+        v0 = chart_velocity(pt, verts[1])
+        g = sphere_metric.value(pt)
+        cosang = float(w @ g @ v0) / math.sqrt(float(w @ g @ w) * float(v0 @ g @ v0))
+        assert abs(math.acos(np.clip(cosang, -1.0, 1.0)) - math.pi / 2) < 1e-5
+
+    def test_a_product_drift_alone_retries_once(self, bundles, monkeypatch):
+        """A comoving dust observer keeps g(x', x') exactly even at a loose
+        rtol, so only the transported frame's products can force the retry:
+        both solves then count, on the geodesic and on its transport."""
+        b = bundles["flrw_dust"]
+        p = region_points(b, 1, seed=29)[0]
+        v = np.array([1.0, 0.0, 0.0, 0.0])
+        attempts = TestRefinementCounts._counting_solver(monkeypatch, True)
+        assert geodesic(b.field, p, v, 0.8).refinements == 0
+        attempts.clear()
+        sol = geodesic(b.field, p, v, 0.8, transport=np.eye(4)[:, 1:3])
+        assert len(attempts) == 2
+        assert sol.refinements == sol.transport.refinements == 1
+        assert sol.n_rhs_evals == sol.transport.n_rhs_evals == sum(attempts)
+
+    def test_jacobi_and_transport_do_not_combine(self, bundles):
+        with pytest.raises(ValueError):
+            geodesic(bundles["minkowski"].field, np.zeros(4),
+                     np.array([1.0, 0.2, 0, 0]), 1.0, jacobi=np.eye(4),
+                     transport=np.eye(4)[:, 1:2])
+
+    def test_cli_geodesic_solves_once(self, monkeypatch):
+        from lorentzkit import cli
+        calls = []
+        original = geodesics.solve_ivp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(geodesics, "solve_ivp", counted)
+        out = io.StringIO()
+        code = cli.run(["geodesic", "builtin:schwarzschild_ef",
+                        "--from=0,3,1.5,0.3", "--dir=1,-0.5,0,0.1",
+                        "--length", "0.5", "--transport=0,1,0,0;0,0,1,0"], out)
+        rep = json.loads(out.getvalue())["result"]
+        assert code == 0 and calls == [1]
+        assert rep["transport"]["n_rhs_evals"] == rep["n_rhs_evals"]
+        assert np.array(rep["transport"]["final"]).shape == (4, 2)
+
+
 class TestRightHandSides:
     """The contracted right-hand sides against sympy's Christoffel symbols.
 
@@ -327,6 +432,32 @@ class TestRightHandSides:
             got = _transport_rhs(b.field, curve, 2)(0.0, w.reshape(-1))
             assert np.abs(got.reshape(n, 2) - dw).max() <= \
                 1e-10 * np.abs(dw).max()
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ("contracting_desitter",))
+    def test_fused_rhs_matches_oracle_christoffel(self, bundles, oracle, name):
+        """The state (x, x', w_1, w_2): x'' and both w_a' from one
+        contraction, against sympy's Christoffel symbols; with no columns
+        the right-hand side is the plain geodesic's, bit for bit."""
+        b = self._bundle(bundles, name)
+        n = b.field.dim
+        geo = oracle.geometry(name)
+        rng = np.random.default_rng(59)
+        for p in region_points(b, 3, seed=61):
+            xdot = rng.normal(size=n)
+            w = rng.normal(size=(n, 2))
+            gam = geo.christoffel(p)
+            want = -np.einsum("kij,i,jm->km", gam, xdot,
+                              np.column_stack([xdot, w]))
+            y = _geodesic_rhs(b.field, 2)(0.0, np.concatenate(
+                [p, xdot, w.T.reshape(-1)]))
+            assert np.array_equal(y[:n], xdot)
+            got = y[n:].reshape(3, n).T
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            plain = np.concatenate([p, xdot])
+            assert np.array_equal(
+                _geodesic_rhs(b.field, 0)(0.0, plain),
+                np.concatenate([xdot, geodesics._minus_gamma(
+                    b.field, p, xdot, xdot)]))
 
     @pytest.mark.parametrize("name", CATALOG_NAMES + ("contracting_desitter",))
     def test_jacobi_rhs_differentiates_the_geodesic_rhs(self, bundles, name):

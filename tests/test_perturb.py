@@ -818,6 +818,34 @@ def test_schwarzschild_static_positivity_exit_is_pinned(bundles):
     assert -1.1 <= fam.seminorm_slope(2) <= -0.9
 
 
+def test_positivity_exit_shares_its_base_curvature(bundles, monkeypatch):
+    """conformal_riemann reads the family's own curvature_data at p instead
+    of recomputing it once per n; the certificates keep their digits."""
+    import lorentzkit.conformal as conformal
+    calls = []
+    original = conformal.curvature_data
+
+    def counted(field_, p):
+        calls.append(1)
+        return original(field_, p)
+
+    monkeypatch.setattr(conformal, "curvature_data", counted)
+    fam = positivity_exit_family(
+        bundles["minkowski"].field, np.zeros(4), [1, 0, 0, 0], [0, 0, 1, 0],
+        n_max=8, seminorm_grid=3)
+    assert calls == []
+    assert [c.value_closed_form.hex() for c in fam.certificates] == [
+        "-0x1.d8e64b8d4ddaep+2", "-0x1.5bf0a8b145769p+0",
+        "-0x1.4c69cc7a6c809p-1", "-0x1.a61298e1e069cp-2",
+        "-0x1.318694262ffe7p-2", "-0x1.dc5e797a2e6c5p-3",
+        "-0x1.85540ff757ac4p-3", "-0x1.48b5e3c3e8186p-3"]
+    assert [c.value_direct.hex() for c in fam.certificates] == [
+        "-0x1.d8e64b8d4ddaep+2", "-0x1.5bf0a8b145769p+0",
+        "-0x1.4c69cc7a6c807p-1", "-0x1.a61298e1e069cp-2",
+        "-0x1.318694262ffe7p-2", "-0x1.dc5e797a2e6c2p-3",
+        "-0x1.85540ff757ac3p-3", "-0x1.48b5e3c3e8186p-3"]
+
+
 def _family_hexes(fam):
     """The certificates, closed forms, printed values, C^0..C^2 seminorm
     columns and the certificate and C^0..C^2 slopes, as float.hex."""

@@ -85,6 +85,26 @@ def test_traced_integrators_count_right_hand_sides(bundles):
     assert metrics["metric.jets1_calls"] > 0
 
 
+def test_traced_fused_transport_is_one_geodesic_solve(bundles):
+    """A frame carried in the geodesic's own state shows up as geodesic
+    right-hand sides only: one solve, every right-hand side counted there,
+    no transport solve."""
+    b = bundles["schwarzschild_ef"]
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        sol = geodesics.geodesic(b.field, np.array([0.0, 3.0, 1.5, 0.3]),
+                                 np.array([1.0, -0.5, 0.0, 0.1]), 0.3,
+                                 transport=np.eye(4)[:, 1:3])
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["geodesics.solves"] == 1
+    assert metrics["geodesics.rhs_evals"] == sol.n_rhs_evals > 0
+    assert metrics["geodesics.transport_solves"] == 0
+    assert metrics["geodesics.transport_rhs_evals"] == 0
+
+
 def test_traced_family_counts_its_seminorm_grid(bundles):
     """A family's seminorm table shows up in the perturb metrics: 3^4 grid
     points, a measured time, and its base jets taken per slab rather than
