@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import NotApplicable, ParamError, batch_or_replay
 from .fields import ScalarField, VectorField
-from .geodesics import geodesic, parallel_transport
+from .geodesics import geodesic
 from .geometry import (DEFAULT_TOLS, CurvatureData, Tolerances, complement,
                        curvature_data, lorentz_frame, tidal_rows,
                        tidal_screen)
@@ -491,12 +491,14 @@ def gs_trace(field_: MetricField, emb: Embedding, u0, direction,
     """Trace g^{ab} Riem(gamma', E_a, E_b, gamma') along a normal geodesic.
 
     gamma starts on the submanifold with the given future causal normal
-    velocity; E_a are the parallel-transported coordinate tangents, whose
-    Gram matrix g_ab stays constant along the curve. The n_samples points,
-    velocities and frames are read in one call each and their curvature in
-    one batched pass (`batch_or_replay`: a failing sample raises its own
-    error). Returns the sampled minimum and the first parameter where the
-    trace dips below -tau_cond.
+    velocity; E_a are the coordinate tangents, parallel-transported in the
+    geodesic's own solve, whose Gram matrix g_ab stays constant along the
+    curve (`gram_constant_drift`: the largest drift of a pairwise product
+    among gamma' and the E_a). The n_samples points, velocities and frames
+    are read in one call each and their curvature in one batched pass
+    (`batch_or_replay`: a failing sample raises its own error). Returns the
+    sampled minimum and the first parameter where the trace dips below
+    -tau_cond.
     """
     u0 = np.asarray(u0, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -511,8 +513,7 @@ def gs_trace(field_: MetricField, emb: Embedding, u0, direction,
     if q > tols.tau_c * float(direction @ direction):
         raise NotApplicable("direction must be causal (timelike or null)")
 
-    sol = geodesic(field_, x0, direction, length, tols)
-    transport = parallel_transport(field_, sol, jac, tols)
+    sol = geodesic(field_, x0, direction, length, tols, transport=jac)
     gram = jac.T @ g0 @ jac
     gram_inv = np.linalg.inv(0.5 * (gram + gram.T))
 
@@ -523,7 +524,7 @@ def gs_trace(field_: MetricField, emb: Embedding, u0, direction,
 
     s = np.linspace(0.0, sol.t_reached, n_samples)
     x, xdot = sol.evaluate(s)
-    values = batch_or_replay(trace, x, xdot, transport.evaluate(s))
+    values = batch_or_replay(trace, x, xdot, sol.transport.evaluate(s))
     below = np.flatnonzero(values < -tols.tau_cond)
     first_negative = None if not below.size else {
         "s": float(s[below[0]]), "trace": float(values[below[0]]),
@@ -538,7 +539,7 @@ def gs_trace(field_: MetricField, emb: Embedding, u0, direction,
         "samples": len(values),
         "chart_exit": sol.chart_exit,
         "length_reached": sol.t_reached,
-        "gram_constant_drift": transport.product_drift,
+        "gram_constant_drift": sol.transport.product_drift,
         "tolerances": tols.as_dict(),
     }
 

@@ -1,5 +1,11 @@
 """Geodesic integration and parallel transport (Dormand-Prince 8(5,3)).
 
+One integrator serves both: transported vectors ride in the geodesic's own
+state, so a transport is one solve of (x, x', w_1 ... w_m) whose right-hand
+side takes one metric jet per stage. `geodesic(..., transport=w0)` runs it
+from (p, v); `parallel_transport` runs it again along a curve the caller
+already holds.
+
 Integration happens in the covering chart: periodic coordinates are never
 wrapped inside the ODE state, so curves unwrap naturally; metric queries
 canonicalize internally. Solutions report both raw and canonical points.
@@ -90,16 +96,6 @@ def _variational_rhs(field_: MetricField, cols: int):
     return rhs
 
 
-def _transport_rhs(field_: MetricField, solution, m: int):
-    n = field_.dim
-
-    def rhs(s, wflat):
-        x, xdot = solution.evaluate(s)
-        return _minus_gamma(field_, x, xdot, wflat.reshape(n, m)).reshape(-1)
-
-    return rhs
-
-
 def _boundary_events(field_: MetricField):
     events = []
     n = field_.dim
@@ -176,7 +172,8 @@ def geodesic(field_: MetricField, p, v, t_end: float,
              _rtol: float | None = None) -> GeodesicSolution:
     """Integrate the geodesic from (p, v) over affine parameter [0, t_end].
 
-    Stops early with chart_exit set if the curve leaves the chart domain.
+    t_end must be finite and positive (ValueError otherwise). Stops early
+    with chart_exit set if the curve leaves the chart domain.
     Raises StepFailure on integrator breakdown (a numerical signal only) and
     ToleranceExceeded if g(x',x') cannot be held to eps_geo even after one
     refinement retry at rtol * 1e-3 (an rtol below scipy's floor runs at the
@@ -192,73 +189,14 @@ def geodesic(field_: MetricField, p, v, t_end: float,
     parallel-transported in the same solve (`GeodesicSolution.transport`,
     a `TransportSolution`): one right-hand side gives the acceleration and
     every w' from one metric jet. All pairwise g-inner products among the
-    columns and x' must then also stay within eps_geo (the budget of
-    `parallel_transport`); the one retry runs if either drift is over its
-    budget, and the transport's `n_rhs_evals` and `refinements` are the
-    shared solve's. `jacobi` and `transport` cannot be combined.
+    columns and x' must then also stay within eps_geo; the one retry runs
+    if either drift is over its budget, and the transport's `n_rhs_evals`
+    and `refinements` are the shared solve's. `jacobi` and `transport`
+    cannot be combined.
     """
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if float(v @ v) == 0.0:
-        raise ValueError("geodesic needs a nonzero initial velocity")
-    if jacobi is not None and transport is not None:
-        raise ValueError("geodesic takes jacobi or transport columns, not both")
-    rtol = _rtol if _rtol is not None else max(1e-12, min(1e-9, tols.eps_geo * 0.1))
-    n = field_.dim
-    w0 = None if transport is None else np.asarray(transport, dtype=float)
-    cols = np.empty((n, 0)) if w0 is None else w0.reshape(n, -1)
-    m = cols.shape[1]
-    if jacobi is None:
-        rhs = _geodesic_rhs(field_, m)
-        y0 = np.concatenate([p, v, cols.T.reshape(-1)])
-    else:
-        jacobi = np.asarray(jacobi, dtype=float)
-        rhs = _variational_rhs(field_, jacobi.shape[1])
-        y0 = np.concatenate([p, v, np.zeros(jacobi.size), jacobi.reshape(-1)])
-    sol = solve_ivp(rhs, (0.0, float(t_end)), y0,
-                    method="DOP853", rtol=max(rtol, _RTOL_FLOOR),
-                    atol=rtol * 1e-2,
-                    dense_output=True, events=_boundary_events(field_))
-    if sol.status == -1:
-        last = sol.y[:, -1] if sol.y.size else y0
-        raise StepFailure(sol.message, last_point=last[:n],
-                          last_time=float(sol.t[-1]) if sol.t.size else 0.0)
-    chart_exit = sol.status == 1
-    t_reached = float(sol.t[-1])
-
-    # conservation: g(x', x') and the pairwise products of [x' | w_1 ... w_m]
-    y = sol.sol(np.linspace(0.0, t_reached, 33))
-    vecs = y[n:(m + 2) * n].T.reshape(-1, m + 1, n).transpose(0, 2, 1)
-    diff, prod0 = _product_drift(field_, p, np.column_stack([v, cols]),
-                                 y[:n].T, vecs)
-    drift, product_drift = float(np.max(diff[:, 0, 0])), float(np.max(diff))
-    budget = tols.eps_geo * (1.0 + abs(prod0[0, 0]))
-    product_budget = tols.eps_geo * (1.0 + float(np.max(np.abs(prod0))))
-    if drift > budget or product_drift > product_budget:
-        if _rtol is None:
-            refined = geodesic(field_, p, v, t_end, tols, jacobi, transport,
-                               _rtol=rtol * 1e-3)
-            for out in (refined, refined.transport):
-                if out is not None:
-                    out.n_rhs_evals += int(sol.nfev)
-                    out.refinements = 1
-            return refined
-        if drift > budget:
-            raise ToleranceExceeded(
-                f"norm drift {drift:.3e} exceeds budget {budget:.3e}")
-        raise ToleranceExceeded(
-            f"transport product drift {product_drift:.3e} over budget")
-    out = GeodesicSolution(field=field_, p0=p, v0=v, t_end=float(t_end),
-                           t_reached=t_reached, chart_exit=chart_exit,
-                           norm_drift=drift, n_rhs_evals=int(sol.nfev),
-                           _dense=sol.sol)
-    if w0 is not None:
-        # the dense rows of w_1 ... w_m, in the (n, m) order of cols
-        rows = (2 * n + n * np.arange(m) + np.arange(n)[:, None]).reshape(-1)
-        out.transport = TransportSolution(
-            geodesic=out, w0=w0, product_drift=product_drift,
-            n_rhs_evals=int(sol.nfev), _dense=lambda s: sol.sol(s)[rows])
-    return out
+    return _solve(field_, p, v, t_end, tols, jacobi, transport, _rtol,
+                  lambda rtol: geodesic(field_, p, v, t_end, tols, jacobi,
+                                        transport, _rtol=rtol))
 
 
 @dataclass
@@ -283,51 +221,93 @@ class TransportSolution:
 def parallel_transport(field_: MetricField, solution: GeodesicSolution, w0,
                        tols: Tolerances = DEFAULT_TOLS,
                        _rtol: float | None = None) -> TransportSolution:
-    """Solve w'^k + Gamma^k_ij gamma'^i w^j = 0 along the stored curve.
-
-    This is a second solve, whose every right-hand side reads the curve's
-    dense output and takes its own metric jet there. For a curve not yet
-    integrated, `geodesic(..., transport=w0)` transports w0 in the
-    geodesic's own solve instead.
+    """Solve w'^k + Gamma^k_ij gamma'^i w^j = 0 along the curve of `solution`.
 
     w0 may be a single vector (n,) or a matrix of columns (n, m); columns are
-    transported together. All pairwise g-inner products are checked to stay
-    constant within eps_geo, with one refinement retry as in `geodesic`.
-    The retry is skipped when g(gamma', gamma') alone drifts over budget:
-    that product comes from the stored geodesic, which no retry changes.
+    transported together. The curve is integrated again from
+    (solution.p0, solution.v0) over solution.t_end with w0 in its state,
+    the solve of `geodesic(..., transport=w0)`: the same drift checks on
+    every pairwise g-inner product among the columns and gamma', and the
+    same one retry. So `TransportSolution.geodesic` is the curve of that
+    solve, within eps_geo of `solution`, not `solution` itself.
     """
-    n = field_.dim
-    w0 = np.asarray(w0, dtype=float)
-    cols = w0.reshape(n, -1)
-    m = cols.shape[1]
-    rtol = _rtol if _rtol is not None else max(1e-12, min(1e-9, tols.eps_geo * 0.1))
+    return _solve(field_, solution.p0, solution.v0, solution.t_end, tols,
+                  None, w0, _rtol,
+                  lambda rtol: parallel_transport(field_, solution, w0, tols,
+                                                  _rtol=rtol).geodesic
+                  ).transport
 
-    sol = solve_ivp(_transport_rhs(field_, solution, m),
-                    (0.0, solution.t_reached), cols.reshape(-1),
+
+def _solve(field_: MetricField, p, v, t_end, tols: Tolerances, jacobi,
+           transport, _rtol: float | None, again) -> GeodesicSolution:
+    """The one integration behind `geodesic` and `parallel_transport`.
+
+    A first attempt (`_rtol` None) that misses a drift budget is retried
+    once through `again(rtol * 1e-3)`, a nested call of the public
+    function, so a tracer that wraps it sees the retry; a retry that misses
+    raises ToleranceExceeded.
+    """
+    p = np.asarray(p, dtype=float)
+    v = np.asarray(v, dtype=float)
+    t_end = float(t_end)
+    if not (np.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"geodesic needs a finite length > 0, not {t_end!r}")
+    if float(v @ v) == 0.0:
+        raise ValueError("geodesic needs a nonzero initial velocity")
+    if jacobi is not None and transport is not None:
+        raise ValueError("geodesic takes jacobi or transport columns, not both")
+    rtol = _rtol if _rtol is not None else max(1e-12, min(1e-9, tols.eps_geo * 0.1))
+    n = field_.dim
+    w0 = None if transport is None else np.asarray(transport, dtype=float)
+    cols = np.empty((n, 0)) if w0 is None else w0.reshape(n, -1)
+    m = cols.shape[1]
+    if jacobi is None:
+        rhs = _geodesic_rhs(field_, m)
+        y0 = np.concatenate([p, v, cols.T.reshape(-1)])
+    else:
+        jacobi = np.asarray(jacobi, dtype=float)
+        rhs = _variational_rhs(field_, jacobi.shape[1])
+        y0 = np.concatenate([p, v, np.zeros(jacobi.size), jacobi.reshape(-1)])
+    sol = solve_ivp(rhs, (0.0, t_end), y0,
                     method="DOP853", rtol=max(rtol, _RTOL_FLOOR),
                     atol=rtol * 1e-2,
-                    dense_output=True)
-    if sol.status != 0:
-        raise StepFailure(sol.message)
+                    dense_output=True, events=_boundary_events(field_))
+    if sol.status == -1:
+        last = sol.y[:, -1] if sol.y.size else y0
+        raise StepFailure(sol.message, last_point=last[:n],
+                          last_time=float(sol.t[-1]) if sol.t.size else 0.0)
+    chart_exit = sol.status == 1
+    t_reached = float(sol.t[-1])
 
-    # conservation: pairwise products among transported columns and gamma'
-    ts = np.linspace(0.0, solution.t_reached, 17)
-    x, xdot = solution.evaluate(ts)
-    stack = np.concatenate([sol.sol(ts).T.reshape(-1, n, m),
-                            xdot[:, :, None]], axis=2)
-    diff, prod0 = _product_drift(field_, solution.p0,
-                                 np.hstack([cols, solution.v0[:, None]]),
-                                 x, stack)
-    drift, curve_drift = float(np.max(diff)), float(np.max(diff[:, -1, -1]))
-    budget = tols.eps_geo * (1.0 + float(np.max(np.abs(prod0))))
-    if drift > budget:
-        if _rtol is None and curve_drift <= budget:
-            refined = parallel_transport(field_, solution, w0, tols,
-                                         _rtol=rtol * 1e-3)
-            refined.n_rhs_evals += int(sol.nfev)
-            refined.refinements = 1
+    # conservation: g(x', x') and the pairwise products of [x' | w_1 ... w_m]
+    y = sol.sol(np.linspace(0.0, t_reached, 33))
+    vecs = y[n:(m + 2) * n].T.reshape(-1, m + 1, n).transpose(0, 2, 1)
+    diff, prod0 = _product_drift(field_, p, np.column_stack([v, cols]),
+                                 y[:n].T, vecs)
+    drift, product_drift = float(np.max(diff[:, 0, 0])), float(np.max(diff))
+    budget = tols.eps_geo * (1.0 + abs(prod0[0, 0]))
+    product_budget = tols.eps_geo * (1.0 + float(np.max(np.abs(prod0))))
+    if drift > budget or product_drift > product_budget:
+        if _rtol is None:
+            refined = again(rtol * 1e-3)
+            for out in (refined, refined.transport):
+                if out is not None:
+                    out.n_rhs_evals += int(sol.nfev)
+                    out.refinements = 1
             return refined
+        if drift > budget:
+            raise ToleranceExceeded(
+                f"norm drift {drift:.3e} exceeds budget {budget:.3e}")
         raise ToleranceExceeded(
-            f"transport product drift {drift:.3e} over budget")
-    return TransportSolution(geodesic=solution, w0=w0, product_drift=drift,
-                             n_rhs_evals=int(sol.nfev), _dense=sol.sol)
+            f"transport product drift {product_drift:.3e} over budget")
+    out = GeodesicSolution(field=field_, p0=p, v0=v, t_end=t_end,
+                           t_reached=t_reached, chart_exit=chart_exit,
+                           norm_drift=drift, n_rhs_evals=int(sol.nfev),
+                           _dense=sol.sol)
+    if w0 is not None:
+        # the dense rows of w_1 ... w_m, in the (n, m) order of cols
+        rows = (2 * n + n * np.arange(m) + np.arange(n)[:, None]).reshape(-1)
+        out.transport = TransportSolution(
+            geodesic=out, w0=w0, product_drift=product_drift,
+            n_rhs_evals=int(sol.nfev), _dense=lambda s: sol.sol(s)[rows])
+    return out

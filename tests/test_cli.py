@@ -223,6 +223,10 @@ class TestCommands:
                               "1,0,0,0", "--length", "1"])
         assert code == 1
         assert rep["result"]["min_trace"] == pytest.approx(-2.0, rel=1e-6)
+        # the schema's gs branch requires every field of the result
+        rep["result"].pop("gram_constant_drift")
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(rep, SCHEMA)
         code, rep = run_json(["gs", "builtin:minkowski", "--submanifold",
                               "sphere", "--at", "1.5707963,0", "--dir",
                               "1,1,0,0", "--length", "1"])

@@ -12,14 +12,14 @@ import lorentzkit.geodesics as geodesics
 from lorentzkit.errors import (DomainError, SingularMetric,
                                ToleranceExceeded, batch_or_replay)
 from lorentzkit.expr import SymbolTable
-from lorentzkit.geodesics import (_geodesic_rhs, _transport_rhs,
-                                  _variational_rhs, geodesic,
+from lorentzkit.geodesics import (_geodesic_rhs, _variational_rhs, geodesic,
                                   parallel_transport)
 from lorentzkit.geometry import Tolerances
 from lorentzkit.metric import ExprMetricField
 from lorentzkit.specfile import load_spec
 from lorentzkit.tensors import invert_metric
 
+import transport_reference
 from conftest import CATALOG_NAMES, region_points
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -115,6 +115,14 @@ class TestGeodesic:
                 assert max(quantity) - min(quantity) <= \
                     1e-7 * (1.0 + abs(quantity[0]))
 
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_length_not_finite_and_positive(self, bundles, t_end):
+        """A backward, empty or unbounded solve is refused up front, not
+        integrated and then read through evaluate's clip."""
+        with pytest.raises(ValueError, match="finite length > 0"):
+            geodesic(bundles["minkowski"].field, np.zeros(4),
+                     np.array([1.0, 0.2, 0, 0]), t_end)
+
     def test_unwrapped_and_canonical_points(self, bundles):
         b = bundles["torus_quotient"]
         sol = geodesic(b.field, np.zeros(4), np.array([1.0, 0.7, 0, 0]), 3.0)
@@ -146,17 +154,34 @@ def test_array_reads_equal_the_reads_one_at_a_time(bundles, w0):
         assert np.array_equal(xi, x[j]) and np.array_equal(vi, xdot[j])
 
 
+def _stored(field_, p, v, length, w0):
+    """w0 transported by `parallel_transport` along a curve already held."""
+    return parallel_transport(field_, geodesic(field_, p, v, length), w0)
+
+
+def _fused(field_, p, v, length, w0):
+    """w0 transported in the geodesic's own solve."""
+    return geodesic(field_, p, v, length, transport=w0).transport
+
+
+TRANSPORTS = pytest.mark.parametrize("transport", [_stored, _fused],
+                                     ids=["parallel_transport", "fused"])
+
+
 class TestParallelTransport:
-    def test_minkowski_constant(self, bundles):
-        f = bundles["minkowski"].field
-        sol = geodesic(f, np.zeros(4), np.array([1.0, 0.2, 0, 0]), 2.0)
-        tr = parallel_transport(f, sol, np.array([0.3, 1.0, -2.0, 0.5]))
-        assert np.allclose(tr.evaluate(2.0).ravel(), [0.3, 1.0, -2.0, 0.5],
-                           atol=1e-9)
+    @TRANSPORTS
+    def test_minkowski_constant(self, bundles, transport):
+        w0 = np.array([0.3, 1.0, -2.0, 0.5])
+        tr = transport(bundles["minkowski"].field, np.zeros(4),
+                       np.array([1.0, 0.2, 0, 0]), 2.0, w0)
+        assert tr.evaluate(2.0).shape == (4,)
+        assert np.allclose(tr.evaluate(2.0), w0, atol=1e-9)
 
     @pytest.mark.parametrize("name", ["schwarzschild_ef", "flrw_dust", "desitter"])
     def test_gram_matrix_constant(self, bundles, name):
-        """All pairwise inner products of a transported frame stay put."""
+        """All pairwise inner products of a transported frame stay put, and
+        the transport's own solve of the curve stays within eps_geo of the
+        solution it was given."""
         b = bundles[name]
         p = region_points(b, 1, seed=29)[0]
         v = np.array([1.0, 0.05, 0.02, 0.0])
@@ -164,56 +189,45 @@ class TestParallelTransport:
         w0 = np.eye(4)[:, 1:3]
         tr = parallel_transport(b.field, sol, w0)
         assert tr.product_drift < 1e-7
+        s = np.linspace(0.0, sol.t_reached, 33)
+        assert tr.geodesic.t_reached == sol.t_reached
+        for got, want in zip(tr.geodesic.evaluate(s), sol.evaluate(s)):
+            assert np.abs(got - want).max() <= Tolerances().eps_geo
 
-    def test_sphere_triangle_holonomy(self, sphere_metric):
-        """Transport around three quarter great circles rotates by pi/2.
+    @TRANSPORTS
+    def test_sphere_triangle_holonomy(self, sphere_metric, transport):
+        """Around a geodesic octant (vertices e_x, e_y, e_z of the ambient
+        sphere of radius 2, tilted off the chart poles), the transported
+        first velocity comes back rotated by pi/2 against the start."""
+        a, beta = 2.0, 0.7
+        rot = np.array([[math.cos(beta), 0.0, math.sin(beta)],
+                        [0.0, 1.0, 0.0],
+                        [-math.sin(beta), 0.0, math.cos(beta)]])
+        verts = list(rot.T)
 
-        The triangle is a rotated octant (three mutually orthogonal
-        vertices), tilted so no leg comes near a chart pole.
-        """
-        a = 2.0
-        quarter = math.pi * a / 2.0
-        beta = 0.7
-        verts = [np.array([math.cos(beta), 0.0, -math.sin(beta)]),
-                 np.array([0.0, 1.0, 0.0]),
-                 np.array([math.sin(beta), 0.0, math.cos(beta)])]
+        def chart(u):
+            return np.array([math.acos(u[2]), math.atan2(u[1], u[0])])
 
-        def to_chart(unit_vec):
-            return np.array([math.acos(unit_vec[2]),
-                             math.atan2(unit_vec[1], unit_vec[0])])
+        def chart_velocity(th_ph, d):
+            th, ph = th_ph
+            jac = a * np.array([[math.cos(th) * math.cos(ph), -math.sin(th) * math.sin(ph)],
+                                [math.cos(th) * math.sin(ph), math.sin(th) * math.cos(ph)],
+                                [-math.sin(th), 0.0]])
+            return np.linalg.lstsq(jac, d, rcond=None)[0]
 
-        def chart_velocity(chart_pt, ambient_dir):
-            th, ph = chart_pt
-            j = a * np.array([
-                [math.cos(th) * math.cos(ph), -math.sin(th) * math.sin(ph)],
-                [math.cos(th) * math.sin(ph), math.sin(th) * math.cos(ph)],
-                [-math.sin(th), 0.0]])
-            sol, *_ = np.linalg.lstsq(j, ambient_dir, rcond=None)
-            return sol
-
-        w = None
-        pt = to_chart(verts[0])
+        pt, w = chart(verts[0]), None
         for k in range(3):
-            cur, nxt = verts[k], verts[(k + 1) % 3]
-            tangent = nxt - float(nxt @ cur) * cur
-            tangent /= np.linalg.norm(tangent)
-            v = chart_velocity(pt, tangent)     # unit ambient speed
-            leg = geodesic(sphere_metric, pt, v, quarter)
-            if w is None:
-                w = v.copy()                     # transport the leg-1 velocity
-            w = parallel_transport(sphere_metric, leg, w).evaluate(
-                leg.t_reached).ravel()
+            v = chart_velocity(pt, verts[(k + 1) % 3])   # unit ambient speed
+            w = v if w is None else w
+            tr = transport(sphere_metric, pt, v, math.pi * a / 2.0, w)
+            leg = tr.geodesic
+            w = tr.evaluate(leg.t_reached)
             pt, _ = leg.evaluate(leg.t_reached)
-        assert np.allclose(pt, to_chart(verts[0]), atol=1e-6)
-
-        # measure the angle of the returned vector against the starting one
+        assert np.allclose(pt, chart(verts[0]), atol=1e-6)
+        v0 = chart_velocity(pt, verts[1])
         g = sphere_metric.value(pt)
-        v0 = chart_velocity(pt, (verts[1] - float(verts[1] @ verts[0]) * verts[0])
-                            / np.linalg.norm(verts[1] - float(verts[1] @ verts[0]) * verts[0]))
-        cosang = float(w @ g @ v0) / (
-            math.sqrt(float(w @ g @ w)) * math.sqrt(float(v0 @ g @ v0)))
-        angle = math.acos(np.clip(cosang, -1.0, 1.0))
-        assert abs(angle - math.pi / 2) < 1e-5
+        cosang = float(w @ g @ v0) / math.sqrt(float(w @ g @ w) * float(v0 @ g @ v0))
+        assert abs(math.acos(np.clip(cosang, -1.0, 1.0)) - math.pi / 2) < 1e-5
 
 
 class TestRefinementCounts:
@@ -257,7 +271,7 @@ class TestRefinementCounts:
     @pytest.mark.parametrize("loose_first", [False, True])
     def test_transport(self, bundles, monkeypatch, loose_first):
         f = bundles["schwarzschild_ef"].field
-        sol = geodesic(f, self.P, self.V, 1.0)
+        sol = geodesic(f, *self.INFALL, 1.0)
         attempts = self._counting_solver(monkeypatch, loose_first)
         tr = parallel_transport(f, sol, np.array([0.0, 1.0, 0.0, 0.0]))
         assert len(attempts) == 1 + loose_first
@@ -273,23 +287,36 @@ class TestRefinementCounts:
                        Tolerances(eps_geo=1e-12))
         assert sol.refinements == 1
 
-    def test_transport_skips_a_retry_the_geodesic_decides(self, bundles,
-                                                          monkeypatch):
-        """When g(x', x') of the stored geodesic alone drifts over the
-        transport budget, a transport retry cannot help and is not run."""
-        f = bundles["schwarzschild_ef"].field
-        sol = geodesic(f, *self.INFALL, 1.8)     # drift 1.85e-9
+    def test_a_missed_norm_budget_raises_after_one_retry(self, bundles,
+                                                         monkeypatch):
+        """eps_geo 1e-16 is out of reach even at scipy's rtol floor: the
+        first attempt and its one retry both miss the norm budget."""
         attempts = self._counting_solver(monkeypatch, loose_first=False)
-        with pytest.raises(ToleranceExceeded):
-            parallel_transport(f, sol, np.array([0.0, 1.0, 0.0, 0.0]),
-                               Tolerances(eps_geo=1e-10))
-        assert len(attempts) == 1
+        with pytest.raises(ToleranceExceeded, match="norm drift .* exceeds budget"):
+            geodesic(bundles["schwarzschild_ef"].field, self.P, self.V, 1.0,
+                     Tolerances(eps_geo=1e-16))
+        assert len(attempts) == 2
+
+    def test_a_missed_product_budget_raises_after_one_retry(self, bundles,
+                                                            monkeypatch):
+        """A comoving dust observer holds g(x', x') exactly, so at eps_geo
+        1e-16 it is the transported frame's products that miss their budget
+        on both attempts."""
+        b = bundles["flrw_dust"]
+        p = region_points(b, 1, seed=29)[0]
+        attempts = self._counting_solver(monkeypatch, loose_first=False)
+        with pytest.raises(ToleranceExceeded,
+                           match="transport product drift .* over budget"):
+            geodesic(b.field, p, np.array([1.0, 0.0, 0.0, 0.0]), 0.8,
+                     Tolerances(eps_geo=1e-16), transport=np.eye(4)[:, 1:3])
+        assert len(attempts) == 2
 
 
 class TestFusedTransport:
     """`geodesic(..., transport=)` carries the frame in the geodesic's own
-    solve: one solve_ivp call, the same transport as the stored-curve solve
-    within eps_geo, and one shared retry."""
+    solve: one solve_ivp call, the same transport as the stored-curve
+    reference solve (tests/transport_reference.py) within eps_geo, and one
+    shared retry."""
 
     @pytest.mark.parametrize("name", ["schwarzschild_ef", "flrw_dust", "desitter"])
     def test_agrees_with_the_stored_curve_transport(self, bundles, name):
@@ -298,7 +325,8 @@ class TestFusedTransport:
         v = np.array([1.0, 0.05, 0.02, 0.0])
         w0 = np.eye(4)[:, 1:3]
         fused = geodesic(b.field, p, v, 0.8, transport=w0)
-        stored = parallel_transport(b.field, geodesic(b.field, p, v, 0.8), w0)
+        stored = transport_reference.parallel_transport(
+            b.field, geodesic(b.field, p, v, 0.8), w0)
         budget = Tolerances().eps_geo
         s = np.linspace(0.0, fused.t_reached, 33)
         w = fused.transport.evaluate(s)
@@ -307,46 +335,6 @@ class TestFusedTransport:
         assert np.array_equal(fused.transport.evaluate(0.0), w0)
         assert fused.transport.product_drift < budget
         assert fused.transport.geodesic is fused
-
-    def test_minkowski_constant(self, bundles):
-        w0 = np.array([0.3, 1.0, -2.0, 0.5])
-        sol = geodesic(bundles["minkowski"].field, np.zeros(4),
-                       np.array([1.0, 0.2, 0, 0]), 2.0, transport=w0)
-        assert sol.transport.evaluate(2.0).shape == (4,)
-        assert np.allclose(sol.transport.evaluate(2.0), w0, atol=1e-9)
-
-    def test_sphere_triangle_holonomy(self, sphere_metric):
-        """Around a geodesic octant (vertices e_x, e_y, e_z of the ambient
-        sphere of radius 2, tilted off the chart poles), the transported
-        first velocity comes back rotated by pi/2 against the start."""
-        a, beta = 2.0, 0.7
-        rot = np.array([[math.cos(beta), 0.0, math.sin(beta)],
-                        [0.0, 1.0, 0.0],
-                        [-math.sin(beta), 0.0, math.cos(beta)]])
-        verts = list(rot.T)
-
-        def chart(u):
-            return np.array([math.acos(u[2]), math.atan2(u[1], u[0])])
-
-        def chart_velocity(th_ph, d):
-            th, ph = th_ph
-            jac = a * np.array([[math.cos(th) * math.cos(ph), -math.sin(th) * math.sin(ph)],
-                                [math.cos(th) * math.sin(ph), math.sin(th) * math.cos(ph)],
-                                [-math.sin(th), 0.0]])
-            return np.linalg.lstsq(jac, d, rcond=None)[0]
-
-        pt, w = chart(verts[0]), None
-        for k in range(3):
-            v = chart_velocity(pt, verts[(k + 1) % 3])   # unit ambient speed
-            w = v if w is None else w
-            leg = geodesic(sphere_metric, pt, v, math.pi * a / 2.0, transport=w)
-            w = leg.transport.evaluate(leg.t_reached)
-            pt, _ = leg.evaluate(leg.t_reached)
-        assert np.allclose(pt, chart(verts[0]), atol=1e-6)
-        v0 = chart_velocity(pt, verts[1])
-        g = sphere_metric.value(pt)
-        cosang = float(w @ g @ v0) / math.sqrt(float(w @ g @ w) * float(v0 @ g @ v0))
-        assert abs(math.acos(np.clip(cosang, -1.0, 1.0)) - math.pi / 2) < 1e-5
 
     def test_a_product_drift_alone_retries_once(self, bundles, monkeypatch):
         """A comoving dust observer keeps g(x', x') exactly even at a loose
@@ -429,7 +417,8 @@ class TestRightHandSides:
 
             curve = SimpleNamespace(
                 evaluate=lambda s, p=p, xdot=xdot: (p, xdot))
-            got = _transport_rhs(b.field, curve, 2)(0.0, w.reshape(-1))
+            got = transport_reference._transport_rhs(b.field, curve, 2)(
+                0.0, w.reshape(-1))
             assert np.abs(got.reshape(n, 2) - dw).max() <= \
                 1e-10 * np.abs(dw).max()
 
@@ -493,9 +482,8 @@ class TestRightHandSides:
             invert_metric(field.value(p))
         with pytest.raises(SingularMetric):
             _geodesic_rhs(field)(0.0, np.concatenate([p, xdot]))
-        curve = SimpleNamespace(evaluate=lambda s: (p, xdot))
         with pytest.raises(SingularMetric):
-            _transport_rhs(field, curve, 1)(0.0, xdot)
+            _geodesic_rhs(field, 1)(0.0, np.concatenate([p, xdot, xdot]))
         with pytest.raises(SingularMetric):
             _variational_rhs(field, 1)(0.0, np.concatenate([p, xdot, xdot,
                                                             xdot]))
