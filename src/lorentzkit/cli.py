@@ -86,16 +86,18 @@ def _sized(flag: str, vec: np.ndarray, dim: int,
     return vec
 
 
-def _in_domain(flag: str, field_, p: np.ndarray) -> np.ndarray:
-    """p, after checking it lies in the chart's declared domain.
+def _in_domain(flag: str, space, p: np.ndarray,
+               where: str = "chart domain") -> np.ndarray:
+    """p, after checking it lies in the declared domain of `space`, a
+    MetricField's chart or an Embedding's parameter box.
 
     Periodic axes are exempt. Only points given on the command line are
     checked: integrator stages near a chart edge query the field directly.
     """
-    if not field_.contains(p):
-        bounds = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in field_.domain)
-        raise DomainError(f"{flag} point {p.tolist()} lies outside the chart "
-                          f"domain {bounds}")
+    if not space.contains(p):
+        bounds = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in space.domain)
+        raise DomainError(f"{flag} point {p.tolist()} lies outside the "
+                          f"{where} {bounds}")
     return p
 
 
@@ -308,7 +310,8 @@ def _cmd_check(args, bundle):
 
 def _cmd_gs(args, bundle):
     emb = _submanifold(bundle, args.submanifold)
-    u0 = _sized("--at", args.at, emb.m)
+    u0 = _in_domain("--at", emb, _sized("--at", args.at, emb.m),
+                    "parameter box")
     direction = _sized("--dir", args.dir, bundle.field.dim, nonzero=True)
     result = gs_trace(bundle.field, emb, u0, direction, args.length)
     ok = result["min_trace"] >= -Tolerances().tau_cond
@@ -320,8 +323,9 @@ def _cmd_perturb(args, bundle):
         if not args.submanifold:
             raise LorentzkitError("--theorem 3.3 needs --submanifold")
         emb = _submanifold(bundle, args.submanifold)
-        fam = trapped_exit_family(bundle.field, bundle.orientation, emb,
-                                  _sized("--at", args.at, emb.m),
+        u0 = _in_domain("--at", emb, _sized("--at", args.at, emb.m),
+                        "parameter box")
+        fam = trapped_exit_family(bundle.field, bundle.orientation, emb, u0,
                                   n_max=args.nmax)
     else:
         witness = {}
@@ -430,3 +434,7 @@ def run(argv: list[str], out=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

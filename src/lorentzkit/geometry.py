@@ -22,8 +22,8 @@ Euclidean metric of the chart coordinates.
 some constraint rows in closed form (`complement`: a Householder reflection
 for one row, a complete QR for more), with g diagonalised on it.
 `tidal_screen` (on `tidal_rows`: g v, plus v when v is null) is the screen
-of `tidal` and of the O margin in `conditions`; `submanifold.normal_frame`
-is the screen of the tangent rows.
+of `tidal` and of the O margin in `conditions`; `submanifold.null_normals`
+builds on the screen of the tangent rows.
 """
 
 from __future__ import annotations

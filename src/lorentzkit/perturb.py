@@ -3,10 +3,11 @@
 Two constructions are provided, both of the form g_n = e^{2 phi / n} g with a
 compactly supported phi built from a C^2 bump:
 
-* trapped_exit_family: at a marked point of a weakly-future-trapped
-  submanifold where the strict inequalities fail (mean curvature null
-  past-directed, or zero), a bump with prescribed gradient makes
-  ghat(Hhat, Hhat) > 0, so the perturbed metric is no longer weakly trapped.
+* trapped_exit_family: at a point of a submanifold that is weakly but not
+  strictly trapped by `classify_trapped`'s rule (mean curvature zero, or
+  null past-directed), a bump whose gradient is a unit normal (spacelike,
+  or a past null normal from `submanifold.null_normals` not collinear with
+  H) makes ghat(Hhat, Hhat) > 0: the metric is no longer weakly trapped.
 
 * positivity_exit_family: at a point with a causal v and non-collinear w
   where Riem(w, v, v, w) = 0, a bump-extended function of second-order
@@ -32,15 +33,14 @@ from .errors import (LorentzkitError, NotApplicable, NotCausal, RadiusError,
 from .expr import Binary, Kernels, Num, Sym, SymbolTable, Unary, parse
 from .fields import ScalarField
 from .geometry import (DEFAULT_TOLS, TangentVector, Tolerances,
-                       _orientation_field_value, causal_class_in, curvature_data,
-                       lorentz_frame)
+                       causal_class_in, curvature_data, lorentz_frame)
 from .jets import Jet2, compose
 from .metric import (ConformalScaledMetric, MetricField, exp_kernels,
                      product_jets)
 from .normal import orthonormal_frame_from
 from .conformal import conformal_mean_curvature, conformal_riemann, rescale
-from .submanifold import (Embedding, MeanCurvature, mean_curvature,
-                          normal_frame)
+from .submanifold import (Embedding, _trapped_margins, mean_curvature,
+                          null_normals)
 
 
 DEFAULT_RHO = 0.25
@@ -420,29 +420,6 @@ def _family(kind: str, case: str, field_: MetricField, phi: ScalarField,
         certificates=certificates, seminorms=seminorms, detail=detail)
 
 
-def _spacelike_unit_normal(mc: MeanCurvature) -> np.ndarray:
-    lam, frame = normal_frame(mc.g, mc.jac)
-    if lam[-1] <= 0:
-        raise NotApplicable("normal space has no spacelike direction")
-    v = frame[:, -1]
-    return v / np.linalg.norm(v)
-
-
-def _past_null_normals(mc: MeanCurvature, X) -> list[np.ndarray]:
-    lam, frame = normal_frame(mc.g, mc.jac)
-    if not lam[0] < 0 < lam[-1]:
-        raise NotApplicable("normal space is not Lorentzian")
-    xv = _orientation_field_value(X, mc.point)
-    out = []
-    for k in range(1, frame.shape[1]):
-        for s in (+1.0, -1.0):
-            ray = frame[:, 0] + s * frame[:, k]
-            if ray @ mc.g @ xv < 0:        # future; flip to past
-                ray = -ray
-            out.append(ray / np.linalg.norm(ray))
-    return out
-
-
 def trapped_exit_family(field_: MetricField, X, emb: Embedding, u0,
                         n_max: int = 8, rho: float | None = None,
                         tols: Tolerances = DEFAULT_TOLS,
@@ -458,30 +435,31 @@ def trapped_exit_family(field_: MetricField, X, emb: Embedding, u0,
     mc = mean_curvature(field_, X, emb, u0, tols)
     p, g = mc.point, mc.g
     m = emb.m
-    hn = float(np.linalg.norm(mc.h_vec))
-    tau = tols.tau_trap
-
-    if hn > tau and mc.g_hh < -tau and mc.g_hx > tau:
+    _, _, hn, strict, weak = _trapped_margins(g[None], mc.h_vec[None],
+                                              mc.x_vec[None], tols)
+    if strict[0]:
         raise NotApplicable("strict trapped inequalities already hold at u0")
-    if mc.g_hh > tau or mc.g_hx < -tau:
+    if not weak[0]:
         raise NotApplicable("not weakly trapped at u0")
+    lam, frame, rays, _ = null_normals(g[None], mc.jac[None], mc.x_vec[None])
 
-    if hn <= tau:
+    if hn[0] <= tols.tau_trap:
         case = "zero-H"
-        v = _spacelike_unit_normal(mc)
+        if lam[0, -1] <= 0:
+            raise NotApplicable("normal space has no spacelike direction")
+        v = frame[0, :, -1] / np.linalg.norm(frame[0, :, -1])
         printed_form = "m^2/n * exp(-2 phi_n(p)) * g(v,v)"
     else:
         case = "null-H"
         if emb.codim < 2:
             raise NotApplicable("null case needs codimension >= 2")
-        hdir = mc.h_vec / hn
-        candidates = _past_null_normals(mc, X)
-        v = None
-        for cand in candidates:
-            # reject the ray collinear with H
-            if np.linalg.norm(cand - float(cand @ hdir) * hdir) > 1e-6:
-                v = cand
-                break
+        if not lam[0, 0] < 0 < lam[0, -1]:
+            raise NotApplicable("normal space is not Lorentzian")
+        hdir = mc.h_vec / hn[0]
+        # the first past-directed ray not collinear with H
+        past = (-ray / np.linalg.norm(ray) for ray in rays[0])
+        v = next((c for c in past
+                  if np.linalg.norm(c - float(c @ hdir) * hdir) > 1e-6), None)
         if v is None:
             raise NotApplicable("no past null normal independent of H found")
         printed_form = "-2m/n * exp(2 phi_n(p)) * g(H,v)"

@@ -7,15 +7,16 @@ stacked over a batch of them.
 
 The mean-curvature pass `_mean_curvatures` takes parameter points U (B, m)
 and evaluates them together: one `first_second`, one order-1 metric jet
-pass, one factorisation and Christoffel symbols (no curvature tensor), the
-stacked shape tensor (normal part of H + Gamma(J, J)) and its trace. Its
-MeanCurvature keeps the metric g and frame J, so expansions, trapped
-verdicts, conformal closed forms and perturbation families reuse them.
-`mean_curvature` is that pass at one point, and `classify_trapped` runs it
-once over its whole grid. The normal-bundle algebra is
-`normal_part(g, J, vecs)` (one Gram solve, any codimension) and
-`normal_frame(g, J)` (`geometry.screen` of the rows g J: eigenvalues of g
-on the normal space and g-unit eigenvectors); both take stacks too.
+pass with Christoffel symbols (no curvature tensor), one read of the
+orientation field X, the stacked shape tensor (normal part of H +
+Gamma(J, J)) and its trace. Its MeanCurvature keeps g, J and X for the
+expansions, trapped verdicts, conformal closed forms and families.
+`mean_curvature` is that pass at one point; `classify_trapped` runs it once
+over its grid. `normal_part` projects onto the normal space (one Gram
+solve); `null_normals` is the one null-normal builder, in any codimension,
+which the codimension-2 expansions and the trapped-exit family share. One
+rule, `_trapped_margins`, decides trappedness for `classify_trapped` and
+`perturb.trapped_exit_family`.
 
 Pointwise conditions over a closed submanifold are certified on the grid
 with explicit margins; verdicts never claim more than that.
@@ -23,7 +24,7 @@ with explicit margins; verdicts never claim more than that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -76,6 +77,11 @@ class Embedding:
     def is_closed(self) -> bool:
         """Compact without boundary as parametrized: every parameter periodic."""
         return all(p is not None for p in self.periodic)
+
+    def contains(self, u) -> bool:
+        """Whether u lies in the box; periodic parameters are exempt."""
+        return all(per is not None or lo <= a <= hi for a, (lo, hi), per
+                   in zip(np.asarray(u, dtype=float), self.domain, self.periodic))
 
     def grid(self) -> list[tuple[int, ...]]:
         return list(np.ndindex(*self.grid_shape))
@@ -133,13 +139,6 @@ def normal_part(g: np.ndarray, jac: np.ndarray, vecs) -> np.ndarray:
                             jtg @ rows.swapaxes(-1, -2))
     out = rows - (jac @ coeff).swapaxes(-1, -2)
     return out if rows is vecs else out[..., 0, :]
-
-
-def normal_frame(g: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, frame): ascending eigenvalues of g on the normal space of jac's
-    columns and eigenvectors scaled so that g(frame_k, frame_k) = sign lam_k;
-    stacked for stacks of g and jac."""
-    return screen(g, (g @ jac).swapaxes(-1, -2))
 
 
 def induced_metric(field_: MetricField, emb: Embedding, u,
@@ -202,6 +201,8 @@ class MeanCurvature:
     tangency_defect: float         # max |g(H, tangent)| over unit tangents
     g: np.ndarray                  # ambient metric at point
     jac: np.ndarray                # tangent frame J[i, a] = dx^i/du^a
+    x_vec: np.ndarray              # orientation field X at point
+    x_timelike: np.ndarray         # g(X, X) < -tau_c |X|^2 (bool)
 
 
 def _inner(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -230,7 +231,7 @@ def _mean_curvatures(field_: MetricField, X, emb: Embedding, u,
     causal = (np.sqrt(h2) >= tols.tau_zero) & (g_hh <= tols.tau_c * h2)
     not_timelike = _inner(xv, g, xv) >= -tols.tau_c * np.einsum("zi,zi->z", xv, xv)
     for k in np.flatnonzero(causal & not_timelike):
-        causal_class_in(g[k], TangentVector(x[k], h[k]), X, tols)
+        causal_class_in(g[k], TangentVector(x[k], h[k]), xv[k], tols)
     # orthogonality diagnostic, h-normalized
     tang = jac / np.linalg.norm(jac, axis=1, keepdims=True)
     hn = np.sqrt(h2)
@@ -240,7 +241,8 @@ def _mean_curvatures(field_: MetricField, X, emb: Embedding, u,
     return MeanCurvature(u=np.asarray(u, dtype=float), point=x, h_vec=h,
                          causal=None, g_hh=g_hh,
                          g_hx=_inner(h, g, xv),
-                         tangency_defect=defect, g=g, jac=jac)
+                         tangency_defect=defect, g=g, jac=jac, x_vec=xv,
+                         x_timelike=~not_timelike)
 
 
 def mean_curvature(field_: MetricField, X: VectorField | np.ndarray,
@@ -249,12 +251,11 @@ def mean_curvature(field_: MetricField, X: VectorField | np.ndarray,
     """Trace of the shape tensor with the inverse induced metric: the
     mean-curvature pass at one point, with the causal class of H."""
     mc = _mean_curvatures(field_, X, emb, np.asarray(u)[None], tols)
-    x, h, g = mc.point[0], mc.h_vec[0], mc.g[0]
-    return MeanCurvature(u=mc.u[0], point=x, h_vec=h,
-                         causal=causal_class_in(g, TangentVector(x, h), X, tols),
-                         g_hh=float(mc.g_hh[0]), g_hx=float(mc.g_hx[0]),
-                         tangency_defect=float(mc.tangency_defect[0]),
-                         g=g, jac=mc.jac[0])
+    one = {f.name: getattr(mc, f.name)[0] for f in fields(mc)
+           if f.name != "causal"}
+    return MeanCurvature(**one, causal=causal_class_in(
+        one["g"], TangentVector(one["point"], one["h_vec"]), one["x_vec"],
+        tols))
 
 
 @dataclass(frozen=True)
@@ -267,26 +268,34 @@ class NullFrame:
     k_minus: np.ndarray
 
 
-def _null_expansions(mc: MeanCurvature, X, hint: VectorField | np.ndarray,
+def null_normals(g: np.ndarray, jac: np.ndarray, xv: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, frame, rays, gx) of a stacked pass, in any codimension c: g's
+    eigenvalues lam and g-unit eigenvectors frame (B, n, c) on the normal
+    space, the rays f_0 + f_k, f_0 - f_k (k = 1 .. c - 1, in that order;
+    null where lam_0 < 0 < lam_1) turned future-directed against xv (B, n),
+    and their |g(K, X)|."""
+    lam, frame = screen(g, (g @ jac).swapaxes(-1, -2))
+    legs = frame.swapaxes(-1, -2)
+    f0, fk = legs[:, :1], legs[:, 1:]
+    rays = np.stack([f0 + fk, f0 - fk], axis=2).reshape(len(legs), -1,
+                                                         legs.shape[-1])
+    gx = _inner(rays, g, xv[:, None])
+    return lam, frame, np.where(gx[..., None] > 0, -rays, rays), np.abs(gx)
+
+
+def _null_expansions(mc: MeanCurvature, hint: VectorField | np.ndarray,
                      tols: Tolerances) -> tuple[NullFrame, np.ndarray, np.ndarray]:
     """Null normal frames and theta_pm = -g(H, K_pm) of a stacked pass."""
-    g, x = mc.g, mc.point
-    lam, frame = normal_frame(g, mc.jac)
-    if frame.shape[-1] != 2:
-        raise WrongCodimension("normal space is not two-dimensional")
+    g, x, xv = mc.g, mc.point, mc.x_vec
+    lam, _, rays, gx = null_normals(g, mc.jac, xv)
     if not np.all((lam[:, 0] < 0.0) & (0.0 < lam[:, 1])):
         raise NotSpacelike("normal plane is not Lorentzian")
-    xv = np.broadcast_to(_orientation_field_value(X, x), x.shape)
-    # the rays are scaled by 1/g(ray, X): X must be timelike at every point
-    not_timelike = _inner(xv, g, xv) >= \
-        -tols.tau_c * np.einsum("zi,zi->z", xv, xv)
-    for k in np.flatnonzero(not_timelike):
+    # the rays are scaled by 1/|g(ray, X)|: X must be timelike at every point
+    for k in np.flatnonzero(~mc.x_timelike):
         _require_timelike(g[k], xv[k], x[k], tols)
-    rays = np.stack([frame[:, :, 0] + frame[:, :, 1],
-                     frame[:, :, 0] - frame[:, :, 1]], axis=1)
-    gx = _inner(rays, g, xv[:, None])
     # g(K, X) = -1: future-directed
-    scaled = np.where(gx[..., None] > 0, -rays, rays) / np.abs(gx)[..., None]
+    scaled = rays / gx[..., None]
     hv = np.broadcast_to(_orientation_field_value(hint, x), x.shape)
     dots = np.einsum("zri,zi->zr", scaled, hv)
     sep = np.abs(dots[:, 0] - dots[:, 1])
@@ -323,25 +332,33 @@ def null_frame_and_expansions(field_: MetricField, X, emb: Embedding, u,
     if emb.codim != 2:
         raise WrongCodimension(f"null frame needs codimension 2, got {emb.codim}")
     mc = _mean_curvatures(field_, X, emb, np.asarray(u)[None], tols)
-    frame, tp, tm = _null_expansions(mc, X, hint, tols)
+    frame, tp, tm = _null_expansions(mc, hint, tols)
     return (NullFrame(k_plus=frame.k_plus[0], k_minus=frame.k_minus[0]),
             float(tp[0]), float(tm[0]))
 
 
-def _grid_margins(mc: MeanCurvature, X, hint, tols: Tolerances) -> tuple:
-    """(g(H,H), g(H,X) with h-normalized H and X, |H|_h, theta+, theta-) of
-    a stacked pass; the expansions are None without a hint."""
-    xv = np.broadcast_to(_orientation_field_value(X, mc.point), mc.point.shape)
+def _trapped_margins(g: np.ndarray, h: np.ndarray, xv: np.ndarray,
+                     tols: Tolerances) -> tuple:
+    """The trapped rule at every point of a stack: the margins g(H,H) and
+    g(H,X) with h-normalized H and X, |H|_h, and where the strict
+    (g(H,H) < -tau, g(H,X) > tau) and the weak (g(H,H) <= tau,
+    g(H,X) >= -tau) inequalities hold."""
     xh = xv / np.linalg.norm(xv, axis=1, keepdims=True)
-    nh = np.linalg.norm(mc.h_vec, axis=1)
+    nh = np.linalg.norm(h, axis=1)
     # H below tau_zero counts as zero: both margins read 0 there
-    hn = mc.h_vec / np.where(nh > tols.tau_zero, nh, np.inf)[:, None]
-    hh = _inner(hn, mc.g, hn)
-    hx = _inner(hn, mc.g, xh)
+    hn = h / np.where(nh > tols.tau_zero, nh, np.inf)[:, None]
+    hh, hx, tau = _inner(hn, g, hn), _inner(hn, g, xh), tols.tau_trap
+    return (hh, hx, nh, (hh < -tau) & (hx > tau),
+            (hh <= tau) & (hx >= -tau))
+
+
+def _grid_margins(mc: MeanCurvature, hint, tols: Tolerances) -> tuple:
+    """`_trapped_margins` of a stacked pass, then its expansions theta+,
+    theta- (None without a hint)."""
+    margins = _trapped_margins(mc.g, mc.h_vec, mc.x_vec, tols)
     if hint is None:
-        return hh, hx, nh, None, None
-    _, tp, tm = _null_expansions(mc, X, hint, tols)
-    return hh, hx, nh, tp, tm
+        return margins + (None, None)
+    return margins + _null_expansions(mc, hint, tols)[1:]
 
 
 def _grid_margins_point_by_point(field_: MetricField, X, emb: Embedding,
@@ -357,7 +374,7 @@ def _grid_margins_point_by_point(field_: MetricField, X, emb: Embedding,
         except NotSpacelike:
             raise NotSpacelike(f"submanifold not spacelike at grid index "
                                f"{idx}, u = {u.tolist()}") from None
-        rows.append(_grid_margins(mc, X, hint, tols))
+        rows.append(_grid_margins(mc, hint, tols))
     return tuple(None if col[0] is None else np.concatenate(col)
                  for col in zip(*rows))
 
@@ -421,20 +438,15 @@ def classify_trapped(field_: MetricField, X, emb: Embedding,
     try:
         margins = _grid_margins(
             _mean_curvatures(field_, X, emb, emb.grid_points(), tols),
-            X, hint, tols)
+            hint, tols)
     except (LorentzkitError, ArithmeticError, ValueError):
         margins = _grid_margins_point_by_point(field_, X, emb, hint, tols)
-    hh, hx, hnorm, tp, tm = (None if a is None else a.reshape(shape)
-                             for a in margins)
-
-    is_a = bool(np.all(hh < -tau) and np.all(hx > tau))
-    is_fa = bool(np.all(hh <= tau) and np.all(hx >= -tau))
+    hh, hx, hnorm, strict, weak, tp, tm = (
+        None if a is None else a.reshape(shape) for a in margins)
+    is_a, is_fa = bool(strict.all()), bool(weak.all())
     witness_index = None
-    if not is_fa:
-        bad = (hh > tau) | (hx < -tau)
-        witness_index = tuple(int(i) for i in np.argwhere(bad)[0])
-    elif not is_a:
-        bad = (hh >= -tau) | (hx <= tau)
+    if not is_a:
+        bad = ~strict if is_fa else ~weak
         witness_index = tuple(int(i) for i in np.argwhere(bad)[0])
 
     subtype = None

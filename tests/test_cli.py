@@ -180,6 +180,29 @@ class TestExitCodes:
         assert "outside the chart domain" in rep["error"]
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        "gs builtin:schwarzschild_ef --submanifold inner_sphere --at 3.1,0 "
+        "--dir 1,-1,0,0",
+        "gs builtin:minkowski --submanifold plane --at 0,-1.5 --dir 1,0,0,0",
+        "perturb builtin:schwarzschild_ef --theorem 3.3 "
+        "--submanifold horizon_sphere --at 0.1,1",
+    ])
+    def test_parameter_point_outside_box_is_domain_error(self, argv, capsys):
+        code, rep = run_json(argv.split())
+        assert code == 1
+        assert rep["error_type"] == "DomainError"
+        assert "outside the parameter box [" in rep["error"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_periodic_parameter_is_exempt_from_box(self):
+        # ub is periodic on the horizon sphere: any value is a point of it
+        code, rep = run_json(["perturb", "builtin:schwarzschild_ef",
+                              "--theorem", "3.3", "--submanifold",
+                              "horizon_sphere", "--at", "1.2,40", "--nmax",
+                              "1"])
+        assert "error" not in rep
+        assert rep["family"]["case"] == "null-H"
+
     def test_periodic_axis_is_exempt_from_domain(self):
         # phi is periodic in schwarzschild_ef: any value is a chart point
         code, rep = run_json(["analyze", "builtin:schwarzschild_ef",
@@ -424,6 +447,23 @@ def test_cli_import_leaves_scipy_unloaded():
         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         text=True, check=True, timeout=60)
     assert probe.stdout.strip() == "False"
+
+
+def test_module_runs_as_a_script():
+    """`python -m lorentzkit.cli` runs the command: the E condition is
+    violated on de Sitter, so the report is JSON and the exit code 1."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lorentzkit.cli", "check", "builtin:desitter",
+         "--condition", "E", "--points", "4", "--dirs", "8"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    rep = json.loads(proc.stdout)
+    jsonschema.validate(rep, SCHEMA)
+    assert rep["satisfied"] is False
 
 
 SPEC_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spacetimes" \

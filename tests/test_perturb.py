@@ -18,6 +18,7 @@ from lorentzkit.perturb import (BumpField, Certificate, NormalCoordBump,
                                 positivity_exit_family, trapped_exit_family)
 from lorentzkit.conformal import rescale
 from lorentzkit.specfile import load_spec
+from lorentzkit.submanifold import Embedding, classify_trapped, mean_curvature
 
 from conftest import fd_scalar_jet
 
@@ -349,6 +350,24 @@ class TestTrappedExitFamily:
         with pytest.raises(NotApplicable):
             trapped_exit_family(b.field, b.orientation,
                                 b.submanifolds["sphere"], [1.0, 1.0])
+
+    def test_strict_is_decided_by_the_classify_rule(self, bundles):
+        """t = -1e-5 (u^2 + v^2) / 2 has a timelike H with raw g(H, H) =
+        -4e-10, inside tau: classify_trapped calls it future-trapped on the
+        h-normalized margins, and the family refuses it by the same rule
+        (it is not a boundary case of weak trappedness)."""
+        b = bundles["minkowski"]
+        emb = Embedding(SymbolTable(["ua", "ub"]),
+                        ["-1e-5*(ua^2 + ub^2)/2", "ua", "ub", "0"], 4,
+                        domain=[(-1, 1), (-1, 1)], grid_shape=(4, 4))
+        assert classify_trapped(b.field, b.orientation, emb).class_name \
+            == "future-trapped"
+        assert abs(mean_curvature(b.field, b.orientation, emb,
+                                  [0.0, 0.0]).g_hh) < 1e-9
+        with pytest.raises(NotApplicable) as info:
+            trapped_exit_family(b.field, b.orientation, emb, [0.0, 0.0])
+        assert str(info.value) == \
+            "strict trapped inequalities already hold at u0"
 
 
 class TestPositivityExitFamily:

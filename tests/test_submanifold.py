@@ -10,7 +10,7 @@ import lorentzkit.submanifold as submanifold
 from lorentzkit.errors import NotSpacelike, OrientationError, WrongCodimension
 from lorentzkit.expr import SymbolTable
 from lorentzkit.fields import VectorField
-from lorentzkit.geometry import TangentVector, causal_class_in
+from lorentzkit.geometry import DEFAULT_TOLS, TangentVector, causal_class_in
 from lorentzkit.submanifold import (Embedding, classify_trapped, induced_metric,
                                     mean_curvature, null_frame_and_expansions,
                                     shape_tensor)
@@ -566,3 +566,41 @@ def test_expansions_need_a_timelike_orientation(bundles, X):
     with pytest.raises(OrientationError) as info:
         classify_trapped(b.field, X, emb, hint)
     assert str(info.value) == _orientation_message(b.field, X, first)
+
+
+def test_classify_reads_the_orientation_once(bundles, monkeypatch):
+    """A pass with a hint evaluates X once over the whole grid: the
+    margins and the expansions read it from the mean-curvature pass."""
+    b, emb, hint = _ef_sphere(bundles, "horizon_sphere")
+    shapes = []
+    value = b.orientation.value
+
+    def counted(p):
+        shapes.append(np.shape(p))
+        return value(p)
+
+    monkeypatch.setattr(b.orientation, "value", counted)
+    v = classify_trapped(b.field, b.orientation, emb, hint)
+    assert v.theta_plus is not None
+    assert shapes == [(math.prod(emb.grid_shape), 4)]
+
+
+def test_null_normals_in_codimension_three(bundles):
+    """The Minkowski circle of radius 2 in {t = 0, z = 0}: at every grid
+    point four rays f_0 +- f_1, f_0 +- f_2, each null, g-normal to J and
+    future-directed, with gx = |g(K, X)|."""
+    b = bundles["minkowski"]
+    emb = Embedding(SymbolTable(["ua"]), ["0", "2*cos(ua)", "2*sin(ua)", "0"],
+                    4, domain=[(0.0, 2 * math.pi)], periodic=[2 * math.pi],
+                    grid_shape=(12,))
+    mc = submanifold._mean_curvatures(b.field, b.orientation, emb,
+                                      emb.grid_points(), DEFAULT_TOLS)
+    lam, frame, rays, gx = submanifold.null_normals(mc.g, mc.jac, mc.x_vec)
+    assert frame.shape == (12, 4, 3) and rays.shape == (12, 4, 4)
+    assert np.all((lam[:, 0] < 0) & (lam[:, 1] > 0))
+    for g, jac, xv, ks, gks in zip(mc.g, mc.jac, mc.x_vec, rays, gx):
+        for k, gk in zip(ks, gks):
+            assert abs(k @ g @ k) <= 1e-12
+            assert np.abs(jac.T @ g @ k).max() <= 1e-12
+            assert k @ g @ xv < 0
+            assert gk == pytest.approx(abs(k @ g @ xv), rel=1e-15)
