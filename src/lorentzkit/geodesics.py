@@ -1,10 +1,11 @@
 """Geodesic integration and parallel transport (Dormand-Prince 8(5,3)).
 
-One integrator serves both: transported vectors ride in the geodesic's own
-state, so a transport is one solve of (x, x', w_1 ... w_m) whose right-hand
-side takes one metric jet per stage. `geodesic(..., transport=w0)` runs it
-from (p, v); `parallel_transport` runs it again along a curve the caller
-already holds.
+The integrator is the package's own DOP853 (`dop853.solve_ivp`, numpy
+only), called through this module's global `solve_ivp`. One solve serves
+both: transported vectors ride in the geodesic's own state, so a transport
+is one solve of (x, x', w_1 ... w_m) whose right-hand side takes one metric
+jet per stage. `geodesic(..., transport=w0)` runs it from (p, v);
+`parallel_transport` runs it again along a curve the caller already holds.
 
 Integration happens in the covering chart: periodic coordinates are never
 wrapped inside the ODE state, so curves unwrap naturally; metric queries
@@ -17,21 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dop853 import solve_ivp
 from .errors import StepFailure, ToleranceExceeded, batch_or_replay
 from .geometry import DEFAULT_TOLS, Tolerances
 from .metric import MetricField
 from .tensors import invert_metric
 
-# solve_ivp warns below this rtol and raises it to the floor itself
+# the smallest rtol asked of DOP853 (scipy's solve_ivp has the same floor):
+# below about 100 eps its error estimate is rounding, so a retry at
+# rtol * 1e-3 that would go lower runs here instead
 _RTOL_FLOOR = 100 * np.finfo(float).eps
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first integration: scipy
-    is most of the package's import time, and most commands never
-    integrate."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _contraction(g, dg, xdot) -> tuple[np.ndarray, np.ndarray]:
@@ -176,9 +172,10 @@ def geodesic(field_: MetricField, p, v, t_end: float,
     with chart_exit set if the curve leaves the chart domain.
     Raises StepFailure on integrator breakdown (a numerical signal only) and
     ToleranceExceeded if g(x',x') cannot be held to eps_geo even after one
-    refinement retry at rtol * 1e-3 (an rtol below scipy's floor runs at the
-    floor, with atol still rtol * 1e-2). A retry sets `refinements` to 1,
-    and `n_rhs_evals` counts the discarded attempt's right-hand sides too.
+    refinement retry at rtol * 1e-3 (an rtol below the integrator's floor of
+    100 eps runs at the floor, with atol still rtol * 1e-2). A retry sets
+    `refinements` to 1, and `n_rhs_evals` counts the discarded attempt's
+    right-hand sides too.
 
     With `jacobi` columns (n, m), the Jacobi fields with J(0) = 0 and
     J'(0) = jacobi ride along as the first variational equation, under the
@@ -268,8 +265,7 @@ def _solve(field_: MetricField, p, v, t_end, tols: Tolerances, jacobi,
         jacobi = np.asarray(jacobi, dtype=float)
         rhs = _variational_rhs(field_, jacobi.shape[1])
         y0 = np.concatenate([p, v, np.zeros(jacobi.size), jacobi.reshape(-1)])
-    sol = solve_ivp(rhs, (0.0, t_end), y0,
-                    method="DOP853", rtol=max(rtol, _RTOL_FLOOR),
+    sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=max(rtol, _RTOL_FLOOR),
                     atol=rtol * 1e-2,
                     dense_output=True, events=_boundary_events(field_))
     if sol.status == -1:

@@ -1,5 +1,6 @@
 """CLI behavior: exit-code contract, report shapes, determinism, CSV."""
 
+import ast
 import contextlib
 import importlib.util
 import io
@@ -464,6 +465,48 @@ def test_module_runs_as_a_script():
     rep = json.loads(proc.stdout)
     jsonschema.validate(rep, SCHEMA)
     assert rep["satisfied"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["geodesic", "builtin:schwarzschild_ef", "--from", "0,3,1.5707,0",
+     "--dir", "1,-1,0,0", "--length", "2"],
+    ["gs", "builtin:desitter", "--submanifold", "sphere", "--at",
+     "1.5707963,0.5", "--dir", "1,0,0,0", "--length", "1"],
+], ids=["geodesic", "gs"])
+def test_integrating_commands_leave_scipy_unloaded(argv):
+    """The integrator is the package's own: a command that integrates
+    imports no scipy module either."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import io, sys; from lorentzkit.cli import run; "
+         f"code = run({argv!r}, io.StringIO()); "
+         "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, check=True, timeout=60)
+    assert probe.stdout.split() == ["0" if argv[0] == "geodesic" else "1",
+                                    "False"]
+
+
+def test_no_module_of_the_package_imports_scipy():
+    """scipy is a test dependency only: no import of it, at module level or
+    inside a function, anywhere under src/lorentzkit."""
+    package = Path(__file__).resolve().parents[1] / "src" / "lorentzkit"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert len(list(package.glob("*.py"))) > 10
+    assert found == []
 
 
 SPEC_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spacetimes" \
