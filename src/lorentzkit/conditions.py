@@ -557,28 +557,34 @@ def temporal_certificate(field_: MetricField, subject: VectorField | ScalarField
     mode='temporal': the given scalar has timelike gradient everywhere
     sampled, certifying stable causality; failure is only INCONCLUSIVE
     (the criterion is sufficient, not necessary).
+
+    One stacked pass: one metric call and one call of the subject (values,
+    or gradients) on the canonicalized stack, one stacked inversion in
+    temporal mode; the witness is the first point of largest q. A stack
+    that raises is replayed point by point (`errors.batch_or_replay`), so
+    the error is the first failing point's own.
     """
-    pts = region.sample_points()
-    worst = None
-    for p in pts:
+    if mode not in ("orientation", "temporal"):
+        raise ParamError(f"unknown certificate mode {mode!r}")
+
+    def squares(p):
         g = field_.value(p)
         if mode == "orientation":
-            x = subject.value(field_.canonicalize(p))
-            nrm = float(x @ x)
-            q = 0.0 if nrm < tols.tau_zero else float(x @ g @ x) / nrm
-        elif mode == "temporal":
-            g_inv, _ = invert_metric(g)
-            dt = subject.jet2(field_.canonicalize(p), 1).grad
-            nrm = float(dt @ dt)
-            if nrm < tols.tau_zero:
-                q = 0.0
-            else:
-                q = float(dt @ g_inv @ dt) / nrm
+            form, x = g, subject.value(field_.canonicalize(p))
         else:
-            raise ParamError(f"unknown certificate mode {mode!r}")
-        if worst is None or q > worst[0]:
-            worst = (q, p)
-    passed = worst[0] < -tols.tau_c
+            form = invert_metric(g)[0]
+            x = subject.jet2(field_.canonicalize(p), 1).grad
+        # row @ form @ column rounds as `x @ form @ x` does at one point
+        row, col = x[..., None, :], x[..., :, None]
+        nrm = (row @ col)[..., 0, 0]
+        small = nrm < tols.tau_zero
+        return np.where(small, 0.0, (row @ form @ col)[..., 0, 0]
+                        / np.where(small, 1.0, nrm))
+
+    pts = region.sample_points()
+    q = batch_or_replay(squares, pts)
+    best = int(np.argmax(q))
+    passed = q[best] < -tols.tau_c
     if passed:
         verdict = "PASSED"
     else:
@@ -586,8 +592,8 @@ def temporal_certificate(field_: MetricField, subject: VectorField | ScalarField
     return {
         "condition": f"certificate-{mode}",
         "verdict": verdict,
-        "worst_normalized_square": float(worst[0]),
-        "witness": None if passed else {"point": [float(x) for x in worst[1]]},
+        "worst_normalized_square": float(q[best]),
+        "witness": None if passed else {"point": pts[best].tolist()},
         "samples": len(pts),
         "note": ("sufficient criterion only; failure does not decide "
                  "the property") if mode == "temporal" else "",

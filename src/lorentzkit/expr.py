@@ -13,12 +13,14 @@ with functions exp, log, sin, cos, tan, sinh, cosh, tanh, sqrt. `abs` is
 deliberately not provided (not twice differentiable at 0). The parsed tree is
 immutable.
 
-Fields evaluate expressions through `compile`: one straight-line kernel
-per tuple of expressions and order (0, 1 or 2), with every derivative rule
-and domain check of the package, cached module-wide (see the section
-below). Jets composed from other jets (a bump's core on its chart's
-coordinate jets, the cutoff, e^{2sf}) are kernels pulled back through
-their inner jets by `jets.compose`. The tree walker `Expr.eval(xs, params)`
+`parse` is memoized module-wide by the text and the table's names, so a
+spacetime loaded again re-derives no tree. Fields evaluate expressions
+through `compile`: one straight-line kernel per tuple of expressions and
+order (0, 1 or 2), with every derivative rule and domain check of the
+package, cached module-wide by structure (see the section below). Jets
+composed from other jets (a bump's core on its chart's coordinate jets,
+the cutoff, e^{2sf}) are kernels pulled back through their inner jets by
+`jets.compose`. The tree walker `Expr.eval(xs, params)`
 evaluates floats only: the kernels fold constant subtrees with it.
 """
 
@@ -369,10 +371,18 @@ def parse(text: str, table: SymbolTable) -> Expr:
     """Parse `text` against a chart symbol table.
 
     Raises ExprSyntaxError on malformed input and UnknownSymbol for
-    undeclared identifiers.
+    undeclared identifiers. Trees are memoized module-wide by the text and
+    the table's names (see `_parsed`).
     """
-    tokens = _tokenize(text, table.all_names())
-    return _Parser(tokens, table).parse()
+    return _parsed(text, table.coordinates, table.parameters)
+
+
+@functools.lru_cache(maxsize=4096)
+def _parsed(text: str, coordinates: tuple, parameters: tuple) -> Expr:
+    """The tree of `text` over a table with these names, shared by every
+    caller (trees are immutable); an error is raised again on every call."""
+    table = SymbolTable(coordinates, parameters)
+    return _Parser(_tokenize(text, table.all_names()), table).parse()
 
 
 # --- compiled jet kernels -----------------------------------------------------

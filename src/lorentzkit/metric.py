@@ -148,14 +148,16 @@ class ExprMetricField(MetricField):
                 a = lo if np.isfinite(lo) else hi - 2.0
                 b = hi if np.isfinite(hi) else lo + 2.0
                 pts[:, i] = a + (b - a) * (0.25 + 0.5 * rng.random(samples))
-        base = self._kernels(pts, 0)[0]
-        for axis, per in enumerate(self.periods):
-            if per is None:
-                continue
-            shifted = pts.copy()
-            shifted[:, axis] += per
-            if not np.allclose(base, self._kernels(shifted, 0)[0],
-                               atol=tol, rtol=0.0):
+        # the base points and one shifted copy per periodic axis, in one call
+        periodic = [(a, per) for a, per in enumerate(self.periods)
+                    if per is not None]
+        stack = np.repeat(pts[None], 1 + len(periodic), axis=0)
+        for k, (axis, per) in enumerate(periodic, 1):
+            stack[k, :, axis] += per
+        values = self._kernels(stack.reshape(-1, self.dim), 0)[0].reshape(
+            len(stack), samples, -1)
+        for k, (axis, per) in enumerate(periodic, 1):
+            if not np.allclose(values[0], values[k], atol=tol, rtol=0.0):
                 raise ParamError(
                     f"components not invariant under period {per} "
                     f"along coordinate {self.table.coordinates[axis]}")

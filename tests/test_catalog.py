@@ -1,13 +1,17 @@
 """Catalog loading and re-verification of every bundle's known-facts table."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lorentzkit import catalog
+from lorentzkit import catalog, expr
 from lorentzkit.conditions import (Region, ricci_condition, riem_condition,
                                    temporal_certificate, tidal_condition)
 from lorentzkit.errors import ParamError, UnknownSpacetime
 from lorentzkit.geometry import curvature_data
+from lorentzkit.metric import ExprMetricField
+from lorentzkit.specfile import load_spec
 from lorentzkit.submanifold import classify_trapped, induced_metric
 
 from conftest import region_points
@@ -65,6 +69,26 @@ class TestTorusQuotient:
         first, spacelike = induced_metric(b.field, pi, [0.3, 0.6, 0.9])
         assert spacelike
         assert np.allclose(first, np.eye(3), atol=1e-14)
+
+    def test_periods_are_checked_in_one_kernel_call(self, monkeypatch):
+        """The sample points and one shifted copy per periodic axis are
+        evaluated together; a component that is not periodic is named."""
+        table = expr.SymbolTable(["t", "x", "y"])
+
+        def entries(g_yy):
+            return {(0, 0): "-1", (1, 0): "0", (1, 1): "2 + sin(x)",
+                    (2, 0): "0", (2, 1): "0", (2, 2): g_yy}
+
+        calls = []
+        evaluate = expr.Kernels.__call__
+        monkeypatch.setattr(expr.Kernels, "__call__", lambda self, p, order:
+                            calls.append(np.shape(p)) or
+                            evaluate(self, p, order))
+        periods = (None, 2.0 * np.pi, 1.0)
+        ExprMetricField(table, entries("1 + t^2"), periods=periods)
+        assert calls == [(15, 3)]
+        with pytest.raises(ParamError, match="period 1.0 along coordinate y"):
+            ExprMetricField(table, entries("2 + sin(y)"), periods=periods)
 
 
 class TestKnownFacts:
@@ -147,3 +171,21 @@ def test_largest_dimensions_load():
     assert catalog.load("torus_quotient",
                         m=catalog.MAX_DIMENSION - 1).field.dim == \
         catalog.MAX_DIMENSION
+
+
+def test_a_second_load_parses_nothing(monkeypatch):
+    """Expressions are parsed once per process: loading a builtin or a
+    spacetime file again tokenizes no text."""
+    spec = str(Path(__file__).resolve().parents[1] / "perfbench"
+               / "spacetimes" / "contracting_desitter.st")
+    catalog.load("schwarzschild_ef")
+    load_spec(spec)
+    calls = []
+    tokenize = expr._tokenize
+    monkeypatch.setattr(expr, "_tokenize",
+                        lambda *args: calls.append(args) or tokenize(*args))
+    catalog.load("schwarzschild_ef")
+    load_spec(spec)
+    assert calls == []
+    expr.parse("r - 0.123456789", expr.SymbolTable(["r"]))
+    assert len(calls) == 1, "a new text is tokenized"

@@ -11,16 +11,23 @@ import lorentzkit.conditions as conditions
 from lorentzkit.conditions import (Region, gs_trace, inclusion_audit,
                                    ricci_condition, riem_condition,
                                    temporal_certificate, tidal_condition)
-from lorentzkit.errors import NotApplicable, NotCausal, ParamError
-from lorentzkit.fields import ExprScalarField
+from lorentzkit.errors import (DomainError, NotApplicable, NotCausal,
+                               ParamError, SingularMetric)
+from lorentzkit.expr import SymbolTable
+from lorentzkit.fields import ExprScalarField, VectorField
 import lorentzkit.geodesics as geodesics
 from lorentzkit.geodesics import geodesic
 from lorentzkit.geometry import (DEFAULT_TOLS, TangentVector, curvature_data,
                                  lorentz_frame, tidal)
+from lorentzkit.metric import ExprMetricField
 from lorentzkit.specfile import load_spec
 from lorentzkit.submanifold import null_frame_and_expansions
+from lorentzkit.tensors import invert_metric
 
 from conftest import CATALOG_NAMES, region_points
+
+SPEC = str(Path(__file__).resolve().parents[1] / "perfbench" / "spacetimes"
+           / "contracting_desitter.st")
 
 
 def small_region(bundle, seed=0, n_points=10, n_dirs=12):
@@ -591,8 +598,7 @@ def _gs_cases():
     ds = catalog.load("desitter")
     dust = catalog.load("flrw_dust")
     a_s = dust.params["s_ref"] ** (2.0 / 3.0)
-    spec = load_spec(str(Path(__file__).resolve().parents[1] / "perfbench"
-                         / "spacetimes" / "contracting_desitter.st"))
+    spec = load_spec(SPEC)
     ef = catalog.load("schwarzschild_ef")
     horizon = ef.submanifolds["horizon_sphere"]
     frame, _, _ = null_frame_and_expansions(
@@ -720,3 +726,148 @@ class TestCertificates:
         rep = temporal_certificate(b.field, bad, "orientation",
                                    small_region(b))
         assert rep["verdict"] == "FAILED"
+
+
+def _certificate_loop(field_, subject, mode, region, tols=DEFAULT_TOLS):
+    """(q, point) of the worst sampled point, one point at a time: the
+    reference the stacked pass of `temporal_certificate` must match."""
+    worst = None
+    for p in region.sample_points():
+        g = field_.value(p)
+        if mode == "orientation":
+            x = subject.value(field_.canonicalize(p))
+            nrm = float(x @ x)
+            q = 0.0 if nrm < tols.tau_zero else float(x @ g @ x) / nrm
+        else:
+            g_inv, _ = invert_metric(g)
+            dt = subject.jet2(field_.canonicalize(p), 1).grad
+            nrm = float(dt @ dt)
+            q = 0.0 if nrm < tols.tau_zero else float(dt @ g_inv @ dt) / nrm
+        if worst is None or q > worst[0]:
+            worst = (q, p)
+    return worst
+
+
+def _certificate_subjects(bundle):
+    """(mode, subject): the bundle's own fields, and a candidate of each
+    mode that fails somewhere (a coordinate vector, a coordinate function)."""
+    table, n = bundle.field.table, bundle.field.dim
+    out = [("orientation", bundle.orientation),
+           ("orientation", VectorField.constant(np.eye(n)[1], table)),
+           ("temporal", ExprScalarField(table.coordinates[1], table))]
+    if bundle.temporal is not None:
+        out.append(("temporal", bundle.temporal))
+    return out
+
+
+def _assert_matches_loop(field_, subject, mode, region):
+    rep = temporal_certificate(field_, subject, mode, region)
+    q, p = _certificate_loop(field_, subject, mode, region)
+    passed = q < -DEFAULT_TOLS.tau_c
+    assert rep["verdict"] == ("PASSED" if passed else
+                              "FAILED" if mode == "orientation"
+                              else "INCONCLUSIVE")
+    assert rep["witness"] == (None if passed else {"point": list(p)})
+    assert rep["worst_normalized_square"] == pytest.approx(q, rel=1e-15,
+                                                           abs=0.0)
+    assert rep["samples"] == len(region.sample_points())
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("spec",))
+def test_certificate_matches_the_point_loop(bundles, name):
+    b = load_spec(SPEC) if name == "spec" else bundles[name]
+    for mode, subject in _certificate_subjects(b):
+        for n_points in (1, 7, 40):
+            for seed in (0, 3, 601):
+                _assert_matches_loop(b.field, subject, mode, Region(
+                    box=b.default_box, n_points=n_points, seed=seed))
+
+
+def test_certificate_of_a_vanishing_subject_is_zero_there():
+    """Both subjects are timelike but vanish at x = 0, where q is 0: the
+    certificate fails there."""
+    table = SymbolTable(["t", "x"])
+    field_ = ExprMetricField(table, {(0, 0): "-1", (1, 0): "0",
+                                     (1, 1): "1"})
+    region = Region(points=((0.0, 0.5), (0.0, 0.0), (0.0, -0.5)))
+    for mode, subject in (("orientation", VectorField(["x", "0"], table)),
+                          ("temporal", ExprScalarField("t*x", table))):
+        _assert_matches_loop(field_, subject, mode, region)
+        rep = temporal_certificate(field_, subject, mode, region)
+        assert rep["worst_normalized_square"] == 0.0
+        assert rep["witness"] == {"point": [0.0, 0.0]}
+
+
+def test_certificate_mode_is_checked_first(bundles):
+    b = bundles["minkowski"]
+    with pytest.raises(ParamError, match="unknown certificate mode 'causal'"):
+        temporal_certificate(b.field, b.orientation, "causal",
+                             small_region(b))
+
+
+def _raises_as_the_loop(field_, subject, mode, region, error):
+    with pytest.raises(error) as want:
+        _certificate_loop(field_, subject, mode, region)
+    with pytest.raises(error) as got:
+        temporal_certificate(field_, subject, mode, region)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+def test_certificate_error_is_the_first_failing_points_own():
+    table = SymbolTable(["t", "x"])
+    # x = 1, 2, -1, -2: the sqrt(x) below fails from the third point on
+    region = Region(points=((0.0, 1.0), (0.0, 2.0), (0.0, -1.0),
+                            (0.0, -2.0)))
+    flat = ExprMetricField(table, {(0, 0): "-1", (1, 0): "0", (1, 1): "1"})
+    bad_metric = ExprMetricField(table, {(0, 0): "-1", (1, 0): "0",
+                                         (1, 1): "sqrt(x)"})
+    time = VectorField(["1", "0"], table)
+    clock = ExprScalarField("t", table)
+    messages = {
+        _raises_as_the_loop(bad_metric, time, "orientation", region,
+                            DomainError),
+        _raises_as_the_loop(bad_metric, clock, "temporal", region,
+                            DomainError),
+        _raises_as_the_loop(flat, VectorField(["1", "sqrt(x)"], table),
+                            "orientation", region, DomainError),
+        _raises_as_the_loop(flat, ExprScalarField("t + sqrt(x)", table),
+                            "temporal", region, DomainError)}
+    assert messages == {"sqrt of nonpositive value -1.0"}
+    # exp(-800 x) overflows from the third point on: the batch raises
+    # numpy's message, and the point its own
+    overflow = ExprMetricField(table, {(0, 0): "-1", (1, 0): "0",
+                                       (1, 1): "exp(-800*x)"})
+    assert _raises_as_the_loop(overflow, time, "orientation", region,
+                               DomainError) == "exp: math range error"
+
+
+def test_certificate_of_a_degenerate_metric_is_the_points_own_error():
+    table = SymbolTable(["t", "x"])
+    # g_xx = x^2 is degenerate at the third point, nearly so at the fourth
+    region = Region(points=((0.0, 1.0), (0.0, 2.0), (0.0, 0.0),
+                            (0.0, 1e-7)))
+    field_ = ExprMetricField(table, {(0, 0): "-1", (1, 0): "0",
+                                     (1, 1): "x^2"})
+    message = _raises_as_the_loop(field_, ExprScalarField("t", table),
+                                  "temporal", region, SingularMetric)
+    assert "rcond=0.000e+00" in message
+
+
+def test_certificate_reads_the_metric_once(bundles, monkeypatch):
+    """One stacked metric call per certificate: a shape fault that
+    `batch_or_replay` turned into a per-point replay would show here."""
+    calls = []
+    real = ExprMetricField.component_jets
+
+    def counted(self, p, order=2):
+        calls.append(np.shape(p))
+        return real(self, p, order)
+
+    monkeypatch.setattr(ExprMetricField, "component_jets", counted)
+    for name in ("schwarzschild_ef", "torus_quotient", "desitter"):
+        b = bundles[name]
+        for mode, subject in _certificate_subjects(b):
+            calls.clear()
+            temporal_certificate(b.field, subject, mode, small_region(b))
+            assert calls == [(10, 4)], (name, mode)

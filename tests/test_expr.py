@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorentzkit import expr
 from lorentzkit.errors import DomainError, ExprSyntaxError, UnknownSymbol
 from lorentzkit.expr import Binary, SymbolTable, Unary, compile, eval2, parse
 from lorentzkit.jets import Jet2, compose
@@ -58,6 +59,35 @@ class TestParsing:
         e = parse("x + y", XY)
         with pytest.raises(Exception):
             e.op = "*"
+
+
+class TestParseMemo:
+    def test_a_repeated_parse_shares_one_tree(self):
+        assert parse("exp(2*t) - r^2", TR) is parse("exp(2*t) - r^2",
+                                                   SymbolTable(["t", "r"]))
+
+    def test_coordinate_order_is_part_of_the_key(self):
+        a = parse("r", SymbolTable(["t", "r"]))
+        b = parse("r", SymbolTable(["r", "t"]))
+        assert (a.coord_index, b.coord_index) == (1, 0)
+        assert parse("M", SymbolTable(["t"], ["M"])).coord_index is None
+        with pytest.raises(UnknownSymbol):
+            parse("M", SymbolTable(["t"]))
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("sin(q)", UnknownSymbol, "undeclared symbol 'q'"),
+        ("t +", ExprSyntaxError, "at offset 3: unexpected 'end of input'"),
+        ("t $ r", ExprSyntaxError, "at offset 2: unexpected character '$'"),
+        ("(t", ExprSyntaxError, "at offset 2: expected ')'"),
+    ])
+    def test_errors_are_raised_on_every_call(self, text, error, message):
+        for _ in range(3):
+            with pytest.raises(error) as exc:
+                parse(text, TR)
+            assert str(exc.value) == message
+
+    def test_the_memo_is_bounded(self):
+        assert expr._parsed.cache_info().maxsize is not None
 
 
 class TestEval2:

@@ -1,5 +1,5 @@
-"""Golden reports: the full output of the integrating commands, byte for
-byte.
+"""Golden reports: the full output of the integrating commands, of the
+causality certificates and of `analyze`, byte for byte.
 
 Each case runs `lorentzkit.cli.run` on a fixed argv and compares its
 report with `tests/data/golden/<case>.json`. A failure names the first
@@ -24,6 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 INFALL = ["geodesic", "builtin:schwarzschild_ef", "--from", "0,3,1.5707,0",
           "--length", "2"]
+SPEC = "perfbench/spacetimes/contracting_desitter.st"
 
 # case: (argv, exit code); a spec file is named from the repository root
 CASES = {
@@ -34,12 +35,36 @@ CASES = {
                      "--at", "1.5707963,0.5", "--dir", "1,0,0,0",
                      "--length", "1"], 1),
     "gs_contracting_desitter_horizon": (
-        ["gs", "perfbench/spacetimes/contracting_desitter.st",
-         "--submanifold", "horizon", "--at", "1.2,0.5", "--dir", "1,0,0,0",
-         "--length", "0.5"], 1),
+        ["gs", SPEC, "--submanifold", "horizon", "--at", "1.2,0.5",
+         "--dir", "1,0,0,0", "--length", "0.5"], 1),
     # a start whose norm drift misses its budget even after the retry
     "geodesic_drift_error": (INFALL + ["--dir", "1,-1,0,0.1"], 1),
 }
+# one fixed point inside each builtin's default box
+ANALYZE_AT = {
+    "desitter": "0.1,0.2,-0.3,0.4",
+    "flrw_dust": "0.2,0.3,-0.2,0.5",
+    "minkowski": "0.1,0.2,0.3,0.4",
+    "null_H_demo": "0.2,0.1,-0.4,0.3",
+    "schwarzschild_ef": "0.5,3,1.2,0.7",
+    "schwarzschild_static": "0.5,4,1.1,2",
+    "torus_quotient": "0.3,0.2,0.6,0.9",
+}
+
+
+def _certificate(spec, condition):
+    return ["check", spec, "--condition", condition, "--points", "40",
+            "--seed", "601"]
+
+
+for _name, _at in ANALYZE_AT.items():
+    CASES[f"analyze_{_name}"] = (["analyze", f"builtin:{_name}", "--at", _at],
+                                 0)
+    for _condition in ("orientation", "temporal"):
+        CASES[f"check_{_condition}_{_name}"] = (
+            _certificate(f"builtin:{_name}", _condition), 0)
+CASES["check_orientation_contracting_desitter"] = (
+    _certificate(SPEC, "orientation"), 0)
 
 
 def report(argv) -> tuple[int, str]:

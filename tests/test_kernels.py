@@ -311,7 +311,10 @@ def test_compiling_hashes_each_node_a_bounded_number_of_times(monkeypatch):
         monkeypatch.undo()
         per_node.append(calls[0] / (4 * terms - 1))
     assert max(per_node) <= 2.0
-    again = expr.parse(" + ".join(["x*y"] * 99), table)
+    # parses are memoized by text and names: an unused parameter name
+    # gives a second, separately built tree
+    again = expr.parse(" + ".join(["x*y"] * 99),
+                       SymbolTable(["x", "y"], ["unused"]))
     assert again == e and hash(again) == hash(e) and again is not e
     assert Binary("+", Sym("x", 0), Num(1.0)) != \
         Binary("+", Sym("x", 0), Num(2.0))
