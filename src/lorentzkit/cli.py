@@ -32,7 +32,7 @@ from .errors import DomainError, LorentzkitError
 from .geodesics import geodesic
 from .geometry import Tolerances, curvature_data
 from .perturb import positivity_exit_family, trapped_exit_family
-from .specfile import load_spec, spec_digest
+from .specfile import read_spec
 from .submanifold import classify_trapped
 
 _CHECK_NAMES = ("E", "SE", "P", "FP", "O", "inclusions", "orientation",
@@ -410,9 +410,8 @@ def run(argv: list[str], out=None) -> int:
         rep = {"tool_version": __version__, "command": args.command}
         bundle = None
         if args.command != "catalog":
-            bundle = load_spec(args.spec, overrides)
-            rep.update(input=bundle.name,
-                       input_digest=spec_digest(args.spec, overrides),
+            bundle, digest = read_spec(args.spec, overrides)
+            rep.update(input=bundle.name, input_digest=digest,
                        seed=args.seed, tolerances=Tolerances().as_dict())
         code, body = _COMMANDS[args.command](args, bundle)
         if isinstance(body, str):

@@ -64,7 +64,7 @@ from .geometry import (DEFAULT_TOLS, CurvatureData, Tolerances, complement,
                        curvature_data, lorentz_frame, tidal_rows,
                        tidal_screen)
 from .metric import MetricField
-from .submanifold import Embedding
+from .submanifold import Embedding, _first_form
 from .tensors import invert_metric
 
 
@@ -498,7 +498,7 @@ def gs_trace(field_: MetricField, emb: Embedding, u0, direction,
     are read in one call each and their curvature in one batched pass
     (`batch_or_replay`: a failing sample raises its own error). Returns the
     sampled minimum and the first parameter where the trace dips below
-    -tau_cond.
+    -tau_cond; NotSpacelike where the induced metric at u0 is not definite.
     """
     u0 = np.asarray(u0, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -512,10 +512,10 @@ def gs_trace(field_: MetricField, emb: Embedding, u0, direction,
     q = float(direction @ g0 @ direction)
     if q > tols.tau_c * float(direction @ direction):
         raise NotApplicable("direction must be causal (timelike or null)")
+    gram_inv = np.linalg.inv(_first_form(g0[None], jac[None], u0[None],
+                                         tols)[0])
 
     sol = geodesic(field_, x0, direction, length, tols, transport=jac)
-    gram = jac.T @ g0 @ jac
-    gram_inv = np.linalg.inv(0.5 * (gram + gram.T))
 
     def trace(x, xdot, frame):
         return np.einsum("ab,...ijkl,...i,...ja,...kb,...l->...", gram_inv,

@@ -2,8 +2,8 @@
 
 Every failure mode that callers are expected to handle gets its own class;
 all inherit from LorentzkitError so `except LorentzkitError` catches the lot.
-`batch_or_replay` keeps that contract for batched kernels: a batch that
-fails is replayed point by point, so the error is the failing point's own.
+`batch_or_replay` (the one replay) keeps it for batched passes: a failing
+batch is replayed point by point and raises its first failing point's error.
 """
 
 import numpy as np
@@ -17,15 +17,19 @@ def batch_or_replay(fn, *stacks):
     """fn(*stacks) on stacks with a leading batch axis, in one call.
 
     When the batch raises a LorentzkitError, an ArithmeticError or a
-    ValueError, fn runs on the rows one by one (each a point, not a batch
-    of one) and the results are stacked, so the first failing row raises
-    its own error: a batched kernel can fail differently, with numpy's
-    overflow where the point's `math` raises a DomainError.
+    ValueError, each row runs again as a batch of one (row[None], on the
+    kernels' point path: math's DomainError where a batch overflows), so
+    the first failing row raises its own error. Results join along the
+    batch axis, a tuple column by column (a None column stays None).
     """
     try:
         return fn(*stacks)
     except (LorentzkitError, ArithmeticError, ValueError):
-        return np.array([fn(*row) for row in zip(*stacks)])
+        rows = [fn(*(s[None] for s in row)) for row in zip(*stacks)]
+    if isinstance(rows[0], tuple):
+        return tuple(None if col[0] is None else np.concatenate(col)
+                     for col in zip(*rows))
+    return np.concatenate(rows)
 
 
 # --- expression layer -------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParamError
+from .errors import ParamError, batch_or_replay
 from .expr import Binary, Expr, Kernels, Num, Sym, SymbolTable, Unary, parse
 from .fields import ScalarField
 from .jets import Jet2, compose
@@ -154,8 +154,9 @@ class ExprMetricField(MetricField):
         stack = np.repeat(pts[None], 1 + len(periodic), axis=0)
         for k, (axis, per) in enumerate(periodic, 1):
             stack[k, :, axis] += per
-        values = self._kernels(stack.reshape(-1, self.dim), 0)[0].reshape(
-            len(stack), samples, -1)
+        values = batch_or_replay(lambda q: self._kernels(q, 0)[0],
+                                 stack.reshape(-1, self.dim))
+        values = values.reshape(len(stack), samples, -1)
         for k, (axis, per) in enumerate(periodic, 1):
             if not np.allclose(values[0], values[k], atol=tol, rtol=0.0):
                 raise ParamError(

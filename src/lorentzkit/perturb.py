@@ -28,8 +28,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import (LorentzkitError, NotApplicable, NotCausal, RadiusError,
-                     SupportNotContained)
+from .errors import (NotApplicable, NotCausal, RadiusError,
+                     SupportNotContained, batch_or_replay)
 from .expr import Binary, Kernels, Num, Sym, SymbolTable, Unary, parse
 from .fields import ScalarField
 from .geometry import (DEFAULT_TOLS, TangentVector, Tolerances,
@@ -225,9 +225,9 @@ def bump(chart_field: MetricField, p, value: float, dphi,
 # Family tables take one batched pass per grid slab: base component jets and
 # phi jets at points (B, n), every n from the conformal product rule
 # `metric.product_jets` with e = e^{2 phi/n} - 1, the rule the rescaled
-# metrics use. `_seminorm_orders` is the per-point difference of two
-# metrics' jets, the reference the tables are tested against and the error
-# path.
+# metrics use, and a slab that fails is replayed (`errors.batch_or_replay`).
+# `_seminorm_orders`, the per-point difference of two metrics' jets, serves
+# `cs_seminorm` and is the reference the tables are tested against.
 
 
 def _grid(box, grid_per_axis: int) -> np.ndarray:
@@ -369,31 +369,30 @@ def _seminorm_rows(base: MetricField, phi: ScalarField, n_max: int,
     g_n - g = (E - 1) g with E = e^{2 phi / n}, so one order-2 pass of base
     and phi jets per slab of the grid (one index along the first axis)
     gives every n through `product_jets`, with e = E - 1: its value is
-    expm1(2 phi / n) and its derivatives are those of E. An error (or a
-    floating-point overflow) re-runs the rows point by point through
-    `_seminorm_orders` on the rescaled metrics, so it is the error the
-    first failing point raises.
+    expm1(2 phi / n) and its derivatives are those of E. A slab that
+    raises (a floating-point overflow included) is replayed point by point
+    through `errors.batch_or_replay`, so the error is the one the first
+    failing point raises.
     """
     pad = [(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo))
            for lo, hi in support_box]
-    maxima = np.zeros((n_max, 3))
     exps = [(2.0 / n, exp_kernels(2.0 / n)) for n in range(1, n_max + 1)]
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for slab in _grid(pad, grid_per_axis).reshape(grid_per_axis, -1,
-                                                          base.dim):
-                q = base.canonicalize(slab)
-                g, dg, d2g = base.component_jets(q, order=2)
-                f = phi.jet2(q, 2)
-                for row, (c, kernels) in zip(maxima, exps):
-                    exp_t = compose(kernels(f.value[:, None], 2), [f])
-                    e = Jet2(np.expm1(c * f.value), exp_t.grad, exp_t.hess)
-                    for m, part in enumerate(product_jets(e, g, dg, d2g)):
-                        row[m] = max(row[m], np.abs(part).max())
-    except (LorentzkitError, ArithmeticError, ValueError):
-        maxima = [_seminorm_orders(base, rescale(base, phi, 1.0 / n), pad,
-                                   grid_per_axis)
-                  for n in range(1, n_max + 1)]
+
+    def slab_maxima(q):         # max |part| of g_n - g, (1, n_max, 3)
+        g, dg, d2g = base.component_jets(q, order=2)
+        f = phi.jet2(q, 2)
+        out = np.zeros((1, n_max, 3))
+        for row, (c, kernels) in zip(out[0], exps):
+            exp_t = compose(kernels(f.value[:, None], 2), [f])
+            e = Jet2(np.expm1(c * f.value), exp_t.grad, exp_t.hess)
+            for m, part in enumerate(product_jets(e, g, dg, d2g)):
+                row[m] = np.abs(part).max()
+        return out
+
+    slabs = _grid(pad, grid_per_axis).reshape(grid_per_axis, -1, base.dim)
+    with np.errstate(over="raise", invalid="raise"):
+        maxima = np.concatenate([batch_or_replay(
+            slab_maxima, base.canonicalize(q)) for q in slabs]).max(axis=0)
     return [{"n": n, "c0": float(m0), "c1": float(max(m0, m1)),
              "c2": float(max(m0, m1, m2))}
             for n, (m0, m1, m2) in enumerate(maxima, start=1)]

@@ -329,21 +329,23 @@ def parse_spacetime_file(text: str, name: str = "<file>",
 
 def load_spec(spec: str, param_overrides: dict | None = None) -> SpacetimeBundle:
     """Load `builtin:<name>` or a spacetime definition file path."""
-    if spec.startswith("builtin:"):
-        return load_builtin(spec[len("builtin:"):], **(param_overrides or {}))
-    with open(spec, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_spacetime_file(text, name=spec, param_overrides=param_overrides)
+    return read_spec(spec, param_overrides)[0]
 
 
-def spec_digest(spec: str, param_overrides: dict | None = None) -> str:
-    """Stable identifier of the input for reports."""
-    h = hashlib.sha256()
+def read_spec(spec: str, param_overrides: dict | None = None
+              ) -> tuple[SpacetimeBundle, str]:
+    """`load_spec`'s bundle and the input's stable identifier for reports,
+    from one read of a file: the bytes parsed are the bytes hashed."""
+    overrides = param_overrides or {}
     if spec.startswith("builtin:"):
-        h.update(spec.encode())
+        data = spec.encode()
+        bundle = load_builtin(spec[len("builtin:"):], **overrides)
     else:
-        with open(spec, "rb") as fh:
-            h.update(fh.read())
-    for k in sorted(param_overrides or {}):
-        h.update(f"{k}={param_overrides[k]!r}".encode())
-    return h.hexdigest()[:16]
+        with open(spec, "rb") as fh, _at(0, "not UTF-8 text: "):
+            data = fh.read()
+            text = data.decode("utf-8")
+        bundle = parse_spacetime_file(text, spec, overrides)
+    h = hashlib.sha256(data)
+    for k in sorted(overrides):
+        h.update(f"{k}={overrides[k]!r}".encode())
+    return bundle, h.hexdigest()[:16]

@@ -12,11 +12,13 @@ orientation field X, the stacked shape tensor (normal part of H +
 Gamma(J, J)) and its trace. Its MeanCurvature keeps g, J and X for the
 expansions, trapped verdicts, conformal closed forms and families.
 `mean_curvature` is that pass at one point; `classify_trapped` runs it once
-over its grid. `normal_part` projects onto the normal space (one Gram
-solve); `null_normals` is the one null-normal builder, in any codimension,
-which the codimension-2 expansions and the trapped-exit family share. One
-rule, `_trapped_margins`, decides trappedness for `classify_trapped` and
-`perturb.trapped_exit_family`.
+over its grid (`errors.batch_or_replay`: a failing grid raises its first
+failing point's error), and `_first_form` is its test of the induced
+metric, `gs_trace`'s too. `normal_part` projects onto the normal space
+(one Gram solve); `null_normals` is the one null-normal builder, in any
+codimension, which the codimension-2 expansions and the trapped-exit family
+share. One rule, `_trapped_margins`, decides trappedness for
+`classify_trapped` and `perturb.trapped_exit_family`.
 
 Pointwise conditions over a closed submanifold are certified on the grid
 with explicit margins; verdicts never claim more than that.
@@ -29,8 +31,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (DegenerateEmbedding, LorentzkitError, NotSpacelike,
-                     OrientationHintDegenerate, WrongCodimension)
+from .errors import (DegenerateEmbedding, NotSpacelike,
+                     OrientationHintDegenerate, WrongCodimension,
+                     batch_or_replay)
 from .expr import Expr, Kernels, SymbolTable, parse
 from .fields import VectorField
 from .geometry import (DEFAULT_TOLS, CausalClass, TangentVector, Tolerances,
@@ -151,6 +154,19 @@ def induced_metric(field_: MetricField, emb: Embedding, u,
     return first, spacelike
 
 
+def _first_form(g: np.ndarray, jac: np.ndarray, u,
+                tols: Tolerances) -> np.ndarray:
+    """The first fundamental forms J^T g J (B, m, m) at parameter points u
+    (B, m); raises NotSpacelike at the first that is not positive definite."""
+    first = jac.swapaxes(-1, -2) @ g @ jac
+    first = 0.5 * (first + first.swapaxes(-1, -2))
+    low = np.linalg.eigvalsh(first)[:, 0] <= tols.tau_c
+    if low.any():
+        raise NotSpacelike(f"induced metric not positive definite at u = "
+                           f"{np.asarray(u)[np.argmax(low)].tolist()}")
+    return first
+
+
 def _fundamental_forms(field_: MetricField, emb: Embedding, u,
                        tols: Tolerances):
     """(x, J, g, first fundamental form, II) at parameter points u (B, m),
@@ -166,12 +182,7 @@ def _fundamental_forms(field_: MetricField, emb: Embedding, u,
     mv = MetricValue.from_matrix(g)
     g = mv.g
     gamma = christoffel_from_jets(mv.g_inv, dg)
-    first = jac.swapaxes(-1, -2) @ g @ jac
-    first = 0.5 * (first + first.swapaxes(-1, -2))
-    low = np.linalg.eigvalsh(first)[:, 0] <= tols.tau_c
-    if low.any():
-        raise NotSpacelike(f"induced metric not positive definite at u = "
-                           f"{np.asarray(u)[np.argmax(low)].tolist()}")
+    first = _first_form(g, jac, u, tols)
     b, n, m = jac.shape
     # ambient acceleration of the coordinate grid curves:
     # H^k_ac + Gamma^k_ij J^i_a J^j_c, contracted as two matmuls
@@ -352,33 +363,6 @@ def _trapped_margins(g: np.ndarray, h: np.ndarray, xv: np.ndarray,
             (hh <= tau) & (hx >= -tau))
 
 
-def _grid_margins(mc: MeanCurvature, hint, tols: Tolerances) -> tuple:
-    """`_trapped_margins` of a stacked pass, then its expansions theta+,
-    theta- (None without a hint)."""
-    margins = _trapped_margins(mc.g, mc.h_vec, mc.x_vec, tols)
-    if hint is None:
-        return margins + (None, None)
-    return margins + _null_expansions(mc, hint, tols)[1:]
-
-
-def _grid_margins_point_by_point(field_: MetricField, X, emb: Embedding,
-                                 hint, tols: Tolerances) -> tuple:
-    """_grid_margins over the grid one point at a time, in np.ndindex order:
-    the error path of the batched pass, so that an error is the one the
-    first failing point raises."""
-    rows = []
-    for idx in np.ndindex(*emb.grid_shape):
-        u = emb.grid_point(idx)
-        try:
-            mc = _mean_curvatures(field_, X, emb, u[None], tols)
-        except NotSpacelike:
-            raise NotSpacelike(f"submanifold not spacelike at grid index "
-                               f"{idx}, u = {u.tolist()}") from None
-        rows.append(_grid_margins(mc, hint, tols))
-    return tuple(None if col[0] is None else np.concatenate(col)
-                 for col in zip(*rows))
-
-
 @dataclass
 class TrappedVerdict:
     """Grid-certified trapped classification of (g, Sigma)."""
@@ -433,16 +417,26 @@ def classify_trapped(field_: MetricField, X, emb: Embedding,
     shape = emb.grid_shape
     if emb.codim != 2:
         hint = None
-    # one pass over the whole grid; an error (or numpy's overflow in the
-    # batched jets) re-runs the grid point by point to name the first point
-    try:
-        margins = _grid_margins(
-            _mean_curvatures(field_, X, emb, emb.grid_points(), tols),
-            hint, tols)
-    except (LorentzkitError, ArithmeticError, ValueError):
-        margins = _grid_margins_point_by_point(field_, X, emb, hint, tols)
+
+    def margins(u, flat):
+        try:
+            mc = _mean_curvatures(field_, X, emb, u, tols)
+        except NotSpacelike:
+            if len(u) > 1:
+                raise
+            idx = tuple(int(i) for i in np.unravel_index(flat[0], shape))
+            raise NotSpacelike(f"submanifold not spacelike at grid index "
+                               f"{idx}, u = {u[0].tolist()}") from None
+        found = _trapped_margins(mc.g, mc.h_vec, mc.x_vec, tols)
+        if hint is None:
+            return found + (None, None)
+        return found + _null_expansions(mc, hint, tols)[1:]
+
+    # one pass over the grid; its replay names the first failing grid index
+    u = emb.grid_points()
     hh, hx, hnorm, strict, weak, tp, tm = (
-        None if a is None else a.reshape(shape) for a in margins)
+        None if a is None else a.reshape(shape)
+        for a in batch_or_replay(margins, u, np.arange(len(u))))
     is_a, is_fa = bool(strict.all()), bool(weak.all())
     witness_index = None
     if not is_a:

@@ -8,7 +8,8 @@ import pytest
 from lorentzkit import catalog, expr
 from lorentzkit.conditions import (Region, ricci_condition, riem_condition,
                                    temporal_certificate, tidal_condition)
-from lorentzkit.errors import ParamError, UnknownSpacetime
+from lorentzkit.errors import (DomainError, ParamError, SpacetimeFileError,
+                              UnknownSpacetime)
 from lorentzkit.geometry import curvature_data
 from lorentzkit.metric import ExprMetricField
 from lorentzkit.specfile import load_spec
@@ -89,6 +90,25 @@ class TestTorusQuotient:
         assert calls == [(15, 3)]
         with pytest.raises(ParamError, match="period 1.0 along coordinate y"):
             ExprMetricField(table, entries("2 + sin(y)"), periods=periods)
+
+    def test_period_check_fails_with_the_points_error(self, tmp_path):
+        """A component that overflows at some sample points fails with the
+        first failing point's own error, math's, not the batch's numpy
+        overflow ("exp: overflow encountered in exp")."""
+        table = expr.SymbolTable(["t", "x"])
+        entries = {(0, 0): "-exp(800*cos(x))", (1, 0): "0", (1, 1): "1"}
+        with pytest.raises(DomainError) as err:
+            ExprMetricField(table, entries, periods=(None, 2.0 * np.pi))
+        assert str(err.value) == "exp: math range error"
+        spec = tmp_path / "overflow.st"
+        spec.write_text("dimension 2\ncoordinate t\n"
+                        "coordinate x periodic 6.283185307179586\n"
+                        "metric t t = -exp(800*cos(x))\nmetric x t = 0\n"
+                        "metric x x = 1\norientation = 1, 0\n")
+        with pytest.raises(SpacetimeFileError) as err:
+            load_spec(str(spec))
+        assert str(err.value) == ("line 0: invalid metric block: "
+                                  "exp: math range error")
 
 
 class TestKnownFacts:

@@ -1,7 +1,9 @@
 """CLI behavior: exit-code contract, report shapes, determinism, CSV."""
 
 import ast
+import builtins
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -511,6 +513,10 @@ def test_no_module_of_the_package_imports_scipy():
 
 SPEC_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spacetimes" \
     / "contracting_desitter.st"
+NONSPACELIKE = Path(__file__).resolve().parent / "data" / "nonspacelike.st"
+# gs along a null curve, whose induced metric is singular
+NULL_CURVE_GS = ["gs", str(NONSPACELIKE), "--submanifold", "null_curve",
+                 "--at", "0.3", "--dir", "1,1,0", "--length", "0.5"]
 
 
 @pytest.mark.parametrize("line, replacement, extra", [
@@ -837,6 +843,7 @@ _TINY_DIR = "--dir=0.0,0.0,0.0,1.6783824282020422e-242"
 @given(argv=_gs_argv())
 @example(argv=["gs", "builtin:minkowski", "--submanifold", "sphere",
                "--at=1.5,0.5", _TINY_DIR])
+@example(argv=NULL_CURVE_GS)
 def test_gs_argv_keeps_the_error_contract(argv):
     _keeps_the_error_contract(argv)
 
@@ -979,6 +986,68 @@ def test_sparse_shell_is_a_usage_error():
     assert code == 2 and out == ""
     assert "must be at least 8, got 7" in err.getvalue()
     assert run_cli(argv[:-1] + ["--dirs=8"])[0] in (0, 1)
+
+
+def test_gs_rejects_a_submanifold_that_is_not_spacelike(capsys):
+    """gs along a null curve exits 1 with a NotSpacelike report, worded as
+    the mean-curvature pass words it (it was numpy's LinAlgError
+    traceback, from inverting the singular induced metric)."""
+    code, rep = run_json(NULL_CURVE_GS)
+    assert code == 1 and rep["error_type"] == "NotSpacelike"
+    assert rep["error"] == "induced metric not positive definite at u = [0.3]"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_spec_file_is_read_once_per_command(monkeypatch):
+    """The bytes a command parses are the bytes its `input_digest`
+    hashes: one open of the file per command."""
+    opened = []
+    real_open = builtins.open
+
+    def counted(file, *args, **kwargs):
+        if str(file) == str(SPEC_FILE):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    code, rep = run_json(["check", str(SPEC_FILE), "--condition",
+                          "orientation", "--points", "7"])
+    assert code == 0 and len(opened) == 1
+    assert rep["input_digest"] == \
+        hashlib.sha256(SPEC_FILE.read_bytes()).hexdigest()[:16]
+
+
+def test_a_crlf_spec_file_gives_the_same_bundle(tmp_path):
+    """CRLF line ends parse as LF ones: the same bundle, and reports that
+    differ only in the input's name and digest."""
+    crlf = tmp_path / "crlf.st"
+    crlf.write_bytes(SPEC_FILE.read_bytes().replace(b"\n", b"\r\n"))
+    a, b = load_spec(str(SPEC_FILE)), load_spec(str(crlf))
+    assert a.field.entries == b.field.entries
+    assert (a.params, a.default_box) == (b.params, b.default_box)
+    assert a.submanifolds["horizon"].exprs == b.submanifolds["horizon"].exprs
+    for argv in (["classify", "--submanifold", "horizon"],
+                 ["check", "--condition", "temporal", "--points", "7"]):
+        reports = [run_json([argv[0], str(spec)] + argv[1:])
+                   for spec in (SPEC_FILE, crlf)]
+        for _, rep in reports:
+            del rep["input"], rep["input_digest"]
+        assert reports[0] == reports[1]
+
+
+def test_a_spec_file_that_is_not_utf8_is_a_json_error(tmp_path, capsys):
+    """A byte that is not UTF-8 exits 1 with a SpacetimeFileError naming
+    its offset (it was a UnicodeDecodeError traceback)."""
+    text = SPEC_FILE.read_bytes()
+    assert text.startswith(b"# Contracting")
+    spec = tmp_path / "latin1.st"
+    spec.write_bytes(text.replace(b"Contracting", b"Contr\xe4cting", 1))
+    code, rep = run_json(["analyze", str(spec), "--at", "0,0,0,0"])
+    assert code == 1 and rep["error_type"] == "SpacetimeFileError"
+    assert rep["error"] == ("line 0: not UTF-8 text: 'utf-8' codec can't "
+                            "decode byte 0xe4 in position 7: invalid "
+                            "continuation byte")
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_zero_orientation_is_a_param_error(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Golden reports: the full output of the integrating commands, of the
-causality certificates and of `analyze`, byte for byte.
+causality certificates, of `analyze`, `classify` and `perturb`, byte for
+byte.
 
 Each case runs `lorentzkit.cli.run` on a fixed argv and compares its
-report with `tests/data/golden/<case>.json`. A failure names the first
-field that moved, with the golden and the new value. A change that is
+report with `tests/data/golden/<case>.json` (`.csv` for a CSV table). A
+failure names the first field that moved, with the golden and the new
+value. A change that is
 meant to move these reports rewrites them with
 
     PYTHONPATH=src python tests/data/golden/rewrite.py
@@ -11,6 +13,7 @@ meant to move these reports rewrites them with
 and lists every moved field; the rewritten files are part of that change.
 """
 
+import csv
 import io
 import json
 import os
@@ -25,6 +28,7 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 INFALL = ["geodesic", "builtin:schwarzschild_ef", "--from", "0,3,1.5707,0",
           "--length", "2"]
 SPEC = "perfbench/spacetimes/contracting_desitter.st"
+NONSPACELIKE = "tests/data/nonspacelike.st"
 
 # case: (argv, exit code); a spec file is named from the repository root
 CASES = {
@@ -66,6 +70,43 @@ for _name, _at in ANALYZE_AT.items():
 CASES["check_orientation_contracting_desitter"] = (
     _certificate(SPEC, "orientation"), 0)
 
+# every builtin submanifold, the spec file's horizon, and a surface that
+# stops being spacelike mid-grid (the error names the grid index)
+CLASSIFY = {
+    "minkowski": ("sphere", "plane"),
+    "torus_quotient": ("Pi", "S"),
+    "schwarzschild_ef": ("inner_sphere", "horizon_sphere", "outer_sphere",
+                         "far_sphere"),
+    "schwarzschild_static": ("far_sphere",),
+    "null_H_demo": ("sheet",),
+    "flrw_dust": ("sphere",),
+    "desitter": ("sphere",),
+}
+for _name, _subs in CLASSIFY.items():
+    for _sub in _subs:
+        CASES[f"classify_{_name}_{_sub}"] = (
+            ["classify", f"builtin:{_name}", "--submanifold", _sub], 0)
+CASES["classify_contracting_desitter_horizon"] = (
+    ["classify", SPEC, "--submanifold", "horizon"], 0)
+CASES["classify_nonspacelike_surface"] = (
+    ["classify", NONSPACELIKE, "--submanifold", "surface"], 1)
+
+# the two trapped-exit cases (zero H, null H) and a positivity-exit family
+for _name, _sub, _at in (("torus_quotient", "S", "0,0"),
+                         ("null_H_demo", "sheet", "0.1,0.2")):
+    CASES[f"perturb_33_{_name}_{_sub}"] = (
+        ["perturb", f"builtin:{_name}", "--theorem", "3.3", "--submanifold",
+         _sub, "--at", _at], 0)
+_EXIT_42 = ["perturb", "builtin:minkowski", "--theorem", "4.2", "--at",
+            "0,0,0,0", "--witness", "v=1,0,0,0", "w=0,0,1,0"]
+CASES["perturb_42_minkowski"] = (_EXIT_42, 0)
+CASES["perturb_42_minkowski_csv"] = (_EXIT_42 + ["--format", "csv"], 0)
+
+
+def golden_path(case: str) -> Path:
+    """The golden file of a case: `.csv` for a CSV table, else `.json`."""
+    return GOLDEN / f"{case}.{'csv' if 'csv' in CASES[case][0] else 'json'}"
+
 
 def report(argv) -> tuple[int, str]:
     """(exit code, report text) of one command, run from the repository
@@ -77,6 +118,13 @@ def report(argv) -> tuple[int, str]:
         return run(argv, out), out.getvalue()
     finally:
         os.chdir(cwd)
+
+
+def parsed(path: Path, text: str):
+    """A report's fields: the JSON value, or a CSV table's rows as dicts."""
+    if path.suffix == ".csv":
+        return list(csv.DictReader(io.StringIO(text)))
+    return json.loads(text)
 
 
 def first_difference(old, new, path="report"):
@@ -108,9 +156,10 @@ def test_report_is_golden(case):
     argv, want_code = CASES[case]
     code, text = report(argv)
     assert code == want_code
-    golden = (GOLDEN / f"{case}.json").read_text()
+    path = golden_path(case)
+    golden = path.read_text()
     if text != golden:
-        moved = first_difference(json.loads(golden), json.loads(text))
+        moved = first_difference(parsed(path, golden), parsed(path, text))
         assert moved is not None, "the report text moved, but no field did"
         field, old, new = moved
         pytest.fail(f"{case}: {field} moved from {old!r} to {new!r}")

@@ -629,18 +629,20 @@ class TestBatchedSeminormRows:
 
     def test_family_tables_never_replay_point_by_point(self, bundles,
                                                        monkeypatch):
-        """A layout bug raises ValueError, which the tables' fallback
-        catches and replays through `_seminorm_orders`, with the same rows
-        many times slower: the benchmark's families and two curved
-        positivity families never take it."""
-        replays = []
-        replay = perturb._seminorm_orders
+        """A layout bug raises ValueError, which `batch_or_replay` catches
+        and replays row by row, with the same rows many times slower: the
+        benchmark's families and two curved positivity families take one
+        call per slab and never replay."""
+        rows = []
+        replay = perturb.batch_or_replay
 
-        def replayed(*args):
-            replays.append(1)
-            return replay(*args)
+        def replayed(fn, *stacks):
+            def row(*args):
+                rows.append(len(args[0]))
+                return fn(*args)
+            return replay(row, *stacks)
 
-        monkeypatch.setattr(perturb, "_seminorm_orders", replayed)
+        monkeypatch.setattr(perturb, "batch_or_replay", replayed)
         families = [build() for build in _family_constructions(bundles)]
         for name, p, v in (("desitter", np.zeros(4), [1.0, 1.0, 0, 0]),
                            ("schwarzschild_static",
@@ -650,7 +652,8 @@ class TestBatchedSeminormRows:
                 bundles[name].field, p, v, [0.0, 0, 1, 0], n_max=2,
                 seminorm_grid=5))
         assert all(len(fam.seminorms) == 2 for fam in families)
-        assert not replays
+        # a 5-point grid per axis: five slabs of 5^3 points per family
+        assert rows == [5 ** 3] * (5 * len(families))
 
     def test_rows_match_oracle_on_the_cli_grid(self, bundles):
         fam = _family_constructions(bundles)[0](grid=7)

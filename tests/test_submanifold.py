@@ -429,30 +429,33 @@ def test_classify_matches_point_by_point(bundles):
 
 def test_classify_reads_its_grid_in_one_batch(bundles, monkeypatch):
     """On a grid where no point fails, the verdict takes one
-    _mean_curvatures pass over every grid point: a fallback to the
-    point-by-point replay would give the same verdict many calls later."""
-    calls, replays = [], []
+    _mean_curvatures pass over every grid point: a replay through
+    `batch_or_replay` would give the same verdict many row calls later."""
+    calls, rows = [], []
     batched = submanifold._mean_curvatures
 
     def counted(*args):
         calls.append(np.shape(args[3]))
         return batched(*args)
 
-    replay = submanifold._grid_margins_point_by_point
+    replay = submanifold.batch_or_replay
 
-    def replayed(*args):
-        replays.append(1)
-        return replay(*args)
+    def replayed(fn, *stacks):
+        def row(*args):
+            rows.append(len(args[0]))
+            return fn(*args)
+        return replay(row, *stacks)
 
     monkeypatch.setattr(submanifold, "_mean_curvatures", counted)
-    monkeypatch.setattr(submanifold, "_grid_margins_point_by_point", replayed)
+    monkeypatch.setattr(submanifold, "batch_or_replay", replayed)
     b = bundles["schwarzschild_ef"]
     emb = b.submanifolds["horizon_sphere"]
     v = classify_trapped(b.field, b.orientation, emb,
                          b.hints.get("horizon_sphere"))
     assert v.theta_plus is not None
-    assert calls == [(math.prod(emb.grid_shape), emb.m)]
-    assert not replays
+    grid = math.prod(emb.grid_shape)
+    assert calls == [(grid, emb.m)]
+    assert rows == [grid]
 
 
 def _first_point_error(field_, X, emb, hint):
