@@ -497,8 +497,11 @@ def gs_trace(field_: MetricField, emb: Embedding, u0, direction,
     among gamma' and the E_a). The n_samples points, velocities and frames
     are read in one call each and their curvature in one batched pass
     (`batch_or_replay`: a failing sample raises its own error). Returns the
-    sampled minimum and the first parameter where the trace dips below
-    -tau_cond; NotSpacelike where the induced metric at u0 is not definite.
+    sampled minimum, the first sample within tau_cond of it (`argmin_s`,
+    which rounding cannot move where the trace is flat; `flat` when every
+    sample is within tau_cond) and the first parameter where the trace dips
+    below -tau_cond; NotSpacelike where the induced metric at u0 is not
+    definite.
     """
     u0 = np.asarray(u0, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -529,12 +532,13 @@ def gs_trace(field_: MetricField, emb: Embedding, u0, direction,
     first_negative = None if not below.size else {
         "s": float(s[below[0]]), "trace": float(values[below[0]]),
         "point": x[below[0]].tolist()}
-    i_min = int(np.argmin(values))
+    near = values - values.min() <= tols.tau_cond
     return {
         "condition": "trace-along-normal-geodesic",
-        "min_trace": float(values[i_min]),
+        "min_trace": float(values.min()),
         "max_abs_trace": float(np.abs(values).max()),
-        "argmin_s": float(s[i_min]),
+        "argmin_s": float(s[np.argmax(near)]),
+        "flat": bool(near.all()),
         "first_negative": first_negative,
         "samples": len(values),
         "chart_exit": sol.chart_exit,

@@ -1,10 +1,13 @@
-"""Geodesic integration and parallel transport (Dormand-Prince 8(5,3)).
+"""Geodesic integration, parallel transport and Jacobi fields
+(Dormand-Prince 8(5,3)).
 
 The integrator is the package's own DOP853 (`dop853.solve_ivp`, numpy
 only), called through this module's global `solve_ivp`. One solve serves
-both: transported vectors ride in the geodesic's own state, so a transport
-is one solve of (x, x', w_1 ... w_m) whose right-hand side takes one metric
-jet per stage. `geodesic(..., transport=w0)` runs it from (p, v);
+all three: transported vectors and Jacobi fields ride in the geodesic's
+own state (x, x', w_1 ... w_m, J, J'), whose one right-hand side
+(`_geodesic_rhs`) takes one metric jet per stage, of order 1, or of
+order 2 when Jacobi fields ride along. `geodesic(..., transport=w0,
+jacobi=J0)` runs it from (p, v), with either, both or neither;
 `parallel_transport` runs it again along a curve the caller already holds.
 
 Integration happens in the covering chart: periodic coordinates are never
@@ -44,50 +47,46 @@ def _contraction(g, dg, xdot) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _minus_gamma(field_: MetricField, x, xdot, w) -> np.ndarray:
-    """-Gamma^k_ij x'^i w^j at x, for w of shape (n,) or (n, m)."""
+    """-Gamma^k_ij x'^i w^j at x, for w of shape (n,) or (n, m): the
+    contraction `_geodesic_rhs` applies, at one point."""
     g, dg, _ = field_.component_jets(x, order=1)
     g_inv, m = _contraction(g, dg, xdot)
     return -0.5 * (g_inv @ (m @ w))
 
 
-def _geodesic_rhs(field_: MetricField, cols: int = 0):
-    """The geodesic with `cols` parallel-transported vectors: state
-    (x, x', w_1 ... w_cols), each vector contiguous. One contraction gives
-    the acceleration and every w_a' as -1/2 g^-1 m [x' | w_1 ... w_cols]."""
-    n = field_.dim
+def _geodesic_rhs(field_: MetricField, cols: int = 0, jacobi: int = 0):
+    """The geodesic with `cols` parallel-transported vectors and `jacobi`
+    Jacobi fields: state (x, x', w_1 ... w_cols, J, J'), each w_a
+    contiguous, J and J' of shape (n, jacobi), flattened. One contraction
+    gives the acceleration and every w_a' as
+    -1/2 g^-1 m [x' | w_1 ... w_cols]; the jets are order 1 unless Jacobi
+    fields ride along.
 
-    def rhs(_s, y):
-        x, xdot = y[:n], y[n:2 * n]
-        vel = y[n:].reshape(cols + 1, n).T if cols else xdot
-        return np.concatenate([xdot, _minus_gamma(field_, x, xdot, vel)
-                               .T.reshape(-1)])
-
-    return rhs
-
-
-def _variational_rhs(field_: MetricField, cols: int):
-    """The geodesic with `cols` Jacobi fields: state (x, x', J, J'), J and
-    J' of shape (n, cols), flattened.
-
-    The first variation of g x'' + c = 0, with c = 1/2 m x' (see
-    `_contraction`), along J: J'' = -g^-1 [(d_J g) x'' + d_J c] - 2 Gamma(x', J'),
-    where d_J c_l = x'^i x'^j J^k (d_k d_i g_jl - 1/2 d_k d_l g_ij) and
+    The Jacobi fields follow the first variation of g x'' + c = 0, with
+    c = 1/2 m x' (see `_contraction`), along J:
+    J'' = -g^-1 [(d_J g) x'' + d_J c] - 2 Gamma(x', J'), where
+    d_J c_l = x'^i x'^j J^k (d_k d_i g_jl - 1/2 d_k d_l g_ij) and
     2 Gamma(x', J') = g^-1 m J'.
     """
     n = field_.dim
+    split = (cols + 2) * n
 
     def rhs(_s, y):
         x, xdot = y[:n], y[n:2 * n]
-        jac, jac_dot = y[2 * n:].reshape(2, n, cols)
-        g, dg, d2g = field_.component_jets(x, order=2)
+        vel = y[n:split].reshape(cols + 1, n).T if cols else xdot
+        g, dg, d2g = field_.component_jets(x, order=2 if jacobi else 1)
         g_inv, m = _contraction(g, dg, xdot)
-        xddot = -0.5 * (g_inv @ (m @ xdot))
-        r = d2g @ xdot                  # r[k, i, l] = d_k d_i g_lj x'^j
-        t = (xdot @ r.reshape(n, n * n)).reshape(n, n)
-        k = (dg @ xddot + t - 0.5 * (r @ xdot)).T   # (d_J g) x'' + d_J c = k J
-        jac_ddot = -(g_inv @ (k @ jac + m @ jac_dot))
-        return np.concatenate([xdot, xddot, jac_dot.reshape(-1),
-                               jac_ddot.reshape(-1)])
+        acc = -0.5 * (g_inv @ (m @ vel))
+        out = [xdot, acc.T.reshape(-1)]
+        if jacobi:
+            xddot = acc[:, 0] if cols else acc
+            jac, jac_dot = y[split:].reshape(2, n, jacobi)
+            r = d2g @ xdot              # r[k, i, l] = d_k d_i g_lj x'^j
+            t = (xdot @ r.reshape(n, n * n)).reshape(n, n)
+            k = (dg @ xddot + t - 0.5 * (r @ xdot)).T   # (d_J g) x'' + d_J c = k J
+            jac_ddot = -(g_inv @ (k @ jac + m @ jac_dot))
+            out += [jac_dot.reshape(-1), jac_ddot.reshape(-1)]
+        return np.concatenate(out)
 
     return rhs
 
@@ -137,10 +136,13 @@ class GeodesicSolution:
 
     def jacobi(self, s: float) -> np.ndarray:
         """The Jacobi fields J (n, m) at affine parameter s, of a solution
-        integrated with `jacobi` columns J'(0) (J(0) = 0)."""
+        integrated with `jacobi` columns J'(0) (J(0) = 0); their rows
+        follow the transported ones."""
         n = self.field.dim
+        start = 2 * n if self.transport is None \
+            else 2 * n + self.transport.w0.size
         y = self._dense(float(np.clip(s, 0.0, self.t_reached)))
-        return y[2 * n:].reshape(2, n, -1)[0]
+        return y[start:].reshape(2, n, -1)[0]
 
     def point(self, s: float, canonical: bool = False) -> np.ndarray:
         x, _ = self.evaluate(s)
@@ -188,8 +190,11 @@ def geodesic(field_: MetricField, p, v, t_end: float,
     every w' from one metric jet. All pairwise g-inner products among the
     columns and x' must then also stay within eps_geo; the one retry runs
     if either drift is over its budget, and the transport's `n_rhs_evals`
-    and `refinements` are the shared solve's. `jacobi` and `transport`
-    cannot be combined.
+    and `refinements` are the shared solve's.
+
+    Both may be given: the state is then (x, x', w_1 ... w_m, J, J'), one
+    solve whose jets are order 2, and the Jacobi fields' rows follow the
+    transported ones.
     """
     return _solve(field_, p, v, t_end, tols, jacobi, transport, _rtol,
                   lambda rtol: geodesic(field_, p, v, t_end, tols, jacobi,
@@ -251,20 +256,16 @@ def _solve(field_: MetricField, p, v, t_end, tols: Tolerances, jacobi,
         raise ValueError(f"geodesic needs a finite length > 0, not {t_end!r}")
     if float(v @ v) == 0.0:
         raise ValueError("geodesic needs a nonzero initial velocity")
-    if jacobi is not None and transport is not None:
-        raise ValueError("geodesic takes jacobi or transport columns, not both")
     rtol = _rtol if _rtol is not None else max(1e-12, min(1e-9, tols.eps_geo * 0.1))
     n = field_.dim
     w0 = None if transport is None else np.asarray(transport, dtype=float)
     cols = np.empty((n, 0)) if w0 is None else w0.reshape(n, -1)
     m = cols.shape[1]
-    if jacobi is None:
-        rhs = _geodesic_rhs(field_, m)
-        y0 = np.concatenate([p, v, cols.T.reshape(-1)])
-    else:
-        jacobi = np.asarray(jacobi, dtype=float)
-        rhs = _variational_rhs(field_, jacobi.shape[1])
-        y0 = np.concatenate([p, v, np.zeros(jacobi.size), jacobi.reshape(-1)])
+    jac = np.empty((n, 0)) if jacobi is None \
+        else np.asarray(jacobi, dtype=float)
+    rhs = _geodesic_rhs(field_, m, jac.shape[1])
+    y0 = np.concatenate([p, v, cols.T.reshape(-1), np.zeros(jac.size),
+                         jac.reshape(-1)])
     sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=max(rtol, _RTOL_FLOOR),
                     atol=rtol * 1e-2,
                     dense_output=True, events=_boundary_events(field_))

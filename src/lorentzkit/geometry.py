@@ -33,7 +33,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NotCausal, OrientationError
+from .errors import (NotApplicable, NotCausal, OrientationError,
+                     batch_or_replay)
 from .fields import VectorField
 from .metric import MetricField
 from .tensors import LOWER, UPPER, MetricValue, TensorValue, invert_metric
@@ -94,7 +95,8 @@ class CausalClass:
 class CurvatureData:
     """Everything curvature-related at one point, computed in one pass; from
     points (B, n), every field carries the batch axis first (`index` is then
-    an array (B,)). The methods take one point's data."""
+    an array (B,)). `inner`, `riem_quad`, `scalar` and `kretschmann` take
+    one point's data; `riem_matrix` and `riem_bilinear` take either."""
 
     point: np.ndarray
     g: np.ndarray          # (n, n)
@@ -119,17 +121,21 @@ class CurvatureData:
     def riem_matrix(self) -> np.ndarray:
         """Riem as an (n^2, n^2) matrix, rows (j, k) and columns (i, l),
         made exactly symmetric in (i, l): Riem(., v, v, .) is one product
-        of v (x) v with it."""
+        of v (x) v with it. Stacked data gives a stack (B, n^2, n^2)."""
         n = self.dim
-        r = self.riem.transpose(1, 2, 0, 3)
-        return (0.5 * (r + r.swapaxes(2, 3))).reshape(n * n, n * n)
+        r = np.moveaxis(self.riem, -4, -2)
+        return (0.5 * (r + r.swapaxes(-2, -1))).reshape(
+            r.shape[:-4] + (n * n, n * n))
 
     def riem_bilinear(self, v) -> np.ndarray:
         """Matrix M[i, l] = Riem(e_i, v, v, e_l), symmetric; a stack of
-        vectors (B, n) gives a stack (B, n, n)."""
+        vectors (B, n) gives a stack (B, n, n), at one point or, from
+        stacked data, one vector per point."""
         v = np.asarray(v)
         n = self.dim
         vv = (v[..., :, None] * v[..., None, :]).reshape(v.shape[:-1] + (n * n,))
+        if self.riem.ndim > 4:
+            vv = vv[..., None, :]
         return (vv @ self.riem_matrix).reshape(v.shape[:-1] + (n, n))
 
     def scalar(self) -> float:
@@ -301,16 +307,22 @@ def screen(g: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def tidal_rows(g: np.ndarray, v: np.ndarray, null: bool) -> np.ndarray:
     """The rows whose complement is the screen of a causal v: g v, and v
-    too when v is null; (k, n) for a vector, (B, k, n) for a stack."""
-    gv = (v @ g)[..., None, :]
+    too when v is null; (k, n) for a vector, (B, k, n) for a stack, at one
+    point g (n, n) or at one point each, g (B, n, n)."""
+    gv = (v @ g)[..., None, :] if g.ndim == 2 else v[..., None, :] @ g
     return np.concatenate([gv, v[..., None, :]], axis=-2) if null else gv
 
 
 def tidal_screen(g: np.ndarray, v: np.ndarray, null: bool) -> np.ndarray:
     """g-orthonormal screen of a causal v: the h-complement of its
     `tidal_rows` (realising the quotient v^perp / <v> when v is null). A
-    stack of vectors (B, n) of one kind gives stacked screens."""
+    stack of vectors (B, n) of one kind gives stacked screens. The screen
+    of a null vector is empty in dimension 2: NotApplicable."""
     lam, basis = screen(g, tidal_rows(g, v, null))
+    if not lam.shape[-1]:
+        raise NotApplicable(f"the screen of a null vector is empty in "
+                            f"dimension {g.shape[-1]}: the tidal operator "
+                            f"needs dimension 3 or more")
     if (lam[..., 0] <= 0).any():
         raise NotCausal("screen is not g-positive definite")
     return basis
@@ -380,29 +392,35 @@ def generic_check(field_: MetricField, solution, tau: float = 1e-10) -> GenericC
     gamma'^perp / <gamma'> (`tidal_screen`): there the condition asks for
     k_[a R_b]cd[e k_f] k^c k^d != 0 (Hawking & Ellis 1973, 4.4), and a part
     of R(., k) k along k alone does not count. Either is scaled by
-    |gamma'|_h^2. A 'not detected' answer is a statement about the samples,
-    not a proof.
+    |gamma'|_h^2, which never vanishes on a geodesic. The 200 samples are
+    read in one `evaluate` call and their curvature in one batched pass
+    (`batch_or_replay`), as in `gs_trace`: a sample that cannot be
+    evaluated raises its own error, one past s* included. A 'not detected'
+    answer is a statement about the samples, not a proof.
     """
     v0 = TangentVector(solution.p0, solution.v0)
     null = causal_class_in(field_.value(solution.p0), v0).kind == "null"
-    best = 0.0
-    for s, x, xdot in solution.samples():
+
+    def ratios(x, xdot):
         data = curvature_data(field_, x)
-        denom = float(xdot @ xdot)
-        if denom < 1e-300:
-            continue
+        denom = (xdot * xdot).sum(-1)
         if null:
             # gamma' is null to the integrator's tolerance only, and the
             # screen part of R(., k) k moves with g(k, k): put k on the null
             # cone to first order, along g^-1 k (where g(k, g^-1 k) = |k|_h^2)
-            k = xdot - float(xdot @ data.g @ xdot) / (2.0 * denom) \
-                * (data.g_inv @ xdot)
+            q = np.einsum("bi,bij,bj->b", xdot, data.g, xdot)
+            k = xdot - (q / (2.0 * denom))[:, None] \
+                * (data.g_inv @ xdot[..., None])[..., 0]
             basis = tidal_screen(data.g, k, null=True)
-            a = basis.T @ data.riem_bilinear(k) @ basis
+            a = basis.swapaxes(-1, -2) @ data.riem_bilinear(k) @ basis
         else:
             a = -data.g_inv @ data.riem_bilinear(xdot)   # mixed operator on w
-        ratio = float(np.linalg.norm(a, 2)) / denom
-        best = max(best, ratio)
-        if ratio > tau:
-            return GenericCheckResult(True, float(s), ratio)
-    return GenericCheckResult(False, None, best)
+        return np.linalg.norm(a, 2, axis=(-2, -1)) / denom
+
+    s = np.linspace(0.0, solution.t_reached, 200)
+    ratio = batch_or_replay(ratios, *solution.evaluate(s))
+    hits = np.flatnonzero(ratio > tau)
+    if hits.size:
+        return GenericCheckResult(True, float(s[hits[0]]),
+                                  float(ratio[hits[0]]))
+    return GenericCheckResult(False, None, float(ratio.max()))

@@ -865,7 +865,8 @@ def _usually(good, bad):
 
 # parameter overrides: real ones with good and bad values, and unknown ones
 _PARAM = st.sampled_from(["M=1", "M=0.5", "M=-1", "M=0", "M=nan", "M=1e400",
-                          "H=2", "H=-1", "nope=1", "M", "=1", "M=x"])
+                          "H=2", "H=-1", "n=2", "n=3", "n=7", "m=2",
+                          "nope=1", "M", "=1", "M=x"])
 
 
 def _common(draw):
@@ -986,6 +987,19 @@ def test_sparse_shell_is_a_usage_error():
     assert code == 2 and out == ""
     assert "must be at least 8, got 7" in err.getvalue()
     assert run_cli(argv[:-1] + ["--dirs=8"])[0] in (0, 1)
+
+
+@pytest.mark.parametrize("condition", ["O", "inclusions"])
+def test_an_empty_tidal_screen_is_a_json_error(condition):
+    """In dimension 2 the screen of a null vector is empty: the O margin
+    and the inclusion audit exit 1 with a NotApplicable report naming the
+    dimension (they were IndexError tracebacks)."""
+    argv = ["check", "builtin:minkowski", "--param", "n=2", "--condition",
+            condition]
+    _keeps_the_error_contract(argv)
+    code, rep = run_json(argv)
+    assert code == 1 and rep["error_type"] == "NotApplicable"
+    assert "empty in dimension 2" in rep["error"]
 
 
 def test_gs_rejects_a_submanifold_that_is_not_spacelike(capsys):

@@ -12,8 +12,7 @@ import lorentzkit.geodesics as geodesics
 from lorentzkit.errors import (DomainError, SingularMetric,
                                ToleranceExceeded, batch_or_replay)
 from lorentzkit.expr import SymbolTable
-from lorentzkit.geodesics import (_geodesic_rhs, _variational_rhs, geodesic,
-                                  parallel_transport)
+from lorentzkit.geodesics import _geodesic_rhs, geodesic, parallel_transport
 from lorentzkit.geometry import Tolerances
 from lorentzkit.metric import ExprMetricField
 from lorentzkit.specfile import load_spec
@@ -351,11 +350,38 @@ class TestFusedTransport:
         assert sol.refinements == sol.transport.refinements == 1
         assert sol.n_rhs_evals == sol.transport.n_rhs_evals == sum(attempts)
 
-    def test_jacobi_and_transport_do_not_combine(self, bundles):
-        with pytest.raises(ValueError):
-            geodesic(bundles["minkowski"].field, np.zeros(4),
-                     np.array([1.0, 0.2, 0, 0]), 1.0, jacobi=np.eye(4),
-                     transport=np.eye(4)[:, 1:2])
+    def test_jacobi_and_transport_share_one_solve(self, bundles,
+                                                  monkeypatch):
+        """Jacobi fields and transported vectors ride in one state: one
+        solve, whose curve, vectors and fields agree with the separate
+        solves to eps_geo (1 + |.|)."""
+        f = bundles["schwarzschild_ef"].field
+        p, v = np.array([0.0, 3.0, 1.5, 0.3]), np.array([1.0, -0.5, 0, 0.1])
+        w0, j0 = np.eye(4)[:, 1:3], np.eye(4)[:, [0, 2, 3]]
+        calls = []
+        original = geodesics.solve_ivp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(geodesics, "solve_ivp", counted)
+        both = geodesic(f, p, v, 1.0, jacobi=j0, transport=w0)
+        assert calls == [1]
+        carried = geodesic(f, p, v, 1.0, transport=w0)
+        varied = geodesic(f, p, v, 1.0, jacobi=j0)
+        assert both.t_reached == carried.t_reached == varied.t_reached == 1.0
+
+        def close(a, b):
+            return np.abs(a - b).max() <= Tolerances().eps_geo * (
+                1.0 + np.abs(b).max())
+        s = np.linspace(0.0, 1.0, 9)
+        for alone in (carried, varied):
+            assert all(map(close, both.evaluate(s), alone.evaluate(s)))
+        assert close(both.transport.evaluate(s), carried.transport.evaluate(s))
+        for si in s:
+            assert both.jacobi(si).shape == (4, 3)
+            assert close(both.jacobi(si), varied.jacobi(si))
 
     def test_cli_geodesic_solves_once(self, monkeypatch):
         from lorentzkit import cli
@@ -460,7 +486,7 @@ class TestRightHandSides:
         for p in region_points(b, 3, seed=53):
             base = np.concatenate([p, rng.normal(size=n)])
             jac, jac_dot = rng.normal(size=(2, n, 2))
-            y = _variational_rhs(b.field, 2)(0.0, np.concatenate(
+            y = _geodesic_rhs(b.field, 0, 2)(0.0, np.concatenate(
                 [base, jac.reshape(-1), jac_dot.reshape(-1)]))
             assert np.array_equal(y[:2 * n], geo(0.0, base))
             got = y[2 * n:].reshape(2, n, 2)
@@ -485,7 +511,7 @@ class TestRightHandSides:
         with pytest.raises(SingularMetric):
             _geodesic_rhs(field, 1)(0.0, np.concatenate([p, xdot, xdot]))
         with pytest.raises(SingularMetric):
-            _variational_rhs(field, 1)(0.0, np.concatenate([p, xdot, xdot,
+            _geodesic_rhs(field, 0, 1)(0.0, np.concatenate([p, xdot, xdot,
                                                             xdot]))
 
     def test_a_failing_drift_sample_raises_its_own_error(self):

@@ -7,12 +7,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lorentzkit.errors import (DomainError, NotCausal, OrientationError,
-                               batch_or_replay)
+from lorentzkit import catalog
+from lorentzkit.errors import (DomainError, NotApplicable, NotCausal,
+                               OrientationError, batch_or_replay)
 from lorentzkit.expr import SymbolTable
 from lorentzkit.geometry import (TangentVector, causal_class, christoffel,
-                                 curvature_data, generic_check, ricci,
-                                 riemann, signature, tidal)
+                                 curvature_data, generic_check,
+                                 lorentz_frame, ricci, riemann, signature,
+                                 tidal, tidal_screen)
 from lorentzkit.geodesics import geodesic
 from lorentzkit.metric import ExprMetricField
 from lorentzkit.specfile import load_spec
@@ -286,6 +288,102 @@ def test_generic_check_takes_the_screen_part_on_null_curves(
     f = bundles[name].field
     sol = geodesic(f, start, direction, 0.5)
     assert not generic_check(f, sol).satisfied
+
+
+def _generic_one_at_a_time(field_, solution, tau):
+    """generic_check's samples as they ran one at a time: one
+    curvature_data call per sample, in order, stopping at the first ratio
+    over tau. (satisfied, parameter, ratio or the largest ratio)."""
+    null = causal_class(field_, TangentVector(solution.p0, solution.v0)
+                        ).kind == "null"
+    best = 0.0
+    for s, x, xdot in solution.samples():
+        data = curvature_data(field_, x)
+        denom = float(xdot @ xdot)
+        if null:
+            k = xdot - float(xdot @ data.g @ xdot) / (2.0 * denom) \
+                * (data.g_inv @ xdot)
+            basis = tidal_screen(data.g, k, null=True)
+            a = basis.T @ data.riem_bilinear(k) @ basis
+        else:
+            a = -data.g_inv @ data.riem_bilinear(xdot)
+        ratio = float(np.linalg.norm(a, 2)) / denom
+        best = max(best, ratio)
+        if ratio > tau:
+            return True, float(s), ratio
+    return False, None, best
+
+
+def _cubic_expansion():
+    """-dt^2 + e^{t^3} (dx^2 + dy^2) + dz^2: flat at t = 0, curved after,
+    so s* moves into the curve as tau grows."""
+    table = SymbolTable(["t", "x", "y", "z"])
+    entries = {(i, j): "0" for i in range(4) for j in range(i)}
+    entries.update({(0, 0): "-1", (1, 1): "exp(t^3)", (2, 2): "exp(t^3)",
+                    (3, 3): "1"})
+    return ExprMetricField(table, entries)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("cubic",))
+def test_generic_check_matches_the_samples_one_at_a_time(bundles, name):
+    """The batched pass against the per-sample loop, on timelike and null
+    curves: equal satisfied and s*, ratios within 1e-12 relative to their
+    scale (or absolute below 1)."""
+    if name == "cubic":
+        field_, starts = _cubic_expansion(), [np.zeros(4)]
+        taus = (1e-10, 0.3, 1.0, 10.0)
+    else:
+        field_ = bundles[name].field
+        starts, taus = region_points(bundles[name], 2, seed=17), (1e-10,)
+    rng = np.random.default_rng(19)
+    for p in starts:
+        frame = lorentz_frame(field_.value(p))
+        for alpha in (0.0, 0.5, 1.0):
+            omega = rng.normal(size=3)
+            v = frame[:, 0] + alpha * frame[:, 1:] @ (omega
+                                                     / np.linalg.norm(omega))
+            sol = geodesic(field_, p, v, 0.3 if name != "cubic" else 1.0)
+            for tau in taus:
+                res = generic_check(field_, sol, tau)
+                satisfied, parameter, ratio = \
+                    _generic_one_at_a_time(field_, sol, tau)
+                assert (res.satisfied, res.parameter) == (satisfied, parameter)
+                assert abs(res.max_ratio - ratio) <= 1e-12 * max(1.0, ratio)
+
+
+def test_generic_check_reads_its_curvature_in_one_batch(bundles,
+                                                      monkeypatch):
+    """The 200 samples take one curvature_data call, on the timelike and
+    on the null branch, and the first sample over tau is still s*."""
+    import lorentzkit.geometry as geometry
+    calls = []
+
+    def counted(field_, p):
+        calls.append(np.shape(p))
+        return curvature_data(field_, p)
+
+    monkeypatch.setattr(geometry, "curvature_data", counted)
+    b = bundles["flrw_dust"]
+    s0 = b.params["s_ref"]
+    a = math.sqrt(b.field.value(np.array([s0, 0.0, 0.0, 0.0]))[1, 1])
+    for v in ([1.0, 0.3, 0, 0], [1.0, 1.0 / a, 0, 0]):
+        calls.clear()
+        sol = geodesic(b.field, [s0, 0, 0, 0], v, 0.1 * s0)
+        res = generic_check(b.field, sol)
+        assert res.satisfied and res.parameter == 0.0
+        assert calls == [(200, 4)]
+
+
+def test_generic_check_and_tidal_refuse_an_empty_screen():
+    """A null vector has no screen in dimension 2: NotApplicable, naming
+    the dimension, where tidal_screen read past an empty array."""
+    f = catalog.load("minkowski", n=2).field
+    with pytest.raises(NotApplicable, match="empty in dimension 2"):
+        tidal(f, TangentVector(np.zeros(2), [1.0, 1.0]))
+    with pytest.raises(NotApplicable, match="empty in dimension 2"):
+        generic_check(f, geodesic(f, np.zeros(2), [1.0, 1.0], 1.0))
+    assert not generic_check(
+        f, geodesic(f, np.zeros(2), [1.0, 0.3], 1.0)).satisfied
 
 
 def test_generic_check_detects_null_curves_in_dust(bundles):

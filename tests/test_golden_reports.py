@@ -1,6 +1,6 @@
 """Golden reports: the full output of the integrating commands, of the
-causality certificates, of `analyze`, `classify` and `perturb`, byte for
-byte.
+causality certificates, of the curvature conditions and the inclusion
+audit, of `analyze`, `classify` and `perturb`, byte for byte.
 
 Each case runs `lorentzkit.cli.run` on a fixed argv and compares its
 report with `tests/data/golden/<case>.json` (`.csv` for a CSV table). A
@@ -69,6 +69,22 @@ for _name, _at in ANALYZE_AT.items():
             _certificate(f"builtin:{_name}", _condition), 0)
 CASES["check_orientation_contracting_desitter"] = (
     _certificate(SPEC, "orientation"), 0)
+
+# the curvature conditions and the inclusion audit on a small shell scan;
+# a violated condition exits 1 with its report, the audit always exits 0
+HOLDS = {"E": ("flrw_dust", "schwarzschild_ef", "torus_quotient"),
+         "SE": ("flrw_dust",), "P": ("flrw_dust",),
+         "FP": ("flrw_dust", "torus_quotient"),
+         "O": ("flrw_dust", "torus_quotient"),
+         "inclusions": ("flrw_dust", "schwarzschild_ef", "desitter",
+                        "torus_quotient", "contracting_desitter")}
+for _name in ("flrw_dust", "schwarzschild_ef", "desitter", "torus_quotient",
+              "contracting_desitter"):
+    _spec = SPEC if _name == "contracting_desitter" else f"builtin:{_name}"
+    for _condition, _holding in HOLDS.items():
+        CASES[f"check_{_condition}_{_name}"] = (
+            ["check", _spec, "--condition", _condition, "--points", "4",
+             "--dirs", "16", "--seed", "601"], int(_name not in _holding))
 
 # every builtin submanifold, the spec file's horizon, and a surface that
 # stops being spacelike mid-grid (the error names the grid index)
@@ -163,6 +179,14 @@ def test_report_is_golden(case):
         assert moved is not None, "the report text moved, but no field did"
         field, old, new = moved
         pytest.fail(f"{case}: {field} moved from {old!r} to {new!r}")
+
+
+def test_every_golden_file_has_its_case():
+    """A renamed or dropped case cannot leave a stale file behind that
+    nothing checks, and no case runs without its file."""
+    files = {p.name for p in GOLDEN.iterdir()
+             if p.is_file() and p.name != "rewrite.py"}
+    assert files == {golden_path(case).name for case in CASES}
 
 
 def test_first_difference_names_the_field_and_both_values():
